@@ -66,7 +66,10 @@ class CampaignConfig:
         workers: worker processes for the injection phase; ``1`` runs
             in-process, ``N > 1`` fans points out over a pool (replay) or
             resumes that many snapshots concurrently (snapshot) and
-            merges results in deterministic point order.
+            merges results in deterministic point order.  A replay round
+            with fewer than ``workers * 2`` points to run is too small to
+            amortize pool startup and runs in-process (the realized
+            choice is recorded on :class:`CampaignResult`).
         journal_path: when set, a JSONL checkpoint journal of per-point
             outcomes; an interrupted campaign re-run with the same
             journal resumes at the first untested point.
@@ -76,11 +79,6 @@ class CampaignConfig:
             injection from a fork-based snapshot at its fire instant
             (outcome-identical, see DESIGN.md).  Falls back to replay
             where ``fork`` is unavailable.
-        force_workers: keep the requested ``workers`` even for campaigns
-            too small to amortize pool startup; by default a replay
-            campaign with fewer than ``workers * 2`` pending points
-            degrades to in-process execution (the realized choice is
-            recorded on :class:`CampaignResult`).
         point_order: the order the test phase visits dynamic crash
             points.  ``"point"`` (default) is the profiler's deterministic
             point order; ``"novelty"`` schedules novelty-first — a greedy
@@ -122,7 +120,6 @@ class CampaignConfig:
     workers: int = 1
     journal_path: Optional[Union[str, Path]] = None
     execution: str = "replay"
-    force_workers: bool = False
     point_order: str = "point"
     analytics: bool = False
     analytics_path: Optional[Union[str, Path]] = None
@@ -175,12 +172,6 @@ class CampaignConfig:
                 f"max_points must be >= 0 or None (test all points), "
                 f"got {self.max_points}"
             )
-        if self.force_workers and self.workers == 1:
-            raise ValueError(
-                "force_workers=True with workers=1 has nothing to force — "
-                "it only pins a workers>1 pool past the small-campaign "
-                "degrade rule; pass workers>1 or drop force_workers"
-            )
         if self.analytics_path is not None and self.point_order != "novelty":
             raise ValueError(
                 "analytics_path seeds the novelty scheduler's observed set "
@@ -224,8 +215,11 @@ class CampaignConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected (a newer writer's config must not be
-        silently narrowed by an older reader).
+        silently narrowed by an older reader), bar the one retired key.
         """
+        # retired in 1.7.0: 1.6.0 daemons persisted it in their WAL and it
+        # never changed outcomes, so it is dropped whatever its value
+        data = {k: v for k, v in data.items() if k != "force_workers"}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -346,7 +340,7 @@ class CampaignResult:
     #: the configured mode unless the platform forced a replay fallback
     execution: str = "replay"
     #: worker processes actually used, after the small-campaign degrade
-    #: rule and any platform fallback (see CampaignConfig.force_workers)
+    #: rule and any platform fallback (see CampaignConfig.workers)
     workers_realized: int = 1
     #: snapshot-engine statistics (recording runs, resumed/never-fired/
     #: fallback point counts, kernel manifests) when it ran
@@ -404,14 +398,14 @@ def run_one_injection(
     """Test one dynamic crash point (optionally re-running flagged hangs)."""
     cfg = _coerce_campaign(campaign, "run_one_injection")
     wall0 = _wallclock.perf_counter()
-    report, trigger, center = _drive(
+    report, trigger = _drive(
         system, analysis, dpoint, cfg.seed, config, cfg.wait,
         cfg.random_fallback, deadline=None,
     )
     verdict = evaluate_run(report, baseline)
     if verdict.hang and cfg.classify_timeouts and trigger.fired:
         extended = system.base_runtime() * extended_factor * max(1, dpoint.scale)
-        rerun, trigger2, _ = _drive(
+        rerun, _ = _drive(
             system, analysis, dpoint, cfg.seed, config, cfg.wait,
             cfg.random_fallback, deadline=extended,
         )
@@ -420,42 +414,87 @@ def run_one_injection(
             verdict.timeout_issue = True
             verdict.hang = False
             report = rerun
-    matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-    diagnosis = _diagnose(system, dpoint, trigger, center, verdict, matched, report)
+    outcome = _judged(system, dpoint, trigger, verdict, matcher, report)
     obs = get_obs()
     if obs.enabled:
-        obs.diagnoses.append(diagnosis)
+        obs.diagnoses.append(outcome.diagnosis)
+    outcome.wall_seconds = _wallclock.perf_counter() - wall0
+    return outcome
+
+
+def _judged(
+    system: SystemUnderTest,
+    dpoint: DynamicCrashPoint,
+    trigger: Trigger,
+    verdict: OracleVerdict,
+    matcher: Optional[BugMatcherFn],
+    report: RunReport,
+) -> InjectionOutcome:
+    """The outcome of one judged run: attribution, diagnosis, record.
+
+    Shared by the replay path above and the snapshot engine's forked
+    children (a resumer's suffix, the recorder's never-fired basis), so
+    all three assemble an outcome the same way.
+    """
+    matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
     return InjectionOutcome(
         dpoint=dpoint,
         fired=trigger.fired,
-        injection=center.injection,
+        injection=trigger.center.injection,
         verdict=verdict,
         matched_bugs=matched,
         duration=report.duration,
-        wall_seconds=_wallclock.perf_counter() - wall0,
-        diagnosis=diagnosis,
+        diagnosis=_diagnose(system, dpoint, trigger, verdict, matched, report),
     )
+
+
+def _point_identity(dpoint: DynamicCrashPoint) -> Dict[str, Any]:
+    """The diagnosis fields read straight off the dynamic crash point."""
+    point = dpoint.point
+    return {
+        "point": point.describe(),
+        "op": point.op,
+        "field_name": point.field_name,
+        "enclosing": point.enclosing,
+        "stack": list(dpoint.stack),
+        "scale": dpoint.scale,
+    }
+
+
+def _clone_for(
+    outcome: InjectionOutcome,
+    dpoint: DynamicCrashPoint,
+    **diagnosis_overrides: Any,
+) -> InjectionOutcome:
+    """``outcome``'s evidence under ``dpoint``'s own identity.
+
+    For points known to share a run with another — snapshot aliases and
+    never-fired points, representative-mode class members: verdict,
+    matched bugs, injection and measurements are the source's; the
+    point-identity fields of the diagnosis are the clone's own.
+    """
+    clone = InjectionOutcome.from_dict(outcome.to_dict(), dpoint)
+    if clone.diagnosis is not None:
+        clone.diagnosis = replace(
+            clone.diagnosis, **_point_identity(dpoint), **diagnosis_overrides
+        )
+    return clone
 
 
 def _diagnose(
     system: SystemUnderTest,
     dpoint: DynamicCrashPoint,
     trigger: Trigger,
-    center: ControlCenter,
     verdict: OracleVerdict,
     matched: List[str],
     report: RunReport,
 ) -> InjectionDiagnosis:
     """Assemble the per-injection diagnosis record from the run's actors."""
+    center = trigger.center
     injection = center.injection
     return InjectionDiagnosis(
         system=system.name,
-        point=dpoint.point.describe(),
-        op=dpoint.point.op,
-        field_name=dpoint.point.field_name,
-        enclosing=dpoint.point.enclosing,
-        stack=list(dpoint.stack),
-        scale=dpoint.scale,
+        **_point_identity(dpoint),
         fired=trigger.fired,
         hits=trigger.hits,
         values=list(trigger.values),
@@ -499,7 +538,6 @@ def _drive(
         trigger = Trigger(dpoint, center)
         trigger.install()
         holder["trigger"] = trigger
-        holder["center"] = center
 
     try:
         report = run_workload(
@@ -509,7 +547,7 @@ def _drive(
     finally:
         if "trigger" in holder:
             holder["trigger"].uninstall()
-    return report, holder["trigger"], holder["center"]
+    return report, holder["trigger"]
 
 
 def run_campaign(
@@ -540,13 +578,16 @@ def run_campaign(
             the outcomes and on ``obs.diagnoses`` — identically whether
             the campaign ran sequentially or on a worker pool.
         on_outcome: checkpoint hook, called as ``on_outcome(index,
-            outcome)`` each time a *newly tested* point finalizes (right
-            after its journal line, when a journal is configured) — in
-            completion order, which under a worker pool may differ from
-            point order.  Restored (journal-resumed) points do not call
-            it.  The campaign service uses this to beat each job's
-            heartbeat sentinel at every checkpoint; exceptions propagate
-            and abort the campaign.
+            outcome)`` — ``index`` into the campaign's point list — each
+            time a point finalizes in this process: tested, or (in
+            representative mode) propagated from its class
+            representative.  It fires right after the point's journal
+            line, when a journal is configured, in completion order,
+            which under a worker pool may differ from point order.
+            Restored (journal-resumed) points do not call it.  The
+            campaign service uses this to beat each job's heartbeat
+            sentinel at every checkpoint; exceptions propagate and abort
+            the campaign without running the points still queued.
     """
     # imported lazily: the executor module imports this one
     from repro.core.injection.executor import execute_points

@@ -1,36 +1,44 @@
-"""Parallel execution of injection campaigns, with checkpoint/resume.
+"""The campaign's test phase: plan -> runner -> pool, over one journal.
 
-Every injection run is an isolated, seed-deterministic simulation — one
-fresh cluster per dynamic crash point — which makes the campaign's hot
-loop embarrassingly parallel.  :func:`execute_points` fans pending points
-out over a ``fork``-based process pool and merges everything back **in
-deterministic point order**, so a parallel campaign is outcome- and
-report-identical to a sequential one (only wall-clock differs):
+The paper's test phase (Figure 4) is one loop — arm a dynamic crash
+point, run, judge — and so is this module.  Three seams share everything
+else:
 
-* **outcomes** are collected as futures complete but emitted in point
-  order;
-* **diagnoses** land on the ambient ``Observability`` in point order;
-* **metrics** from each worker's private registry are folded in point
-  order (counters summed, histograms merged, gauges last-write-wins —
-  see :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`);
-* **spans** from each worker's private tracer are re-stitched under the
-  campaign span with ids remapped to exactly the ids a sequential run
-  would have allocated (see :meth:`~repro.obs.tracer.Tracer.adopt`).
+* the **plan** decides which campaign indices run in which round: every
+  unrestored point in one round (``point_select="full"``), or class
+  representatives plus the audit draw, then any promoted classes
+  (``"representative"``, see :mod:`~repro.core.injection.classes`);
+* the **runner** executes one round, ``run(ctx, indices, sink)``, and
+  returns ``{index: (outcome, telemetry payloads)}``.  It has two
+  bodies — :class:`ReplayRunner` here, and
+  :class:`~repro.core.injection.snapshot.SnapshotRunner` — that both
+  index the campaign's real point list;
+* the **pool** is how the replay runner spends its round: in this
+  process, or fanned out over ``fork``-ed workers.  Either way a point is
+  run by :func:`run_point`.
 
-The worker model relies on the ``fork`` start method: the parent primes
-module-level state (system, analysis, baseline, matcher — some of which
-are deliberately not picklable) right before the pool forks, and workers
-inherit it; only point indices go in and picklable
-:class:`~repro.core.injection.campaign.InjectionOutcome` records plus
-span/metric payloads come back.  Where ``fork`` is unavailable the
-campaign falls back to sequential execution with a warning.
+Every injection is an isolated, seed-deterministic simulation, so how a
+round is spent never shows in the result: :func:`_merge` emits outcomes,
+diagnoses, metrics and spans **in point order**, with span ids remapped
+to exactly the ids a single traced run would have allocated (see
+:meth:`~repro.obs.tracer.Tracer.adopt` and
+:meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).  Only
+wall-clock differs between replay, snapshot, pooled, representative and
+resumed campaigns.
 
-The journal (``CampaignConfig.journal_path``) is an append-only JSONL
-checkpoint: one ``campaign-meta`` line pinning the campaign's identity
-(system, seed, knobs, point count, config fingerprint) and one
-``outcome`` line per tested point.  A re-run with the same journal
-restores recorded outcomes — diagnoses included — and only tests the
-points the interrupted run never reached.
+Everything a point needs travels in one frozen :class:`ExecContext`.
+Forked children inherit it (analysis reports and matchers are
+deliberately not picklable): only point indices go into a pool worker,
+and picklable :class:`~repro.core.injection.campaign.InjectionOutcome`
+records plus span/metric payloads come back.  Where ``fork`` is
+unavailable the campaign replays in-process with a warning.
+
+Finished points go to one sink, the :class:`CampaignJournal`: an
+append-only JSONL checkpoint (``CampaignConfig.journal_path``; no file
+when ``None``) with one ``campaign-meta`` line pinning the campaign's
+identity and one ``outcome`` line per tested point.  A re-run with the
+same journal restores recorded outcomes — diagnoses included — and only
+tests the points the interrupted run never reached.
 """
 
 from __future__ import annotations
@@ -39,29 +47,35 @@ import json
 import multiprocessing
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, replace as _dc_replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.campaign import (
     BugMatcherFn,
     CampaignConfig,
     InjectionOutcome,
+    _clone_for,
     run_one_injection,
 )
 from repro.core.injection.classes import SelectionPlan, build_classes
 from repro.core.injection.oracles import Baseline
 from repro.core.profiler import DynamicCrashPoint
-from repro.obs import Observability
+from repro.obs import NULL_OBS, Observability
 from repro.systems.base import SystemUnderTest
-
-from typing import Callable
 
 JOURNAL_VERSION = 1
 
 #: checkpoint hook signature: ``(point_index, outcome)`` per tested point
 OutcomeHook = Callable[[int, InjectionOutcome], None]
+
+#: one run's telemetry, as :func:`_telemetry` packs it
+Payload = Dict[str, Any]
+
+#: what a runner returns for a round: per campaign index, the outcome and
+#: the payloads of the run(s) that produced it (none when telemetry is off)
+Results = Dict[int, Tuple[InjectionOutcome, List[Payload]]]
 
 
 class JournalMismatch(ValueError):
@@ -82,14 +96,29 @@ def _canonical_config(config: Optional[Dict[str, Any]]) -> str:
 
 
 class CampaignJournal:
-    """Append-only JSONL checkpoint of per-point campaign outcomes."""
+    """The campaign's one outcome sink: stamp, append, then notify.
 
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
+    Every finalized point — replayed, resumed from a snapshot, or
+    propagated from its class representative — passes through
+    :meth:`record` exactly once, under its *campaign* index.  The outcome
+    (and its diagnosis, in place) is stamped with its equivalence class;
+    its line is appended and flushed when a ``path`` is configured; and
+    only then does the ``on_outcome`` hook fire, so a hook that observes
+    a checkpoint can rely on it being on disk.
+    """
+
+    def __init__(
+        self,
+        path: Optional[Union[str, Path]],
+        points: List[DynamicCrashPoint],
+        on_outcome: Optional[OutcomeHook] = None,
+        class_of: Optional[Dict[int, str]] = None,
+    ):
+        self.path = Path(path) if path is not None else None
+        self._points = points
+        self._hook = on_outcome
+        self._class_of = class_of or {}
         self._fh = None
-        #: byte length of the valid line prefix (a kill mid-write leaves a
-        #: torn unterminated tail, truncated away before appending)
-        self._keep_bytes: Optional[int] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -126,77 +155,86 @@ class CampaignJournal:
             meta["classes"] = build_classes(points, cfg.audit_fraction).digest()
         return meta
 
-    def load(
-        self,
-        points: List[DynamicCrashPoint],
-        meta: Dict[str, Any],
-    ) -> Dict[int, InjectionOutcome]:
-        """Outcomes already journaled, keyed by point index.
+    def open(self, meta: Dict[str, Any]) -> Dict[int, InjectionOutcome]:
+        """Restore what the file already holds, then open it for append.
 
-        Raises :class:`JournalMismatch` when the journal belongs to a
-        different campaign (different system, seed, knobs, config, or
-        point list) — mixing outcomes across campaigns would silently
-        corrupt results.  Entries whose recorded point key no longer
-        matches are ignored (treated as untested).
+        Returns the journaled outcomes keyed by point index.  Raises
+        :class:`JournalMismatch` when the journal belongs to a different
+        campaign (different system, seed, knobs, config, or point list),
+        or holds outcomes but no identity line to check them against —
+        mixing outcomes across campaigns would silently corrupt results.
+        Entries whose recorded point key no longer matches are ignored
+        (treated as untested).  A kill mid-write leaves one torn,
+        unterminated tail, which is truncated away before appending.
         """
         loaded: Dict[int, InjectionOutcome] = {}
-        if not self.path.exists():
+        if self.path is None:
             return loaded
-        raw = self.path.read_bytes()
-        offset = 0
-        for chunk in raw.split(b"\n"):
-            line = chunk.decode("utf-8", errors="replace").strip()
-            if not line:
-                offset += len(chunk) + 1
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                # a kill mid-write leaves one torn, unterminated tail;
-                # remember where it starts so open_append truncates it
-                self._keep_bytes = offset
-                break
-            offset += len(chunk) + 1
-            kind = record.pop("type", None)
-            if kind == "campaign-meta":
-                if record != meta:
-                    raise JournalMismatch(
-                        f"{self.path}: journal was written by a different "
-                        f"campaign (journal {record!r} != current {meta!r}); "
-                        f"delete the file to start over"
+        pinned = False  # a campaign-meta line was read (and matched)
+        if self.path.exists():
+            raw = self.path.read_bytes()
+            keep = 0  # byte length of the valid line prefix
+            for line in raw.split(b"\n")[:-1]:  # [-1]: the unterminated tail
+                try:
+                    record = json.loads(line) if line.strip() else {}
+                except ValueError:
+                    break
+                if not isinstance(record, dict):
+                    break
+                keep += len(line) + 1
+                kind = record.pop("type", None)
+                if kind == "campaign-meta":
+                    if record != meta:
+                        raise JournalMismatch(
+                            f"{self.path}: journal was written by a different "
+                            f"campaign (journal {record!r} != current {meta!r}); "
+                            f"delete the file to start over"
+                        )
+                    pinned = True
+                elif kind == "outcome":
+                    if not pinned:
+                        raise JournalMismatch(
+                            f"{self.path}: outcome lines without a "
+                            f"campaign-meta line — nothing pins which campaign "
+                            f"wrote them; delete the file to start over"
+                        )
+                    index = record.get("index", -1)
+                    if not 0 <= index < len(self._points):
+                        continue
+                    if record.get("key") != repr(self._points[index].key()):
+                        continue
+                    loaded[index] = InjectionOutcome.from_dict(
+                        record["data"], self._points[index]
                     )
-            elif kind == "outcome":
-                index = record.get("index", -1)
-                if not 0 <= index < len(points):
-                    continue
-                if record.get("key") != repr(points[index].key()):
-                    continue
-                loaded[index] = InjectionOutcome.from_dict(
-                    record["data"], points[index]
-                )
+            if keep < len(raw):
+                with self.path.open("r+b") as fh:
+                    fh.truncate(keep)
+        self._fh = self.path.open("a", encoding="utf-8")
+        if not pinned:
+            # also the file that existed but never got its identity line
+            # (empty, or killed during the very first write)
+            self._append({"type": "campaign-meta", **meta})
         return loaded
 
-    # ------------------------------------------------------------------
-    def open_append(self, meta: Dict[str, Any], fresh: bool) -> None:
-        if self._keep_bytes is not None:
-            with self.path.open("r+b") as fh:
-                fh.truncate(self._keep_bytes)
-            self._keep_bytes = None
-        self._fh = self.path.open("a", encoding="utf-8")
-        if fresh:
-            self._fh.write(json.dumps({"type": "campaign-meta", **meta}) + "\n")
-            self._fh.flush()
-
-    def record(self, index: int, dpoint: DynamicCrashPoint,
-               outcome: InjectionOutcome) -> None:
-        assert self._fh is not None, "journal not opened for append"
-        self._fh.write(json.dumps({
-            "type": "outcome",
-            "index": index,
-            "key": repr(dpoint.key()),
-            "data": outcome.to_dict(),
-        }) + "\n")
+    def _append(self, record: Dict[str, Any]) -> None:
+        self._fh.write(json.dumps(record) + "\n")
         self._fh.flush()
+
+    def record(self, index: int, outcome: InjectionOutcome) -> None:
+        class_id = self._class_of.get(index)
+        if class_id:
+            outcome.class_id = class_id
+            if outcome.diagnosis is not None:
+                outcome.diagnosis.point_class = class_id
+        if self._fh is not None:
+            self._append({
+                "type": "outcome",
+                "index": index,
+                "key": repr(self._points[index].key()),
+                "data": outcome.to_dict(),
+            })
+        if self._hook is not None:
+            self._hook(index, outcome)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -204,75 +242,119 @@ class CampaignJournal:
             self._fh = None
 
 
-class _HookedJournal:
-    """A journal facade that also fires the per-checkpoint hook.
-
-    Wraps the (possibly absent) :class:`CampaignJournal` so every
-    execution path — sequential, parallel, snapshot — reaches the
-    ``on_outcome`` hook through the one ``record`` call it already makes,
-    with the journal line (when there is one) written *before* the hook
-    runs: a hook that observes a checkpoint can rely on it being durable.
-    """
-
-    def __init__(self, journal: Optional[CampaignJournal], hook: OutcomeHook):
-        self._journal = journal
-        self._hook = hook
-
-    def record(self, index: int, dpoint: DynamicCrashPoint,
-               outcome: InjectionOutcome) -> None:
-        if self._journal is not None:
-            self._journal.record(index, dpoint, outcome)
-        self._hook(index, outcome)
-
-    def close(self) -> None:
-        if self._journal is not None:
-            self._journal.close()
-
-
 # ---------------------------------------------------------------------------
-# the worker side
+# one point, run from t=0
 # ---------------------------------------------------------------------------
-#: primed by the parent immediately before the pool forks; inherited by
-#: workers through fork (never pickled — analysis and matchers are not)
-_WORKER_STATE: Optional[Dict[str, Any]] = None
+@dataclass(frozen=True)
+class ExecContext:
+    """Everything a point needs to run, fixed for the whole campaign."""
+
+    system: SystemUnderTest
+    analysis: AnalysisReport
+    points: List[DynamicCrashPoint]
+    baseline: Baseline
+    matcher: Optional[BugMatcherFn]
+    cfg: CampaignConfig
+    config: Optional[Dict[str, Any]]
+    #: the ambient ``Observability`` is on: runs ship telemetry payloads
+    observed: bool
+    #: ``cfg.workers``, or 1 where the platform cannot fork
+    workers: int
 
 
-def _worker_run(index: int) -> Tuple[int, InjectionOutcome, Optional[Dict[str, Any]]]:
-    """Test one point in a forked worker; ships back outcome + telemetry."""
-    state = _WORKER_STATE
-    assert state is not None, "worker forked before state was primed"
-    dpoint = state["points"][index]
-    if not state["observed"]:
-        outcome = run_one_injection(
-            state["system"], state["analysis"], dpoint, state["baseline"],
-            campaign=state["cfg"], config=state["config"],
-            matcher=state["matcher"],
-        )
-        return index, outcome, None
-    # A fresh private context per point: the parent re-stitches the
-    # resulting spans/metrics in point order, reproducing exactly what
-    # its own registry/tracer would have recorded sequentially.
-    obs = Observability()
-    with obs:
-        outcome = run_one_injection(
-            state["system"], state["analysis"], dpoint, state["baseline"],
-            campaign=state["cfg"], config=state["config"],
-            matcher=state["matcher"],
-        )
-    payload = {
+def _telemetry(obs: Observability) -> Payload:
+    """Pack a private context's spans and metrics for :func:`_merge`."""
+    return {
         "spans": [span.to_dict() for span in obs.tracer.spans],
         "allocated": obs.tracer.ids_allocated(),
         "metrics": obs.metrics.snapshot(),
     }
-    return index, outcome, payload
+
+
+def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, List[Payload]]:
+    """Replay one point in this process; returns its outcome + telemetry.
+
+    When the campaign is observed the run gets a fresh private context —
+    wherever it executes — so that :func:`_merge` can re-stitch spans and
+    metrics in point order, reproducing what one registry/tracer would
+    have recorded had the points run back to back.
+    """
+    # entering NULL_OBS is a no-op: the (disabled) ambient context stays
+    private = Observability() if ctx.observed else NULL_OBS
+    with private:
+        outcome = run_one_injection(
+            ctx.system, ctx.analysis, ctx.points[index], ctx.baseline,
+            campaign=ctx.cfg, config=ctx.config, matcher=ctx.matcher,
+        )
+    return outcome, [_telemetry(private)] if ctx.observed else []
+
+
+# ---------------------------------------------------------------------------
+# the pool: a round's indices, in this process or over forked workers
+# ---------------------------------------------------------------------------
+#: set in pool workers only, by the pool's initializer: the context comes
+#: through fork inside the worker's process object, never pickled
+_inherited_ctx: Optional[ExecContext] = None
+
+
+def _inherit(ctx: ExecContext) -> None:
+    global _inherited_ctx
+    _inherited_ctx = ctx
+
+
+def _pooled_point(index: int) -> Tuple[int, InjectionOutcome, List[Payload]]:
+    assert _inherited_ctx is not None, "pool worker started without a context"
+    return (index,) + run_point(_inherited_ctx, index)
 
 
 def _fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
+class ReplayRunner:
+    """The replay body of the runner seam: every index re-runs from t=0."""
+
+    #: replay keeps no engine statistics (see ``SnapshotRunner.stats``)
+    stats: Optional[Dict[str, Any]] = None
+
+    def __init__(self) -> None:
+        #: pool width realized: 1 until some round is big enough to fork
+        self.workers = 1
+
+    def run(self, ctx: ExecContext, indices: List[int],
+            sink: CampaignJournal) -> Results:
+        results: Results = {}
+
+        def finish(index: int, outcome: InjectionOutcome,
+                   payloads: List[Payload]) -> None:
+            sink.record(index, outcome)
+            results[index] = (outcome, payloads)
+
+        if ctx.workers == 1 or len(indices) < ctx.workers * 2:
+            # pool startup dominates rounds this small (Table 11's
+            # zookeeper/cassandra rows ran *slower* pooled than in-process)
+            for index in indices:
+                finish(index, *run_point(ctx, index))
+            return results
+        self.workers = ctx.workers
+        pool = ProcessPoolExecutor(
+            max_workers=ctx.workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_inherit, initargs=(ctx,),
+        )
+        try:
+            futures = [pool.submit(_pooled_point, index) for index in indices]
+            for future in as_completed(futures):
+                finish(*future.result())
+        finally:
+            # a raising sink (``on_outcome`` aborts the campaign) or a
+            # SIGINT must not run the queued points out first
+            pool.shutdown(wait=True, cancel_futures=True)
+        return results
+
+
 # ---------------------------------------------------------------------------
-# the parent side
+# the campaign parent: plan the rounds, run them, merge
 # ---------------------------------------------------------------------------
 @dataclass
 class ExecutionReport:
@@ -311,173 +393,93 @@ def execute_points(
     The ambient ``active`` context is already installed by
     :func:`~repro.core.injection.campaign.run_campaign`, with the
     campaign span open.  ``on_outcome`` (when given) fires per newly
-    tested point, after its journal line is written — see
+    finalized point, after its journal line is written — see
     :func:`~repro.core.injection.campaign.run_campaign`.
     """
-    journal: Optional[Any] = None
-    loaded: Dict[int, InjectionOutcome] = {}
-    if cfg.journal_path is not None:
-        journal = CampaignJournal(cfg.journal_path)
-        meta = CampaignJournal.meta_for(system, points, cfg, config)
-        fresh = not journal.path.exists()
-        loaded = journal.load(points, meta)
-        journal.open_append(meta, fresh=fresh)
-    if on_outcome is not None:
-        journal = _HookedJournal(journal, on_outcome)
-    pending = [i for i in range(len(points)) if i not in loaded]
-
-    workers = cfg.workers
-    execution = cfg.execution
+    workers, execution = cfg.workers, cfg.execution
     if (workers > 1 or execution == "snapshot") and not _fork_available():
         warnings.warn(
             "parallel and snapshot campaigns need the 'fork' start method, "
             "which this platform lacks; replaying sequentially",
             RuntimeWarning,
         )
-        workers = 1
-        execution = "replay"
-    if (
-        execution == "replay"
-        and workers > 1
-        and not cfg.force_workers
-        and cfg.point_select == "full"
-        and len(pending) < workers * 2
-    ):
-        # pool startup dominates campaigns this small (Table 11's
-        # zookeeper/cassandra rows ran *slower* parallel than sequential);
-        # degrade to in-process unless the caller explicitly forced it.
-        # Representative campaigns apply the same rule per round instead
-        # (their executed subset, not `pending`, is what the pool sees).
-        workers = 1
-    snapshot_stats: Optional[Dict[str, Any]] = None
+        workers, execution = 1, "replay"
+    ctx = ExecContext(
+        system=system, analysis=analysis, points=points, baseline=baseline,
+        matcher=matcher, cfg=cfg, config=config, observed=active.enabled,
+        workers=workers,
+    )
+    if execution == "snapshot":
+        from repro.core.injection.snapshot import SnapshotRunner
+
+        runner = SnapshotRunner()
+    else:
+        runner = ReplayRunner()
+    classes = (
+        build_classes(points, cfg.audit_fraction)
+        if cfg.point_select == "representative" else None
+    )
+    journal = CampaignJournal(
+        cfg.journal_path, points, on_outcome,
+        class_of=classes.class_of if classes else None,
+    )
+    #: index -> outcome of every point restored, run or propagated so far
+    done: Dict[int, InjectionOutcome] = {}
+    payloads: Dict[int, List[Payload]] = {}
+
+    def run_round(indices: Iterable[int]) -> None:
+        todo = [i for i in indices if i not in done]
+        if not todo:
+            return
+        for index, (outcome, telemetry) in runner.run(ctx, todo, journal).items():
+            done[index] = outcome
+            payloads[index] = telemetry
+
     class_stats: Optional[Dict[str, Any]] = None
     try:
-        if cfg.point_select == "representative":
-            outcomes, class_stats, snapshot_stats, workers = _run_representative(
-                system, analysis, points, baseline, matcher, cfg, config,
-                active, campaign_span, loaded, pending, journal, workers,
-                execution,
-            )
-        elif execution == "snapshot" and pending:
-            from repro.core.injection.snapshot import run_snapshot
-
-            outcomes, snapshot_stats = run_snapshot(
-                system, analysis, points, baseline, matcher, cfg, config,
-                active, campaign_span, loaded, pending, journal, workers,
-            )
-        elif workers > 1 and len(pending) > 1:
-            outcomes = _run_parallel(
-                system, analysis, points, baseline, matcher, cfg, config,
-                active, campaign_span, loaded, pending, journal, workers,
-            )
+        done.update(journal.open(CampaignJournal.meta_for(system, points, cfg, config)))
+        resumed = len(done)
+        if classes is None:
+            run_round(range(len(points)))
         else:
-            workers = 1
-            outcomes = _run_sequential(
-                system, analysis, points, baseline, matcher, cfg, config,
-                active, loaded, journal,
-            )
+            class_stats = _run_representative(
+                classes, points, done, run_round, journal, active)
     finally:
-        if journal is not None:
-            journal.close()
+        journal.close()
     return ExecutionReport(
-        outcomes=outcomes,
-        resumed=len(loaded),
-        workers=workers,
+        outcomes=_merge(points, done, payloads, active, campaign_span),
+        resumed=resumed,
+        workers=runner.workers,
         execution=execution,
-        snapshot_stats=snapshot_stats,
+        snapshot_stats=runner.stats,
         class_stats=class_stats,
     )
 
 
-def _restore(outcome: InjectionOutcome, active: Observability) -> InjectionOutcome:
-    """Emit a journaled outcome as if it had just been tested.
-
-    Its diagnosis rejoins ``active.diagnoses`` in point order; its spans
-    and metrics are gone with the interrupted process (documented in
-    DESIGN.md — a resumed campaign's telemetry covers this process only).
-    """
-    if active.enabled and outcome.diagnosis is not None:
-        active.diagnoses.append(outcome.diagnosis)
-    return outcome
-
-
-def _run_sequential(
-    system: SystemUnderTest,
-    analysis: AnalysisReport,
+def _merge(
     points: List[DynamicCrashPoint],
-    baseline: Baseline,
-    matcher: Optional[BugMatcherFn],
-    cfg: CampaignConfig,
-    config: Optional[Dict[str, Any]],
-    active: Observability,
-    loaded: Dict[int, InjectionOutcome],
-    journal: Optional[CampaignJournal],
-) -> List[InjectionOutcome]:
-    outcomes: List[InjectionOutcome] = []
-    for index, dpoint in enumerate(points):
-        if index in loaded:
-            outcomes.append(_restore(loaded[index], active))
-            continue
-        # run_one_injection appends the diagnosis to the ambient context
-        outcome = run_one_injection(
-            system, analysis, dpoint, baseline,
-            campaign=cfg, config=config, matcher=matcher,
-        )
-        if journal is not None:
-            journal.record(index, dpoint, outcome)
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _run_parallel(
-    system: SystemUnderTest,
-    analysis: AnalysisReport,
-    points: List[DynamicCrashPoint],
-    baseline: Baseline,
-    matcher: Optional[BugMatcherFn],
-    cfg: CampaignConfig,
-    config: Optional[Dict[str, Any]],
+    done: Dict[int, InjectionOutcome],
+    payloads: Dict[int, List[Payload]],
     active: Observability,
     campaign_span: Any,
-    loaded: Dict[int, InjectionOutcome],
-    pending: List[int],
-    journal: Optional[CampaignJournal],
-    workers: int,
 ) -> List[InjectionOutcome]:
-    global _WORKER_STATE
-    observed = active.enabled
-    results: Dict[int, Tuple[InjectionOutcome, Optional[Dict[str, Any]]]] = {}
-    _WORKER_STATE = {
-        "system": system, "analysis": analysis, "points": points,
-        "baseline": baseline, "matcher": matcher, "cfg": cfg,
-        "config": config, "observed": observed,
-    }
-    try:
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=min(workers, len(pending)),
-                                 mp_context=context) as pool:
-            futures = {pool.submit(_worker_run, index): index for index in pending}
-            for future in as_completed(futures):
-                index, outcome, payload = future.result()
-                results[index] = (outcome, payload)
-                if journal is not None:
-                    journal.record(index, points[index], outcome)
-    finally:
-        _WORKER_STATE = None
+    """The deterministic merge: one outcome per point, in point order.
 
-    # deterministic merge: telemetry and diagnoses re-stitched in point
-    # order, exactly as a sequential campaign would have recorded them
+    Telemetry is re-stitched under the campaign span and diagnoses land
+    on ``active`` exactly as one traced in-order run would have recorded
+    them.  Restored and propagated points carry no payloads: their
+    diagnoses rejoin, but spans and metrics of an interrupted process
+    are gone with it (DESIGN.md — a resumed campaign's telemetry covers
+    this process only).
+    """
     reparent_to = (
         campaign_span.record.span_id
-        if observed and hasattr(campaign_span, "record") else None
+        if active.enabled and hasattr(campaign_span, "record") else None
     )
     outcomes: List[InjectionOutcome] = []
     for index in range(len(points)):
-        if index in loaded:
-            outcomes.append(_restore(loaded[index], active))
-            continue
-        outcome, payload = results[index]
-        if observed and payload is not None:
+        outcome = done[index]
+        for payload in payloads.get(index, ()):
             active.tracer.adopt(payload["spans"], allocated=payload["allocated"],
                                 reparent_to=reparent_to)
             active.metrics.merge_snapshot(payload["metrics"])
@@ -488,46 +490,8 @@ def _run_parallel(
 
 
 # ---------------------------------------------------------------------------
-# representative execution (point_select="representative")
+# the representative plan (point_select="representative")
 # ---------------------------------------------------------------------------
-class _SubsetJournal:
-    """Journal facade for one round of a representative campaign.
-
-    Rounds run a *subset* of the point list through the ordinary
-    execution paths, which journal by subset-local index; this facade
-    remaps each ``record`` back to the true campaign index, and stamps
-    the outcome (and its diagnosis, in place — the ambient context holds
-    the same object) with its equivalence class before the line is
-    written.  It is installed even when no journal is configured, because
-    the stamping must reach every path's one ``record`` call; the real
-    journal's lifetime stays with the campaign parent (``close`` no-op).
-    """
-
-    def __init__(self, journal: Optional[Any], indices: List[int],
-                 class_of: Dict[int, str]):
-        self._journal = journal
-        self._indices = indices
-        self._class_of = class_of
-
-    def record(self, index: int, dpoint: DynamicCrashPoint,
-               outcome: InjectionOutcome) -> None:
-        true_index = self._indices[index]
-        _stamp_class(outcome, self._class_of.get(true_index, ""))
-        if self._journal is not None:
-            self._journal.record(true_index, dpoint, outcome)
-
-    def close(self) -> None:
-        pass
-
-
-def _stamp_class(outcome: InjectionOutcome, class_id: str) -> None:
-    if not class_id:
-        return
-    outcome.class_id = class_id
-    if outcome.diagnosis is not None:
-        outcome.diagnosis.point_class = class_id
-
-
 def _behavior(outcome: InjectionOutcome) -> Tuple:
     """What the audit lane compares: oracle verdict + bug attribution."""
     return (
@@ -536,57 +500,14 @@ def _behavior(outcome: InjectionOutcome) -> Tuple:
     )
 
 
-def _propagate_outcome(
-    primary: InjectionOutcome,
-    dpoint: DynamicCrashPoint,
-    class_id: str,
-) -> InjectionOutcome:
-    """Materialize a class member's outcome from its representative's run.
-
-    The clone carries the representative's *evidence* (verdict, matched
-    bugs, diagnosis resolution chain) under this member's own identity
-    (point, stack, scale), flagged ``propagated`` so analytics can
-    exclude it from bug dedup and span attribution.  Wall/sim accounting
-    stays with the representative: a propagated point cost nothing.
-    """
-    clone = InjectionOutcome.from_dict(primary.to_dict(), dpoint)
-    clone.class_id = class_id
-    clone.propagated = True
-    clone.wall_seconds = 0.0
-    clone.duration = 0.0
-    if clone.diagnosis is not None:
-        point = dpoint.point
-        clone.diagnosis = _dc_replace(
-            clone.diagnosis,
-            point=point.describe(),
-            op=point.op,
-            field_name=point.field_name,
-            enclosing=point.enclosing,
-            stack=list(dpoint.stack),
-            scale=dpoint.scale,
-            point_class=class_id,
-            propagated=True,
-        )
-    return clone
-
-
 def _run_representative(
-    system: SystemUnderTest,
-    analysis: AnalysisReport,
+    plan: SelectionPlan,
     points: List[DynamicCrashPoint],
-    baseline: Baseline,
-    matcher: Optional[BugMatcherFn],
-    cfg: CampaignConfig,
-    config: Optional[Dict[str, Any]],
+    done: Dict[int, InjectionOutcome],
+    run_round: Callable[[Iterable[int]], None],
+    journal: CampaignJournal,
     active: Observability,
-    campaign_span: Any,
-    loaded: Dict[int, InjectionOutcome],
-    pending: List[int],
-    journal: Optional[Any],
-    workers: int,
-    execution: str,
-) -> Tuple[List[InjectionOutcome], Dict[str, Any],
-           Optional[Dict[str, Any]], int]:
+) -> Dict[str, Any]:
     """Execute one representative per equivalence class, audit a sample.
 
     Round 1 runs every class representative plus the global audit draw;
@@ -595,122 +516,42 @@ def _run_representative(
     execution in round 2.  Remaining members get propagated clones of
     their representative's outcome.  Promotion is a pure function of
     behaviors, so a journal-resumed campaign promotes exactly the same
-    classes a fresh run would.
+    classes a fresh run would.  Returns the class statistics.
     """
-    plan = build_classes(points, cfg.audit_fraction)
-    pending_set = set(pending)
-    results: Dict[int, InjectionOutcome] = {}
-    n0 = len(active.diagnoses) if active.enabled else 0
-    snapshot_stats: Optional[Dict[str, Any]] = None
-    realized = 1
-
-    def outcome_of(index: int) -> InjectionOutcome:
-        return results[index] if index in results else loaded[index]
-
-    def run_round(indices: List[int]) -> None:
-        nonlocal realized, snapshot_stats
-        indices = [i for i in indices if i in pending_set and i not in results]
-        if not indices:
-            return
-        subset = [points[i] for i in indices]
-        facade = _SubsetJournal(journal, indices, plan.class_of)
-        if execution == "snapshot":
-            from repro.core.injection.snapshot import run_snapshot
-
-            outcomes, stats = run_snapshot(
-                system, analysis, subset, baseline, matcher, cfg, config,
-                active, campaign_span, {}, list(range(len(subset))),
-                facade, workers,
-            )
-            # fold per-round stats; manifests re-keyed to true indices
-            stats["manifests"] = {
-                str(indices[int(local)]): manifest
-                for local, manifest in stats["manifests"].items()
-            }
-            if snapshot_stats is None:
-                snapshot_stats = stats
-            else:
-                for key, value in stats.items():
-                    if key == "manifests":
-                        snapshot_stats["manifests"].update(value)
-                    else:
-                        snapshot_stats[key] += value
-            realized = max(realized, workers)
-        else:
-            round_workers = workers
-            if (round_workers > 1 and not cfg.force_workers
-                    and len(subset) < round_workers * 2):
-                # same small-campaign degrade rule as full mode, applied
-                # to what this round actually feeds the pool
-                round_workers = 1
-            if round_workers > 1 and len(subset) > 1:
-                outcomes = _run_parallel(
-                    system, analysis, subset, baseline, matcher, cfg,
-                    config, active, campaign_span, {},
-                    list(range(len(subset))), facade, round_workers,
-                )
-                realized = max(realized, round_workers)
-            else:
-                outcomes = _run_sequential(
-                    system, analysis, subset, baseline, matcher, cfg,
-                    config, active, {}, facade,
-                )
-        for local, true_index in enumerate(indices):
-            results[true_index] = outcomes[local]
-
-    # round 1: every class representative, plus the audit draw
     run_round(sorted(set(plan.representatives) | set(plan.audited)))
 
     # the verification lane: an audited member disagreeing with its
     # representative promotes the whole class to full execution
-    promoted: List[str] = []
-    round2: List[int] = []
-    for cls in plan.classes:
-        rep_behavior = _behavior(outcome_of(cls.representative))
-        if any(_behavior(outcome_of(i)) != rep_behavior for i in cls.audited):
-            promoted.append(cls.class_id)
-            round2.extend(cls.members)
-    if round2:
-        run_round(sorted(round2))
+    promoted = [
+        cls for cls in plan.classes
+        if any(_behavior(done[i]) != _behavior(done[cls.representative])
+               for i in cls.audited)
+    ]
+    run_round(sorted(i for cls in promoted for i in cls.members))
 
     # propagate: unexecuted members of unpromoted classes inherit their
-    # representative's outcome (journaled under their own index/key, so
-    # a resume restores them without re-deriving the plan's history)
-    promoted_set = set(promoted)
+    # representative's evidence under their own identity, flagged so
+    # analytics can exclude them from bug dedup and span attribution;
+    # wall/sim accounting stays with the representative (a propagated
+    # point cost nothing).  Journaled under their own index/key, so a
+    # resume restores them without re-deriving the plan's history.
     n_propagated = 0
     for cls in plan.classes:
-        if cls.class_id in promoted_set:
+        if cls in promoted:
             continue
-        rep = outcome_of(cls.representative)
         for index in cls.members:
-            if index in results or index in loaded:
+            if index in done:
                 continue
-            clone = _propagate_outcome(rep, points[index], cls.class_id)
-            results[index] = clone
+            clone = _clone_for(done[cls.representative], points[index],
+                               propagated=True)
+            clone.propagated = True
+            clone.wall_seconds = 0.0
+            clone.duration = 0.0
+            done[index] = clone
             n_propagated += 1
-            if journal is not None:
-                journal.record(index, points[index], clone)
+            journal.record(index, clone)
 
-    # deterministic merge: one outcome per point; the ambient diagnosis
-    # list is rebuilt in point order (rounds appended theirs in execution
-    # order, restored points never appended at all)
-    outcomes = [outcome_of(index) for index in range(len(points))]
-    if active.enabled:
-        del active.diagnoses[n0:]
-        active.diagnoses.extend(
-            o.diagnosis for o in outcomes if o.diagnosis is not None
-        )
-
-    executed = sum(1 for o in outcomes if not o.propagated)
-    audited_run = [i for i in plan.audited
-                   if not outcome_of(i).propagated]
-    class_stats = {
-        "classes": len(plan.classes),
-        "executed": executed,
-        "audited": len(audited_run),
-        "promoted": len(promoted),
-        "propagated": n_propagated,
-    }
+    audited_run = [i for i in plan.audited if not done[i].propagated]
     if active.enabled:
         # the purity counters: how often the audit lane caught an impure
         # class (a promotion) versus confirmed the representative
@@ -723,4 +564,10 @@ def _run_representative(
             metrics.gauge("campaign.class_purity").set(
                 1.0 - len(promoted) / len(plan.classes)
             )
-    return outcomes, class_stats, snapshot_stats, realized
+    return {
+        "classes": len(plan.classes),
+        "executed": sum(1 for outcome in done.values() if not outcome.propagated),
+        "audited": len(audited_run),
+        "promoted": len(promoted),
+        "propagated": n_propagated,
+    }

@@ -69,8 +69,12 @@ exists to shrink.
 All transport is newline-delimited JSON over pipes (outcomes round-trip
 through the same ``to_dict``/``from_dict`` pair the journal uses).  Any
 child-side failure degrades that point (or chunk) to an in-process replay
-via :func:`~repro.core.injection.campaign.run_one_injection` — snapshot
-mode never changes *what* is computed, only *how fast*.
+via :func:`~repro.core.injection.executor.run_point` — snapshot mode
+never changes *what* is computed, only *how fast*.
+
+To the executor this is just the other body of its runner seam
+(:class:`SnapshotRunner`): same context, same indices into the campaign's
+point list, same sink, same ``{index: (outcome, payloads)}`` back.
 """
 
 from __future__ import annotations
@@ -85,21 +89,29 @@ import signal
 import tempfile
 import time as _wallclock
 from dataclasses import replace as _dc_replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.state import BUS, AccessEvent
 from repro.core.injection.campaign import (
     COOLDOWN,
     EXTENDED_FACTOR,
     InjectionOutcome,
-    _diagnose,
-    run_one_injection,
+    _clone_for,
+    _judged,
 )
 from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.executor import (
+    CampaignJournal,
+    ExecContext,
+    Payload,
+    Results,
+    _telemetry,
+    run_point,
+)
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
 from repro.core.injection.oracles import OracleVerdict, evaluate_run
 from repro.core.injection.trigger import Trigger, point_matches
-from repro.obs import InjectionDiagnosis, Observability
+from repro.obs import Observability
 from repro.systems.base import run_workload
 
 #: how long the parent retries a FIFO rendezvous (a holder forked
@@ -271,9 +283,9 @@ class _SnapshotWatcher:
     froze on" is exactly "the event the replay trigger would fire on".
     """
 
-    def __init__(self, entries: List[_ArmedPoint], state: Dict[str, Any]):
+    def __init__(self, entries: List[_ArmedPoint], ctx: ExecContext):
         self.entries = entries
-        self.state = state
+        self.ctx = ctx
         self.fire_order: List[int] = []
         self.manifests: Dict[int, Dict[str, Any]] = {}
         #: point index -> holder pid, shipped to the parent so it can
@@ -291,8 +303,8 @@ class _SnapshotWatcher:
     # -- before_run hook (mirrors campaign._drive's, minus the injecting
     # trigger: one store/agent/center feeds *all* armed points) ----------
     def arm(self, cluster: Any, workload: Any) -> None:
-        analysis = self.state["analysis"]
-        cfg = self.state["cfg"]
+        analysis = self.ctx.analysis
+        cfg = self.ctx.cfg
         store = OnlineMetaStore(analysis.hosts)
         agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
         assert cluster.log_collector is not None
@@ -337,7 +349,7 @@ class _SnapshotWatcher:
                 entry.recorded = True
                 self.fire_order.append(entry.index)
                 self.manifests[entry.index] = self._manifest(entry)
-            if self.state["observed"]:
+            if self.ctx.observed:
                 # every point resumes itself: the injection span names
                 # the point, so aliased points would ship a payload
                 # carrying the primary's name
@@ -420,12 +432,12 @@ class _SnapshotWatcher:
             # same extended deadline a replay rerun would be *started*
             # with; here the run is already in flight, so it is swapped in
             extended = (
-                self.state["system"].base_runtime()
+                self.ctx.system.base_runtime()
                 * EXTENDED_FACTOR
                 * max(1, entry.dpoint.scale)
             )
             self.cluster.loop.override_deadline(extended)
-            if not self.state["observed"] and self.agent is not None:
+            if not self.ctx.observed and self.agent is not None:
                 # the reclassification verdict only asks "does the run
                 # complete by the extended deadline": its diagnosis keeps
                 # the first resume's store_size, and an incomplete rerun
@@ -443,13 +455,12 @@ def _recording_pass(
     watcher: _SnapshotWatcher,
     entries: List[_ArmedPoint],
     scale: int,
-    state: Dict[str, Any],
+    ctx: ExecContext,
     out: Dict[str, Any],
 ) -> None:
-    cfg = state["cfg"]
     try:
         report = run_workload(
-            state["system"], seed=cfg.seed, config=state["config"], scale=scale,
+            ctx.system, seed=ctx.cfg.seed, config=ctx.config, scale=scale,
             deadline=None, before_run=watcher.arm, cooldown=COOLDOWN,
         )
     finally:
@@ -459,37 +470,29 @@ def _recording_pass(
             if trigger is not None:
                 trigger.uninstall()
     if _ROLE.get("role") == "resumer":
-        out["result"] = _resumer_result(report, state)
+        out["result"] = _resumer_result(report, ctx)
         return
     # Recorder: for points that never fired, this injection-free run *is*
-    # the test run — one shared verdict/diagnosis basis serves them all
-    # (each replay run of a never-firing point replays exactly this run).
-    if any(not e.recorded for e in entries):
-        baseline = state["baseline"]
-        matcher = state["matcher"]
-        verdict = evaluate_run(report, baseline)
-        matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-        center = watcher.center
-        out["unfired"] = {
-            "verdict": verdict.to_dict(),
-            "matched": list(matched),
-            "duration": report.duration,
-            "events_processed": (
-                report.cluster.loop.events_processed
-                if report.cluster is not None else 0
-            ),
-            "store_size": center.store.size() if center is not None else 0,
-        }
+    # the test run (each replay run of a never-firing point replays
+    # exactly this run, under a trigger that sees no hit) — judged once,
+    # under the first such point's trigger; the parent clones the outcome
+    # for the others.  ``wall_seconds`` stays 0.0: these points consumed
+    # no wall time of their own beyond the shared recording pass.
+    unfired = [entry for entry in entries if not entry.recorded]
+    if unfired:
+        out["unfired"] = {"outcome": _judged(
+            ctx.system, unfired[0].dpoint, unfired[0].trigger,
+            evaluate_run(report, ctx.baseline), ctx.matcher, report,
+        ).to_dict()}
 
 
-def _resumer_result(report: Any, state: Dict[str, Any]) -> Dict[str, Any]:
+def _resumer_result(report: Any, ctx: ExecContext) -> Dict[str, Any]:
     """Judge the finished suffix exactly as run_one_injection would."""
     entry: _ArmedPoint = _ROLE["entry"]
     cmd: Dict[str, Any] = _ROLE["cmd"]
     wall = _wallclock.perf_counter() - _ROLE["wall0"]
-    baseline = state["baseline"]
-    matcher = state["matcher"]
-    cfg = state["cfg"]
+    baseline = ctx.baseline
+    matcher = ctx.matcher
     events = (
         report.cluster.loop.events_processed if report.cluster is not None else 0
     )
@@ -513,23 +516,10 @@ def _resumer_result(report: Any, state: Dict[str, Any]) -> Dict[str, Any]:
         }
     trigger = entry.trigger
     assert trigger is not None
-    center = trigger.center
     verdict = evaluate_run(report, baseline)
-    needs_rerun = bool(verdict.hang and cfg.classify_timeouts and trigger.fired)
-    matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-    diagnosis = _diagnose(
-        state["system"], entry.dpoint, trigger, center, verdict, matched, report
-    )
-    outcome = InjectionOutcome(
-        dpoint=entry.dpoint,
-        fired=trigger.fired,
-        injection=center.injection,
-        verdict=verdict,
-        matched_bugs=list(matched),
-        duration=report.duration,
-        wall_seconds=wall,
-        diagnosis=diagnosis,
-    )
+    needs_rerun = bool(verdict.hang and ctx.cfg.classify_timeouts and trigger.fired)
+    outcome = _judged(ctx.system, entry.dpoint, trigger, verdict, matcher, report)
+    outcome.wall_seconds = wall
     return {
         "status": "hang" if needs_rerun else "done",
         "outcome": outcome.to_dict(),
@@ -540,16 +530,15 @@ def _recorder_main(
     entries: List[_ArmedPoint],
     scale: int,
     rec_w: int,
-    state: Dict[str, Any],
+    ctx: ExecContext,
 ) -> None:
     """Forked recorder body; every exit path is ``os._exit``.
 
     Children must never run the parent's atexit/flush machinery on
     inherited journal or stdio buffers, hence ``os._exit`` throughout.
     """
-    observed = state["observed"]
-    obs = Observability() if observed else None
-    watcher = _SnapshotWatcher(entries, state)
+    obs = Observability() if ctx.observed else None
+    watcher = _SnapshotWatcher(entries, ctx)
     watcher.rec_w = rec_w
     out: Dict[str, Any] = {}
     try:
@@ -559,9 +548,9 @@ def _recorder_main(
             # appends its suffix, which is exactly the telemetry one full
             # replay run of that point would have produced
             with obs:
-                _recording_pass(watcher, entries, scale, state, out)
+                _recording_pass(watcher, entries, scale, ctx, out)
         else:
-            _recording_pass(watcher, entries, scale, state, out)
+            _recording_pass(watcher, entries, scale, ctx, out)
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         line = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
         if _ROLE.get("role") == "resumer":
@@ -569,13 +558,7 @@ def _recorder_main(
         else:
             _write_json_fd(rec_w, line)
         os._exit(1)
-    payload = None
-    if obs is not None:
-        payload = {
-            "spans": [span.to_dict() for span in obs.tracer.spans],
-            "allocated": obs.tracer.ids_allocated(),
-            "metrics": obs.metrics.snapshot(),
-        }
+    payload = _telemetry(obs) if obs is not None else None
     if _ROLE.get("role") == "resumer":
         entry: _ArmedPoint = _ROLE["entry"]
         result = out["result"]
@@ -607,336 +590,189 @@ def _recorder_main(
 # ---------------------------------------------------------------------------
 # the campaign parent
 # ---------------------------------------------------------------------------
-def run_snapshot(
-    system: Any,
-    analysis: Any,
-    points: List[Any],
-    baseline: Any,
-    matcher: Any,
-    cfg: Any,
-    config: Optional[Dict[str, Any]],
-    active: Observability,
-    campaign_span: Any,
-    loaded: Dict[int, InjectionOutcome],
-    pending: List[int],
-    journal: Any,
-    workers: int,
-) -> Tuple[List[InjectionOutcome], Dict[str, Any]]:
-    """Execute pending points snapshot-style; returns (outcomes, stats).
+class SnapshotRunner:
+    """The snapshot-resume body of the executor's runner seam."""
 
-    Same contract as the replay paths in
-    :mod:`~repro.core.injection.executor`: ordered outcomes, diagnoses
-    and telemetry merged onto ``active`` in point order, journal records
-    appended as points finalize.  ``stats`` summarizes the engine's work
-    (recording runs, resumed/never-fired/fallback point counts, and the
-    kernel manifests of every snapshot taken).
-    """
-    state = {
-        "system": system, "analysis": analysis, "baseline": baseline,
-        "matcher": matcher, "cfg": cfg, "config": config,
-        "observed": active.enabled,
-    }
-    stats: Dict[str, Any] = {
-        "recording_runs": 0,
-        "resumed_points": 0,
-        "never_fired": 0,
-        "aliased_points": 0,
-        "reclassified": 0,
-        "fallback_points": 0,
-        "manifests": {},
-    }
-    results: Dict[int, Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]] = {}
+    def __init__(self) -> None:
+        #: snapshots resumed concurrently, once a round has run
+        self.workers = 1
+        #: the engine's work across all rounds (``CampaignResult.
+        #: snapshot_stats``): recording runs, resumed / never-fired /
+        #: aliased / fallback point counts, and the kernel manifest of
+        #: every snapshot taken, keyed by campaign index
+        self.stats: Dict[str, Any] = {
+            "recording_runs": 0,
+            "resumed_points": 0,
+            "never_fired": 0,
+            "aliased_points": 0,
+            "reclassified": 0,
+            "fallback_points": 0,
+            "manifests": {},
+        }
 
-    # one recording pass per scale group — scale changes the cluster
-    # size, so points of different scales cannot share a prefix; points
-    # of the same scale all snapshot off the single shared timeline
-    groups: Dict[int, List[int]] = {}
-    for index in pending:
-        groups.setdefault(points[index].scale, []).append(index)
-    for scale_value, indices in groups.items():
-        entries = [_ArmedPoint(i, points[i]) for i in indices]
-        _run_group(entries, scale_value, state, workers,
-                   results, stats, journal, points)
-
-    # deterministic merge, same shape as executor._run_parallel
-    reparent_to = (
-        campaign_span.record.span_id
-        if state["observed"] and hasattr(campaign_span, "record") else None
-    )
-    outcomes: List[InjectionOutcome] = []
-    for index in range(len(points)):
-        if index in loaded:
-            restored = loaded[index]
-            if active.enabled and restored.diagnosis is not None:
-                active.diagnoses.append(restored.diagnosis)
-            outcomes.append(restored)
-            continue
-        outcome, payloads = results[index]
-        if state["observed"]:
-            for payload in payloads:
-                if payload is None:
-                    continue
-                active.tracer.adopt(payload["spans"],
-                                    allocated=payload["allocated"],
-                                    reparent_to=reparent_to)
-                active.metrics.merge_snapshot(payload["metrics"])
-        if active.enabled and outcome.diagnosis is not None:
-            active.diagnoses.append(outcome.diagnosis)
-        outcomes.append(outcome)
-    return outcomes, stats
+    def run(self, ctx: ExecContext, indices: List[int],
+            sink: CampaignJournal) -> Results:
+        self.workers = ctx.workers
+        this = _Round(ctx, sink, self.stats)
+        # one recording pass per scale group — scale changes the cluster
+        # size, so points of different scales cannot share a prefix; points
+        # of the same scale all snapshot off the single shared timeline
+        groups: Dict[int, List[_ArmedPoint]] = {}
+        for index in indices:
+            dpoint = ctx.points[index]
+            groups.setdefault(dpoint.scale, []).append(_ArmedPoint(index, dpoint))
+        for scale, entries in groups.items():
+            this.run_group(entries, scale)
+        return this.results
 
 
-def _run_group(
-    entries: List[_ArmedPoint],
-    scale: int,
-    state: Dict[str, Any],
-    workers: int,
-    results: Dict[int, Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]],
-    stats: Dict[str, Any],
-    journal: Any,
-    points: List[Any],
-) -> None:
-    rec_r, rec_w = os.pipe()
-    fifo_dir = tempfile.mkdtemp(prefix="crashtuner-snap-")
-    for entry in entries:
-        entry.cmd_path = os.path.join(fifo_dir, f"cmd-{entry.index}")
-        entry.res_path = os.path.join(fifo_dir, f"res-{entry.index}")
-        os.mkfifo(entry.cmd_path)
-        os.mkfifo(entry.res_path)
-    recorder = os.fork()
-    if recorder == 0:
+class _Round:
+    """One :meth:`SnapshotRunner.run` call: where its finished points land."""
+
+    def __init__(self, ctx: ExecContext, sink: CampaignJournal,
+                 stats: Dict[str, Any]):
+        self.ctx = ctx
+        self.sink = sink
+        self.stats = stats
+        self.results: Results = {}
+
+    def finish(self, entry: _ArmedPoint, outcome: InjectionOutcome,
+               payloads: List[Optional[Payload]]) -> None:
+        # children of an unobserved campaign ship ``payload: None``
+        self.results[entry.index] = (
+            outcome, [p for p in payloads if p is not None])
+        self.sink.record(entry.index, outcome)
+
+    def fallback(self, entry: _ArmedPoint) -> None:
+        """In-process replay of one point (any child-side failure lands here)."""
+        self.stats["fallback_points"] += 1
+        self.finish(entry, *run_point(self.ctx, entry.index))
+
+    def run_group(self, entries: List[_ArmedPoint], scale: int) -> None:
+        stats = self.stats
+        rec_r, rec_w = os.pipe()
+        fifo_dir = tempfile.mkdtemp(prefix="crashtuner-snap-")
+        for entry in entries:
+            entry.cmd_path = os.path.join(fifo_dir, f"cmd-{entry.index}")
+            entry.res_path = os.path.join(fifo_dir, f"res-{entry.index}")
+            os.mkfifo(entry.cmd_path)
+            os.mkfifo(entry.res_path)
+        recorder = os.fork()
+        if recorder == 0:
+            try:
+                _close_quiet(rec_r)
+                _recorder_main(entries, scale, rec_w, self.ctx)
+            finally:
+                os._exit(1)  # _recorder_main never returns normally
+        _close_quiet(rec_w)
+        stats["recording_runs"] += 1
+        holder_pids: Dict[int, int] = {}
         try:
-            _close_quiet(rec_r)
-            _recorder_main(entries, scale, rec_w, state)
-        finally:
-            os._exit(1)  # _recorder_main never returns normally
-    _close_quiet(rec_w)
-    stats["recording_runs"] += 1
-    holder_pids: Dict[int, int] = {}
-    try:
-        summary = _read_reply(rec_r, bytearray())
-        if summary.get("status") != "ok":
-            # the recording pass itself failed: replay the whole group
+            summary = _read_reply(rec_r, bytearray())
+            if summary.get("status") != "ok":
+                # the recording pass itself failed: replay the whole group
+                for entry in entries:
+                    self.fallback(entry)
+                return
+            stats["manifests"].update(summary.get("manifests", {}))
+            fired = set(summary.get("fired", []))
+            aliases = {int(i): p for i, p in summary.get("aliases", {}).items()}
+            holder_pids = {int(i): p for i, p in summary.get("holders", {}).items()}
+            unfired = [entry for entry in entries if entry.index not in fired]
+            if unfired:
+                # the recording run was their test run: one judged outcome,
+                # cloned under each point's own identity
+                shared = summary["unfired"]
+                basis = InjectionOutcome.from_dict(shared["outcome"], unfired[0].dpoint)
+                for entry in unfired:
+                    stats["never_fired"] += 1
+                    entry.driven = True  # no holder: nothing to attach or dismiss
+                    self.finish(entry, _clone_for(basis, entry.dpoint),
+                                [shared.get("payload")])
+            self.drive_holders([e for e in entries
+                                if e.index in fired and e.index not in aliases])
+            # aliased points fired at the same access event as their primary,
+            # with the same op: the primary's resume already computed their
+            # (byte-identical) run, so each alias is the primary's outcome
+            # under its own identity.  Only built unobserved: no payloads.
             for entry in entries:
-                _finalize(entry, *_fallback_point(entry, state),
-                          results=results, stats=stats, journal=journal,
-                          fallback=True)
-            return
-        stats["manifests"].update(summary.get("manifests", {}))
-        fired = set(summary.get("fired", []))
-        aliases = {int(i): p for i, p in summary.get("aliases", {}).items()}
-        holder_pids = {int(i): p for i, p in summary.get("holders", {}).items()}
-        unfired = summary.get("unfired")
-        for entry in entries:
-            if entry.index in fired:
-                continue
-            stats["never_fired"] += 1
-            entry.driven = True  # no holder: nothing to attach or dismiss
-            outcome, payloads = _unfired_outcome(entry, unfired, state)
-            _finalize(entry, outcome, payloads,
-                      results=results, stats=stats, journal=journal)
-        _drive_holders(
-            [e for e in entries if e.index in fired and e.index not in aliases],
-            state, workers, results, stats, journal)
-        # aliased points fired at the same access event as their primary:
-        # the primary's resume already computed their (byte-identical)
-        # run, so materialize each alias from the primary's outcome
-        for entry in entries:
-            if entry.index not in aliases:
-                continue
-            entry.driven = True  # aliases never get holders of their own
-            primary_outcome, primary_payloads = results[aliases[entry.index]]
-            stats["aliased_points"] += 1
-            _finalize(entry, _alias_outcome(primary_outcome, entry.dpoint),
-                      list(primary_payloads),
-                      results=results, stats=stats, journal=journal)
-    finally:
-        for entry in entries:
-            _close_quiet(entry.cmd_fd)
-            entry.cmd_fd = None
-            _close_quiet(entry.res_fd)
-            entry.res_fd = None
-            if not entry.driven:
-                # releases the holder if one exists (it may even when the
-                # summary carried no pids — a recording pass that died
-                # mid-run forked holders first); ENXIO means none does
-                _dismiss(entry, holder_pids.get(entry.index))
-        _close_quiet(rec_r)
-        os.waitpid(recorder, 0)
-        shutil.rmtree(fifo_dir, ignore_errors=True)
-
-
-def _drive_holders(
-    entries: List[_ArmedPoint],
-    state: Dict[str, Any],
-    workers: int,
-    results: Dict[int, Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]],
-    stats: Dict[str, Any],
-    journal: Any,
-) -> None:
-    """Resume up to ``workers`` snapshots concurrently; collect as ready.
-
-    FIFO ends open per point at dispatch and close at collection, so the
-    parent's fd footprint is 2 * inflight however many points the group
-    holds — this is what lets one recording pass serve thousands.
-    """
-    queue = list(entries)
-    inflight: Dict[int, _ArmedPoint] = {}  # res_fd -> entry
-    max_inflight = max(1, workers)
-    while queue or inflight:
-        while queue and len(inflight) < max_inflight:
-            entry = queue.pop(0)
-            if not _attach(entry):
-                entry.driven = True
-                _finalize(entry, *_fallback_point(entry, state),
-                          results=results, stats=stats, journal=journal,
-                          fallback=True)
-                continue
-            _write_json_fd(entry.cmd_fd, {})
-            inflight[entry.res_fd] = entry
-        if not inflight:
-            continue
-        ready, _, _ = select.select(list(inflight), [], [])
-        for fd in ready:
-            entry = inflight[fd]
-            reply = _read_reply(fd, entry.res_buf)
-            if entry.first is None and reply.get("status") == "hang":
-                # flagged hang: resume the same snapshot once more, with
-                # the extended deadline (Section 4.1.3's reclassification)
-                entry.first = reply
-                stats["reclassified"] += 1
-                _write_json_fd(entry.cmd_fd, {"reclassify": True})
-                continue
-            del inflight[fd]
-            _close_quiet(entry.cmd_fd)
-            entry.cmd_fd = None
-            _close_quiet(entry.res_fd)
-            entry.res_fd = None
-            entry.driven = True
-            if entry.first is not None:
-                if reply.get("status") != "ok":
-                    _finalize(entry, *_fallback_point(entry, state),
-                              results=results, stats=stats, journal=journal,
-                              fallback=True)
+                if entry.index not in aliases:
                     continue
-                stats["resumed_points"] += 1
-                _finalize(entry, *_combine_reclassified(entry, reply, state),
-                          results=results, stats=stats, journal=journal)
-            elif reply.get("status") == "done":
-                stats["resumed_points"] += 1
-                outcome = InjectionOutcome.from_dict(reply["outcome"], entry.dpoint)
-                payloads = [reply.get("payload")] if state["observed"] else []
-                _finalize(entry, outcome, payloads,
-                          results=results, stats=stats, journal=journal)
-            else:
-                _finalize(entry, *_fallback_point(entry, state),
-                          results=results, stats=stats, journal=journal,
-                          fallback=True)
+                entry.driven = True  # aliases never get holders of their own
+                stats["aliased_points"] += 1
+                primary, _ = self.results[aliases[entry.index]]
+                self.finish(entry, _clone_for(primary, entry.dpoint), [])
+        finally:
+            for entry in entries:
+                _close_quiet(entry.cmd_fd)
+                entry.cmd_fd = None
+                _close_quiet(entry.res_fd)
+                entry.res_fd = None
+                if not entry.driven:
+                    # releases the holder if one exists (it may even when the
+                    # summary carried no pids — a recording pass that died
+                    # mid-run forked holders first); ENXIO means none does
+                    _dismiss(entry, holder_pids.get(entry.index))
+            _close_quiet(rec_r)
+            os.waitpid(recorder, 0)
+            shutil.rmtree(fifo_dir, ignore_errors=True)
 
+    def drive_holders(self, entries: List[_ArmedPoint]) -> None:
+        """Resume up to ``workers`` snapshots concurrently; collect as ready.
 
-def _finalize(
-    entry: _ArmedPoint,
-    outcome: InjectionOutcome,
-    payloads: List[Optional[Dict[str, Any]]],
-    results: Dict[int, Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]],
-    stats: Dict[str, Any],
-    journal: Any,
-    fallback: bool = False,
-) -> None:
-    results[entry.index] = (outcome, payloads)
-    if fallback:
-        stats["fallback_points"] += 1
-    if journal is not None:
-        journal.record(entry.index, entry.dpoint, outcome)
-
-
-def _unfired_outcome(
-    entry: _ArmedPoint,
-    unfired: Optional[Dict[str, Any]],
-    state: Dict[str, Any],
-) -> Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]:
-    """An outcome for a point whose trigger never fired while recording.
-
-    Built from the recording run's shared verdict basis: a replay run of
-    such a point installs a trigger that never fires, so its report is
-    the recording run's report.  The trigger-shaped diagnosis fields are
-    those of any never-fired trigger (no hits, no values, no injection).
-    ``wall_seconds`` is 0.0 by convention — the point consumed no wall
-    time of its own beyond the shared recording pass.
-    """
-    assert unfired is not None, "recorder omitted the unfired basis"
-    dpoint = entry.dpoint
-    point = dpoint.point
-    verdict = OracleVerdict.from_dict(unfired["verdict"])
-    matched = list(unfired.get("matched", []))
-    diagnosis = InjectionDiagnosis(
-        system=state["system"].name,
-        point=point.describe(),
-        op=point.op,
-        field_name=point.field_name,
-        enclosing=point.enclosing,
-        stack=list(dpoint.stack),
-        scale=dpoint.scale,
-        fired=False,
-        hits=0,
-        values=[],
-        resolved_value="",
-        target_host="",
-        via_fallback=False,
-        unresolved_values=[],
-        store_size=unfired.get("store_size", 0),
-        action="",
-        injection_time=0.0,
-        killed=[],
-        verdict_kinds=verdict.kinds(),
-        flagged=verdict.flagged,
-        matched_bugs=list(matched),
-        uncommon_templates=list(verdict.uncommon_templates),
-        duration=unfired["duration"],
-        events_processed=unfired.get("events_processed", 0),
-    )
-    outcome = InjectionOutcome(
-        dpoint=dpoint,
-        fired=False,
-        injection=None,
-        verdict=verdict,
-        matched_bugs=matched,
-        duration=unfired["duration"],
-        wall_seconds=0.0,
-        diagnosis=diagnosis,
-    )
-    payloads = [unfired.get("payload")] if state["observed"] else []
-    return outcome, payloads
-
-
-def _alias_outcome(primary: InjectionOutcome, dpoint: Any) -> InjectionOutcome:
-    """Clone a primary's outcome for an alias point.
-
-    The alias matched the same access event with the same op, so its
-    injection, verdict, matched bugs, and measurements are those of the
-    primary's run; only the point-identity fields of the diagnosis — which
-    replay copies straight off the DynamicCrashPoint — differ.
-    """
-    clone = InjectionOutcome.from_dict(primary.to_dict(), dpoint)
-    if clone.diagnosis is not None:
-        point = dpoint.point
-        clone.diagnosis = _dc_replace(
-            clone.diagnosis,
-            point=point.describe(),
-            op=point.op,
-            field_name=point.field_name,
-            enclosing=point.enclosing,
-            stack=list(dpoint.stack),
-            scale=dpoint.scale,
-        )
-    return clone
+        FIFO ends open per point at dispatch and close at collection, so the
+        parent's fd footprint is 2 * inflight however many points the group
+        holds — this is what lets one recording pass serve thousands.
+        """
+        stats = self.stats
+        queue = list(entries)
+        inflight: Dict[int, _ArmedPoint] = {}  # res_fd -> entry
+        while queue or inflight:
+            while queue and len(inflight) < self.ctx.workers:
+                entry = queue.pop(0)
+                if not _attach(entry):
+                    entry.driven = True
+                    self.fallback(entry)
+                    continue
+                _write_json_fd(entry.cmd_fd, {})
+                inflight[entry.res_fd] = entry
+            if not inflight:
+                continue
+            ready, _, _ = select.select(list(inflight), [], [])
+            for fd in ready:
+                entry = inflight[fd]
+                reply = _read_reply(fd, entry.res_buf)
+                if entry.first is None and reply.get("status") == "hang":
+                    # flagged hang: resume the same snapshot once more, with
+                    # the extended deadline (Section 4.1.3's reclassification)
+                    entry.first = reply
+                    stats["reclassified"] += 1
+                    _write_json_fd(entry.cmd_fd, {"reclassify": True})
+                    continue
+                del inflight[fd]
+                _close_quiet(entry.cmd_fd)
+                entry.cmd_fd = None
+                _close_quiet(entry.res_fd)
+                entry.res_fd = None
+                entry.driven = True
+                if entry.first is not None and reply.get("status") == "ok":
+                    stats["resumed_points"] += 1
+                    self.finish(entry, _combine_reclassified(entry, reply),
+                                [entry.first.get("payload"), reply.get("payload")])
+                elif entry.first is None and reply.get("status") == "done":
+                    stats["resumed_points"] += 1
+                    self.finish(
+                        entry,
+                        InjectionOutcome.from_dict(reply["outcome"], entry.dpoint),
+                        [reply.get("payload")])
+                else:
+                    self.fallback(entry)
 
 
 def _combine_reclassified(
     entry: _ArmedPoint,
     reply: Dict[str, Any],
-    state: Dict[str, Any],
-) -> Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]:
+) -> InjectionOutcome:
     """Fold a reclassification resume into the first resume's outcome.
 
     Mirrors run_one_injection's hang branch: the rerun replaces verdict,
@@ -949,11 +785,8 @@ def _combine_reclassified(
     assert entry.first is not None
     first = InjectionOutcome.from_dict(entry.first["outcome"], entry.dpoint)
     first.wall_seconds += reply.get("wall_seconds", 0.0)
-    payloads: List[Optional[Dict[str, Any]]] = []
-    if state["observed"]:
-        payloads = [entry.first.get("payload"), reply.get("payload")]
     if not reply.get("completed"):
-        return first, payloads  # a true hang even at the extended deadline
+        return first  # a true hang even at the extended deadline
     verdict = OracleVerdict.from_dict(reply["verdict"])
     matched = list(reply.get("matched", []))
     first.verdict = verdict
@@ -969,31 +802,4 @@ def _combine_reclassified(
             duration=reply["duration"],
             events_processed=reply.get("events_processed", 0),
         )
-    return first, payloads
-
-
-def _fallback_point(
-    entry: _ArmedPoint,
-    state: Dict[str, Any],
-) -> Tuple[InjectionOutcome, List[Optional[Dict[str, Any]]]]:
-    """In-process replay of one point (any child-side failure lands here)."""
-    if not state["observed"]:
-        outcome = run_one_injection(
-            state["system"], state["analysis"], entry.dpoint, state["baseline"],
-            campaign=state["cfg"], config=state["config"],
-            matcher=state["matcher"],
-        )
-        return outcome, []
-    obs = Observability()
-    with obs:
-        outcome = run_one_injection(
-            state["system"], state["analysis"], entry.dpoint, state["baseline"],
-            campaign=state["cfg"], config=state["config"],
-            matcher=state["matcher"],
-        )
-    payload = {
-        "spans": [span.to_dict() for span in obs.tracer.spans],
-        "allocated": obs.tracer.ids_allocated(),
-        "metrics": obs.metrics.snapshot(),
-    }
-    return outcome, [payload]
+    return first

@@ -190,6 +190,11 @@ def test_novelty_reaches_first_detection_sooner_on_yarn():
     assert by_novelty.detected_bugs().keys() == by_point.detected_bugs().keys()
     assert {o.dpoint.key() for o in by_novelty.outcomes} == \
         {o.dpoint.key() for o in by_point.outcomes}
+    # hbase's point order already detects at its second point: there
+    # novelty order must at least never schedule the detection later
+    _, hbase_point = full_campaign("hbase")
+    _, hbase_novelty = full_campaign("hbase", point_order="novelty")
+    assert hbase_novelty.first_detection() <= hbase_point.first_detection()
 
 
 def test_novelty_order_applies_before_max_points_cap():

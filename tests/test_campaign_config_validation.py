@@ -30,13 +30,6 @@ def test_bad_field_rejected(kwargs, fragment):
 # ----------------------------------------------------------------------
 # cross-field combinations
 # ----------------------------------------------------------------------
-def test_force_workers_requires_a_pool():
-    with pytest.raises(ValueError, match="force_workers"):
-        CampaignConfig(force_workers=True, workers=1)
-    # the combination it exists for stays legal
-    CampaignConfig(force_workers=True, workers=4)
-
-
 def test_analytics_path_requires_novelty_order():
     with pytest.raises(ValueError, match="novelty"):
         CampaignConfig(analytics_path="modes.json")
@@ -63,7 +56,7 @@ def test_to_dict_from_dict_roundtrip(tmp_path):
         wait=2.5, random_fallback=True, classify_timeouts=False,
         max_points=7, seed=42, workers=3,
         journal_path=str(tmp_path / "j.jsonl"), execution="snapshot",
-        force_workers=True, point_order="novelty", analytics=True,
+        point_order="novelty", analytics=True,
     )
     rebuilt = CampaignConfig.from_dict(cfg.to_dict())
     assert rebuilt == cfg
@@ -77,6 +70,16 @@ def test_from_dict_rejects_unknown_keys():
     data["warp_speed"] = True
     with pytest.raises(ValueError, match="warp_speed"):
         CampaignConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_from_dict_drops_the_retired_force_workers_key(value):
+    # 1.6.0 daemons persisted the knob in their WAL; it never changed
+    # outcomes, so a 1.7 reader recovers those service dirs by dropping it
+    data = CampaignConfig(workers=3).to_dict()
+    assert "force_workers" not in data
+    data["force_workers"] = value
+    assert CampaignConfig.from_dict(data) == CampaignConfig(workers=3)
 
 
 def test_from_dict_revalidates():

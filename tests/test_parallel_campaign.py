@@ -6,16 +6,25 @@ the same (point) order, same matched bugs, same merged metrics, same
 re-stitched trace, same diagnoses — with only wall-clock times allowed to
 differ.  Plus the journal: a campaign killed mid-run resumes from its
 ``journal_path`` without re-running completed points, and a journal
-written under a different campaign identity is refused.
+written under a different campaign identity is refused.  Plus the
+``on_outcome`` checkpoint hook: what it sees, when, and that raising
+from it aborts a pooled campaign without draining the queue.
 """
 
 import json
+import os
 import warnings
 
 import pytest
 
 from repro.bugs import matcher_for_system
-from repro.core.injection import CampaignConfig, JournalMismatch, run_campaign
+from repro.core.injection import (
+    CampaignConfig,
+    JournalMismatch,
+    build_classes,
+    run_campaign,
+)
+from repro.core.injection import executor as executor_mod
 from repro.obs import Observability
 from tests.conftest import prepared
 
@@ -140,12 +149,109 @@ def test_journal_resume_restores_diagnoses_in_point_order(tmp_path):
 
 
 def test_journal_refuses_mismatched_campaign(tmp_path):
-    journal = tmp_path / "campaign.jsonl"
-    _campaign(1, journal_path=str(journal), n_points=4)
-    with pytest.raises(JournalMismatch):
-        _campaign(1, journal_path=str(journal), n_points=4, wait=2.0)
-    with pytest.raises(JournalMismatch):
-        _campaign(1, journal_path=str(journal), n_points=3)
+    # the identity pin must hold however the file started out: absent,
+    # empty, or torn by a kill during the very first (meta) write
+    for n, stub in enumerate([None, "", '{"type": "campaign-me']):
+        journal = tmp_path / f"campaign-{n}.jsonl"
+        if stub is not None:
+            journal.write_text(stub)
+        _campaign(1, journal_path=str(journal), n_points=4)
+        with pytest.raises(JournalMismatch):
+            _campaign(1, journal_path=str(journal), n_points=4, wait=2.0)
+        with pytest.raises(JournalMismatch):
+            _campaign(1, journal_path=str(journal), n_points=3)
+    # outcome lines that lost their meta line are pinned to nothing
+    lines = journal.read_text().splitlines()
+    assert json.loads(lines[0])["type"] == "campaign-meta"
+    journal.write_text("\n".join(lines[1:]) + "\n")
+    with pytest.raises(JournalMismatch, match="campaign-meta"):
+        _campaign(1, journal_path=str(journal), n_points=4)
+
+
+# ----------------------------------------------------------------------
+# the on_outcome checkpoint hook
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("journaled", [False, True])
+@pytest.mark.parametrize("point_select", ["full", "representative"])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("execution", ["replay", "snapshot"])
+def test_on_outcome_contract(tmp_path, execution, workers, point_select,
+                             journaled):
+    """Once per point finalized in this process — propagated clones
+    included, restored points never — under the *campaign* index, with
+    that index's journal line already on disk."""
+    system, analysis, profile, baseline = prepared("hdfs")
+    points = profile.dynamic_points[:10]
+    journal = tmp_path / "campaign.jsonl" if journaled else None
+    cfg = CampaignConfig(execution=execution, workers=workers,
+                         point_select=point_select, journal_path=journal)
+
+    def run(on_outcome=None):
+        return run_campaign(system, analysis, points, campaign=cfg,
+                            baseline=baseline, matcher=matcher_for_system("hdfs"),
+                            on_outcome=on_outcome)
+
+    restored = set()
+    if journaled:
+        # an earlier run, killed after its third checkpoint
+        run()
+        lines = journal.read_text().splitlines()
+        journal.write_text("\n".join(lines[:4]) + "\n")
+        restored = {json.loads(line)["index"] for line in lines[1:4]}
+
+    calls = []
+
+    def hook(index, outcome):
+        assert outcome.dpoint.key() == points[index].key()
+        if journaled:
+            last = json.loads(journal.read_text().splitlines()[-1])
+            assert (last["type"], last["index"]) == ("outcome", index)
+            assert last["data"] == outcome.to_dict()
+        calls.append(index)
+
+    result = run(hook)
+    assert result.resumed == len(restored)
+    assert sorted(calls) == [i for i in range(len(points)) if i not in restored]
+    if workers == 2:
+        assert result.workers_realized == 2
+    if point_select == "full":
+        assert all(o.class_id == "" for o in result.outcomes)
+    else:
+        # class stamps do not depend on a journal being configured
+        class_of = build_classes(points, cfg.audit_fraction).class_of
+        assert [o.class_id for o in result.outcomes] == \
+            [class_of[i] for i in range(len(points))]
+        assert all(o.diagnosis.point_class == o.class_id for o in result.outcomes)
+        propagated = {i for i, o in enumerate(result.outcomes) if o.propagated}
+        assert propagated and propagated - restored <= set(calls)
+
+
+def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):
+    system, analysis, profile, baseline = prepared("yarn")
+    points = profile.dynamic_points[:24]
+    ran = tmp_path / "ran"
+    real = executor_mod.run_one_injection
+
+    def counted(*args, **kwargs):
+        # O_APPEND: one atomic byte per point, from whichever forked worker
+        fd = os.open(ran, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, b".")
+        finally:
+            os.close(fd)
+        return real(*args, **kwargs)
+
+    def abort(index, outcome):
+        raise RuntimeError("stop at the first checkpoint")
+
+    # pool workers inherit the patched module through fork
+    monkeypatch.setattr(executor_mod, "run_one_injection", counted)
+    with pytest.raises(RuntimeError, match="first checkpoint"):
+        run_campaign(system, analysis, points,
+                     campaign=CampaignConfig(workers=2), baseline=baseline,
+                     matcher=matcher_for_system("yarn"), on_outcome=abort)
+    assert 1 <= ran.stat().st_size < len(points)
 
 
 # ----------------------------------------------------------------------

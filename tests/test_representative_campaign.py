@@ -87,6 +87,8 @@ def test_representative_detects_identical_bug_set(system_name):
             == [_behavior(o) for o in full.outcomes])
     assert rep.point_select == "representative"
     assert rep.classes["executed"] < len(full.outcomes)
+    assert (rep.classes["executed"] + rep.classes["propagated"]
+            == len(full.outcomes))
 
 
 def test_aggregate_execution_fraction_at_most_60_percent():
@@ -233,8 +235,9 @@ def test_sequential_parallel_snapshot_identical():
                             baseline=baseline, matcher=matcher)
 
     sequential = run()
-    parallel = run(workers=2, force_workers=True)
+    parallel = run(workers=2)
     snapshot = run(execution="snapshot")
+    assert parallel.workers_realized == 2  # round 1 is >= 2 * workers points
     assert _outcome_dicts(parallel) == _outcome_dicts(sequential)
     assert _outcome_dicts(snapshot) == _outcome_dicts(sequential)
     assert snapshot.snapshot_stats is not None

@@ -8,8 +8,7 @@ bugs, same diagnoses, same merged metrics and re-stitched trace — with
 only wall-clock times allowed to differ.  Any child-side failure must
 degrade to an in-process replay of the affected point(s), never to a
 different answer.  Plus the small-campaign degrade rule: a replay
-campaign with fewer than ``workers * 2`` pending points runs in-process
-unless ``force_workers`` pins the pool.
+campaign with fewer than ``workers * 2`` pending points runs in-process.
 """
 
 import json
@@ -224,7 +223,7 @@ def test_small_replay_campaign_degrades_to_in_process():
     degraded = _campaign(n_points=4, workers=4)
     assert degraded.workers == 4  # the *requested* pool size is kept
     assert degraded.workers_realized == 1
-    # ...unless the caller explicitly pins the pool
-    forced = _campaign(n_points=4, workers=4, force_workers=True)
-    assert forced.workers_realized == 4
-    assert _outcome_dicts(forced) == _outcome_dicts(degraded)
+    # ...and at workers * 2 points the pool is worth its startup
+    pooled = _campaign(n_points=8, workers=4)
+    assert pooled.workers_realized == 4
+    assert _outcome_dicts(pooled)[:4] == _outcome_dicts(degraded)
