@@ -35,8 +35,10 @@ def test_fig01_meta_info_graph(benchmark, table_out):
     graph = result.analysis.log_result.graph
     nodes = sorted(graph.node_values)
     assert any(v.endswith(":42349") for v in nodes)  # NodeManager addresses
-    container = next(v for v in graph.meta_values() if v.startswith("container_"))
-    attempt = next(v for v in graph.meta_values() if v.startswith("attempt_"))
+    # meta_values() is a set: sort, or the sample follows PYTHONHASHSEED
+    meta_values = sorted(graph.meta_values())
+    container = next(v for v in meta_values if v.startswith("container_"))
+    attempt = next(v for v in meta_values if v.startswith("attempt_"))
     assert graph.node_of(container) is not None
     assert graph.node_of(attempt) is not None
     dot = graph.to_dot()
@@ -44,7 +46,7 @@ def test_fig01_meta_info_graph(benchmark, table_out):
     table_out(
         "Figure 1 / 5(d): high-level meta-info view of Hadoop2/Yarn\n"
         f"node values ({len(nodes)}): {', '.join(nodes[:6])}\n"
-        f"meta values: {len(graph.meta_values())}\n"
+        f"meta values: {len(meta_values)}\n"
         f"sample associations: {container} -> {graph.node_of(container)}, "
         f"{attempt} -> {graph.node_of(attempt)}\n"
         f"dot rendering: {len(dot.splitlines())} lines"

@@ -49,17 +49,16 @@ def main() -> None:
     for point in crash.crash_points[:10]:
         print(f"   {point.describe()}")
 
-    if report.engine is not None:
-        inter = [p for p in crash.crash_points if p.lane == "inter"]
-        stats = report.engine.stats
-        print(f"\n-- Engine: {stats['fixpoint_iterations']} fixpoint round(s), "
-              f"{stats['summary_returns']} return / {stats['summary_params']} "
-              f"parameter summaries, {len(inter)} interprocedural crash point(s)")
-        sample = inter[0] if inter else crash.crash_points[0] if crash.crash_points else None
-        if sample is not None:
-            print("   provenance of", sample.describe())
-            for line in report.engine.provenance.chain_for(point_key(sample)):
-                print(f"   {line}")
+    inter = [p for p in crash.crash_points if p.lane == "inter"]
+    stats = report.engine.stats
+    print(f"\n-- Engine: {stats['fixpoint_iterations']} fixpoint round(s), "
+          f"{stats['summary_returns']} return / {stats['summary_params']} "
+          f"parameter summaries, {len(inter)} interprocedural crash point(s)")
+    sample = inter[0] if inter else crash.crash_points[0] if crash.crash_points else None
+    if sample is not None:
+        print("   provenance of", sample.describe())
+        for line in report.engine.provenance.chain_for(point_key(sample)):
+            print(f"   {line}")
 
     if "--dot" in sys.argv:
         path = sys.argv[sys.argv.index("--dot") + 1]

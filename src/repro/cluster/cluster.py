@@ -31,10 +31,17 @@ class Cluster:
         self.random = SimRandom(seed)
         self.network = Network(self)
         self.config: Dict[str, Any] = dict(config or {})
-        self.log_collector = LogCollector(
-            spill_threshold=self.config.get("log_spill_threshold"),
-            spill_dir=self.config.get("log_spill_dir"),
-        )
+        # The only ``log_*`` keys there ever were put the collector on a
+        # disk-backed stream; both were retired in 1.8.0.  Reject them
+        # rather than let a run that relied on the memory bound silently
+        # hold every record.
+        retired = sorted(k for k in self.config if k.startswith("log_"))
+        if retired:
+            raise ValueError(
+                f"cluster config key(s) {retired} were removed in 1.8.0: "
+                "the log collector is always in-memory"
+            )
+        self.log_collector = LogCollector()
         self.nodes: Dict[str, Node] = {}
         # fault bookkeeping, read by oracles and tests
         self.crashes: List[Tuple[float, str]] = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set, Union
+from typing import Any, Dict, FrozenSet, List, Optional, Set
 
 from repro.core.analysis.engine import AnalysisEngine, EngineResult
 from repro.core.analysis.log_analysis import LogAnalysisResult, analyze_logs
@@ -77,14 +77,10 @@ class AnalysisReport:
     extraction: ExtractionResult
     crash: CrashPointResult
     hosts: List[str]
+    #: the interprocedural engine's run: summaries, provenance, cache stats
+    engine: EngineResult
     #: wall-clock seconds: {"run": .., "log_analysis": .., "static": ..}
     timings: Dict[str, float] = field(default_factory=dict)
-    #: present when the interprocedural engine produced this report
-    engine: Optional[EngineResult] = None
-
-    @property
-    def engine_used(self) -> bool:
-        return self.engine is not None
 
     # Table 10 helpers ------------------------------------------------------
     def totals(self) -> Dict[str, int]:
@@ -116,16 +112,15 @@ def analyze_system(
     seed: int = 0,
     config: Optional[Dict[str, Any]] = None,
     scale: int = 1,
-    engine: Union[bool, AnalysisEngine] = True,
+    engine: Optional[AnalysisEngine] = None,
 ) -> AnalysisReport:
     """Run phase 1's analyses (Figure 4, top) for one system.
 
-    ``engine`` selects the analysis path: ``True`` (default) uses the
-    shared interprocedural :class:`AnalysisEngine` for this system (with
-    provenance and incremental caching), an explicit engine instance uses
-    that instance, and ``False`` forces the original single-shot
-    intraprocedural path.  Engine-on output is a strict superset of
-    engine-off output; the extras carry ``lane == "inter"``.
+    The static stage runs on an interprocedural :class:`AnalysisEngine`
+    (provenance, incremental caching): the shared per-system instance by
+    default, or the ``engine`` instance passed.  Its output is a strict
+    superset of the original single-shot intraprocedural pipeline's; the
+    extras carry ``lane == "inter"``.
     """
     t0 = _wallclock.perf_counter()
     report = run_workload(system, seed=seed, config=config, scale=scale)
@@ -146,19 +141,8 @@ def analyze_system(
         if (config or {}).get("patched_bugs") != "all"
         else ("all",)
     )
-    engine_result: Optional[EngineResult] = None
-    if engine:
-        driver = engine if isinstance(engine, AnalysisEngine) else default_engine(system.name)
-        engine_result = driver.analyze(sources, statements, log_result, patched=patched)
-        model = engine_result.model
-        extraction = engine_result.extraction
-        meta = engine_result.meta
-        crash = engine_result.crash
-    else:
-        model = TypeModel.build(sources)
-        extraction = extract_access_points(model, sources, patched=patched)
-        meta = infer_meta_info(model, log_result, statements, extraction)
-        crash = compute_crash_points(model, extraction, meta)
+    driver = engine if engine is not None else default_engine(system.name)
+    engine_result = driver.analyze(sources, statements, log_result, patched=patched)
     t_static = _wallclock.perf_counter() - t0
 
     return AnalysisReport(
@@ -166,14 +150,14 @@ def analyze_system(
         sources=sources,
         statements=statements,
         index=index,
-        model=model,
+        model=engine_result.model,
         log_result=log_result,
-        meta=meta,
-        extraction=extraction,
-        crash=crash,
+        meta=engine_result.meta,
+        extraction=engine_result.extraction,
+        crash=engine_result.crash,
         hosts=hosts,
-        timings={"run": t_run, "log_analysis": t_log, "static": t_static},
         engine=engine_result,
+        timings={"run": t_run, "log_analysis": t_log, "static": t_static},
     )
 
 

@@ -25,8 +25,8 @@ from repro.systems import get_system
 DEFAULT_SYSTEMS = ("yarn", "hdfs", "hbase", "zookeeper", "cassandra")
 
 
-def _point_json(report: AnalysisReport, point: Any, chains: bool) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
+def _point_json(report: AnalysisReport, point: Any) -> Dict[str, Any]:
+    return {
         "module": point.module,
         "lineno": point.lineno,
         "field_cls": point.field_cls,
@@ -36,14 +36,12 @@ def _point_json(report: AnalysisReport, point: Any, chains: bool) -> Dict[str, A
         "enclosing": point.enclosing,
         "lane": point.lane,
         "promoted_from": list(point.promoted_from) if point.promoted_from else None,
+        "provenance": report.engine.provenance.chain_for(point_key(point)),
     }
-    if chains and report.engine is not None:
-        out["provenance"] = report.engine.provenance.chain_for(point_key(point))
-    return out
 
 
-def _report_json(report: AnalysisReport, chains: bool) -> Dict[str, Any]:
-    out: Dict[str, Any] = {
+def _report_json(report: AnalysisReport) -> Dict[str, Any]:
+    return {
         "system": report.system,
         "totals": report.totals(),
         "pruning": {
@@ -53,12 +51,10 @@ def _report_json(report: AnalysisReport, chains: bool) -> Dict[str, Any]:
             "promoted": report.crash.promoted,
         },
         "crash_points": [
-            _point_json(report, p, chains) for p in report.crash.crash_points
+            _point_json(report, p) for p in report.crash.crash_points
         ],
+        "engine": report.engine.stats,
     }
-    if report.engine is not None:
-        out["engine"] = report.engine.stats
-    return out
 
 
 def _render(report: AnalysisReport, provenance_limit: int) -> None:
@@ -71,15 +67,14 @@ def _render(report: AnalysisReport, provenance_limit: int) -> None:
         "sanity-checked": report.crash.pruned_sanity,
         "promoted": report.crash.promoted,
     }))
-    if report.engine is not None:
-        print(format_kv("engine", report.engine.stats))
+    print(format_kv("engine", report.engine.stats))
     rows = [
         [p.describe(), p.enclosing]
         for p in report.crash.crash_points
     ]
     print(format_table(["crash point", "enclosing"], rows,
                        title=f"{len(rows)} static crash points"))
-    if report.engine is not None and provenance_limit:
+    if provenance_limit:
         shown = 0
         # interprocedural discoveries first: their chains are the novel ones
         ordered = sorted(report.crash.crash_points,
@@ -142,8 +137,6 @@ def main(argv: List[str] = None) -> int:
                      help="write a machine-readable report to PATH ('-' for stdout)")
     rep.add_argument("--diff", metavar="PATH",
                      help="compare against a previous --json dump")
-    rep.add_argument("--no-engine", action="store_true",
-                     help="force the single-shot intraprocedural path")
     rep.add_argument("--provenance", type=int, default=3, metavar="N",
                      help="print derivation chains for up to N points per system "
                           "(0 disables; interprocedural points come first)")
@@ -153,10 +146,9 @@ def main(argv: List[str] = None) -> int:
     entries: List[Dict[str, Any]] = []
     try:
         for name in names:
-            report = analyze_system(get_system(name), seed=args.seed,
-                                    engine=not args.no_engine)
-            _render(report, 0 if args.no_engine else args.provenance)
-            entries.append(_report_json(report, chains=not args.no_engine))
+            report = analyze_system(get_system(name), seed=args.seed)
+            _render(report, args.provenance)
+            entries.append(_report_json(report))
 
         if args.json:
             payload = json.dumps({"systems": entries}, indent=2)

@@ -19,12 +19,11 @@ paper-faithful rendered-text path.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, MutableMapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.core.analysis.log_analysis import SlotKey
 from repro.core.analysis.meta_graph import HostMatcher
 from repro.core.analysis.patterns import PatternIndex, fast_lane_enabled
-from repro.core.injection.sharded_map import ShardedValueMap
 from repro.mtlog import LogCollector
 from repro.mtlog.records import LogRecord
 from repro.obs.context import get_obs
@@ -46,18 +45,13 @@ class OnlineMetaStore:
     keyed on the normalized value — ``hosts`` is construction-fixed, so
     the filter is a pure function of the value and heavy-traffic runs
     that re-log the same ids by the thousand resolve them with one dict
-    probe.  ``value_node`` starts as a plain dict (seed-scale checkpoint
-    dicts stay byte-identical to the pre-sharding kernel) and converts to
-    a :class:`ShardedValueMap` past :data:`SHARD_THRESHOLD` entries.
+    probe.  ``value_node`` is a plain dict at every world size.
     """
-
-    #: entry count past which ``value_node`` converts to the sharded map
-    SHARD_THRESHOLD = 4096
 
     def __init__(self, hosts: Sequence[str]):
         self.hosts = list(hosts)
         self.node_set: Set[str] = set()
-        self.value_node: MutableMapping[str, str] = {}
+        self.value_node: Dict[str, str] = {}
         self._matcher = HostMatcher(self.hosts)
         self._host_cache: Dict[str, Optional[str]] = {}
 
@@ -92,8 +86,6 @@ class OnlineMetaStore:
             return  # values unassociated to any node are discarded
         for value in values:
             value_node.setdefault(value, anchor)
-        if type(value_node) is dict and len(value_node) > self.SHARD_THRESHOLD:
-            self.value_node = ShardedValueMap.from_flat(value_node)
 
     def query(self, value: str) -> Optional[str]:
         """The host to crash for a runtime meta-info value, if known."""
@@ -111,11 +103,7 @@ class OnlineMetaStore:
 
     # Checkpointing -------------------------------------------------------
     def checkpoint(self) -> dict:
-        """Capture the store contents (hosts are construction-fixed).
-
-        Always exports a flat dict, whatever the live representation —
-        checkpoint content must not depend on shard placement.
-        """
+        """Capture the store contents (hosts are construction-fixed)."""
         return {
             "node_set": set(self.node_set),
             "value_node": dict(self.value_node),
@@ -128,11 +116,7 @@ class OnlineMetaStore:
         construction-fixed hosts, not of store contents.
         """
         self.node_set = set(checkpoint["node_set"])
-        flat = dict(checkpoint["value_node"])
-        self.value_node = (
-            ShardedValueMap.from_flat(flat)
-            if len(flat) > self.SHARD_THRESHOLD else flat
-        )
+        self.value_node = dict(checkpoint["value_node"])
 
 
 class OnlineLogAgent:

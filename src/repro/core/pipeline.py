@@ -62,7 +62,7 @@ class CrashTunerResult:
         injection from a fork at its fire instant).
         """
         row = {
-            "analysis_mode": "engine" if self.analysis.engine_used else "single-shot",
+            "analysis_mode": "engine",
             "analysis_wall_s": sum(self.analysis.timings.values()),
             "profile_wall_s": self.profile.wall_seconds,
             "test_wall_s": self.campaign.wall_seconds if self.campaign else 0.0,
@@ -110,7 +110,6 @@ def crashtuner(
     baseline: Optional[Baseline] = None,
     run_injection: bool = True,
     obs: Optional[Observability] = None,
-    engine: bool = True,
 ) -> CrashTunerResult:
     """Run CrashTuner end-to-end over one system.
 
@@ -122,14 +121,12 @@ def crashtuner(
         obs: observability context installed around all three phases;
             the result carries its metrics snapshot and the campaign
             collects one diagnosis per tested point into ``obs.diagnoses``.
-        engine: use the interprocedural analysis engine (default); pass
-            ``False`` to force the original single-shot static analysis.
     """
     cfg = _coerce_campaign(campaign, "crashtuner")
     wall0 = _wallclock.perf_counter()
     active = obs if obs is not None else NULL_OBS
     with active:
-        analysis = analyze_system(system, seed=cfg.seed, config=config, engine=engine)
+        analysis = analyze_system(system, seed=cfg.seed, config=config)
         profile = profile_system(system, analysis, seed=cfg.seed, config=config)
         campaign_result: Optional[CampaignResult] = None
         if run_injection:

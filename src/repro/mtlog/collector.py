@@ -4,81 +4,31 @@
 Logstash agents of the paper's deployment: every record is appended to the
 emitting node's stream and to a global stream, and live subscribers (the
 online log analysis of the injection phase) are notified in FIFO order.
-
-Scale kernel (DESIGN.md "Scale kernel"): pass ``spill_threshold`` to put
-the global stream on a :class:`~repro.mtlog.spill.SpillingRecordStream` —
-a bounded in-memory window with chunked JSONL spill and transparent
-replay, so a million-record run does not hold every record alive.  In
-spill mode the per-node view keeps counts instead of record references
-(materializing a node's records scans the stream — it is a debugging
-surface, not a hot path).  Without the flag, behaviour and memory layout
-are byte-identical to the pre-spill collector.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from repro.mtlog.records import LogRecord
-from repro.mtlog.spill import SpillingRecordStream
 
 Subscriber = Callable[[LogRecord], None]
-
-
-class SpillingNodeIndex:
-    """Per-node view of a spilling stream: counts held, records scanned."""
-
-    def __init__(self, stream: SpillingRecordStream):
-        self._stream = stream
-        self._counts: Dict[str, int] = {}
-
-    def note(self, node: str) -> None:
-        self._counts[node] = self._counts.get(node, 0) + 1
-
-    def counts(self) -> Dict[str, int]:
-        return dict(self._counts)
-
-    def restore_counts(self, counts: Dict[str, int]) -> None:
-        self._counts = {n: c for n, c in counts.items() if c}
-
-    def __getitem__(self, node: str) -> List[LogRecord]:
-        if node not in self._counts:
-            raise KeyError(node)
-        return [r for r in self._stream if r.node == node]
-
-    def __contains__(self, node: object) -> bool:
-        return node in self._counts
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
 
 
 class LogCollector:
     """Accumulates log records for one cluster run."""
 
-    def __init__(self, spill_threshold: Optional[int] = None,
-                 spill_dir: Optional[str] = None) -> None:
-        self._spilling = bool(spill_threshold)
-        if self._spilling:
-            self.records = SpillingRecordStream(spill_threshold, spill_dir)
-            self.by_node = SpillingNodeIndex(self.records)
-        else:
-            self.records: List[LogRecord] = []
-            self.by_node: Dict[str, List[LogRecord]] = defaultdict(list)
+    def __init__(self) -> None:
+        self.records: List[LogRecord] = []
+        self.by_node: Dict[str, List[LogRecord]] = defaultdict(list)
         self._subscribers: List[Subscriber] = []
         #: (subscriber, record, exception) for every isolated failure
         self.subscriber_errors: List[Tuple[Subscriber, LogRecord, BaseException]] = []
 
     def collect(self, record: LogRecord) -> None:
         self.records.append(record)
-        if self._spilling:
-            self.by_node.note(record.node)
-        else:
-            self.by_node[record.node].append(record)
+        self.by_node[record.node].append(record)
         # A subscriber is a live tail, not part of the system under test:
         # one raising must neither abort the remaining subscribers nor
         # leak into the logging node's handler (where the node's exception
@@ -107,36 +57,23 @@ class LogCollector:
         truncates back to those lengths.  Only valid against the same
         collector the checkpoint was taken from.
         """
-        if self._spilling:
-            by_node = self.by_node.counts()
-        else:
-            by_node = {node: len(recs) for node, recs in self.by_node.items()}
         return {
             "records": len(self.records),
-            "by_node": by_node,
+            "by_node": {node: len(recs) for node, recs in self.by_node.items()},
             "subscribers": list(self._subscribers),
             "errors": len(self.subscriber_errors),
         }
 
     def restore(self, checkpoint: dict) -> None:
-        """Truncate streams back to a checkpoint of this collector.
-
-        In spill mode a truncation reaching the spilled region un-spills
-        the partial chunk back into memory (see
-        :meth:`SpillingRecordStream.truncate`).
-        """
-        if self._spilling:
-            self.records.truncate(checkpoint["records"])
-            self.by_node.restore_counts(checkpoint["by_node"])
-        else:
-            del self.records[checkpoint["records"]:]
-            lengths = checkpoint["by_node"]
-            for node in list(self.by_node):
-                keep = lengths.get(node, 0)
-                if keep:
-                    del self.by_node[node][keep:]
-                else:
-                    del self.by_node[node]
+        """Truncate streams back to a checkpoint of this collector."""
+        del self.records[checkpoint["records"]:]
+        lengths = checkpoint["by_node"]
+        for node in list(self.by_node):
+            keep = lengths.get(node, 0)
+            if keep:
+                del self.by_node[node][keep:]
+            else:
+                del self.by_node[node]
         self._subscribers = list(checkpoint["subscribers"])
         del self.subscriber_errors[checkpoint["errors"]:]
 

@@ -107,29 +107,6 @@ class LogRecord:
         exc_type = self.exc.split(":", 1)[0] if self.exc else None
         return (self.component, self.level, self.template, exc_type)
 
-    def to_dict(self) -> dict:
-        """JSON-able identity for the spill files (no rendered message —
-        :func:`render` is deterministic, a reloaded record re-renders the
-        same text on demand)."""
-        return {
-            "time": self.time,
-            "node": self.node,
-            "component": self.component,
-            "level": self.level,
-            "template": self.template,
-            "args": list(self.args),
-            "location": list(self.location),
-            "exc": self.exc,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LogRecord":
-        return cls(
-            data["time"], data["node"], data["component"], data["level"],
-            data["template"], tuple(data["args"]),
-            location=tuple(data["location"]), exc=data.get("exc"),
-        )
-
     def _identity(self) -> Tuple:
         # the rendered-message cache is derived state, not identity
         return (self.time, self.node, self.component, self.level,

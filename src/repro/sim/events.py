@@ -29,7 +29,7 @@ class Event:
     """
 
     __slots__ = ("time", "seq", "callback", "owner", "kind", "_cancelled",
-                 "_loop", "_in_loop", "_in_batch")
+                 "_loop", "_in_loop")
 
     def __init__(
         self,
@@ -47,15 +47,12 @@ class Event:
         # Tombstone accounting backref: the owning SimLoop sets these at
         # schedule time so cancel() can report "a tombstone now sits in
         # your queue" without the loop scanning for it.  `_in_loop` is
-        # True only while the event sits in a loop structure awaiting
+        # True only while the event sits in the loop's heap awaiting
         # dispatch (cleared on pop), so cancelling an already-fired timer
-        # never skews the count.  `_in_batch` is True only between the pop
-        # into the same-instant dispatch batch and the fire/discard/flush
-        # — together the two flags say "still pending somewhere", which
-        # the per-owner cancel index relies on.
+        # never skews the count, and the per-owner cancel index can tell
+        # pending entries from fired ones.
         self._loop = None
         self._in_loop = False
-        self._in_batch = False
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
@@ -84,7 +81,6 @@ class Event:
         event._cancelled = self._cancelled
         event._loop = None
         event._in_loop = False
-        event._in_batch = False
         return event
 
     @property

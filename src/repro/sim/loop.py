@@ -16,30 +16,18 @@ Two driving modes exist:
   equivalent is to pump the loop for a bounded simulated duration from
   inside the currently-running handler, then resume it.
 
-Scale-kernel layout (see DESIGN.md "Scale kernel"): pending events live in
-three structures that together form one totally-ordered queue.
-
-* ``_tail`` — a deque for the common *monotonic* schedule: most callers
-  schedule at or after the latest already-scheduled time (periodic timers,
-  message delivery with a FIFO floor), so the append lands at the tail in
-  O(1) instead of an O(log n) heap sift.  The tail is always sorted by
-  ``(time, seq)`` by construction.
-* ``_queue`` — a binary heap holding the out-of-order remainder (schedules
-  that land before the current tail end).  Entries are ``(time, seq,
-  event)`` triples, so every heap sift compares plain tuples at C speed —
-  ``seq`` is globally unique, so the comparison never reaches the event —
-  instead of calling ``Event.__lt__`` in the interpreter millions of times
-  per heavy-traffic run.
-* ``_batch`` — the same-instant run currently being dispatched.  The
-  drivers pop the full run of events sharing the earliest timestamp in one
-  refill, then fire from the batch with no per-event tail-vs-heap
-  comparison.  The batch is loop state (not a ``run()`` local) so the
-  reentrant :meth:`pump` — and checkpoints taken mid-handler — see the
-  not-yet-fired members.
+Queue layout (see DESIGN.md "Scale kernel"): pending events live in one
+binary heap of ``(time, seq, event)`` triples, so every sift compares
+plain tuples at C speed — ``seq`` is globally unique, so the comparison
+never reaches the event — instead of calling ``Event.__lt__`` in the
+interpreter millions of times per heavy-traffic run.  The drivers pop the
+head once it is due (:meth:`SimLoop._pop_due`); a handler that schedules,
+cancels, pumps or checkpoints therefore always sees the whole pending set
+in the one structure.
 
 Cancelled events are tombstones: they stay in place and are skipped when
 they surface.  Each loop counts its tombstones (events notify the loop via
-a backref when cancelled while queued) and compacts all structures once
+a backref when cancelled while queued) and compacts the heap once
 tombstones pass :data:`SimLoop.COMPACT_MIN` *and* outnumber half the
 pending events, so a long run that cancels millions of timers keeps pop
 cost flat without re-heapifying on every cancel.
@@ -63,10 +51,8 @@ the kernel itself.
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NodeCrashedError, SimulationError
 from repro.obs.context import NULL_OBS, Observability
@@ -83,11 +69,10 @@ class LoopCheckpoint:
 
     Holds the clock, the processed-event counter, and a detached clone of
     every pending event (callback references shared, mutable flags copied
-    — see :meth:`Event.clone`).  The events tuple concatenates the loop's
-    batch, tail, and heap segments; it is not itself heap-ordered, and
-    :meth:`SimLoop.restore` re-heapifies.  The checkpoint itself is never
-    mutated by :meth:`SimLoop.restore`, so one checkpoint supports any
-    number of restores.
+    — see :meth:`Event.clone`).  The events tuple is not itself
+    heap-ordered; :meth:`SimLoop.restore` re-heapifies.  The checkpoint
+    itself is never mutated by :meth:`SimLoop.restore`, so one checkpoint
+    supports any number of restores.
 
     Scope note (the snapshot execution mode's determinism argument, see
     DESIGN.md): a checkpoint restores the *kernel's* state exactly, but
@@ -136,8 +121,6 @@ class SimLoop:
     def __init__(self) -> None:
         # heap of (time, seq, event): tuple comparison stays in C
         self._queue: List[Tuple[float, int, Event]] = []
-        self._tail: Deque[Event] = deque()
-        self._batch: Deque[Event] = deque()
         self._owned: Dict[str, List[Event]] = {}
         self._owned_limit: Dict[str, int] = {}
         self._tombstones = 0
@@ -206,13 +189,7 @@ class SimLoop:
         event._in_loop = True
         if event.owner is not None:
             self._note_owned(event)
-        tail = self._tail
-        # monotonic fast path: seq is globally increasing, so an event at
-        # or after the current tail end extends the sorted tail in O(1)
-        if not tail or event.time >= tail[-1].time:
-            tail.append(event)
-        else:
-            heapq.heappush(self._queue, (event.time, event.seq, event))
+        heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
     def _note_owned(self, event: Event) -> None:
@@ -230,7 +207,7 @@ class SimLoop:
             return
         lst.append(event)
         if len(lst) >= self._owned_limit.get(owner, self.OWNED_PRUNE_MIN):
-            live = [e for e in lst if e._in_loop or e._in_batch]
+            live = [e for e in lst if e._in_loop]
             self._owned[owner] = live
             self._owned_limit[owner] = max(self.OWNED_PRUNE_MIN, 2 * len(live))
 
@@ -245,23 +222,17 @@ class SimLoop:
                 # skip already-fired entries and mark the rest directly
                 # (not event.cancel()) so one compaction check runs after
                 # the sweep instead of per event
-                if event._cancelled or not (event._in_loop or event._in_batch):
+                if event._cancelled or not event._in_loop:
                     continue
                 event._cancelled = True
-                if event._in_loop:
-                    self._tombstones += 1
+                self._tombstones += 1
                 cancelled += 1
         self._maybe_compact()
         return cancelled
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        live = sum(
-            1
-            for e in itertools.chain(self._batch, self._tail)
-            if not e._cancelled
-        )
-        return live + sum(1 for _, _, e in self._queue if not e._cancelled)
+        return sum(1 for _, _, e in self._queue if not e._cancelled)
 
     def stop(self) -> None:
         """Ask the outermost :meth:`run` to return after the current event."""
@@ -292,15 +263,11 @@ class SimLoop:
 
     def _maybe_compact(self) -> None:
         t = self._tombstones
-        if t >= self.COMPACT_MIN and 2 * t >= len(self._queue) + len(self._tail):
+        if t >= self.COMPACT_MIN and 2 * t >= len(self._queue):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone from the heap and tail in one pass.
-
-        Does not touch the batch: its members were already popped for
-        dispatch and are discarded by the drivers' fire-time check.
-        """
+        """Drop every tombstone from the heap in one pass."""
         live: List[Tuple[float, int, Event]] = []
         for entry in self._queue:
             if entry[2]._cancelled:
@@ -309,86 +276,31 @@ class SimLoop:
                 live.append(entry)
         heapq.heapify(live)
         self._queue = live
-        if any(e._cancelled for e in self._tail):
-            kept: Deque[Event] = deque()
-            for e in self._tail:
-                if e._cancelled:
-                    e._in_loop = False
-                else:
-                    kept.append(e)
-            self._tail = kept
         self._tombstones = 0
 
     # ------------------------------------------------------------------
-    # dispatch core: merged pop over (batch, tail, heap)
+    # dispatch core
     # ------------------------------------------------------------------
-    def _peek_live(self) -> Optional[Event]:
-        """Earliest live event across tail and heap, purging tombstones."""
-        queue = self._queue
-        while queue and queue[0][2]._cancelled:
-            heapq.heappop(queue)[2]._in_loop = False
-            self._tombstones -= 1
-        tail = self._tail
-        while tail and tail[0]._cancelled:
-            e = tail.popleft()
-            e._in_loop = False
-            self._tombstones -= 1
-        if queue:
-            head = queue[0]
-            if tail:
-                te = tail[0]
-                if te.time < head[0] or (te.time == head[0] and te.seq < head[1]):
-                    return te
-            return head[2]
-        return tail[0] if tail else None
+    def _pop_due(self, deadline: Optional[float]) -> Optional[Event]:
+        """Pop the earliest live event, unless it lies beyond ``deadline``.
 
-    def _pop_live(self, event: Event) -> Event:
-        """Remove ``event`` — the current :meth:`_peek_live` head."""
-        queue = self._queue
-        if queue and queue[0][2] is event:
-            heapq.heappop(queue)
-        else:
-            self._tail.popleft()
-        event._in_loop = False
-        event._in_batch = True
-        return event
-
-    def _refill_batch(self) -> bool:
-        """Pop the next same-instant run into the batch.  False if empty."""
-        first = self._peek_live()
-        if first is None:
-            return False
-        batch = self._batch
-        batch.append(self._pop_live(first))
-        t = first.time
-        while True:
-            nxt = self._peek_live()
-            if nxt is None or nxt.time != t:
-                return True
-            batch.append(self._pop_live(nxt))
-
-    def _flush_batch(self) -> None:
-        """Return un-fired batch members to the heap.
-
-        Every exit from :meth:`run` and :meth:`pump` flushes, so the batch
-        never outlives the drive that popped it: a refill can pop a run
-        that sits beyond the driving deadline (or a pump can be cut short
-        mid-instant), and events scheduled *after* the drive returns may
-        legitimately precede those leftovers.  Flushing re-merges them; a
-        later refill re-pops them in the identical (time, seq) order.
-        Cancelled members are dropped outright (they were already counted
-        out of the tombstone tally when popped).
+        Purges the tombstones that surface above it; returns None when
+        nothing live is due (the queue is empty, or its head is later).
         """
-        batch = self._batch
-        if not batch:
-            return
         queue = self._queue
-        while batch:
-            e = batch.pop()
-            e._in_batch = False
-            if not e._cancelled:
-                e._in_loop = True
-                heapq.heappush(queue, (e.time, e.seq, e))
+        while queue:
+            event = queue[0][2]
+            if event._cancelled:
+                heapq.heappop(queue)
+                event._in_loop = False
+                self._tombstones -= 1
+                continue
+            if deadline is not None and event.time > deadline:
+                return None
+            heapq.heappop(queue)
+            event._in_loop = False
+            return event
+        return None
 
     # ------------------------------------------------------------------
     # checkpoint / restore (kernel state only — see LoopCheckpoint)
@@ -398,13 +310,7 @@ class SimLoop:
         return LoopCheckpoint(
             now=self._now,
             events_processed=self._events_processed,
-            events=tuple(
-                e.clone()
-                for e in itertools.chain(
-                    self._batch, self._tail,
-                    (entry[2] for entry in self._queue),
-                )
-            ),
+            events=tuple(entry[2].clone() for entry in self._queue),
         )
 
     def restore(self, checkpoint: LoopCheckpoint) -> None:
@@ -431,8 +337,6 @@ class SimLoop:
             entries.append((e.time, e.seq, e))
         heapq.heapify(entries)
         self._queue = entries
-        self._tail = deque()
-        self._batch = deque()
         self._owned = owned
         self._owned_limit = {}
         self._tombstones = tombstones
@@ -463,28 +367,17 @@ class SimLoop:
         self._stopped = False
         processed = 0
         stopped_by_predicate = False
-        batch = self._batch
         try:
-            while not self._stopped:
-                if not batch and not self._queue and not self._tail:
-                    break
+            while not self._stopped and self._queue:
                 if self._deadline_override is not None:
                     # consumed by the innermost run in flight (see
                     # override_deadline): from here on this run behaves as
                     # if it had been called with the overriding deadline
                     until = self._deadline_override
                     self._deadline_override = None
-                if not batch and not self._refill_batch():
+                event = self._pop_due(until)
+                if event is None:
                     break
-                event = batch[0]
-                if event._cancelled:
-                    batch.popleft()
-                    event._in_batch = False
-                    continue
-                if until is not None and event.time > until:
-                    break
-                batch.popleft()
-                event._in_batch = False
                 self._fire(event)
                 processed += 1
                 if processed > max_events:
@@ -503,7 +396,6 @@ class SimLoop:
             ):
                 self._now = until
         finally:
-            self._flush_batch()
             # an override aimed at this run but set too late to be consumed
             # (the run ended at that very event) must not leak into the
             # next run
@@ -515,10 +407,9 @@ class SimLoop:
         Used by the injection trigger to model a blocking wait inside a
         handler: events scheduled by other "threads" (the shutdown
         handshake of the target node) are delivered while the current
-        handler is paused, then control returns to it.  Shares the
-        same-instant batch with the interrupted :meth:`run`, so events the
-        outer driver had already popped for dispatch are still delivered
-        in order if they fall inside the pump window.
+        handler is paused, then control returns to it.  Pops from the same
+        heap as the interrupted :meth:`run`, so the rest of the current
+        instant is delivered in order if it falls inside the pump window.
         """
         if duration < 0:
             raise SimulationError(f"negative pump duration {duration!r}")
@@ -528,19 +419,10 @@ class SimLoop:
         try:
             deadline = self._now + duration
             processed = 0
-            batch = self._batch
             while True:
-                if not batch and not self._refill_batch():
+                event = self._pop_due(deadline)
+                if event is None:
                     break
-                event = batch[0]
-                if event._cancelled:
-                    batch.popleft()
-                    event._in_batch = False
-                    continue
-                if event.time > deadline:
-                    break
-                batch.popleft()
-                event._in_batch = False
                 self._fire(event)
                 processed += 1
                 if processed > max_events:
@@ -548,7 +430,6 @@ class SimLoop:
             if self._now < deadline:
                 self._now = deadline
         finally:
-            self._flush_batch()
             self._pump_depth -= 1
 
     # ------------------------------------------------------------------
@@ -575,9 +456,7 @@ class SimLoop:
                 )
             self._events_counter.inc()
             kind_counter.inc()
-            self._queue_depth_histogram.observe(
-                len(self._queue) + len(self._tail) + len(self._batch)
-            )
+            self._queue_depth_histogram.observe(len(self._queue))
         self._in_handler += 1
         try:
             event.callback()

@@ -30,7 +30,7 @@ from repro.obs.context import get_obs
 #: keeps hundreds of thousands of log records and pending events live, and
 #: automatic collections rescan all of them on every threshold crossing —
 #: at 100x that is the single largest per-event cost.  The kernel's churn
-#: (events, messages, spilled records) is acyclic and freed by refcounting,
+#: (events, messages, log records) is acyclic and freed by refcounting,
 #: so pausing cycle detection changes no observable behaviour; collection
 #: resumes (and any cyclic garbage is swept) as soon as the run returns.
 GC_PAUSE_WORLD_SCALE = 10

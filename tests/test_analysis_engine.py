@@ -13,6 +13,7 @@ from repro.core.analysis import (
     analyze_system,
     compute_crash_points,
     compute_summaries,
+    infer_meta_info,
     load_sources,
     point_key,
 )
@@ -37,12 +38,15 @@ EMPTY_LOGS = SimpleNamespace(meta_slots=set())
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("system_name", ["yarn", "hbase"])
 def test_engine_is_strict_superset_of_single_shot(system_name):
-    _, on, _, _ = prepared(system_name)  # session default: engine on
-    assert on.engine_used
-    off = analyze_system(get_system(system_name), engine=False)
-    assert not off.engine_used
+    _, on, _, _ = prepared(system_name)
+    # the single-shot oracle: the original intraprocedural pipeline, run
+    # stage by stage over the same sources, statements and log analysis
+    model = TypeModel.build(on.sources)
+    extraction = extract_access_points(model, on.sources, patched=frozenset())
+    meta = infer_meta_info(model, on.log_result, on.statements, extraction)
+    off = compute_crash_points(model, extraction, meta)
 
-    off_keys = {point_key(p) for p in off.crash.crash_points}
+    off_keys = {point_key(p) for p in off.crash_points}
     intra = [p for p in on.crash.crash_points if p.lane == "intra"]
     inter = [p for p in on.crash.crash_points if p.lane == "inter"]
 
@@ -51,10 +55,10 @@ def test_engine_is_strict_superset_of_single_shot(system_name):
     # and every point the engine adds is genuinely new
     assert not off_keys & {point_key(p) for p in inter}
     # pruning statistics (Table 12) are byte-identical to engine-off
-    assert on.crash.pruned_constructor == off.crash.pruned_constructor
-    assert on.crash.pruned_unused == off.crash.pruned_unused
-    assert on.crash.pruned_sanity == off.crash.pruned_sanity
-    assert on.crash.promoted == off.crash.promoted
+    assert on.crash.pruned_constructor == off.pruned_constructor
+    assert on.crash.pruned_unused == off.pruned_unused
+    assert on.crash.pruned_sanity == off.pruned_sanity
+    assert on.crash.promoted == off.promoted
 
     # at least one interprocedurally discovered crash point per system,
     # with a complete provenance chain back to a seed logging statement

@@ -10,7 +10,7 @@ from repro.cluster.io import (
     FileOutputStream,
     SimDisk,
 )
-from repro.mtlog import LogRecord, get_logger, level_rank, render
+from repro.mtlog import LogCollector, LogRecord, get_logger, level_rank, render
 
 LOG = get_logger("tests.mtlog")
 
@@ -124,6 +124,28 @@ def test_collector_isolates_raising_subscribers():
         assert isinstance(exc, RuntimeError)
     # the log stream itself shows no abort: the node kept running
     assert a.is_running()
+
+
+def test_default_collector_layout_is_unchanged():
+    record = LogRecord(
+        time=0.0, node="node1", component="comp.mod", level="info",
+        template="event {} on {}", args=("0", "node1"),
+        location=("comp.mod", 10),
+    )
+    collector = LogCollector()
+    assert type(collector.records) is list
+    collector.collect(record)
+    assert collector.by_node["node1"] == [record]
+
+
+@pytest.mark.parametrize("key", ["log_spill_threshold", "log_spill_dir"])
+def test_retired_spill_config_keys_are_rejected_at_construction(key):
+    # the disk-backed collector is gone; a config that asked for its
+    # memory bound must fail loudly, not silently hold every record
+    with pytest.raises(ValueError, match=f"{key}.*removed in 1.8.0"):
+        Cluster("t", config={key: 32})
+    assert type(Cluster("t", config={"patched_bugs": "all"})
+                .log_collector.records) is list
 
 
 def test_error_records_and_signature():

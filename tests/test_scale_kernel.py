@@ -1,12 +1,13 @@
-"""Scale-kernel behaviour: batching, tombstone compaction, the tail path.
+"""Scale-kernel behaviour: (time, seq) order, tombstone compaction.
 
-The 100x world (see DESIGN.md "Scale kernel") reshaped ``SimLoop``'s
-pending-event storage into three structures — monotonic tail, out-of-order
-heap, same-instant dispatch batch — plus lazy tombstone purging with
-threshold compaction.  These tests pin the behaviours that reshaping must
-not change (total (time, seq) order, cancel/checkpoint/pump semantics at
-every structure boundary) and the new guarantees it adds (tombstones are
-actually dropped, the batch never leaks across drives).
+``SimLoop`` keeps pending events in one ``(time, seq, event)`` heap with
+lazy tombstone purging and threshold compaction (see DESIGN.md "Scale
+kernel").  These tests were written against the three-structure queue
+(monotonic tail, out-of-order heap, same-instant batch) that PR 9 built
+and PR 13 retired; their names still say where the boundaries were, and
+they pin what any queue layout must keep: total (time, seq) order,
+cancel/checkpoint/pump semantics in the middle of an instant, tombstones
+actually dropped, nothing stranded across drives.
 """
 
 import pytest
@@ -116,7 +117,7 @@ def test_tombstones_are_compacted_past_the_threshold():
         v.cancel()
     # compaction ran: almost all dead events are physically gone — at most
     # a sub-threshold straggler tail may still sit tombstoned in place
-    assert len(loop._queue) + len(loop._tail) <= len(keep) + SimLoop.COMPACT_MIN
+    assert len(loop._queue) <= len(keep) + SimLoop.COMPACT_MIN
     assert loop._tombstones <= SimLoop.COMPACT_MIN
     assert loop.pending() == len(keep)
     loop.run()
@@ -132,7 +133,7 @@ def test_cancel_owned_by_compacts_and_counts_once():
     assert loop.cancel_owned_by("doomed") == n
     assert loop.cancel_owned_by("doomed") == 0  # idempotent
     assert loop.pending() == 1
-    assert len(loop._queue) + len(loop._tail) == 1
+    assert len(loop._queue) == 1
     assert not survivor.cancelled
 
 
