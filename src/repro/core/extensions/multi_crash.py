@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.analysis import AnalysisReport
-from repro.core.injection.campaign import COOLDOWN, BugMatcherFn
+from repro.core.injection.campaign import COOLDOWN, BugMatcherFn, _arm
 from repro.core.injection.control_center import ControlCenter
-from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
 from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
 from repro.core.injection.trigger import Trigger
 from repro.core.profiler import DynamicCrashPoint
@@ -114,11 +113,9 @@ def run_multi_crash_campaign(
         holder: Dict[str, Any] = {}
 
         def before_run(cluster, workload, _first=first, _second=second):
-            store = OnlineMetaStore(analysis.hosts)
-            agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
-            agent.attach(cluster.log_collector)
-            center1 = ControlCenter(cluster, store, wait=wait)
-            center2 = ControlCenter(cluster, store, wait=wait)
+            _, center1 = _arm(cluster, analysis, wait)
+            # a center executes one fault per run: the pair needs a second
+            center2 = ControlCenter(cluster, center1.store, wait=wait)
             t1 = Trigger(_first, center1)
             t2 = _ChainedTrigger(_second, center2, predecessor=t1)
             t1.install()

@@ -2,9 +2,9 @@
 
 Exercises each dynamic crash point in its own cluster run: the online log
 agent feeds the meta-info store, the trigger arms the point, the control
-center injects the fault, and the oracles judge the outcome.  Flagged
-hangs are optionally re-run with an extended deadline to separate the
-paper's "timeout issues" (Section 4.1.3) from true hangs.
+center injects the fault, and the oracles judge the outcome.  A flagged
+hang is optionally given an extended deadline — the same run, driven on —
+to separate the paper's "timeout issues" (Section 4.1.3) from true hangs.
 
 How a campaign runs is described by one frozen :class:`CampaignConfig`
 (the stable public knobs, see :mod:`repro.api`); because every injection
@@ -20,8 +20,9 @@ from __future__ import annotations
 import time as _wallclock
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro.cluster import Cluster
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
@@ -38,8 +39,7 @@ BugMatcherFn = Callable[[RunReport, OracleVerdict], List[str]]
 #: timers, leak auditors) land in the observed logs
 COOLDOWN = 10.0
 
-#: deadline multiplier for re-running flagged hangs (Section 4.1.3) —
-#: shared by the replay rerun and the snapshot mode's resumed rerun
+#: deadline multiplier a flagged hang's run is extended to (Section 4.1.3)
 EXTENDED_FACTOR = 400.0
 
 
@@ -58,8 +58,9 @@ class CampaignConfig:
             pre-read shutdown (the paper's instrumented wait).
         random_fallback: target a random live node when no meta-info
             value resolves (paper Section 3.2.2).
-        classify_timeouts: re-run flagged hangs with an extended deadline
-            to separate "timeout issues" from true hangs (Section 4.1.3).
+        classify_timeouts: extend a flagged hang's run to a much later
+            deadline to separate "timeout issues" from true hangs
+            (Section 4.1.3).
         max_points: cap the number of dynamic crash points tested
             (``None`` tests all).
         seed: RNG seed for every cluster run of the campaign.
@@ -385,6 +386,93 @@ class CampaignResult:
         return out
 
 
+def _arm(
+    cluster: Cluster,
+    analysis: AnalysisReport,
+    wait: float,
+    random_fallback: bool = False,
+) -> Tuple[OnlineLogAgent, ControlCenter]:
+    """The ``before_run`` arm hook's shared half: store → agent → center.
+
+    An online meta-info store, the log agent feeding it from the
+    cluster's collector (attached, and caught up on anything already
+    logged), and the control center that resolves targets against it.
+    The caller builds its trigger(s) on the center.
+    """
+    store = OnlineMetaStore(analysis.hosts)
+    agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
+    assert cluster.log_collector is not None
+    agent.attach(cluster.log_collector)
+    return agent, ControlCenter(
+        cluster, store, wait=wait, random_fallback=random_fallback)
+
+
+class _Judge:
+    """One injection's verdict over one timeline (paper Section 4.1.3).
+
+    :meth:`at_deadline` is ``run_workload``'s continuation seam: it
+    judges the run as it stands at the 4x deadline and, for a fired,
+    flagged hang, asks for the *same* cluster to be driven on to the
+    extended deadline.  :meth:`finish` folds the run's end into that
+    judgement: a run that completed in its extension is a "timeout
+    issue", anything else keeps the at-deadline outcome.  The replay
+    path and the snapshot resumer both judge through this one object;
+    whoever arms the run sets ``trigger`` and ``agent``.
+    """
+
+    def __init__(
+        self,
+        system: SystemUnderTest,
+        dpoint: DynamicCrashPoint,
+        baseline: Baseline,
+        cfg: CampaignConfig,
+        matcher: Optional[BugMatcherFn],
+    ):
+        self.system = system
+        self.dpoint = dpoint
+        self.baseline = baseline
+        self.cfg = cfg
+        self.matcher = matcher
+        self.trigger: Optional[Trigger] = None
+        self.agent: Optional[OnlineLogAgent] = None
+        #: the run as judged at its deadline (None: it finished earlier)
+        self.outcome: Optional[InjectionOutcome] = None
+        #: the run was driven past its deadline
+        self.extended = False
+
+    def _judge(self, report: RunReport, verdict: OracleVerdict) -> InjectionOutcome:
+        assert self.trigger is not None, "judged a run nobody armed"
+        return _judged(self.system, self.dpoint, self.trigger, verdict,
+                       self.matcher, report)
+
+    def at_deadline(self, report: RunReport) -> Optional[float]:
+        verdict = evaluate_run(report, self.baseline)
+        self.outcome = self._judge(report, verdict)
+        if not (verdict.hang and self.cfg.classify_timeouts and self.outcome.fired):
+            return None
+        self.extended = True
+        if not get_obs().enabled:
+            # the extension only asks "does the run complete": the
+            # diagnosis keeps the at-deadline store_size and the oracles
+            # read the collector, not the store, so with telemetry off
+            # nothing observable is fed by pattern-matching the long tail
+            report.log.unsubscribe(self.agent)
+        return (self.system.base_runtime() * EXTENDED_FACTOR
+                * max(1, self.dpoint.scale))
+
+    def finish(self, report: RunReport) -> InjectionOutcome:
+        if self.outcome is None:
+            return self._judge(report, evaluate_run(report, self.baseline))
+        if not (self.extended and report.completed):
+            return self.outcome  # a true hang even at the extended deadline
+        verdict = evaluate_run(report, self.baseline)
+        verdict.timeout_issue = True
+        outcome = self._judge(report, verdict)
+        # what fired and what the store resolved is the at-deadline story
+        outcome.diagnosis.store_size = self.outcome.diagnosis.store_size
+        return outcome
+
+
 def run_one_injection(
     system: SystemUnderTest,
     analysis: AnalysisReport,
@@ -393,28 +481,26 @@ def run_one_injection(
     campaign: Optional[CampaignConfig] = None,
     config: Optional[Dict[str, Any]] = None,
     matcher: Optional[BugMatcherFn] = None,
-    extended_factor: float = EXTENDED_FACTOR,
 ) -> InjectionOutcome:
-    """Test one dynamic crash point (optionally re-running flagged hangs)."""
+    """Test one dynamic crash point (a flagged hang gets its extension)."""
     cfg = _coerce_campaign(campaign, "run_one_injection")
     wall0 = _wallclock.perf_counter()
-    report, trigger = _drive(
-        system, analysis, dpoint, cfg.seed, config, cfg.wait,
-        cfg.random_fallback, deadline=None,
-    )
-    verdict = evaluate_run(report, baseline)
-    if verdict.hang and cfg.classify_timeouts and trigger.fired:
-        extended = system.base_runtime() * extended_factor * max(1, dpoint.scale)
-        rerun, _ = _drive(
-            system, analysis, dpoint, cfg.seed, config, cfg.wait,
-            cfg.random_fallback, deadline=extended,
+    judge = _Judge(system, dpoint, baseline, cfg, matcher)
+
+    def before_run(cluster: Cluster, workload: Any) -> None:
+        judge.agent, center = _arm(cluster, analysis, cfg.wait, cfg.random_fallback)
+        judge.trigger = Trigger(dpoint, center)
+        judge.trigger.install()
+
+    try:
+        report = run_workload(
+            system, seed=cfg.seed, config=config, scale=dpoint.scale,
+            before_run=before_run, cooldown=COOLDOWN, extend=judge.at_deadline,
         )
-        if rerun.completed:
-            verdict = evaluate_run(rerun, baseline)
-            verdict.timeout_issue = True
-            verdict.hang = False
-            report = rerun
-    outcome = _judged(system, dpoint, trigger, verdict, matcher, report)
+    finally:
+        if judge.trigger is not None:
+            judge.trigger.uninstall()  # a no-op once it has fired
+    outcome = judge.finish(report)
     obs = get_obs()
     if obs.enabled:
         obs.diagnoses.append(outcome.diagnosis)
@@ -432,9 +518,8 @@ def _judged(
 ) -> InjectionOutcome:
     """The outcome of one judged run: attribution, diagnosis, record.
 
-    Shared by the replay path above and the snapshot engine's forked
-    children (a resumer's suffix, the recorder's never-fired basis), so
-    all three assemble an outcome the same way.
+    Shared by :class:`_Judge` above and the snapshot recorder's
+    never-fired basis, so both assemble an outcome the same way.
     """
     matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
     return InjectionOutcome(
@@ -515,39 +600,6 @@ def _diagnose(
             report.cluster.loop.events_processed if report.cluster is not None else 0
         ),
     )
-
-
-def _drive(
-    system: SystemUnderTest,
-    analysis: AnalysisReport,
-    dpoint: DynamicCrashPoint,
-    seed: int,
-    config: Optional[Dict[str, Any]],
-    wait: float,
-    random_fallback: bool,
-    deadline: Optional[float],
-):
-    holder: Dict[str, Any] = {}
-
-    def before_run(cluster, workload) -> None:
-        store = OnlineMetaStore(analysis.hosts)
-        agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
-        assert cluster.log_collector is not None
-        agent.attach(cluster.log_collector)
-        center = ControlCenter(cluster, store, wait=wait, random_fallback=random_fallback)
-        trigger = Trigger(dpoint, center)
-        trigger.install()
-        holder["trigger"] = trigger
-
-    try:
-        report = run_workload(
-            system, seed=seed, config=config, scale=dpoint.scale,
-            deadline=deadline, before_run=before_run, cooldown=COOLDOWN,
-        )
-    finally:
-        if "trigger" in holder:
-            holder["trigger"].uninstall()
-    return report, holder["trigger"]
 
 
 def run_campaign(

@@ -4,10 +4,10 @@ A test run is flagged when any of the paper's three conditions holds:
 
 1. **job failure** — the workload completed but did not succeed;
 2. **system hang** — the workload did not reach a terminal state within
-   the deadline (default 4x one clean run, Section 4.1.3); a flagged hang
-   can optionally be re-run with an extended deadline to separate true
-   hangs from the paper's "timeout issues" (tasks finish, but take ~10
-   minutes);
+   the deadline (default 4x one clean run, Section 4.1.3); a flagged
+   hang's run can optionally be extended to a much later deadline to
+   separate true hangs from the paper's "timeout issues" (tasks finish,
+   but take ~10 minutes);
 3. **uncommon exceptions** — error-level log signatures never observed in
    clean baseline runs.
 
@@ -109,7 +109,7 @@ class OracleVerdict:
 
 
 def evaluate_run(report: RunReport, baseline: Baseline) -> OracleVerdict:
-    """Apply the three oracles to one run (no extended re-run here)."""
+    """Apply the three oracles to one run as it stands (no extension here)."""
     uncommon: List[str] = []
     templates: Set[str] = set()
     if report.log is not None:

@@ -28,18 +28,18 @@ Process tree (one per group of same-scale points)::
 
     campaign parent
       └─ recorder      one injection-free recording run; at each point's
-         │             first matching access event it forks a holder and
-         │             keeps simulating (the recording run never injects)
-         ├─ holder     frozen world at point P's fire instant; blocks on
-         │  │          a command FIFO; forks one resumer per command
-         │  └─ resumer fires P's trigger against the inherited world and
-         │             lets the already-in-flight run_workload() finish —
-         │             the suffix — then ships the outcome to the parent
+         │             first matching access event it forks that point's
+         │             resumer and keeps simulating (it never injects)
+         ├─ resumer    the world frozen at point P's fire instant, parked
+         │             on a command FIFO; on the parent's go it fires P's
+         │             trigger against the inherited world, lets the
+         │             already-in-flight run_workload() finish — the
+         │             suffix — and ships the outcome to the parent
          └─ ...
 
-The holders are a **snapshot forest** over one timeline: every holder is
+The parked resumers are a **snapshot forest** over one timeline: each is
 a copy-on-write fork of the recorder at its point's fire instant, so a
-holder taken at t_k physically shares (as COW pages) the entire prefix
+snapshot taken at t_k physically shares (as COW pages) the entire prefix
 that every earlier snapshot captured — points fork from the latest
 earlier world state rather than anyone re-simulating from t=0.  One
 recording pass per scale group therefore suffices for arbitrarily many
@@ -49,14 +49,16 @@ point is actually being driven, so parent fd usage is O(workers) and
 recorder fd usage is O(1) — no per-point pipe pairs, hence no chunk
 ceiling and no per-chunk re-recording of the shared prefix.
 
-The holder exists so one snapshot serves *multiple* resumes: a flagged
-hang is re-classified by resuming the *same* snapshot a second time with
-an extended deadline (installed via
-:meth:`~repro.sim.loop.SimLoop.override_deadline` on the in-flight run),
-exactly the two-run dance the replay path performs — minus both prefixes.
-Points whose trigger never fires during the recording pass need no
-resume at all: for them the recording run *is* the test run, and its
-verdict/diagnosis/telemetry are shared.
+A snapshot serves exactly one resume.  A flagged hang needs no second
+one: the resumer judges its suffix through the same
+:class:`~repro.core.injection.campaign._Judge` the replay path uses, and
+``run_workload``'s continuation seam drives the run it already holds on
+to the extended deadline (paper Section 4.1.3).  A resumer that dies —
+however hard — closes its result FIFO, which the parent reads as EOF and
+answers with an in-process replay of that point.  Points whose trigger
+never fires during the recording pass need no resume at all: for them
+the recording run *is* the test run, and its verdict/diagnosis/telemetry
+are shared.
 
 Equivalence (asserted end-to-end by ``tests/test_snapshot_campaign.py``):
 outcomes, verdicts, matched bugs, diagnoses, merged metrics, and
@@ -88,18 +90,17 @@ import shutil
 import signal
 import tempfile
 import time as _wallclock
-from dataclasses import replace as _dc_replace
 from typing import Any, Dict, List, Optional
 
 from repro.cluster.state import BUS, AccessEvent
 from repro.core.injection.campaign import (
     COOLDOWN,
-    EXTENDED_FACTOR,
     InjectionOutcome,
+    _arm,
     _clone_for,
+    _Judge,
     _judged,
 )
-from repro.core.injection.control_center import ControlCenter
 from repro.core.injection.executor import (
     CampaignJournal,
     ExecContext,
@@ -108,21 +109,21 @@ from repro.core.injection.executor import (
     _telemetry,
     run_point,
 )
-from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
-from repro.core.injection.oracles import OracleVerdict, evaluate_run
+from repro.core.injection.online_log import OnlineLogAgent
+from repro.core.injection.oracles import evaluate_run
 from repro.core.injection.trigger import Trigger, point_matches
 from repro.obs import Observability
 from repro.systems.base import run_workload
 
-#: how long the parent retries a FIFO rendezvous (a holder forked
+#: how long the parent retries a FIFO rendezvous (a resumer forked
 #: mid-recording microseconds away from its command-FIFO open) before it
 #: degrades the point to an in-process replay
 _ATTACH_RETRIES = 100
 _ATTACH_INTERVAL = 0.05
 
-#: set between fork and hook-return in a resumer child; empty everywhere
-#: else.  The recording pass's code below the hook checks it to learn
-#: which process it woke up in.
+#: filled in a resumer child when the parent's go arrives (``entry``,
+#: ``judge``, ``wall0``); empty everywhere else.  The recording pass's
+#: code below the hook checks it to learn which process it woke up in.
 _ROLE: Dict[str, Any] = {}
 
 
@@ -180,44 +181,41 @@ class _ArmedPoint:
     """One pending point's FIFOs, trigger, and in-flight protocol state.
 
     The FIFO pair exists as paths from group setup; file descriptors on
-    them open lazily — the holder opens its command end at birth and its
-    result end at the first resume command, the parent opens both only
-    while this point is being driven.
+    them open lazily — the resumer opens its command end at birth and its
+    result end when the go arrives, the parent opens both only while
+    this point is being driven.
     """
 
     __slots__ = (
         "index", "dpoint", "trigger", "recorded", "driven",
-        "cmd_path", "res_path", "cmd_fd", "res_fd", "res_w",
-        "res_buf", "first",
+        "cmd_path", "res_path", "cmd_fd", "res_fd", "res_w", "res_buf",
     )
 
     def __init__(self, index: int, dpoint: Any):
         self.index = index
         self.dpoint = dpoint
         self.trigger: Optional[Trigger] = None
-        #: a holder was forked for this point during the recording pass
+        #: a resumer was forked for this point during the recording pass
         self.recorded = False
         #: the parent finished driving (or falling back) this point
         self.driven = False
-        self.cmd_path = ""  # holder reads commands here
-        self.res_path = ""  # parent reads results here
+        self.cmd_path = ""  # resumer waits for its go here
+        self.res_path = ""  # parent reads the result here
         self.cmd_fd: Optional[int] = None  # parent's open command end
         self.res_fd: Optional[int] = None  # parent's open result end
-        self.res_w: Optional[int] = None  # holder/resumer's result end
+        self.res_w: Optional[int] = None  # resumer's result end
         self.res_buf = bytearray()
-        #: the first resume's reply, kept while a reclassify is in flight
-        self.first: Optional[Dict[str, Any]] = None
 
 
 def _attach(entry: _ArmedPoint) -> bool:
-    """Open a holder's FIFOs from the parent; False degrades to replay.
+    """Open a parked resumer's FIFOs from the parent; False degrades to replay.
 
     Result end first (non-blocking read opens always succeed on a FIFO),
     then the command end: a non-blocking write open succeeds exactly when
-    the holder is at — or blocked in — its read open, which on Linux
+    the resumer is at — or blocked in — its read open, which on Linux
     counts as a present reader, completing the rendezvous without either
     side ever blocking indefinitely.  The short retry loop covers the
-    window between the holder's fork and its command-FIFO open.
+    window between the resumer's fork and its command-FIFO open.
     """
     try:
         res_fd = os.open(entry.res_path, os.O_RDONLY | os.O_NONBLOCK)
@@ -243,13 +241,13 @@ def _attach(entry: _ArmedPoint) -> bool:
     return True
 
 
-def _dismiss(entry: _ArmedPoint, holder_pid: Optional[int]) -> None:
-    """Release an undriven holder: open-and-close its command FIFO.
+def _dismiss(entry: _ArmedPoint, resumer_pid: Optional[int]) -> None:
+    """Release an undriven resumer: open-and-close its command FIFO.
 
-    The holder reads EOF and exits.  If the rendezvous never succeeds
-    (holder wedged before its open, or long gone) the holder is killed
-    outright so the recorder's reap loop — and the parent's waitpid on
-    the recorder — cannot hang on it.
+    The resumer reads EOF and exits.  If the rendezvous never succeeds
+    (resumer wedged before its open, or long gone) it is killed outright
+    so the recorder's reap loop — and the parent's waitpid on the
+    recorder — cannot hang on it.
     """
     for _ in range(_ATTACH_RETRIES):
         try:
@@ -259,15 +257,15 @@ def _dismiss(entry: _ArmedPoint, holder_pid: Optional[int]) -> None:
         except OSError as exc:
             if exc.errno != errno.ENXIO:
                 return
-            if holder_pid is None:
+            if resumer_pid is None:
                 return
             _wallclock.sleep(_ATTACH_INTERVAL)
             continue
         os.close(fd)
         return
-    if holder_pid is not None:
+    if resumer_pid is not None:
         try:
-            os.kill(holder_pid, signal.SIGKILL)
+            os.kill(resumer_pid, signal.SIGKILL)
         except OSError:
             pass
 
@@ -277,8 +275,8 @@ class _SnapshotWatcher:
 
     Where the replay path installs one :class:`Trigger` that fires, this
     installs one hook that *never injects*: at each point's first matching
-    event it records a kernel manifest and forks that point's holder, then
-    lets the recording run continue unperturbed.  Matching reuses the
+    event it records a kernel manifest and forks that point's resumer,
+    then lets the recording run continue unperturbed.  Matching reuses the
     trigger's own :func:`point_matches`, so "the event the recording pass
     froze on" is exactly "the event the replay trigger would fire on".
     """
@@ -288,35 +286,26 @@ class _SnapshotWatcher:
         self.ctx = ctx
         self.fire_order: List[int] = []
         self.manifests: Dict[int, Dict[str, Any]] = {}
-        #: point index -> holder pid, shipped to the parent so it can
-        #: reap a holder that never reached its FIFO rendezvous
-        self.holder_pids: Dict[int, int] = {}
+        #: point index -> resumer pid, shipped to the parent so it can
+        #: reap a resumer that never reached its FIFO rendezvous
+        self.resumer_pids: Dict[int, int] = {}
         #: alias point index -> primary point index (same fire event, so
         #: a byte-identical suffix; only built when running unobserved)
         self.aliases: Dict[int, int] = {}
         self.cluster: Any = None
-        self.center: Optional[ControlCenter] = None
         self.agent: Optional[OnlineLogAgent] = None
         self.rec_w: Optional[int] = None
         self._installed = False
 
-    # -- before_run hook (mirrors campaign._drive's, minus the injecting
-    # trigger: one store/agent/center feeds *all* armed points) ----------
+    # -- before_run hook: one store/agent feeds *all* armed points, and
+    # none of their triggers is installed -------------------------------
     def arm(self, cluster: Any, workload: Any) -> None:
-        analysis = self.ctx.analysis
         cfg = self.ctx.cfg
-        store = OnlineMetaStore(analysis.hosts)
-        agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
-        assert cluster.log_collector is not None
-        agent.attach(cluster.log_collector)
-        center = ControlCenter(
-            cluster, store, wait=cfg.wait, random_fallback=cfg.random_fallback
-        )
+        self.agent, center = _arm(
+            cluster, self.ctx.analysis, cfg.wait, cfg.random_fallback)
         for entry in self.entries:
             entry.trigger = Trigger(entry.dpoint, center)
         self.cluster = cluster
-        self.center = center
-        self.agent = agent
         self.install()
 
     def install(self) -> None:
@@ -364,9 +353,9 @@ class _SnapshotWatcher:
                 for alias in matched[1:]:
                     self.aliases[alias.index] = primaries[0].index
             for entry in primaries:
-                if self._hold(entry):
-                    # resumer child: inject here and let the inherited
-                    # run_workload() call stack finish the suffix
+                if self._park(entry):
+                    # resumer, woken by the parent: inject here and let the
+                    # inherited run_workload() call stack finish the suffix
                     self._resume(entry, event)
                     return
         if all(entry.recorded for entry in self.entries):
@@ -376,81 +365,53 @@ class _SnapshotWatcher:
             # never influences how the simulation evolves)
             self.uninstall()
 
-    def _hold(self, entry: _ArmedPoint) -> bool:
-        """Fork the holder; True only in a (grand)child resumer."""
+    def _park(self, entry: _ArmedPoint) -> bool:
+        """Fork the point's snapshot; True only in the child, once resumed."""
         pid = os.fork()
         if pid != 0:
-            self.holder_pids[entry.index] = pid
+            self.resumer_pids[entry.index] = pid
             return False
-        # holder: the only inherited fd not ours is the recorder summary
+        # resumer: the only inherited fd not ours is the recorder summary
         # pipe — drop it so the parent sees EOF if the recorder dies.
         # Transport is by FIFO path from here on: the command end opens
         # now (blocking until the parent attaches or dismisses), the
-        # result end on the first resume command, after which it stays
-        # open across resumes — the parent reads EOF exactly when this
-        # holder and its last resumer are gone.
+        # result end once the go arrives — from then on the parent reads
+        # EOF exactly when this process is gone, whatever killed it.
         _close_quiet(self.rec_w)
         self.rec_w = None
         cmd_fd = os.open(entry.cmd_path, os.O_RDONLY)
-        buf = bytearray()
-        while True:
-            cmd = _read_json_fd(cmd_fd, buf)
-            if cmd is None:
-                os._exit(0)  # parent is done with this snapshot
-            if entry.res_w is None:
-                entry.res_w = os.open(entry.res_path, os.O_WRONLY)
-            child = os.fork()
-            if child == 0:
-                _ROLE["role"] = "resumer"
-                _ROLE["entry"] = entry
-                _ROLE["cmd"] = cmd
-                _ROLE["wall0"] = _wallclock.perf_counter()
-                return True
-            _, status = os.waitpid(child, 0)
-            if status != 0:
-                _write_json_fd(entry.res_w, {
-                    "status": "error",
-                    "error": f"resumer exited with status {status}",
-                })
+        if _read_json_fd(cmd_fd, bytearray()) is None:
+            os._exit(0)  # dismissed: the parent is done with this snapshot
+        entry.res_w = os.open(entry.res_path, os.O_WRONLY)
+        _ROLE["entry"] = entry
+        _ROLE["wall0"] = _wallclock.perf_counter()
+        return True
 
     def _resume(self, entry: _ArmedPoint, event: AccessEvent) -> None:
         """Turn the frozen recording pass into this one point's test run.
 
         No hook is installed for the suffix: the match already happened —
         at this very event — during the recording pass, and a fired
-        trigger's hook is a dead early-return anyway, so the suffix runs
-        with the access bus disabled entirely.  This is the structural
-        win replay cannot have (its trigger must listen from t=0 until
-        the fire), and it is equivalence-preserving because bus emission
-        feeds hooks only — no metric, log, or system state ever depends
-        on it.
+        trigger stops listening anyway (:meth:`Trigger.fire`), so the
+        suffix runs with the access bus disabled, exactly like replay's.
         """
         self.uninstall()
-        trigger = entry.trigger
-        assert trigger is not None
-        if _ROLE["cmd"].get("reclassify"):
-            # same extended deadline a replay rerun would be *started*
-            # with; here the run is already in flight, so it is swapped in
-            extended = (
-                self.ctx.system.base_runtime()
-                * EXTENDED_FACTOR
-                * max(1, entry.dpoint.scale)
-            )
-            self.cluster.loop.override_deadline(extended)
-            if not self.ctx.observed and self.agent is not None:
-                # the reclassification verdict only asks "does the run
-                # complete by the extended deadline": its diagnosis keeps
-                # the first resume's store_size, and an incomplete rerun
-                # is never oracle-judged, so with telemetry off nothing
-                # observable is fed by tailing (pattern-matching) the
-                # rerun's logs — skip the agent for the long tail
-                self.cluster.log_collector.unsubscribe(self.agent)
-        trigger.fire(event)
+        ctx = self.ctx
+        judge = _Judge(ctx.system, entry.dpoint, ctx.baseline, ctx.cfg, ctx.matcher)
+        judge.trigger, judge.agent = entry.trigger, self.agent
+        _ROLE["judge"] = judge
+        judge.trigger.fire(event)
 
 
 # ---------------------------------------------------------------------------
 # recorder / resumer child
 # ---------------------------------------------------------------------------
+def _at_deadline(report: Any) -> Optional[float]:
+    """``run_workload``'s continuation seam: only a resumer's run extends."""
+    judge = _ROLE.get("judge")
+    return judge.at_deadline(report) if judge is not None else None
+
+
 def _recording_pass(
     watcher: _SnapshotWatcher,
     entries: List[_ArmedPoint],
@@ -461,15 +422,11 @@ def _recording_pass(
     try:
         report = run_workload(
             ctx.system, seed=ctx.cfg.seed, config=ctx.config, scale=scale,
-            deadline=None, before_run=watcher.arm, cooldown=COOLDOWN,
+            before_run=watcher.arm, cooldown=COOLDOWN, extend=_at_deadline,
         )
     finally:
         watcher.uninstall()
-        if _ROLE.get("role") == "resumer":
-            trigger = _ROLE["entry"].trigger
-            if trigger is not None:
-                trigger.uninstall()
-    if _ROLE.get("role") == "resumer":
+    if _ROLE:
         out["result"] = _resumer_result(report, ctx)
         return
     # Recorder: for points that never fired, this injection-free run *is*
@@ -488,41 +445,13 @@ def _recording_pass(
 
 def _resumer_result(report: Any, ctx: ExecContext) -> Dict[str, Any]:
     """Judge the finished suffix exactly as run_one_injection would."""
-    entry: _ArmedPoint = _ROLE["entry"]
-    cmd: Dict[str, Any] = _ROLE["cmd"]
-    wall = _wallclock.perf_counter() - _ROLE["wall0"]
-    baseline = ctx.baseline
-    matcher = ctx.matcher
-    events = (
-        report.cluster.loop.events_processed if report.cluster is not None else 0
-    )
-    if cmd.get("reclassify"):
-        # second resume of a flagged hang: replay keeps the rerun only
-        # when it completed (an incomplete rerun is judged by no oracle)
-        if not report.completed:
-            return {"status": "ok", "completed": False, "wall_seconds": wall}
-        verdict = evaluate_run(report, baseline)
-        verdict.timeout_issue = True
-        verdict.hang = False
-        matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-        return {
-            "status": "ok",
-            "completed": True,
-            "verdict": verdict.to_dict(),
-            "matched": list(matched),
-            "duration": report.duration,
-            "events_processed": events,
-            "wall_seconds": wall,
-        }
-    trigger = entry.trigger
-    assert trigger is not None
-    verdict = evaluate_run(report, baseline)
-    needs_rerun = bool(verdict.hang and ctx.cfg.classify_timeouts and trigger.fired)
-    outcome = _judged(ctx.system, entry.dpoint, trigger, verdict, matcher, report)
-    outcome.wall_seconds = wall
+    judge: _Judge = _ROLE["judge"]
+    outcome = judge.finish(report)
+    outcome.wall_seconds = _wallclock.perf_counter() - _ROLE["wall0"]
     return {
-        "status": "hang" if needs_rerun else "done",
+        "status": "done",
         "outcome": outcome.to_dict(),
+        "extended": judge.extended,
     }
 
 
@@ -536,6 +465,8 @@ def _recorder_main(
 
     Children must never run the parent's atexit/flush machinery on
     inherited journal or stdio buffers, hence ``os._exit`` throughout.
+    Resumers fork off inside the recording pass and come back out of it
+    here too, with ``_ROLE`` filled.
     """
     obs = Observability() if ctx.observed else None
     watcher = _SnapshotWatcher(entries, ctx)
@@ -553,32 +484,28 @@ def _recorder_main(
             _recording_pass(watcher, entries, scale, ctx, out)
     except BaseException as exc:  # noqa: BLE001 - shipped to the parent
         line = {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
-        if _ROLE.get("role") == "resumer":
-            _write_json_fd(_ROLE["entry"].res_w, line)
-        else:
-            _write_json_fd(rec_w, line)
+        _write_json_fd(_ROLE["entry"].res_w if _ROLE else rec_w, line)
         os._exit(1)
     payload = _telemetry(obs) if obs is not None else None
-    if _ROLE.get("role") == "resumer":
-        entry: _ArmedPoint = _ROLE["entry"]
+    if _ROLE:
         result = out["result"]
         result["payload"] = payload
-        _write_json_fd(entry.res_w, result)
+        _write_json_fd(_ROLE["entry"].res_w, result)
         os._exit(0)
     summary: Dict[str, Any] = {
         "status": "ok",
         "fired": list(watcher.fire_order),
         "manifests": {str(i): m for i, m in watcher.manifests.items()},
         "aliases": {str(i): p for i, p in watcher.aliases.items()},
-        "holders": {str(i): p for i, p in watcher.holder_pids.items()},
+        "resumers": {str(i): p for i, p in watcher.resumer_pids.items()},
     }
     if "unfired" in out:
         out["unfired"]["payload"] = payload
         summary["unfired"] = out["unfired"]
     _write_json_fd(rec_w, summary)
     _close_quiet(rec_w)
-    # stay alive to reap the holders (they exit when the parent closes
-    # their command pipes), so no zombies outlive the chunk
+    # stay alive to reap the resumers (the undriven ones exit when the
+    # parent dismisses them), so no zombies outlive the group
     while True:
         try:
             os.wait()
@@ -598,8 +525,9 @@ class SnapshotRunner:
         self.workers = 1
         #: the engine's work across all rounds (``CampaignResult.
         #: snapshot_stats``): recording runs, resumed / never-fired /
-        #: aliased / fallback point counts, and the kernel manifest of
-        #: every snapshot taken, keyed by campaign index
+        #: aliased / fallback point counts, how many resumes extended
+        #: their run (``reclassified``), and the kernel manifest of every
+        #: snapshot taken, keyed by campaign index
         self.stats: Dict[str, Any] = {
             "recording_runs": 0,
             "resumed_points": 0,
@@ -666,7 +594,7 @@ class _Round:
                 os._exit(1)  # _recorder_main never returns normally
         _close_quiet(rec_w)
         stats["recording_runs"] += 1
-        holder_pids: Dict[int, int] = {}
+        resumer_pids: Dict[int, int] = {}
         try:
             summary = _read_reply(rec_r, bytearray())
             if summary.get("status") != "ok":
@@ -677,7 +605,7 @@ class _Round:
             stats["manifests"].update(summary.get("manifests", {}))
             fired = set(summary.get("fired", []))
             aliases = {int(i): p for i, p in summary.get("aliases", {}).items()}
-            holder_pids = {int(i): p for i, p in summary.get("holders", {}).items()}
+            resumer_pids = {int(i): p for i, p in summary.get("resumers", {}).items()}
             unfired = [entry for entry in entries if entry.index not in fired]
             if unfired:
                 # the recording run was their test run: one judged outcome,
@@ -686,11 +614,11 @@ class _Round:
                 basis = InjectionOutcome.from_dict(shared["outcome"], unfired[0].dpoint)
                 for entry in unfired:
                     stats["never_fired"] += 1
-                    entry.driven = True  # no holder: nothing to attach or dismiss
+                    entry.driven = True  # no resumer: nothing to attach or dismiss
                     self.finish(entry, _clone_for(basis, entry.dpoint),
                                 [shared.get("payload")])
-            self.drive_holders([e for e in entries
-                                if e.index in fired and e.index not in aliases])
+            self.drive_resumers([e for e in entries
+                                 if e.index in fired and e.index not in aliases])
             # aliased points fired at the same access event as their primary,
             # with the same op: the primary's resume already computed their
             # (byte-identical) run, so each alias is the primary's outcome
@@ -698,7 +626,7 @@ class _Round:
             for entry in entries:
                 if entry.index not in aliases:
                     continue
-                entry.driven = True  # aliases never get holders of their own
+                entry.driven = True  # aliases never get resumers of their own
                 stats["aliased_points"] += 1
                 primary, _ = self.results[aliases[entry.index]]
                 self.finish(entry, _clone_for(primary, entry.dpoint), [])
@@ -709,15 +637,15 @@ class _Round:
                 _close_quiet(entry.res_fd)
                 entry.res_fd = None
                 if not entry.driven:
-                    # releases the holder if one exists (it may even when the
-                    # summary carried no pids — a recording pass that died
-                    # mid-run forked holders first); ENXIO means none does
-                    _dismiss(entry, holder_pids.get(entry.index))
+                    # releases the resumer if one exists (it may even when
+                    # the summary carried no pids — a recording pass that died
+                    # mid-run forked resumers first); ENXIO means none does
+                    _dismiss(entry, resumer_pids.get(entry.index))
             _close_quiet(rec_r)
             os.waitpid(recorder, 0)
             shutil.rmtree(fifo_dir, ignore_errors=True)
 
-    def drive_holders(self, entries: List[_ArmedPoint]) -> None:
+    def drive_resumers(self, entries: List[_ArmedPoint]) -> None:
         """Resume up to ``workers`` snapshots concurrently; collect as ready.
 
         FIFO ends open per point at dispatch and close at collection, so the
@@ -734,72 +662,27 @@ class _Round:
                     entry.driven = True
                     self.fallback(entry)
                     continue
-                _write_json_fd(entry.cmd_fd, {})
+                _write_json_fd(entry.cmd_fd, {})  # the go
                 inflight[entry.res_fd] = entry
             if not inflight:
                 continue
             ready, _, _ = select.select(list(inflight), [], [])
             for fd in ready:
-                entry = inflight[fd]
+                entry = inflight.pop(fd)
+                # an error line, garbage, or the EOF of a resumer that
+                # died mid-suffix all degrade the point to replay
                 reply = _read_reply(fd, entry.res_buf)
-                if entry.first is None and reply.get("status") == "hang":
-                    # flagged hang: resume the same snapshot once more, with
-                    # the extended deadline (Section 4.1.3's reclassification)
-                    entry.first = reply
-                    stats["reclassified"] += 1
-                    _write_json_fd(entry.cmd_fd, {"reclassify": True})
-                    continue
-                del inflight[fd]
                 _close_quiet(entry.cmd_fd)
                 entry.cmd_fd = None
                 _close_quiet(entry.res_fd)
                 entry.res_fd = None
                 entry.driven = True
-                if entry.first is not None and reply.get("status") == "ok":
-                    stats["resumed_points"] += 1
-                    self.finish(entry, _combine_reclassified(entry, reply),
-                                [entry.first.get("payload"), reply.get("payload")])
-                elif entry.first is None and reply.get("status") == "done":
-                    stats["resumed_points"] += 1
-                    self.finish(
-                        entry,
-                        InjectionOutcome.from_dict(reply["outcome"], entry.dpoint),
-                        [reply.get("payload")])
-                else:
+                if reply.get("status") != "done":
                     self.fallback(entry)
-
-
-def _combine_reclassified(
-    entry: _ArmedPoint,
-    reply: Dict[str, Any],
-) -> InjectionOutcome:
-    """Fold a reclassification resume into the first resume's outcome.
-
-    Mirrors run_one_injection's hang branch: the rerun replaces verdict,
-    matched bugs, and duration only when it completed; the diagnosis
-    keeps the *first* run's trigger/center story (what fired, what was
-    resolved) with the *final* run's verdict and measurements.  The
-    second resume's telemetry payload is adopted either way — replay's
-    single combined payload covers both of its runs too.
-    """
-    assert entry.first is not None
-    first = InjectionOutcome.from_dict(entry.first["outcome"], entry.dpoint)
-    first.wall_seconds += reply.get("wall_seconds", 0.0)
-    if not reply.get("completed"):
-        return first  # a true hang even at the extended deadline
-    verdict = OracleVerdict.from_dict(reply["verdict"])
-    matched = list(reply.get("matched", []))
-    first.verdict = verdict
-    first.matched_bugs = matched
-    first.duration = reply["duration"]
-    if first.diagnosis is not None:
-        first.diagnosis = _dc_replace(
-            first.diagnosis,
-            verdict_kinds=verdict.kinds(),
-            flagged=verdict.flagged,
-            matched_bugs=list(matched),
-            uncommon_templates=list(verdict.uncommon_templates),
-            duration=reply["duration"],
-            events_processed=reply.get("events_processed", 0),
-        )
-    return first
+                    continue
+                stats["resumed_points"] += 1
+                stats["reclassified"] += bool(reply.get("extended"))
+                self.finish(
+                    entry,
+                    InjectionOutcome.from_dict(reply["outcome"], entry.dpoint),
+                    [reply.get("payload")])

@@ -81,7 +81,14 @@ class Trigger:
         armed point against a restored world at exactly the captured
         access event, bypassing the matching that already happened during
         the recording pass.
+
+        A fired trigger stops listening: each dynamic crash point is
+        exercised once, so its hook comes off the bus before the
+        injection and the rest of the run — the instrumented wait
+        included — pays for no access events on its account.  Emission
+        feeds hooks only; no metric, log or system state depends on it.
         """
+        self.uninstall()
         self.hits += 1
         self.fired = True  # each dynamic crash point is exercised once
         values = list(event.values)

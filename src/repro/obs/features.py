@@ -229,13 +229,10 @@ def span_shapes(
 ) -> Optional[List[List[str]]]:
     """Per-injection span-shape tokens, or ``None`` when unattributable.
 
-    A replay campaign emits one top-level ``workload`` span per test run,
-    in point order, below the ``campaign`` span; baseline runs sit under
-    the ``baseline`` span and are excluded.  A flagged hang that was
-    re-run under the extended deadline (``classify_timeouts``) consumed a
-    second run — its diagnosis says so (``hang`` or ``timeout`` in the
-    verdict kinds of a fired point), and the rerun's subtree is the one
-    featurized, since the final verdict came from it.
+    A campaign emits one top-level ``workload`` span per injection, in
+    point order, below the ``campaign`` span (a flagged hang's extension
+    under ``classify_timeouts`` continues the same run, hence the same
+    span); baseline runs sit under the ``baseline`` span and are excluded.
 
     When the arithmetic does not add up — a resumed campaign whose spans
     died with the interrupted process, a snapshot-mode trace whose
@@ -266,20 +263,9 @@ def span_shapes(
         if s.name == "workload" and s.span_id not in excluded
         and (not campaign_ids or s.parent_id in campaign_ids)
     ]
-    shapes: List[List[str]] = []
-    consumed = 0
-    for diagnosis in diagnoses:
-        runs = 1
-        if diagnosis.fired and ({"hang", "timeout"} & set(diagnosis.verdict_kinds)):
-            runs = 2
-        take = roots[consumed:consumed + runs]
-        consumed += runs
-        if len(take) != runs:
-            return None
-        shapes.append(_subtree_tokens(take[-1], children))
-    if consumed != len(roots):
+    if len(roots) != len(diagnoses):
         return None
-    return shapes
+    return [_subtree_tokens(root, children) for root in roots]
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,20 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
+def _read_record(path: Path) -> Optional[Dict[str, Any]]:
+    """A sentinel record; ``None`` when missing, ``{}`` when unreadable.
+
+    An empty or half-written file is a kill inside the daemon lock's
+    create-then-write window.  An empty record (no pid, no heartbeat)
+    reads as stale, so a successor claims it — and must be able to read
+    what it claimed.
+    """
+    try:
+        return read_json(path)
+    except ValueError:
+        return {}
+
+
 class Sentinel:
     """One heartbeat/pid file, atomically rewritten on every beat."""
 
@@ -81,13 +95,7 @@ class Sentinel:
     # the prober side
     # ------------------------------------------------------------------
     def read(self) -> Optional[Dict[str, Any]]:
-        try:
-            return read_json(self.path)
-        except ValueError:
-            # an empty or half-written file: a kill inside the daemon
-            # lock's create-then-write window.  An empty record (no pid,
-            # no heartbeat) reads as stale, so a successor claims it.
-            return {}
+        return _read_record(self.path)
 
     def status(self, timeout: float) -> str:
         """``alive`` / ``stale`` / ``missing`` under a heartbeat timeout.
@@ -122,7 +130,7 @@ class Sentinel:
             os.rename(self.path, claimed_path)
         except FileNotFoundError:
             return None
-        data = read_json(claimed_path) or {}
+        data = _read_record(claimed_path) or {}
         data["claimed_by"] = claimer
         return data
 

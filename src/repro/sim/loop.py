@@ -129,7 +129,6 @@ class SimLoop:
         self._pump_depth = 0
         self._in_handler = 0
         self._stopped = False
-        self._deadline_override: Optional[float] = None
         self.exception_handler: Optional[ExceptionHandler] = None
         #: observability sink; Cluster installs the ambient context here.
         #: Observation must never schedule events or consume RNG — the
@@ -238,21 +237,6 @@ class SimLoop:
         """Ask the outermost :meth:`run` to return after the current event."""
         self._stopped = True
 
-    def override_deadline(self, until: Optional[float]) -> None:
-        """Replace the ``until`` deadline of the :meth:`run` in flight.
-
-        Consumed once, by the innermost :meth:`run` currently driving (or
-        the next one started, if none is): from the next event boundary
-        that run behaves exactly as if it had been called with this
-        deadline.  An override not consumed by the time its run returns is
-        discarded — it must never leak into a subsequent run (e.g. the
-        post-workload cooldown drive).  The snapshot execution mode uses
-        this to resume an injection from mid-run with an extended
-        hang-classification deadline, which a fresh replay would have
-        passed as ``until``.
-        """
-        self._deadline_override = until
-
     # ------------------------------------------------------------------
     # tombstone accounting and compaction
     # ------------------------------------------------------------------
@@ -343,7 +327,6 @@ class SimLoop:
         self._now = checkpoint.now
         self._events_processed = checkpoint.events_processed
         self._stopped = False
-        self._deadline_override = None
 
     # ------------------------------------------------------------------
     # driving
@@ -367,39 +350,27 @@ class SimLoop:
         self._stopped = False
         processed = 0
         stopped_by_predicate = False
-        try:
-            while not self._stopped and self._queue:
-                if self._deadline_override is not None:
-                    # consumed by the innermost run in flight (see
-                    # override_deadline): from here on this run behaves as
-                    # if it had been called with the overriding deadline
-                    until = self._deadline_override
-                    self._deadline_override = None
-                event = self._pop_due(until)
-                if event is None:
-                    break
-                self._fire(event)
-                processed += 1
-                if processed > max_events:
-                    raise SimulationError(f"event budget exceeded ({max_events})")
-                if stop_when is not None and stop_when():
-                    stopped_by_predicate = True
-                    break
-            # On deadline or quiescence the clock advances to the deadline
-            # (so timeout-relative behaviour is observable); an early
-            # predicate stop must leave the clock at the stopping event.
-            if (
-                until is not None
-                and self._now < until
-                and not stopped_by_predicate
-                and not self._stopped
-            ):
-                self._now = until
-        finally:
-            # an override aimed at this run but set too late to be consumed
-            # (the run ended at that very event) must not leak into the
-            # next run
-            self._deadline_override = None
+        while not self._stopped and self._queue:
+            event = self._pop_due(until)
+            if event is None:
+                break
+            self._fire(event)
+            processed += 1
+            if processed > max_events:
+                raise SimulationError(f"event budget exceeded ({max_events})")
+            if stop_when is not None and stop_when():
+                stopped_by_predicate = True
+                break
+        # On deadline or quiescence the clock advances to the deadline
+        # (so timeout-relative behaviour is observable); an early
+        # predicate stop must leave the clock at the stopping event.
+        if (
+            until is not None
+            and self._now < until
+            and not stopped_by_predicate
+            and not self._stopped
+        ):
+            self._now = until
 
     def pump(self, duration: float, max_events: int = 200_000) -> None:
         """Reentrantly process events for ``duration`` simulated seconds.

@@ -132,6 +132,7 @@ def run_workload(
     before_run: Optional[Callable[[Cluster, Workload], None]] = None,
     keep_cluster: bool = True,
     cooldown: float = 0.0,
+    extend: Optional[Callable[[RunReport], Optional[float]]] = None,
 ) -> RunReport:
     """Run one workload to completion or deadline and report.
 
@@ -147,6 +148,13 @@ def run_workload(
             where fault-injection arms itself.
         keep_cluster: attach the cluster/logs to the report (disable for
             bulk campaigns that only need verdicts).
+        extend: the continuation seam, consulted once, when the deadline
+            passes with the workload unfinished: given the report as it
+            stands at the deadline it returns a later absolute deadline —
+            the *same* cluster is then driven on to it — or ``None`` to
+            stop there.  This is how the injection campaign gives a
+            flagged hang more time (paper Section 4.1.3) without a
+            second run.
     """
     if deadline is None:
         deadline = system.base_runtime() * deadline_factor * max(1, scale)
@@ -156,7 +164,7 @@ def run_workload(
     try:
         return _run_workload(
             system, seed, config, scale, deadline, before_run, keep_cluster,
-            cooldown,
+            cooldown, extend,
         )
     finally:
         if pause_gc:
@@ -172,31 +180,18 @@ def _run_workload(
     before_run: Optional[Callable[[Cluster, Workload], None]],
     keep_cluster: bool,
     cooldown: float,
+    extend: Optional[Callable[[RunReport], Optional[float]]],
 ) -> RunReport:
     wall_start = _wallclock.perf_counter()
     cluster = system.build(seed=seed, config=config)
     workload = system.create_workload(scale)
-    with cluster:
-        with get_obs().tracer.span(
-            "workload", system=system.name, workload=workload.name,
-            seed=seed, scale=scale,
-        ) as span:
-            workload.install(cluster)
-            if before_run is not None:
-                before_run(cluster, workload)
-            cluster.start_all()
-            cluster.run(until=deadline, stop_when=lambda: workload.finished(cluster))
-            completed = workload.finished(cluster)
-            succeeded = completed and workload.succeeded(cluster)
-            finish_time = cluster.loop.now
-            span.set(completed=completed, succeeded=succeeded)
-        if completed and cooldown > 0.0:
-            # Let delayed symptoms surface (stale timers, leak auditors):
-            # a test run observes the cluster for a grace period after the
-            # workload completes, exactly as a tester tails the logs.
-            cluster.run(until=finish_time + cooldown)
-            succeeded = workload.succeeded(cluster)
-        report = RunReport(
+
+    def finished() -> bool:
+        return workload.finished(cluster)
+
+    def report(deadline: float, completed: bool, succeeded: bool,
+               finish_time: float) -> RunReport:
+        return RunReport(
             system=system.name,
             seed=seed,
             completed=completed,
@@ -214,4 +209,32 @@ def _run_workload(
             log=cluster.log_collector if keep_cluster else None,
             cluster=cluster if keep_cluster else None,
         )
-    return report
+
+    with cluster:
+        with get_obs().tracer.span(
+            "workload", system=system.name, workload=workload.name,
+            seed=seed, scale=scale,
+        ) as span:
+            workload.install(cluster)
+            if before_run is not None:
+                before_run(cluster, workload)
+            cluster.start_all()
+            cluster.run(until=deadline, stop_when=finished)
+            if extend is not None and not finished():
+                later = extend(report(deadline, False, False, deadline))
+                if later is not None:
+                    # one timeline: the run that just missed its deadline
+                    # *is* the prefix of the longer run, so keep driving it
+                    deadline = later
+                    cluster.run(until=deadline, stop_when=finished)
+            completed = finished()
+            succeeded = completed and workload.succeeded(cluster)
+            finish_time = cluster.loop.now
+            span.set(completed=completed, succeeded=succeeded)
+        if completed and cooldown > 0.0:
+            # Let delayed symptoms surface (stale timers, leak auditors):
+            # a test run observes the cluster for a grace period after the
+            # workload completes, exactly as a tester tails the logs.
+            cluster.run(until=finish_time + cooldown)
+            succeeded = workload.succeeded(cluster)
+        return report(deadline, completed, succeeded, finish_time)

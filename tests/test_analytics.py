@@ -84,6 +84,23 @@ def test_featurize_tokens_are_static_plus_dynamic():
             assert any(t.startswith("span:") for t in feat.tokens)
 
 
+def test_span_features_survive_unclassified_hangs():
+    # one workload span per injection whatever the verdict: fired hangs
+    # that never got an extension used to be booked as two runs each,
+    # which dropped span features for the whole trace
+    system, analysis, profile, baseline = prepared("hbase")
+    obs = Observability()
+    run_campaign(
+        system, analysis, profile.dynamic_points, baseline=baseline,
+        campaign=CampaignConfig(classify_timeouts=False),
+        matcher=matcher_for_system("hbase"), obs=obs,
+    )
+    assert any(d.fired and "hang" in d.verdict_kinds for d in obs.diagnoses)
+    features, span_features = featurize(obs.diagnoses, spans=obs.tracer.spans)
+    assert span_features
+    assert all(any(t.startswith("span:") for t in f.tokens) for f in features)
+
+
 def test_span_features_dropped_when_unattributable():
     obs, _ = full_campaign("yarn")
     # hand the featurizer a span set that cannot add up (no spans at all,

@@ -66,6 +66,32 @@ def test_campaign_metrics_snapshot_covers_every_layer():
     assert result.metrics["gauges"]["onlinelog.store_size"] > 0
 
 
+def test_one_injection_is_counted_once_whatever_its_verdict():
+    # a flagged hang's extension continues its own run, so classifying
+    # timeouts adds no second injection, crash or workload span (a re-run
+    # used to: hbase reported 35 visits for 28 fired points)
+    system, analysis, profile, baseline = prepared("hbase")
+    runs = {}
+    for classify in (True, False):
+        obs = Observability()
+        result = run_campaign(
+            system, analysis, profile.dynamic_points, baseline=baseline,
+            campaign=CampaignConfig(classify_timeouts=classify),
+            matcher=matcher_for_system("hbase"), obs=obs,
+        )
+        runs[classify] = counters = result.metrics["counters"]
+        fired = sum(o.fired for o in result.outcomes)
+        assert counters["inject.crash_points_visited"] == fired
+        (campaign,) = [s for s in obs.tracer.spans if s.name == "campaign"]
+        workloads = [s for s in obs.tracer.spans
+                     if s.name == "workload" and s.parent_id == campaign.span_id]
+        assert len(workloads) == len(result.outcomes)
+        if classify:  # the case is live: some run was extended and completed
+            assert any("timeout" in o.verdict.kinds() for o in result.outcomes)
+    assert runs[True]["fault.crashes"] == runs[False]["fault.crashes"]
+    assert runs[True]["inject.crashes"] == runs[False]["inject.crashes"]
+
+
 def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():
     obs, _ = traced_yarn_campaign()
     names = {s.name for s in obs.tracer.spans}

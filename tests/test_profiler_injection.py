@@ -167,3 +167,29 @@ def test_trigger_fires_exactly_once_per_run():
     # exactly one fault injected even though registration happens 3 times
     cluster_faults = len(outcome.dpoint.stack) >= 0  # structural smoke
     assert outcome.injection.kind in ("crash", "shutdown")
+
+
+def test_fired_trigger_stops_listening():
+    from repro.cluster.state import BUS
+    from repro.core.injection.campaign import _arm
+    from repro.core.injection.trigger import Trigger
+    from repro.systems import run_workload
+    from tests.conftest import find_dpoints
+
+    system, analysis, profile, _ = prepared("yarn")
+    dpoint = find_dpoints(profile, "on_register_node", field="nodes", op="write")[0]
+    armed = {}
+
+    def before_run(cluster, workload):
+        _, center = _arm(cluster, analysis, wait=1.0)
+        armed["trigger"] = Trigger(dpoint, center)
+        armed["trigger"].install()
+        assert BUS.enabled
+
+    run_workload(system, before_run=before_run)
+    trigger = armed["trigger"]
+    assert trigger.fired and trigger.hits == 1
+    # nobody called uninstall(): the hook came off the bus at the fire,
+    # so the rest of the run emitted no access events
+    assert not BUS.enabled and not BUS.capture_stacks
+    trigger.uninstall()  # still safe — multi-crash's finally relies on it

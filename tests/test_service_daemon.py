@@ -287,6 +287,22 @@ def test_stale_lock_of_dead_daemon_is_taken_over(tmp_path):
         successor.close()
 
 
+def test_empty_lock_of_a_daemon_killed_before_its_first_write(tmp_path):
+    # SIGKILL between _acquire_lock's O_EXCL create and its first write
+    # leaves a zero-byte lock: it reads as stale, and the successor must
+    # be able to read what it then claims
+    lock = tmp_path / "daemon.lock"
+    lock.touch()
+
+    successor = CampaignDaemon(tmp_path, workers=1)
+    successor.start()  # raised JSONDecodeError, stranding a claim marker
+    try:
+        assert Sentinel(lock).read()["daemon_id"] == successor.daemon_id
+        assert not list(tmp_path.glob("daemon.lock.claimed-*"))
+    finally:
+        successor.close()
+
+
 # ----------------------------------------------------------------------
 # queued-work durability and control requests
 # ----------------------------------------------------------------------

@@ -4,8 +4,7 @@ The snapshot executor forks whole processes, but its integrity manifests
 and its determinism argument rest on the state captured here behaving
 exactly as documented: a :class:`LoopCheckpoint` is immutable and
 restorable any number of times, cloning a queue never perturbs event
-ordering, a deadline override is consumed by exactly one run, and the
-substrate stores (access bus, log collector, online meta store) round-trip
+ordering, and the substrate stores (access bus, log collector, online meta store) round-trip
 through their checkpoints.
 """
 
@@ -29,15 +28,6 @@ def _record(node="node1", message="m", args=()):
 # ----------------------------------------------------------------------
 # SimLoop
 # ----------------------------------------------------------------------
-
-def _trace_run(loop, until=None):
-    trace = []
-    loop.schedule(1.0, lambda: trace.append(("a", loop.now)))
-    loop.schedule(2.0, lambda: trace.append(("b", loop.now)))
-    loop.schedule(3.0, lambda: trace.append(("c", loop.now)))
-    loop.run(until=until)
-    return trace
-
 
 def test_loop_checkpoint_restores_clock_counter_and_queue():
     loop = SimLoop()
@@ -112,38 +102,6 @@ def test_restore_inside_handler_is_refused():
     loop.schedule(1.0, bad)
     loop.run()
     assert failures and "running handler" in failures[0]
-
-
-def test_override_deadline_is_consumed_by_one_run_only():
-    loop = SimLoop()
-    trace = _trace_run(loop, until=1.0)
-    assert trace == [("a", 1.0)]
-
-    # extend the *next* run mid-flight: the override replaces until=1.5
-    loop.schedule(0.0, lambda: loop.override_deadline(2.5))
-    loop.run(until=1.5)
-    assert trace == [("a", 1.0), ("b", 2.0)]
-    assert loop.now == 2.5  # clock advanced to the overriding deadline
-
-    # ...and must not leak into the following run
-    loop.run(until=2.6)
-    assert trace == [("a", 1.0), ("b", 2.0)]
-
-
-def test_unconsumed_override_does_not_leak_into_next_run():
-    loop = SimLoop()
-    fired = []
-    loop.schedule(1.0, lambda: fired.append("a"))
-    loop.run()  # drains; nothing in flight afterwards
-    loop.override_deadline(100.0)
-    loop.schedule(1.0, lambda: fired.append("b"))
-    loop.run(until=5.0)
-    # the pending override was aimed at a run that had already returned;
-    # this run consumed it instead (documented: "or the next one started")
-    assert fired == ["a", "b"] and loop.now == 100.0
-    loop.schedule(1.0, lambda: fired.append("c"))
-    loop.run(until=200.0)
-    assert loop.now == 200.0  # no stale override replaced this deadline
 
 
 # ----------------------------------------------------------------------

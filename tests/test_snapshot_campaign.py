@@ -12,6 +12,9 @@ campaign with fewer than ``workers * 2`` pending points runs in-process.
 """
 
 import json
+import os
+import signal
+import tempfile
 
 import pytest
 
@@ -192,6 +195,31 @@ def test_snapshot_falls_back_per_point_on_resumer_error(monkeypatch):
     assert _outcome_dicts(snap) == _outcome_dicts(reference)
     assert snap.snapshot_stats["fallback_points"] == 4
     assert snap.snapshot_stats["resumed_points"] == 0
+
+
+def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch, tmp_path):
+    reference = _campaign(n_points=4)
+    import repro.core.injection.snapshot as snapshot_mod
+
+    judged = snapshot_mod._resumer_result
+
+    def _die_on_odd_points(report, ctx):
+        if snapshot_mod._ROLE["entry"].index % 2:
+            # no error line, no exit status anyone waits for: the parent
+            # learns of it from the result FIFO's EOF alone
+            os.kill(os.getpid(), signal.SIGKILL)
+        return judged(report, ctx)
+
+    monkeypatch.setattr(snapshot_mod, "_resumer_result", _die_on_odd_points)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    snap = _campaign(n_points=4, execution="snapshot")
+    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert snap.snapshot_stats["fallback_points"] == 2
+    assert snap.snapshot_stats["resumed_points"] == 2
+    # nothing outlives the campaign: no unreaped child, no FIFO directory
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not list(tmp_path.glob("crashtuner-snap-*"))
 
 
 def test_snapshot_falls_back_whole_chunk_when_recorder_dies(monkeypatch):

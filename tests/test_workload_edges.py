@@ -29,6 +29,39 @@ def test_explicit_deadline_overrides_factor():
     assert report.duration == 0.05
 
 
+def test_extend_continues_the_same_run_to_a_later_deadline():
+    plain = run_workload(get_system("cassandra"), seed=0)
+    seen = []
+
+    def extend(report):
+        seen.append((report.completed, report.duration, report.cluster))
+        return plain.deadline
+
+    extended = run_workload(get_system("cassandra"), seed=0, deadline=0.05,
+                            extend=extend)
+    # consulted once, with the run as it stood at the missed deadline...
+    assert [(c, d) for c, d, _ in seen] == [(False, 0.05)]
+    # ...and the cluster it saw was driven on: one timeline, the same
+    # events a run started with the later deadline processes
+    assert extended.cluster is seen[0][2]
+    assert extended.completed and extended.deadline == plain.deadline
+    assert extended.duration == plain.duration
+    assert extended.cluster.loop.events_processed == \
+        plain.cluster.loop.events_processed
+    assert [str(r) for r in extended.log.records] == \
+        [str(r) for r in plain.log.records]
+
+
+def test_extend_may_decline_and_is_skipped_when_the_run_finishes():
+    calls = []
+    declined = run_workload(get_system("cassandra"), deadline=0.05,
+                            extend=lambda report: calls.append(report))
+    assert len(calls) == 1 and not declined.completed
+    assert declined.deadline == declined.duration == 0.05
+    finished = run_workload(get_system("cassandra"), extend=calls.append)
+    assert len(calls) == 1 and finished.completed
+
+
 def test_cooldown_extends_observation_not_duration():
     plain = run_workload(get_system("cassandra"), seed=0)
     cooled = run_workload(get_system("cassandra"), seed=0, cooldown=5.0)
