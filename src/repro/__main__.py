@@ -51,7 +51,8 @@ def _run_campaign_cmd(argv: List[str]) -> int:
                              "executed anyway to cross-check their class "
                              "(representative mode only)")
     parser.add_argument("--journal", metavar="PATH", default=None,
-                        help="checkpoint journal (reruns resume from it)")
+                        help="checkpoint journal (reruns resume from it, and "
+                             "reuse the analysis kept in PATH.setup/)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="dump the result payload ('-' = stdout)")
     args = parser.parse_args(argv)
@@ -60,11 +61,9 @@ def _run_campaign_cmd(argv: List[str]) -> int:
 
     from repro.api import (
         CampaignConfig,
-        analyze_system,
-        build_baseline,
         format_kv,
         matcher_for_system,
-        profile_system,
+        prepare,
         run_campaign,
     )
     from repro.systems import all_systems, get_system
@@ -81,9 +80,11 @@ def _run_campaign_cmd(argv: List[str]) -> int:
         journal_path=args.journal,
     )
     system = get_system(args.system)
-    analysis = analyze_system(system, seed=cfg.seed)
-    profile = profile_system(system, analysis, seed=cfg.seed)
-    baseline = build_baseline(system)
+    # a journaled campaign keeps its phase 1 beside the journal, so a
+    # resume skips straight to the first unrestored point
+    analysis, profile, baseline = prepare(
+        system, cfg.seed,
+        cache_dir=f"{args.journal}.setup" if args.journal else None)
     result = run_campaign(system, analysis, profile.dynamic_points,
                           campaign=cfg, baseline=baseline,
                           matcher=matcher_for_system(args.system))

@@ -19,7 +19,9 @@ The supported surface:
   pipeline over one system,
 * :func:`analyze_system` / :func:`profile_system` / :func:`point_key` —
   phase 1 pieces: static analysis, dynamic crash-point profiling, and
-  the static/dynamic point identity,
+  the static/dynamic point identity; :func:`prepare` derives all of
+  phase 1 plus the baseline in one call, reusing a ``cache_dir`` entry
+  when one matches,
 * :func:`run_campaign` / :class:`CampaignResult` — just the
   fault-injection phase, over pre-computed dynamic crash points,
 * :class:`CampaignConfig` — the one frozen config object for both
@@ -65,7 +67,7 @@ from typing import TYPE_CHECKING, Any, Dict, Optional, Union
 # repro.core must initialize before repro.bugs: bugs.records reaches back
 # into repro.core.injection.oracles, which is fine only once core's own
 # import of repro.bugs (from pipeline) has already completed.
-from repro.core.pipeline import CrashTunerResult, crashtuner
+from repro.core.pipeline import CrashTunerResult, crashtuner, prepare
 from repro.bugs import matcher_for_system
 from repro.core.analysis import analyze_system, point_key
 from repro.core.analysis.patterns import fast_lane
@@ -169,6 +171,7 @@ __all__ = [
     "get_system",
     "matcher_for_system",
     "point_key",
+    "prepare",
     "profile_system",
     "run_campaign",
     "run_workload",

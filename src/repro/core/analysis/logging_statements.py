@@ -11,6 +11,7 @@ still be analysed.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import textwrap
 from dataclasses import dataclass, field
@@ -49,6 +50,15 @@ class ModuleSource:
         source = textwrap.dedent(inspect.getsource(module))
         return cls(module=module, name=module.__name__, source=source,
                    tree=ast.parse(source))
+
+    def __reduce__(self):
+        # neither a module nor its AST pickles usefully: round-trip by
+        # name and re-parse (the setup cache keys on the source digest)
+        return _load_named, (self.name,)
+
+
+def _load_named(name: str) -> ModuleSource:
+    return ModuleSource.load(importlib.import_module(name))
 
 
 def load_sources(modules: List[ModuleType]) -> List[ModuleSource]:

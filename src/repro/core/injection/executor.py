@@ -139,6 +139,10 @@ class CampaignJournal:
             "n_points": len(points),
             "config": _canonical_config(config),
         }
+        if system.world_scale != 1:
+            # same name, seed and point keys, a different world: omitted
+            # at 1 to keep pre-existing journals valid
+            meta["world_scale"] = system.world_scale
         if cfg.point_order != "point":
             # journal indices follow the scheduled order, so resuming under
             # a different order must mismatch; the key is omitted for the

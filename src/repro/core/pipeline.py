@@ -15,16 +15,23 @@ deprecation shims are gone — passing them is a TypeError.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import pickle
+import tempfile
 import time as _wallclock
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from pathlib import Path
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.bugs import matcher_for_system
 from repro.core.analysis import AnalysisReport, analyze_system
-from repro.core.injection import Baseline, CampaignConfig, CampaignResult, run_campaign
+from repro.core.injection import Baseline, CampaignConfig, CampaignResult
+from repro.core.injection import build_baseline, run_campaign
 from repro.core.injection.campaign import _coerce_campaign
+from repro.core.injection.executor import _canonical_config
 from repro.core.profiler import ProfileResult, profile_system
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, get_obs
 from repro.systems.base import SystemUnderTest
 
 
@@ -103,6 +110,86 @@ class CrashTunerResult:
         return {k: len(v) for k, v in self.campaign.detected_bugs().items()}
 
 
+def source_digest() -> str:
+    """sha256 over every ``repro`` source file (relative path + bytes)."""
+    root = Path(__file__).parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode() + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def setup_key(system: SystemUnderTest, seed: int,
+              config: Optional[Dict[str, Any]]) -> str:
+    """``<code>-<inputs>``: the source-tree digest first, so entries of
+    another code version are sweepable by name, then a digest of
+    everything else the triple is a function of."""
+    inputs = repr((system.name, system.world_scale, sorted(vars(system).items()),
+                   _canonical_config(config), seed))
+    return (f"{source_digest()[:16]}-"
+            f"{hashlib.sha256(inputs.encode()).hexdigest()[:32]}")
+
+
+def prepare(
+    system: SystemUnderTest,
+    seed: int = 0,
+    config: Optional[Dict[str, Any]] = None,
+    cache_dir: Optional[Union[str, Path]] = None,
+    info: Optional[Dict[str, Any]] = None,
+) -> Tuple[AnalysisReport, ProfileResult, Baseline]:
+    """Phase 1 (Figure 4, top) plus the clean-run baseline, derived once.
+
+    With a ``cache_dir`` the triple is loaded from
+    ``<cache_dir>/<setup_key>.pkl`` — one pickle, so the ``AccessPoint``
+    objects the three share stay shared — or built and published there.
+    The cache only ever saves time: an unreadable or foreign entry, or a
+    failed publish, degrades to building in place (DESIGN.md "Setup
+    artefact").  ``info``, when given, receives ``cache`` ("hit" |
+    "miss" | "off"), ``key`` and ``seconds``.
+    """
+    wall0 = _wallclock.perf_counter()
+    key, setup, entry = "", None, None
+    if cache_dir is not None:
+        key = setup_key(system, seed, config)
+        entry = Path(cache_dir) / f"{key}.pkl"
+        try:
+            stamp, *loaded = pickle.loads(entry.read_bytes())
+            if stamp == key:
+                setup = tuple(loaded)
+        except Exception:  # noqa: BLE001 - any unreadable entry is a miss
+            pass
+    cache = "hit" if setup else "miss" if entry else "off"
+    if setup is None:
+        analysis = analyze_system(system, seed=seed, config=config)
+        profile = profile_system(system, analysis, seed=seed, config=config)
+        with get_obs().tracer.span("baseline", system=system.name):
+            baseline = build_baseline(system, config=config)
+        setup = (analysis, profile, baseline)
+        if entry is not None:
+            _publish(entry, (key,) + setup)
+    if info is not None:
+        info.update(cache=cache, key=key,
+                    seconds=_wallclock.perf_counter() - wall0)
+    return setup
+
+
+def _publish(entry: Path, payload: Tuple) -> None:
+    """Atomically install one cache entry; a failure leaves none."""
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, entry)
+    except Exception:  # noqa: BLE001 - full disk, read-only dir, ...
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def crashtuner(
     system: SystemUnderTest,
     campaign: Optional[CampaignConfig] = None,
@@ -126,15 +213,12 @@ def crashtuner(
     wall0 = _wallclock.perf_counter()
     active = obs if obs is not None else NULL_OBS
     with active:
-        analysis = analyze_system(system, seed=cfg.seed, config=config)
-        profile = profile_system(system, analysis, seed=cfg.seed, config=config)
+        analysis, profile, built = prepare(system, cfg.seed, config)
         campaign_result: Optional[CampaignResult] = None
         if run_injection:
-            # the baseline workload is built (and traced) exactly once,
-            # by run_campaign inside the campaign span
             campaign_result = run_campaign(
                 system, analysis, profile.dynamic_points,
-                campaign=cfg, config=config, baseline=baseline,
+                campaign=cfg, config=config, baseline=baseline or built,
                 matcher=matcher_for_system(system.name),
             )
     return CrashTunerResult(

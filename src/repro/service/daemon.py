@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.core.pipeline import source_digest
 from repro.obs import MetricsRegistry, Tracer
 from repro.service.jobs import (
     DONE,
@@ -113,6 +114,13 @@ class CampaignDaemon:
             return
         self._acquire_lock()
         self.started_at = time.time()
+        # sweep what can never be hit again: entries of another code
+        # digest, a killed publisher's .tmp (a surviving worker that loses
+        # its .tmp mid-publish just skips the publish)
+        current = source_digest()[:16]
+        for path in self.layout.setup_cache.iterdir():
+            if not (path.name.startswith(current) and path.suffix == ".pkl"):
+                path.unlink(missing_ok=True)
         records = self.wal.replay()
         self.wal.open_append()
         self.table = JobTable.from_records(records)
@@ -277,6 +285,11 @@ class CampaignDaemon:
         wall = result.get("wall_seconds")
         if wall is not None:
             self.metrics.histogram("service.job_wall_seconds").observe(wall)
+        cache = (result.get("setup") or {}).get("cache")
+        if cache in ("hit", "miss"):
+            self.metrics.counter(
+                "service.setup_cache_hits" if cache == "hit"
+                else "service.setup_cache_misses").inc()
         self.metrics.counter(
             "service.jobs_completed" if state == DONE
             else "service.jobs_failed").inc()
@@ -374,7 +387,8 @@ class CampaignDaemon:
             context = multiprocessing.get_context("fork")
             proc = context.Process(
                 target=worker_main,
-                args=(job.spec.to_dict(), str(job_dir), job.attempts),
+                args=(job.spec.to_dict(), str(job_dir), job.attempts,
+                      str(self.layout.setup_cache)),
                 daemon=False,  # must outlive a SIGKILL'd daemon
             )
             proc.start()

@@ -40,6 +40,7 @@ class ServiceLayout:
           spool/              client submissions (atomic rename in)
           control/            drain/stop requests (atomic rename in)
           jobs/<job_id>/      journal.jsonl + sentinel.json + result.json
+          setup-cache/        phase-1 artefacts shared by every job (<key>.pkl)
     """
 
     def __init__(self, root: Union[str, Path]):
@@ -50,9 +51,11 @@ class ServiceLayout:
         self.spool = self.root / "spool"
         self.control = self.root / "control"
         self.jobs = self.root / "jobs"
+        self.setup_cache = self.root / "setup-cache"
 
     def ensure(self) -> None:
-        for directory in (self.root, self.spool, self.control, self.jobs):
+        for directory in (self.root, self.spool, self.control, self.jobs,
+                          self.setup_cache):
             directory.mkdir(parents=True, exist_ok=True)
 
     def job_dir(self, job_id: str) -> Path:

@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.bugs import matcher_for_system
-from repro.core.analysis import analyze_system
-from repro.core.injection import CampaignResult, build_baseline, run_campaign
-from repro.core.profiler import profile_system
-from repro.obs import Observability, Tracer, write_trace_jsonl
+from repro.core.injection import CampaignResult, run_campaign
+from repro.core.pipeline import prepare
+from repro.obs import NULL_OBS, Observability, Tracer, write_trace_jsonl
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel
 from repro.service.wal import atomic_write_json
@@ -48,8 +47,8 @@ def result_fingerprint(outcomes: Any) -> Any:
     return stripped
 
 
-def build_result(spec: JobSpec, result: CampaignResult,
-                 attempts: int) -> Dict[str, Any]:
+def build_result(spec: JobSpec, result: CampaignResult, attempts: int,
+                 setup: Dict[str, Any]) -> Dict[str, Any]:
     """The ``result.json`` payload for a finished campaign."""
     outcomes = [o.to_dict() for o in result.outcomes]
     return {
@@ -71,12 +70,19 @@ def build_result(spec: JobSpec, result: CampaignResult,
         "point_order": result.point_order,
         "point_select": result.point_select,
         "classes": result.classes,
+        # how phase 1 was obtained; outside ``fingerprint`` by design
+        "setup": setup,
         "finished_at": time.time(),
     }
 
 
-def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1) -> Dict[str, Any]:
+def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1,
+            cache_dir: Optional[Path] = None) -> Dict[str, Any]:
     """Run one submitted campaign to completion inside ``job_dir``.
+
+    ``cache_dir`` is the service's shared setup cache: the first job on
+    a system version publishes phase 1 there, later jobs and requeued
+    attempts load it (:func:`repro.core.pipeline.prepare`).
 
     Returns the result payload (also durably written to ``result.json``).
     Never raises: failures become a ``state="failed"`` result so the
@@ -96,15 +102,16 @@ def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1) -> Dict[str, Any]:
     try:
         cfg = spec.campaign.replace(journal_path=str(job_dir / JOURNAL_NAME))
         system = get_system(spec.system)
-        sentinel.beat(phase="analysis")
-        analysis = analyze_system(system, seed=cfg.seed, config=spec.config)
-        sentinel.beat(phase="profile")
-        profile = profile_system(system, analysis, seed=cfg.seed,
-                                 config=spec.config)
-        sentinel.beat(phase="baseline")
-        baseline = build_baseline(system, config=spec.config)
-        sentinel.beat(phase="campaign")
         obs = Observability(tracer=Tracer(max_spans=20_000)) if spec.trace else None
+        setup: Dict[str, Any] = {}
+        # a span on the job's tracer, not an ambient context: hit or
+        # miss, the trace carries this one span for phase 1
+        with (obs or NULL_OBS).tracer.span("setup", system=spec.system) as span:
+            analysis, profile, baseline = prepare(
+                system, cfg.seed, spec.config, cache_dir=cache_dir, info=setup)
+            span.set(**setup)
+        sentinel.beat(phase="setup", cache=setup["cache"])
+        sentinel.beat(phase="campaign")
         result = run_campaign(
             system, analysis, profile.dynamic_points, campaign=cfg,
             config=spec.config, baseline=baseline,
@@ -115,7 +122,7 @@ def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1) -> Dict[str, Any]:
             write_trace_jsonl(job_dir / TRACE_NAME, obs=obs,
                               meta={"system": spec.system,
                                     "job_id": spec.job_id})
-        payload = build_result(spec, result, attempts)
+        payload = build_result(spec, result, attempts, setup)
     except BaseException as exc:  # noqa: BLE001 - the trail is the contract
         payload = {
             "job_id": spec.job_id,
@@ -133,11 +140,12 @@ def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1) -> Dict[str, Any]:
     return payload
 
 
-def worker_main(spec_dict: Dict[str, Any], job_dir: str,
-                attempts: int) -> None:
+def worker_main(spec_dict: Dict[str, Any], job_dir: str, attempts: int,
+                cache_dir: Optional[str] = None) -> None:
     """Entry point of a forked worker process."""
     spec = JobSpec.from_dict(spec_dict)
-    payload = run_job(spec, Path(job_dir), attempts=attempts)
+    payload = run_job(spec, Path(job_dir), attempts=attempts,
+                      cache_dir=cache_dir)
     # a clean, immediate exit: the daemon learns the outcome from
     # result.json, not from our exit code (we may outlive the daemon)
     os._exit(0 if payload["state"] == "done" else 1)

@@ -25,17 +25,6 @@ from repro.mtlog import LogCollector
 from repro.obs.context import get_obs
 
 
-#: world_scale at which run_workload pauses the cyclic garbage collector
-#: for the duration of one run (DESIGN.md "Scale kernel").  A heavy world
-#: keeps hundreds of thousands of log records and pending events live, and
-#: automatic collections rescan all of them on every threshold crossing —
-#: at 100x that is the single largest per-event cost.  The kernel's churn
-#: (events, messages, log records) is acyclic and freed by refcounting,
-#: so pausing cycle detection changes no observable behaviour; collection
-#: resumes (and any cyclic garbage is swept) as soon as the run returns.
-GC_PAUSE_WORLD_SCALE = 10
-
-
 class Workload(abc.ABC):
     """A driver that exercises a running cluster and knows when it is done."""
 
@@ -158,8 +147,17 @@ def run_workload(
     """
     if deadline is None:
         deadline = system.base_runtime() * deadline_factor * max(1, scale)
-    pause_gc = system.world_scale >= GC_PAUSE_WORLD_SCALE and gc.isenabled()
+    # Cycle GC is paused for the run (DESIGN.md "Scale kernel"): automatic
+    # collections rescan every live log record and pending event on each
+    # threshold crossing — at 100x the largest per-event cost.  The
+    # kernel's churn (events, messages, records) is acyclic and freed by
+    # refcounting, so nothing observable changes; collection resumes as
+    # soon as the run returns.  What is cyclic is the world itself: the
+    # previous run's cluster, by now unreferenced and still in the young
+    # generations, is swept here instead of piling up across runs.
+    pause_gc = gc.isenabled()
     if pause_gc:
+        gc.collect(1)
         gc.disable()
     try:
         return _run_workload(

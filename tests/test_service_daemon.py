@@ -214,6 +214,7 @@ def test_daemon_and_worker_killed_resume_from_checkpoint(tmp_path):
     result = client.result(job_id)
     assert result["state"] == "done"
     assert result["attempts"] == 2
+    assert result["setup"]["cache"] == "hit"  # published by the dead attempt
     # every pre-crash checkpoint was restored, none re-executed ...
     assert result["resumed"] == tested_before
     # ... the journal growing strictly append-only past the old prefix
@@ -250,6 +251,9 @@ def test_worker_killed_under_live_daemon_is_requeued(tmp_path):
     assert result["state"] == "done"
     assert result["attempts"] == 2
     assert result["resumed"] > 0
+    # the dead attempt published phase 1 before its first injection: the
+    # requeued one resumes the journal *and* skips straight to it
+    assert result["setup"]["cache"] == "hit"
     assert result["fingerprint"] == baseline_fingerprint(KILL_SYSTEM)
 
 
