@@ -83,9 +83,6 @@ class Cluster:
     def hosts(self) -> List[str]:
         return list(self.nodes)
 
-    def running_nodes(self) -> List[Node]:
-        return [n for n in self.nodes.values() if n.is_running()]
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

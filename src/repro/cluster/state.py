@@ -201,18 +201,6 @@ class AccessBus:
         self.enabled = False
         self.capture_stacks = False
 
-    # Checkpointing -------------------------------------------------------
-    def checkpoint(self) -> Tuple[bool, bool, Tuple[Hook, ...]]:
-        """Capture the bus configuration: flags plus the hook list."""
-        return (self.enabled, self.capture_stacks, tuple(self._hooks))
-
-    def restore(self, checkpoint: Tuple[bool, bool, Tuple[Hook, ...]]) -> None:
-        """Reinstall a configuration captured with :meth:`checkpoint`."""
-        enabled, capture_stacks, hooks = checkpoint
-        self._hooks = list(hooks)
-        self.enabled = enabled
-        self.capture_stacks = capture_stacks
-
     # ------------------------------------------------------------------
     def emit(self, key: FieldKey, op: str, method: str, values: Iterable[Any]) -> None:
         """Build an event from the caller's frame and run all hooks."""

@@ -37,9 +37,6 @@ class LogAnalysisResult:
     matched: int = 0
     unmatched: int = 0
 
-    def meta_statement_keys(self) -> Set[Tuple[str, int]]:
-        return {key for key, _ in self.meta_slots}
-
 
 def analyze_logs(
     records: Sequence[LogRecord],

@@ -155,9 +155,6 @@ class MetaInfoGraph:
     def meta_values(self) -> Set[str]:
         return set(self._node_of)
 
-    def values_on(self, host: str) -> Set[str]:
-        return {v for v, h in self._node_of.items() if h == host}
-
     def to_dot(self) -> str:
         """Graphviz rendering of the high-level view (Figure 1)."""
         lines = ["graph meta_info {"]

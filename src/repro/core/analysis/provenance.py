@@ -109,21 +109,6 @@ class Provenance:
             stack.extend(parent for parent, _ in self.parents.get(node, ()))
         return False
 
-    def roots_of(self, key: Key) -> List[Key]:
-        """The seed statements the derivation of ``key`` rests on."""
-        out: List[Key] = []
-        stack: List[Key] = [key]
-        visited: Set[Key] = set()
-        while stack:
-            node = stack.pop()
-            if node in visited:
-                continue
-            visited.add(node)
-            if node[0] == "stmt":
-                out.append(node)
-            stack.extend(parent for parent, _ in self.parents.get(node, ()))
-        return sorted(out)
-
     # ------------------------------------------------------------------
     # serialization (for the report CLI's --json dumps)
     # ------------------------------------------------------------------

@@ -89,15 +89,6 @@ class CampaignConfig:
             points and reaches its first detection sooner.  Applied
             *before* the ``max_points`` cut; outcomes, diagnoses, and the
             journal follow the scheduled order.
-        analytics: run the post-hoc failure-mode analytics pass over the
-            campaign's diagnoses (and spans, when observability is on)
-            and attach the :class:`~repro.obs.analytics.AnalyticsReport`
-            to the result.  Strictly post-hoc: outcomes, Table 11 inputs,
-            and the JSONL export are byte-identical either way.
-        analytics_path: a prior campaign's ``modes --json`` dump; its
-            failure-mode medoids seed the ``"novelty"`` scheduler's
-            observed set, so a follow-up campaign starts from the points
-            least like anything that campaign already saw.
         point_select: which points the test phase actually executes.
             ``"full"`` (default) runs every point; ``"representative"``
             clusters points into predicted-behavior equivalence classes
@@ -122,8 +113,6 @@ class CampaignConfig:
     journal_path: Optional[Union[str, Path]] = None
     execution: str = "replay"
     point_order: str = "point"
-    analytics: bool = False
-    analytics_path: Optional[Union[str, Path]] = None
     point_select: str = "full"
     audit_fraction: float = 0.1
 
@@ -173,12 +162,6 @@ class CampaignConfig:
                 f"max_points must be >= 0 or None (test all points), "
                 f"got {self.max_points}"
             )
-        if self.analytics_path is not None and self.point_order != "novelty":
-            raise ValueError(
-                "analytics_path seeds the novelty scheduler's observed set "
-                "and is ignored under any other order — pass "
-                'point_order="novelty" alongside it (or drop analytics_path)'
-            )
         if self.journal_path is not None:
             journal = Path(self.journal_path)
             if str(self.journal_path) == "":
@@ -206,9 +189,8 @@ class CampaignConfig:
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-able dict of every field (paths become strings)."""
         out = asdict(self)
-        for key in ("journal_path", "analytics_path"):
-            if out[key] is not None:
-                out[key] = str(out[key])
+        if out["journal_path"] is not None:
+            out["journal_path"] = str(out["journal_path"])
         return out
 
     @classmethod
@@ -216,11 +198,22 @@ class CampaignConfig:
         """Rebuild a config from :meth:`to_dict` output.
 
         Unknown keys are rejected (a newer writer's config must not be
-        silently narrowed by an older reader), bar the one retired key.
+        silently narrowed by an older reader), bar the retired keys that
+        older daemons persisted in their WAL and spool.
         """
-        # retired in 1.7.0: 1.6.0 daemons persisted it in their WAL and it
-        # never changed outcomes, so it is dropped whatever its value
-        data = {k: v for k, v in data.items() if k != "force_workers"}
+        # force_workers (retired 1.7.0) and analytics (1.11.0) never
+        # changed outcomes, so they are dropped whatever their value;
+        # analytics_path (1.11.0) reordered points, so only its default
+        # may be dropped
+        if data.get("analytics_path") is not None:
+            raise ValueError(
+                "CampaignConfig.from_dict: analytics_path was removed in "
+                "1.11.0 — order the points with repro.obs.analytics."
+                "order_points(points, analytics_path=...) and pass them to "
+                "run_campaign instead"
+            )
+        retired = ("force_workers", "analytics", "analytics_path")
+        data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
@@ -344,14 +337,10 @@ class CampaignResult:
     #: rule and any platform fallback (see CampaignConfig.workers)
     workers_realized: int = 1
     #: snapshot-engine statistics (recording runs, resumed/never-fired/
-    #: fallback point counts, kernel manifests) when it ran
+    #: aliased/fallback point counts, extended resumes) when it ran
     snapshot_stats: Optional[Dict[str, Any]] = None
     #: the order the test phase visited points (CampaignConfig.point_order)
     point_order: str = "point"
-    #: post-hoc failure-mode analytics (an
-    #: :class:`~repro.obs.analytics.AnalyticsReport`) when
-    #: ``CampaignConfig(analytics=True)`` asked for it
-    analytics: Optional[Any] = None
     #: which points the test phase executed (CampaignConfig.point_select)
     point_select: str = "full"
     #: representative-execution statistics (classes, executed, audited,
@@ -653,7 +642,7 @@ def run_campaign(
         # output; only the scheduler hook reaches forward into it
         from repro.obs.analytics import order_points
 
-        points = order_points(points, analytics_path=cfg.analytics_path)
+        points = order_points(points)
     if cfg.max_points is not None:
         points = points[:cfg.max_points]
     with active:
@@ -667,16 +656,6 @@ def run_campaign(
                 matcher=matcher, cfg=cfg, config=config,
                 active=active, campaign_span=span, on_outcome=on_outcome,
             )
-    analytics_report = None
-    if cfg.analytics:
-        # strictly post-hoc: derives from evidence already collected, so
-        # outcomes, metrics, and the JSONL export are untouched by it
-        from repro.obs.analytics import analyze_diagnoses
-
-        analytics_report = analyze_diagnoses(
-            [o.diagnosis for o in report.outcomes if o.diagnosis is not None],
-            spans=active.tracer.spans if active.enabled else None,
-        )
     return CampaignResult(
         system=system.name,
         outcomes=report.outcomes,
@@ -690,7 +669,6 @@ def run_campaign(
         workers_realized=report.workers,
         snapshot_stats=report.snapshot_stats,
         point_order=cfg.point_order,
-        analytics=analytics_report,
         point_select=cfg.point_select,
         classes=report.class_stats,
     )

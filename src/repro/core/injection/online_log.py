@@ -101,23 +101,6 @@ class OnlineMetaStore:
     def size(self) -> int:
         return len(self.value_node)
 
-    # Checkpointing -------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Capture the store contents (hosts are construction-fixed)."""
-        return {
-            "node_set": set(self.node_set),
-            "value_node": dict(self.value_node),
-        }
-
-    def restore(self, checkpoint: dict) -> None:
-        """Reinstall contents captured with :meth:`checkpoint`.
-
-        The host-filter memo survives: it is a pure function of the
-        construction-fixed hosts, not of store contents.
-        """
-        self.node_set = set(checkpoint["node_set"])
-        self.value_node = dict(checkpoint["value_node"])
-
 
 class OnlineLogAgent:
     """Subscribes to the cluster's log stream and feeds the store.

@@ -14,15 +14,11 @@ runs).
 A Python-level ``deepcopy``/restore of the world is unsound here: queued
 :class:`~repro.sim.events.Event` callbacks are closures over live node,
 network, and workload objects, so reinstalling a saved event queue into a
-world whose objects have moved on replays the wrong state (see
-:class:`~repro.sim.loop.LoopCheckpoint`).  The snapshot is therefore the
-operating system's: ``os.fork()`` at the fire instant captures loop,
-cluster, RNG, logs, meta-info store, and armed trigger in one
-copy-on-write image.  Kernel checkpoints
-(:meth:`~repro.sim.loop.SimLoop.checkpoint`,
-:meth:`~repro.sim.rng.SimRandom.checkpoint`) are still taken at that
-instant — their manifests travel to the parent as an integrity record of
-what each snapshot contained.
+world whose objects have moved on replays the wrong state.  The snapshot
+is therefore the operating system's: ``os.fork()`` at the fire instant
+captures loop, cluster, RNG, logs, meta-info store, and armed trigger in
+one copy-on-write image.  A world is rebuilt by replay or copied by fork;
+nothing restores one in process.
 
 Process tree (one per group of same-scale points)::
 
@@ -275,24 +271,25 @@ class _SnapshotWatcher:
 
     Where the replay path installs one :class:`Trigger` that fires, this
     installs one hook that *never injects*: at each point's first matching
-    event it records a kernel manifest and forks that point's resumer,
-    then lets the recording run continue unperturbed.  Matching reuses the
-    trigger's own :func:`point_matches`, so "the event the recording pass
-    froze on" is exactly "the event the replay trigger would fire on".
+    event it forks that point's resumer, then lets the recording run
+    continue unperturbed — also when the fork fails: the hook runs inside
+    a node handler, so an error of its own must never reach the simulated
+    world.  Matching reuses the trigger's own :func:`point_matches`, so
+    "the event the recording pass froze on" is exactly "the event the
+    replay trigger would fire on".
     """
 
     def __init__(self, entries: List[_ArmedPoint], ctx: ExecContext):
         self.entries = entries
         self.ctx = ctx
         self.fire_order: List[int] = []
-        self.manifests: Dict[int, Dict[str, Any]] = {}
         #: point index -> resumer pid, shipped to the parent so it can
-        #: reap a resumer that never reached its FIFO rendezvous
+        #: reap a resumer that never reached its FIFO rendezvous; a fired
+        #: primary missing here has no snapshot (its fork failed)
         self.resumer_pids: Dict[int, int] = {}
         #: alias point index -> primary point index (same fire event, so
         #: a byte-identical suffix; only built when running unobserved)
         self.aliases: Dict[int, int] = {}
-        self.cluster: Any = None
         self.agent: Optional[OnlineLogAgent] = None
         self.rec_w: Optional[int] = None
         self._installed = False
@@ -305,7 +302,6 @@ class _SnapshotWatcher:
             cluster, self.ctx.analysis, cfg.wait, cfg.random_fallback)
         for entry in self.entries:
             entry.trigger = Trigger(entry.dpoint, center)
-        self.cluster = cluster
         self.install()
 
     def install(self) -> None:
@@ -321,13 +317,6 @@ class _SnapshotWatcher:
                 BUS.capture_stacks = False
 
     # ------------------------------------------------------------------
-    def _manifest(self, entry: _ArmedPoint) -> Dict[str, Any]:
-        loop = self.cluster.loop
-        manifest = loop.checkpoint().manifest()
-        manifest["rng"] = self.cluster.random.checkpoint().digest()
-        manifest["point"] = entry.dpoint.describe()
-        return manifest
-
     def _hook(self, event: AccessEvent) -> None:
         matched = [
             entry for entry in self.entries
@@ -337,7 +326,6 @@ class _SnapshotWatcher:
             for entry in matched:
                 entry.recorded = True
                 self.fire_order.append(entry.index)
-                self.manifests[entry.index] = self._manifest(entry)
             if self.ctx.observed:
                 # every point resumes itself: the injection span names
                 # the point, so aliased points would ship a payload
@@ -367,7 +355,12 @@ class _SnapshotWatcher:
 
     def _park(self, entry: _ArmedPoint) -> bool:
         """Fork the point's snapshot; True only in the child, once resumed."""
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:
+            # no snapshot (process limit, memory): the world goes on
+            # untouched and the parent, seeing no pid, replays the point
+            return False
         if pid != 0:
             self.resumer_pids[entry.index] = pid
             return False
@@ -495,7 +488,6 @@ def _recorder_main(
     summary: Dict[str, Any] = {
         "status": "ok",
         "fired": list(watcher.fire_order),
-        "manifests": {str(i): m for i, m in watcher.manifests.items()},
         "aliases": {str(i): p for i, p in watcher.aliases.items()},
         "resumers": {str(i): p for i, p in watcher.resumer_pids.items()},
     }
@@ -526,8 +518,7 @@ class SnapshotRunner:
         #: the engine's work across all rounds (``CampaignResult.
         #: snapshot_stats``): recording runs, resumed / never-fired /
         #: aliased / fallback point counts, how many resumes extended
-        #: their run (``reclassified``), and the kernel manifest of every
-        #: snapshot taken, keyed by campaign index
+        #: their run (``reclassified``)
         self.stats: Dict[str, Any] = {
             "recording_runs": 0,
             "resumed_points": 0,
@@ -535,7 +526,6 @@ class SnapshotRunner:
             "aliased_points": 0,
             "reclassified": 0,
             "fallback_points": 0,
-            "manifests": {},
         }
 
     def run(self, ctx: ExecContext, indices: List[int],
@@ -578,31 +568,38 @@ class _Round:
 
     def run_group(self, entries: List[_ArmedPoint], scale: int) -> None:
         stats = self.stats
-        rec_r, rec_w = os.pipe()
-        fifo_dir = tempfile.mkdtemp(prefix="crashtuner-snap-")
-        for entry in entries:
-            entry.cmd_path = os.path.join(fifo_dir, f"cmd-{entry.index}")
-            entry.res_path = os.path.join(fifo_dir, f"res-{entry.index}")
-            os.mkfifo(entry.cmd_path)
-            os.mkfifo(entry.res_path)
-        recorder = os.fork()
-        if recorder == 0:
-            try:
-                _close_quiet(rec_r)
-                _recorder_main(entries, scale, rec_w, self.ctx)
-            finally:
-                os._exit(1)  # _recorder_main never returns normally
-        _close_quiet(rec_w)
-        stats["recording_runs"] += 1
+        fifo_dir: Optional[str] = None
+        rec_r = rec_w = recorder = None
         resumer_pids: Dict[int, int] = {}
         try:
-            summary = _read_reply(rec_r, bytearray())
+            try:
+                fifo_dir = tempfile.mkdtemp(prefix="crashtuner-snap-")
+                for entry in entries:
+                    entry.cmd_path = os.path.join(fifo_dir, f"cmd-{entry.index}")
+                    entry.res_path = os.path.join(fifo_dir, f"res-{entry.index}")
+                    os.mkfifo(entry.cmd_path)
+                    os.mkfifo(entry.res_path)
+                rec_r, rec_w = os.pipe()
+                recorder = os.fork()
+            except OSError as exc:
+                # no recorder (process limit, full tmp): same as a dead one
+                _close_quiet(rec_w)
+                summary = {"status": "error", "error": str(exc)}
+            else:
+                if recorder == 0:
+                    try:
+                        _close_quiet(rec_r)
+                        _recorder_main(entries, scale, rec_w, self.ctx)
+                    finally:
+                        os._exit(1)  # _recorder_main never returns normally
+                _close_quiet(rec_w)
+                stats["recording_runs"] += 1
+                summary = _read_reply(rec_r, bytearray())
             if summary.get("status") != "ok":
                 # the recording pass itself failed: replay the whole group
                 for entry in entries:
                     self.fallback(entry)
                 return
-            stats["manifests"].update(summary.get("manifests", {}))
             fired = set(summary.get("fired", []))
             aliases = {int(i): p for i, p in summary.get("aliases", {}).items()}
             resumer_pids = {int(i): p for i, p in summary.get("resumers", {}).items()}
@@ -618,7 +615,8 @@ class _Round:
                     self.finish(entry, _clone_for(basis, entry.dpoint),
                                 [shared.get("payload")])
             self.drive_resumers([e for e in entries
-                                 if e.index in fired and e.index not in aliases])
+                                 if e.index in fired and e.index not in aliases],
+                                resumer_pids)
             # aliased points fired at the same access event as their primary,
             # with the same op: the primary's resume already computed their
             # (byte-identical) run, so each alias is the primary's outcome
@@ -642,11 +640,17 @@ class _Round:
                     # mid-run forked resumers first); ENXIO means none does
                     _dismiss(entry, resumer_pids.get(entry.index))
             _close_quiet(rec_r)
-            os.waitpid(recorder, 0)
-            shutil.rmtree(fifo_dir, ignore_errors=True)
+            if recorder is not None:
+                os.waitpid(recorder, 0)
+            if fifo_dir is not None:
+                shutil.rmtree(fifo_dir, ignore_errors=True)
 
-    def drive_resumers(self, entries: List[_ArmedPoint]) -> None:
+    def drive_resumers(self, entries: List[_ArmedPoint],
+                       resumer_pids: Dict[int, int]) -> None:
         """Resume up to ``workers`` snapshots concurrently; collect as ready.
+
+        A fired point the recorder reported no resumer for (its fork
+        failed) is replayed at once rather than waited for.
 
         FIFO ends open per point at dispatch and close at collection, so the
         parent's fd footprint is 2 * inflight however many points the group
@@ -658,7 +662,7 @@ class _Round:
         while queue or inflight:
             while queue and len(inflight) < self.ctx.workers:
                 entry = queue.pop(0)
-                if not _attach(entry):
+                if entry.index not in resumer_pids or not _attach(entry):
                     entry.driven = True
                     self.fallback(entry)
                     continue

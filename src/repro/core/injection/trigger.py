@@ -78,7 +78,7 @@ class Trigger:
         """Perform the injection for a matching access event.
 
         Split out of the hook so the snapshot execution mode can fire an
-        armed point against a restored world at exactly the captured
+        armed point against a forked world at exactly the captured
         access event, bypassing the matching that already happened during
         the recording pass.
 

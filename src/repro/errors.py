@@ -53,6 +53,3 @@ class AnalysisError(ReproError):
 class InjectionError(ReproError):
     """A fault-injection campaign was configured or driven incorrectly."""
 
-
-class WorkloadError(ReproError):
-    """A workload driver could not be set up (distinct from a job *failing*)."""

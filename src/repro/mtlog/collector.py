@@ -47,37 +47,6 @@ class LogCollector:
         self._subscribers.remove(subscriber)
 
     # ------------------------------------------------------------------
-    # checkpoint / restore
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Capture the collector's position in its append-only streams.
-
-        Streams only ever grow (records are appended, never edited), so a
-        checkpoint stores lengths plus the subscriber list; restoring
-        truncates back to those lengths.  Only valid against the same
-        collector the checkpoint was taken from.
-        """
-        return {
-            "records": len(self.records),
-            "by_node": {node: len(recs) for node, recs in self.by_node.items()},
-            "subscribers": list(self._subscribers),
-            "errors": len(self.subscriber_errors),
-        }
-
-    def restore(self, checkpoint: dict) -> None:
-        """Truncate streams back to a checkpoint of this collector."""
-        del self.records[checkpoint["records"]:]
-        lengths = checkpoint["by_node"]
-        for node in list(self.by_node):
-            keep = lengths.get(node, 0)
-            if keep:
-                del self.by_node[node][keep:]
-            else:
-                del self.by_node[node]
-        self._subscribers = list(checkpoint["subscribers"])
-        del self.subscriber_errors[checkpoint["errors"]:]
-
-    # ------------------------------------------------------------------
     # query helpers used by oracles and tests.  Records render their
     # message lazily (see LogRecord): these text-side helpers are the
     # places that force rendering, which is fine off the hot path —

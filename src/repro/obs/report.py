@@ -27,7 +27,7 @@ from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
 from repro.core.report import format_table
-from repro.obs.diagnosis import InjectionDiagnosis, format_diagnoses
+from repro.obs.diagnosis import format_diagnoses
 from repro.obs.export import TraceData, read_trace_jsonl
 
 
@@ -114,10 +114,6 @@ def summarize_json(trace: TraceData) -> Dict[str, Any]:
         "bugs": dict(sorted(bugs.items())),
         "diagnoses": diagnoses,
     }
-
-
-def _diagnosis_key(diagnosis: InjectionDiagnosis) -> Tuple:
-    return (diagnosis.point, tuple(diagnosis.stack))
 
 
 def diff(a: TraceData, b: TraceData) -> str:

@@ -196,9 +196,6 @@ class Tracer:
     def named(self, name: str) -> List[SpanRecord]:
         return [s for s in self.spans if s.name == name]
 
-    def children_of(self, span: SpanRecord) -> List[SpanRecord]:
-        return [s for s in self.spans if s.parent_id == span.span_id]
-
     def __len__(self) -> int:
         return len(self.spans)
 

@@ -9,13 +9,11 @@ point and observe a reproducible outcome.
 """
 
 from repro.sim.events import Event
-from repro.sim.loop import LoopCheckpoint, SimLoop
-from repro.sim.rng import RngCheckpoint, SimRandom, stable_hash
+from repro.sim.loop import SimLoop
+from repro.sim.rng import SimRandom, stable_hash
 
 __all__ = [
     "Event",
-    "LoopCheckpoint",
-    "RngCheckpoint",
     "SimLoop",
     "SimRandom",
     "stable_hash",

@@ -62,27 +62,6 @@ class Event:
         if self._in_loop and self._loop is not None:
             self._loop._note_cancelled()
 
-    def clone(self) -> "Event":
-        """A detached copy sharing the callback but nothing mutable.
-
-        The copy keeps the original ``seq`` (so a restored queue replays
-        in the exact original order) and does **not** consume the global
-        sequence counter — cloning a queue for a checkpoint must not
-        perturb the ordering of events scheduled afterwards.  Clones are
-        detached from any loop; :meth:`SimLoop.restore` re-attaches the
-        clones it enqueues.
-        """
-        event = Event.__new__(Event)
-        event.time = self.time
-        event.seq = self.seq
-        event.callback = self.callback
-        event.owner = self.owner
-        event.kind = self.kind
-        event._cancelled = self._cancelled
-        event._loop = None
-        event._in_loop = False
-        return event
-
     @property
     def cancelled(self) -> bool:
         return self._cancelled

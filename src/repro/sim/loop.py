@@ -22,8 +22,8 @@ plain tuples at C speed — ``seq`` is globally unique, so the comparison
 never reaches the event — instead of calling ``Event.__lt__`` in the
 interpreter millions of times per heavy-traffic run.  The drivers pop the
 head once it is due (:meth:`SimLoop._pop_due`); a handler that schedules,
-cancels, pumps or checkpoints therefore always sees the whole pending set
-in the one structure.
+cancels or pumps therefore always sees the whole pending set in the one
+structure.
 
 Cancelled events are tombstones: they stay in place and are skipped when
 they surface.  Each loop counts its tombstones (events notify the loop via
@@ -51,7 +51,6 @@ the kernel itself.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NodeCrashedError, SimulationError
@@ -61,45 +60,6 @@ from repro.sim.events import Event
 # Type of the hook invoked when a callback raises a non-crash exception.
 # Receives (event, exception); returns True if the exception was consumed.
 ExceptionHandler = Callable[[Event, BaseException], bool]
-
-
-@dataclass(frozen=True)
-class LoopCheckpoint:
-    """Frozen kernel state of a :class:`SimLoop` at one instant.
-
-    Holds the clock, the processed-event counter, and a detached clone of
-    every pending event (callback references shared, mutable flags copied
-    — see :meth:`Event.clone`).  The events tuple is not itself
-    heap-ordered; :meth:`SimLoop.restore` re-heapifies.  The checkpoint
-    itself is never mutated by :meth:`SimLoop.restore`, so one checkpoint
-    supports any number of restores.
-
-    Scope note (the snapshot execution mode's determinism argument, see
-    DESIGN.md): a checkpoint restores the *kernel's* state exactly, but
-    queued callbacks are closures over live system objects — restoring
-    the queue into a world whose node state has moved on does not rewind
-    those objects.  In-process restore is therefore sound for kernel
-    workloads (pure callbacks, or callers that restore the referenced
-    state alongside); the injection campaign's snapshot mode snapshots
-    whole worlds by forking the process instead, and uses checkpoints as
-    integrity manifests of what each snapshot contained.
-    """
-
-    now: float
-    events_processed: int
-    events: tuple  # Tuple[Event, ...], pending clones (any order)
-
-    def pending(self) -> int:
-        """Live (non-cancelled) events captured in this checkpoint."""
-        return sum(1 for e in self.events if not e.cancelled)
-
-    def manifest(self) -> Dict[str, Any]:
-        """A small JSON-able identity of the checkpointed kernel state."""
-        return {
-            "time": self.now,
-            "events_processed": self.events_processed,
-            "pending_events": self.pending(),
-        }
 
 
 class SimLoop:
@@ -127,7 +87,6 @@ class SimLoop:
         self._now = 0.0
         self._events_processed = 0
         self._pump_depth = 0
-        self._in_handler = 0
         self._stopped = False
         self.exception_handler: Optional[ExceptionHandler] = None
         #: observability sink; Cluster installs the ambient context here.
@@ -137,8 +96,7 @@ class SimLoop:
         # Per-kind telemetry cache for _fire: instrument handles are
         # resolved once per (observability context, event kind) instead of
         # formatting f"sim.events.{kind}" and walking the registry on
-        # every event.  Rebuilt whenever the installed context changes;
-        # purely derived state, so checkpoint/restore ignores it.
+        # every event.  Rebuilt whenever the installed context changes.
         self._telemetry_obs: Optional[Observability] = None
         self._kind_counters: Dict[str, Any] = {}
         self._events_counter: Any = None
@@ -287,48 +245,6 @@ class SimLoop:
         return None
 
     # ------------------------------------------------------------------
-    # checkpoint / restore (kernel state only — see LoopCheckpoint)
-    # ------------------------------------------------------------------
-    def checkpoint(self) -> LoopCheckpoint:
-        """Capture clock, counters, and a detached clone of the queue."""
-        return LoopCheckpoint(
-            now=self._now,
-            events_processed=self._events_processed,
-            events=tuple(entry[2].clone() for entry in self._queue),
-        )
-
-    def restore(self, checkpoint: LoopCheckpoint) -> None:
-        """Reinstall a checkpoint taken from this (or an equivalent) loop.
-
-        The queue is re-cloned from the checkpoint so the checkpoint
-        stays pristine for further restores; clock and processed-event
-        counter rewind to the captured values.  Must not be called from
-        inside a running handler.
-        """
-        if self._pump_depth or self._in_handler:
-            raise SimulationError("cannot restore inside a running handler")
-        entries: List[Tuple[float, int, Event]] = []
-        owned: Dict[str, List[Event]] = {}
-        tombstones = 0
-        for cp_event in checkpoint.events:
-            e = cp_event.clone()
-            e._loop = self
-            e._in_loop = True
-            if e._cancelled:
-                tombstones += 1
-            if e.owner is not None:
-                owned.setdefault(e.owner, []).append(e)
-            entries.append((e.time, e.seq, e))
-        heapq.heapify(entries)
-        self._queue = entries
-        self._owned = owned
-        self._owned_limit = {}
-        self._tombstones = tombstones
-        self._now = checkpoint.now
-        self._events_processed = checkpoint.events_processed
-        self._stopped = False
-
-    # ------------------------------------------------------------------
     # driving
     # ------------------------------------------------------------------
     def run(
@@ -428,7 +344,6 @@ class SimLoop:
             self._events_counter.inc()
             kind_counter.inc()
             self._queue_depth_histogram.observe(len(self._queue))
-        self._in_handler += 1
         try:
             event.callback()
         except NodeCrashedError:
@@ -440,5 +355,3 @@ class SimLoop:
                 handled = self.exception_handler(event, exc)
             if not handled:
                 raise
-        finally:
-            self._in_handler -= 1

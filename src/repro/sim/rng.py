@@ -12,28 +12,9 @@ from __future__ import annotations
 import hashlib
 import random
 import zlib
-from dataclasses import dataclass
-from typing import Any, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RngCheckpoint:
-    """Frozen state of a :class:`SimRandom` root stream.
-
-    Named sub-streams (see :meth:`SimRandom.stream`) are derived, owned by
-    their consumers, and not captured here; the campaign's snapshot mode
-    captures them implicitly by cloning the whole process, and uses this
-    checkpoint's :meth:`digest` as the RNG line of a snapshot manifest.
-    """
-
-    seed: int
-    state: Any  # random.Random.getstate() payload
-
-    def digest(self) -> str:
-        """A short stable fingerprint of the captured generator state."""
-        return hashlib.sha256(repr((self.seed, self.state)).encode()).hexdigest()[:16]
 
 
 def stable_hash(text: str) -> int:
@@ -62,19 +43,6 @@ class SimRandom:
         """
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
-
-    # Checkpointing -------------------------------------------------------
-    def checkpoint(self) -> RngCheckpoint:
-        """Capture the root stream's exact generator state."""
-        return RngCheckpoint(seed=self.seed, state=self._root.getstate())
-
-    def restore(self, checkpoint: RngCheckpoint) -> None:
-        """Rewind the root stream to a previously captured state."""
-        if checkpoint.seed != self.seed:
-            raise ValueError(
-                f"checkpoint is for seed {checkpoint.seed}, not {self.seed}"
-            )
-        self._root.setstate(checkpoint.state)
 
     # Convenience pass-throughs on the root stream -----------------------
     def uniform(self, lo: float, hi: float) -> float:

@@ -4,8 +4,8 @@ Covers the acceptance criteria: dedup groups every detection of each
 seeded bug into one canonical detection (pinned against the bug catalog),
 ``point_order="novelty"`` reaches the first detection in strictly fewer
 injections than point order on the seeded yarn campaign, the analytics
-pass is byte-deterministic, and enabling it leaves the default campaign
-outputs untouched.
+pass is byte-deterministic, and running it leaves the campaign's outputs
+untouched.
 """
 
 import json
@@ -44,17 +44,27 @@ def full_campaign(name, point_order="point"):
         obs = Observability()
         result = run_campaign(
             system, analysis, profile.dynamic_points, baseline=baseline,
-            campaign=CampaignConfig(point_order=point_order, analytics=True),
+            campaign=CampaignConfig(point_order=point_order),
             matcher=matcher_for_system(name), obs=obs,
         )
         _CACHE[key] = (obs, result)
     return _CACHE[key]
 
 
-def _run(name, **knobs):
+def full_analytics(name):
+    """The analytics pass over the cached full campaign's live evidence."""
+    key = (name, "analytics")
+    if key not in _CACHE:
+        obs, result = full_campaign(name)
+        _CACHE[key] = analyze_diagnoses(result.diagnoses(), spans=obs.tracer.spans)
+    return _CACHE[key]
+
+
+def _run(name, points=None, **knobs):
     system, analysis, profile, baseline = prepared(name)
     return run_campaign(
-        system, analysis, profile.dynamic_points, baseline=baseline,
+        system, analysis, profile.dynamic_points if points is None else points,
+        baseline=baseline,
         campaign=CampaignConfig(**knobs), matcher=matcher_for_system(name),
     )
 
@@ -122,9 +132,8 @@ def test_jaccard_distance_bounds():
 # clustering
 # ----------------------------------------------------------------------
 def test_cluster_modes_partition_and_threshold_extremes():
-    obs, result = full_campaign("yarn")
-    rep = result.analytics
-    assert rep is not None
+    obs, _ = full_campaign("yarn")
+    rep = full_analytics("yarn")
     covered = sorted(i for m in rep.modes for i in m.members)
     assert covered == list(range(len(obs.diagnoses)))
     for mode in rep.modes:
@@ -139,13 +148,13 @@ def test_cluster_modes_partition_and_threshold_extremes():
 
 
 def test_analytics_json_is_byte_deterministic(tmp_path):
-    obs, result = full_campaign("yarn")
+    obs, _ = full_campaign("yarn")
     path = write_trace_jsonl(tmp_path / "yarn.jsonl", obs=obs)
     once = analyze_trace(read_trace_jsonl(path)).to_json()
     again = analyze_trace(read_trace_jsonl(path)).to_json()
     assert once == again
     # and the in-process report (computed from live objects) agrees
-    assert result.analytics.to_json() == once
+    assert full_analytics("yarn").to_json() == once
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +162,8 @@ def test_analytics_json_is_byte_deterministic(tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["yarn", "hbase"])
 def test_dedup_collapses_every_seeded_bug(name):
-    obs, result = full_campaign(name)
-    rep = result.analytics
+    obs, _ = full_campaign(name)
+    rep = full_analytics(name)
     raw = {}
     for i, diagnosis in enumerate(obs.diagnoses):
         for bug in diagnosis.matched_bugs:
@@ -224,9 +233,8 @@ def test_novelty_order_applies_before_max_points_cap():
 def test_order_points_consumes_prior_analytics(tmp_path):
     system, analysis, profile, baseline = prepared("yarn")
     points = list(profile.dynamic_points)
-    _, result = full_campaign("yarn")
     dump = tmp_path / "analytics.json"
-    dump.write_text(result.analytics.to_json() + "\n")
+    dump.write_text(full_analytics("yarn").to_json() + "\n")
 
     seeded = order_points(points, analytics_path=dump)
     assert sorted(p.key() for p in seeded) == sorted(p.key() for p in points)
@@ -239,9 +247,9 @@ def test_order_points_consumes_prior_analytics(tmp_path):
     first = seeded[0]
     assert floors[[p.key() for p in points].index(first.key())] == max(floors)
 
-    via_cfg = _run("yarn", point_order="novelty", max_points=4,
-                   analytics_path=str(dump))
-    assert [o.dpoint.key() for o in via_cfg.outcomes] == \
+    # a campaign handed the seeded order visits the points in it
+    ran = _run("yarn", points=seeded, max_points=4)
+    assert [o.dpoint.key() for o in ran.outcomes] == \
         [p.key() for p in seeded[:4]]
 
 
@@ -266,19 +274,13 @@ def test_point_order_is_validated():
 
 
 # ----------------------------------------------------------------------
-# default outputs are untouched by analytics
+# campaign outputs are untouched by analytics
 # ----------------------------------------------------------------------
 def test_analytics_flag_leaves_campaign_outputs_identical(tmp_path):
-    plain = _run("yarn", max_points=12)
-    analyzed = _run("yarn", max_points=12, analytics=True)
-    assert plain.analytics is None
-    assert analyzed.analytics is not None
-    assert [o.dpoint.key() for o in plain.outcomes] == \
-        [o.dpoint.key() for o in analyzed.outcomes]
-    a = write_trace_jsonl(tmp_path / "plain.jsonl",
-                          diagnoses=[o.diagnosis for o in plain.outcomes])
-    b = write_trace_jsonl(tmp_path / "analyzed.jsonl",
-                          diagnoses=[o.diagnosis for o in analyzed.outcomes])
+    result = _run("yarn", max_points=12)
+    a = write_trace_jsonl(tmp_path / "plain.jsonl", diagnoses=result.diagnoses())
+    assert analyze_diagnoses(result.diagnoses()).modes
+    b = write_trace_jsonl(tmp_path / "analyzed.jsonl", diagnoses=result.diagnoses())
     assert a.read_bytes() == b.read_bytes()
 
 

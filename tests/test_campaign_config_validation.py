@@ -30,12 +30,6 @@ def test_bad_field_rejected(kwargs, fragment):
 # ----------------------------------------------------------------------
 # cross-field combinations
 # ----------------------------------------------------------------------
-def test_analytics_path_requires_novelty_order():
-    with pytest.raises(ValueError, match="novelty"):
-        CampaignConfig(analytics_path="modes.json")
-    CampaignConfig(analytics_path="modes.json", point_order="novelty")
-
-
 def test_journal_path_must_be_a_file(tmp_path):
     with pytest.raises(ValueError, match="journal_path"):
         CampaignConfig(journal_path="")
@@ -56,7 +50,7 @@ def test_to_dict_from_dict_roundtrip(tmp_path):
         wait=2.5, random_fallback=True, classify_timeouts=False,
         max_points=7, seed=42, workers=3,
         journal_path=str(tmp_path / "j.jsonl"), execution="snapshot",
-        point_order="novelty", analytics=True,
+        point_order="novelty",
     )
     rebuilt = CampaignConfig.from_dict(cfg.to_dict())
     assert rebuilt == cfg
@@ -80,6 +74,24 @@ def test_from_dict_drops_the_retired_force_workers_key(value):
     assert "force_workers" not in data
     data["force_workers"] = value
     assert CampaignConfig.from_dict(data) == CampaignConfig(workers=3)
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_from_dict_drops_the_retired_analytics_keys(value):
+    # what a 1.10.0 daemon persisted: the flag was strictly post-hoc, the
+    # path at its default ordered nothing
+    data = CampaignConfig(point_order="novelty").to_dict()
+    assert "analytics" not in data and "analytics_path" not in data
+    data.update(analytics=value, analytics_path=None)
+    assert CampaignConfig.from_dict(data) == CampaignConfig(point_order="novelty")
+
+
+def test_from_dict_rejects_a_persisted_analytics_path():
+    # it changed the point order, so dropping it would run another campaign
+    data = CampaignConfig(point_order="novelty").to_dict()
+    data["analytics_path"] = "modes.json"
+    with pytest.raises(ValueError, match="analytics_path was removed"):
+        CampaignConfig.from_dict(data)
 
 
 def test_from_dict_revalidates():

@@ -6,7 +6,7 @@ kernel").  These tests were written against the three-structure queue
 (monotonic tail, out-of-order heap, same-instant batch) that PR 9 built
 and PR 13 retired; their names still say where the boundaries were, and
 they pin what any queue layout must keep: total (time, seq) order,
-cancel/checkpoint/pump semantics in the middle of an instant, tombstones
+cancel/pump semantics in the middle of an instant, tombstones
 actually dropped, nothing stranded across drives.
 """
 
@@ -158,48 +158,6 @@ def test_seed_scale_never_compacts():
     assert loop._tombstones == len(victims)  # still tombstoned in place
 
 
-def test_checkpoint_spans_batch_tail_and_heap():
-    loop = SimLoop()
-    fired = []
-    taken = {}
-
-    def first():
-        fired.append("first")
-        loop.schedule(3.0, lambda: fired.append("later"))  # tail
-        loop.schedule_at(loop.now + 0.5, lambda: fired.append("soon"))
-        taken["cp"] = loop.checkpoint()
-
-    loop.schedule_at(1.0, first)
-    loop.schedule_at(1.0, lambda: fired.append("second"))  # batched sibling
-    loop.run()
-    assert fired == ["first", "second", "soon", "later"]
-    cp = taken["cp"]
-    # the mid-handler checkpoint saw the un-fired batch sibling plus both
-    # new schedules
-    assert cp.pending() == 3
-    loop.restore(cp)
-    fired.clear()
-    loop.run()
-    assert fired == ["second", "soon", "later"]
-    # a checkpoint survives any number of restores
-    loop.restore(cp)
-    fired.clear()
-    loop.run()
-    assert fired == ["second", "soon", "later"]
-
-
-def test_restore_recounts_tombstones():
-    loop = SimLoop()
-    live = loop.schedule_at(2.0, lambda: None)
-    dead = loop.schedule_at(3.0, lambda: None)
-    dead.cancel()
-    cp = loop.checkpoint()
-    other = SimLoop()
-    other.restore(cp)
-    assert other._tombstones == 1
-    assert other.pending() == 1
-
-
 def test_schedule_past_still_rejected_and_negative_delay():
     loop = SimLoop()
     loop.schedule_at(5.0, lambda: None)
@@ -222,14 +180,3 @@ def test_heavy_same_instant_burst_is_ordered():
     loop.run()
     assert fired[:n] == list(range(n))
     assert fired[-1] == "tail"
-
-
-def test_event_clone_is_detached_from_the_loop():
-    loop = SimLoop()
-    e = loop.schedule_at(1.0, lambda: None)
-    c = e.clone()
-    assert c._loop is None and not c._in_loop
-    c.cancel()  # cancelling a detached clone must not touch loop accounting
-    assert loop._tombstones == 0
-    assert loop.pending() == 1
-    assert not e.cancelled

@@ -4,9 +4,9 @@ The reference keeps pending events in one sorted list and removes a
 cancelled event on the spot — no heap, no tombstones, no compaction, no
 owner index.  A hypothesis state machine drives both loops through the
 same random interleaving of schedules, cancels, owner sweeps, runs to a
-deadline, reentrant pumps and checkpoint/restore — including all of those
-issued from inside a firing handler — and requires the identical fire
-order, clock, processed count and pending count after every step.
+deadline and reentrant pumps — including all of those issued from inside
+a firing handler — and requires the identical fire order, clock,
+processed count and pending count after every step.
 """
 
 import bisect
@@ -59,20 +59,13 @@ class ReferenceLoop:
     def pump(self, duration):
         self.run(until=self.now + duration)
 
-    def checkpoint(self):
-        return (self.now, self.events_processed, list(self.queue))
-
-    def restore(self, checkpoint):
-        self.now, self.events_processed, queue = checkpoint
-        self.queue = list(queue)
-
 
 class Driver:
     """Runs action programs against one loop and logs what it observes.
 
     A program is a list of actions; a scheduled event carries the program
-    it runs when it fires, so mid-fire inserts, cancels, pumps and
-    checkpoints come out of the same generator as top-level ones.
+    it runs when it fires, so mid-fire inserts, cancels and pumps come
+    out of the same generator as top-level ones.
     """
 
     MAX_PUMP_NESTING = 3  # well inside SimLoop.MAX_PUMP_DEPTH
@@ -81,7 +74,6 @@ class Driver:
         self.loop = loop
         self.log = []
         self.handles = []
-        self.saved = None
         self._pumps = 0
         self._ids = itertools.count()
 
@@ -111,23 +103,14 @@ class Driver:
                     self.handles[args[0] % len(self.handles)].cancel()
             elif op == "cancel_owned_by":
                 self.log.append(("swept", args[0], loop.cancel_owned_by(args[0])))
-            elif op == "pump":
+            else:
+                assert op == "pump"
                 if self._pumps < self.MAX_PUMP_NESTING:
                     self._pumps += 1
                     try:
                         loop.pump(args[0])
                     finally:
                         self._pumps -= 1
-            else:
-                assert op == "checkpoint"
-                self.saved = loop.checkpoint()
-
-    def restore(self):
-        if self.saved is not None:
-            self.loop.restore(self.saved)
-            # a restore re-clones the queue: handles to the events it
-            # replaced no longer name anything pending
-            self.handles.clear()
 
 
 # a coarse grid, so same-instant ties and exact deadline hits are common
@@ -137,7 +120,6 @@ _leaf_actions = st.one_of(
     st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=40)),
     st.tuples(st.just("cancel_owned_by"), st.sampled_from(["a", "b"])),
     st.tuples(st.just("pump"), _grid),
-    st.tuples(st.just("checkpoint")),
     st.tuples(st.just("schedule"), _grid, _owners, st.just([])),
 )
 _programs = st.recursive(
@@ -183,11 +165,6 @@ class LoopAgainstReference(RuleBasedStateMachine):
         until = self.ref.loop.now + delta
         self.real.loop.run(until=until)
         self.ref.loop.run(until=until)
-
-    @rule()
-    def restore(self):
-        self.real.restore()
-        self.ref.restore()
 
     @invariant()
     def observably_identical(self):
