@@ -66,7 +66,7 @@ class CampaignConfig:
         seed: RNG seed for every cluster run of the campaign.
         workers: worker processes for the injection phase; ``1`` runs
             in-process, ``N > 1`` fans points out over a pool (replay) or
-            resumes that many snapshots concurrently (snapshot) and
+            lets that many snapshot children run at once (snapshot) and
             merges results in deterministic point order.  A replay round
             with fewer than ``workers * 2`` points to run is too small to
             amortize pool startup and runs in-process (the realized
@@ -76,8 +76,8 @@ class CampaignConfig:
             journal resumes at the first untested point.
         execution: how the test phase executes each point.  ``"replay"``
             re-runs every injection from t=0; ``"snapshot"`` records the
-            deterministic prefix once per scale group and resumes each
-            injection from a fork-based snapshot at its fire instant
+            deterministic prefix once per scale group and runs each
+            injection's suffix in a fork taken at its fire instant
             (outcome-identical, see DESIGN.md).  Falls back to replay
             where ``fork`` is unavailable.
         point_order: the order the test phase visits dynamic crash
@@ -405,7 +405,7 @@ class _Judge:
     extended deadline.  :meth:`finish` folds the run's end into that
     judgement: a run that completed in its extension is a "timeout
     issue", anything else keeps the at-deadline outcome.  The replay
-    path and the snapshot resumer both judge through this one object;
+    path and the snapshot child both judge through this one object;
     whoever arms the run sets ``trigger`` and ``agent``.
     """
 
@@ -507,7 +507,7 @@ def _judged(
 ) -> InjectionOutcome:
     """The outcome of one judged run: attribution, diagnosis, record.
 
-    Shared by :class:`_Judge` above and the snapshot recorder's
+    Shared by :class:`_Judge` above and the snapshot recording pass's
     never-fired basis, so both assemble an outcome the same way.
     """
     matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
@@ -628,7 +628,9 @@ def run_campaign(
             Restored (journal-resumed) points do not call it.  The
             campaign service uses this to beat each job's heartbeat
             sentinel at every checkpoint; exceptions propagate and abort
-            the campaign without running the points still queued.
+            the campaign without running the points still queued.  A
+            snapshot campaign calls it while its recording pass is
+            suspended at a fork, so it must not start a simulation.
     """
     # imported lazily: the executor module imports this one
     from repro.core.injection.executor import execute_points

@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import signal
+import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
@@ -304,6 +306,12 @@ _inherited_ctx: Optional[ExecContext] = None
 def _inherit(ctx: ExecContext) -> None:
     global _inherited_ctx
     _inherited_ctx = ctx
+    if sys.platform == "linux":
+        # a worker blocked on the call queue never learns that its parent
+        # was SIGKILLed (a STALE daemon job): let the kernel tell it
+        import ctypes
+
+        ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
 
 
 def _pooled_point(index: int) -> Tuple[int, InjectionOutcome, List[Payload]]:

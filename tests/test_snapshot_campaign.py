@@ -11,17 +11,19 @@ different answer.  Plus the small-campaign degrade rule: a replay
 campaign with fewer than ``workers * 2`` pending points runs in-process.
 """
 
+import dataclasses
 import errno
+import functools
 import json
 import os
+import random
 import signal
-import tempfile
 
 import pytest
 
 from repro.bugs import matcher_for_system
 from repro.core.injection import CampaignConfig, run_campaign
-from repro.obs import Observability
+from repro.obs import Observability, get_obs
 from tests.conftest import prepared
 
 N_POINTS = 12
@@ -31,7 +33,7 @@ _WALL_ATTRS = ("wall_seconds", "workers")
 
 
 def _campaign(system_name="yarn", n_points=N_POINTS, obs=None,
-              journal_path=None, points=None, **knobs):
+              journal_path=None, points=None, on_outcome=None, **knobs):
     system, analysis, profile, baseline = prepared(system_name)
     cfg = CampaignConfig(journal_path=journal_path, **knobs)
     if points is None:
@@ -39,7 +41,16 @@ def _campaign(system_name="yarn", n_points=N_POINTS, obs=None,
     return run_campaign(
         system, analysis, points, campaign=cfg,
         baseline=baseline, matcher=matcher_for_system(system_name), obs=obs,
+        on_outcome=on_outcome,
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _replay_reference(n_points=N_POINTS):
+    """The plain yarn replay campaign several tests compare against, run
+    once per size (campaigns under test, observed or journaled runs are
+    never memoised)."""
+    return _campaign(n_points=n_points)
 
 
 def _outcome_dicts(result):
@@ -64,6 +75,11 @@ def _fingerprint(obs):
 def _bugs(result):
     return {bug: sorted(o.dpoint.point.describe() for o in outcomes)
             for bug, outcomes in result.detected_bugs().items()}
+
+
+def _no_child_left_unreaped():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ----------------------------------------------------------------------
@@ -137,12 +153,58 @@ def test_snapshot_aliases_points_sharing_a_fire_event():
     assert snap.snapshot_stats["resumed_points"] == 1
 
 
+@pytest.mark.parametrize("system_name", ["hdfs", "zookeeper", "cassandra", "kube"])
+def test_generated_point_multisets_match_replay(system_name):
+    """Aliases and never-fired points, which no profiled campaign holds.
+
+    Every profiled point fires and no two share a fire event, so the
+    lanes that clone an outcome are reached only by a generated multiset:
+    duplicates (aliases of their first occurrence when unobserved) and
+    "ghosts" whose call stack matches no event (the recording run *is*
+    their test run: judged once, cloned per point, telemetry shared).
+    """
+    profiled = prepared(system_name)[2].dynamic_points
+    rng = random.Random(system_name)
+    real = [rng.choice(profiled) for _ in range(6)]
+    real += rng.sample(real, 2)  # at least two duplicates
+    ghosts = [dataclasses.replace(rng.choice(profiled), stack=("nowhere.f:1",))
+              for _ in range(3)]
+    points = real + ghosts
+    rng.shuffle(points)
+    distinct = len(set(real))
+
+    for observed in (False, True):
+        def run(**knobs):
+            if not observed:
+                return _campaign(system_name, points=points, **knobs), None
+            obs = Observability()
+            with obs:
+                return _campaign(system_name, points=points, obs=obs, **knobs), obs
+
+        rep, obs_rep = run()
+        assert [o.fired for o in rep.outcomes] == [p in real for p in points]
+        for workers in (1, 2, 3):
+            snap, obs_snap = run(execution="snapshot", workers=workers)
+            assert _outcome_dicts(snap) == _outcome_dicts(rep)
+            stats = snap.snapshot_stats
+            assert stats["never_fired"] == len(ghosts)
+            # observed, every duplicate runs its own child: its spans
+            # carry its own name
+            assert stats["aliased_points"] == (0 if observed else len(real) - distinct)
+            assert stats["resumed_points"] == (len(real) if observed else distinct)
+            assert stats["fallback_points"] == 0
+            if observed:
+                assert obs_snap.metrics.snapshot() == obs_rep.metrics.snapshot()
+                assert _span_dicts(obs_snap) == _span_dicts(obs_rep)
+                assert _fingerprint(obs_snap) == _fingerprint(obs_rep)
+
+
 # ----------------------------------------------------------------------
 # journal: kill mid-campaign, resume — across execution modes too
 # ----------------------------------------------------------------------
 
 def test_snapshot_journal_resume_after_partial_run(tmp_path):
-    reference = _campaign()
+    reference = _replay_reference()
     journal = tmp_path / "campaign.jsonl"
 
     full = _campaign(journal_path=str(journal), execution="snapshot")
@@ -162,7 +224,7 @@ def test_snapshot_journal_resume_after_partial_run(tmp_path):
 def test_journal_crosses_execution_modes(tmp_path):
     """The journal pins *what* was computed, not *how* — a campaign
     interrupted under replay resumes under snapshot (and vice versa)."""
-    reference = _campaign()
+    reference = _replay_reference()
     journal = tmp_path / "campaign.jsonl"
     _campaign(journal_path=str(journal))
     lines = journal.read_text().splitlines()
@@ -178,7 +240,7 @@ def test_journal_crosses_execution_modes(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_snapshot_falls_back_per_point_on_resumer_error(monkeypatch):
-    reference = _campaign(n_points=4)
+    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     def _boom(report, state):
@@ -192,33 +254,29 @@ def test_snapshot_falls_back_per_point_on_resumer_error(monkeypatch):
     assert snap.snapshot_stats["resumed_points"] == 0
 
 
-def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch, tmp_path):
-    reference = _campaign(n_points=4)
+def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch):
+    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     judged = snapshot_mod._resumer_result
 
     def _die_on_odd_points(report, ctx):
         if snapshot_mod._ROLE["entry"].index % 2:
-            # no error line, no exit status anyone waits for: the parent
-            # learns of it from the result FIFO's EOF alone
+            # no reply, no exit status anyone reads: the campaign process
+            # learns of it from the result pipe's EOF alone
             os.kill(os.getpid(), signal.SIGKILL)
         return judged(report, ctx)
 
     monkeypatch.setattr(snapshot_mod, "_resumer_result", _die_on_odd_points)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     snap = _campaign(n_points=4, execution="snapshot")
     assert _outcome_dicts(snap) == _outcome_dicts(reference)
     assert snap.snapshot_stats["fallback_points"] == 2
     assert snap.snapshot_stats["resumed_points"] == 2
-    # nothing outlives the campaign: no unreaped child, no FIFO directory
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not list(tmp_path.glob("crashtuner-snap-*"))
+    _no_child_left_unreaped()
 
 
 def test_snapshot_falls_back_whole_chunk_when_recorder_dies(monkeypatch):
-    reference = _campaign(n_points=4)
+    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     def _boom(*args, **kwargs):
@@ -244,24 +302,11 @@ def _fork_fails_from(monkeypatch, nth):
     monkeypatch.setattr(os, "fork", fork)
 
 
-def _nothing_outlives_the_campaign(tmp_path):
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert not list(tmp_path.glob("crashtuner-snap-*"))
-
-
-def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(
-        monkeypatch, tmp_path):
-    reference = _campaign(n_points=8)
+def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(monkeypatch):
+    reference = _replay_reference(8)
     forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
-    import repro.core.injection.snapshot as snapshot_mod
-
-    attach, attached = snapshot_mod._attach, []
-    monkeypatch.setattr(snapshot_mod, "_attach",
-                        lambda entry: attached.append(entry.index) or attach(entry))
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    # the recorder and its first resumer fork; every later snapshot cannot
-    _fork_fails_from(monkeypatch, 3)
+    # the first point's child forks; every later snapshot cannot
+    _fork_fails_from(monkeypatch, 2)
     snap = _campaign(n_points=8, execution="snapshot")
     # the fork fails inside a node handler: the recording run must go on
     # as if the hook had not been there, not crash the handler's node
@@ -269,20 +314,47 @@ def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(
     assert snap.snapshot_stats["resumed_points"] == 1
     assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"] - 1
     assert snap.snapshot_stats["never_fired"] == forked["never_fired"]
-    # unforked points are replayed at once, not waited for at a FIFO
-    assert len(attached) == 1
-    _nothing_outlives_the_campaign(tmp_path)
+    _no_child_left_unreaped()
 
 
-def test_failed_recorder_fork_degrades_the_group_to_replay(monkeypatch, tmp_path):
-    reference = _campaign(n_points=8)
-    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+def test_failed_recorder_fork_degrades_the_group_to_replay(monkeypatch):
+    """Every fork fails: the recording pass still runs — it needs none —
+    and every fired point is replayed after it."""
+    reference = _replay_reference(8)
+    forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
     _fork_fails_from(monkeypatch, 1)
     snap = _campaign(n_points=8, execution="snapshot")
     assert _outcome_dicts(snap) == _outcome_dicts(reference)
-    assert snap.snapshot_stats["fallback_points"] == 8
-    assert snap.snapshot_stats["recording_runs"] == 0
-    _nothing_outlives_the_campaign(tmp_path)
+    assert snap.snapshot_stats["resumed_points"] == 0
+    assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"]
+    _no_child_left_unreaped()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_raising_on_outcome_aborts_after_the_checkpoints_seen(tmp_path, workers):
+    """The sink runs inside the recording pass — inside a node handler,
+    which would swallow the hook's exception as a simulated abort."""
+    journal = tmp_path / "campaign.jsonl"
+    obs, calls = Observability(), []
+
+    def abort(index, outcome):
+        calls.append(index)
+        assert get_obs() is obs  # not the recording pass's private context
+        if len(calls) == 3:
+            raise RuntimeError("stop at the third checkpoint")
+
+    with obs, pytest.raises(RuntimeError, match="third checkpoint"):
+        _campaign(obs=obs, journal_path=str(journal), execution="snapshot",
+                  workers=workers, on_outcome=abort)
+    assert len(calls) == 3
+    lines = journal.read_text().splitlines()
+    assert [json.loads(line)["index"] for line in lines[1:]] == calls
+    _no_child_left_unreaped()
+    # the journal it left is a clean checkpoint: the campaign resumes
+    resumed = _campaign(journal_path=str(journal), execution="snapshot",
+                        workers=workers)
+    assert resumed.resumed == 3
+    assert _outcome_dicts(resumed) == _outcome_dicts(_replay_reference())
 
 
 # ----------------------------------------------------------------------
