@@ -7,7 +7,7 @@ tool itself.  This script runs the whole drama in one process tree:
 
 1. submit two campaigns to a service directory (no daemon running yet —
    submissions just spool durably),
-2. start a daemon on a fleet of two workers and let it dispatch,
+2. start a daemon with two workers and let it dispatch,
 3. SIGKILL the daemon mid-campaign,
 4. start a *new* daemon: it replays the write-ahead log, finds the
    orphaned jobs, reattaches to workers that are still alive and

@@ -7,7 +7,7 @@ shows the report CLI's real help, not a summary of it::
     python -m repro campaign yarn --points 20     one-shot campaign
     python -m repro daemon start /var/run/ct      the campaign service
     python -m repro report trace.jsonl            trace inspection
-    python -m repro analytics report J.jsonl      failure-mode analytics
+    python -m repro analytics modes trace.jsonl   failure-mode analytics
     python -m repro analysis yarn                 static-analysis report
 
 The older module entry points (``python -m repro.obs.analytics`` etc.)
@@ -57,8 +57,6 @@ def _run_campaign_cmd(argv: List[str]) -> int:
                         help="dump the result payload ('-' = stdout)")
     args = parser.parse_args(argv)
 
-    import json
-
     from repro.api import (
         CampaignConfig,
         format_kv,
@@ -66,6 +64,7 @@ def _run_campaign_cmd(argv: List[str]) -> int:
         prepare,
         run_campaign,
     )
+    from repro.core.report import write_json
     from repro.systems import all_systems, get_system
 
     known = sorted(s.name for s in all_systems())
@@ -106,7 +105,7 @@ def _run_campaign_cmd(argv: List[str]) -> int:
         )
     print(format_kv(f"campaign {args.system}", summary))
     if args.json:
-        payload = json.dumps({
+        write_json({
             "system": args.system,
             "n_points": len(result.outcomes),
             "resumed": result.resumed,
@@ -117,12 +116,7 @@ def _run_campaign_cmd(argv: List[str]) -> int:
             "classes": result.classes,
             "sim_seconds": result.sim_seconds,
             "wall_seconds": result.wall_seconds,
-        }, indent=2, sort_keys=True) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+        }, args.json)
     return 0
 
 
@@ -154,7 +148,7 @@ COMMANDS = {
                "the campaign service: start/submit/wait/status/drain/stop"),
     "report": (_report, "inspect JSONL traces (summary, spans, diff)"),
     "analytics": (_analytics,
-                  "failure-mode analytics over campaign journals"),
+                  "failure-mode analytics over traces (modes, dedup, rank)"),
     "analysis": (_analysis, "static-analysis reports with provenance"),
 }
 

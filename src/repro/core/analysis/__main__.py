@@ -19,7 +19,7 @@ import sys
 from typing import Any, Dict, List
 
 from repro.core.analysis import AnalysisReport, analyze_system, point_key
-from repro.core.report import format_kv, format_table
+from repro.core.report import format_kv, format_table, write_json
 from repro.systems import get_system
 
 DEFAULT_SYSTEMS = ("yarn", "hdfs", "hbase", "zookeeper", "cassandra")
@@ -151,13 +151,7 @@ def main(argv: List[str] = None) -> int:
             entries.append(_report_json(report))
 
         if args.json:
-            payload = json.dumps({"systems": entries}, indent=2)
-            if args.json == "-":
-                print(payload)
-            else:
-                with open(args.json, "w", encoding="utf-8") as fh:
-                    fh.write(payload + "\n")
-                print(f"wrote {args.json}")
+            write_json({"systems": entries}, args.json)
 
         if args.diff:
             with open(args.diff, "r", encoding="utf-8") as fh:

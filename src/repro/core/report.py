@@ -6,6 +6,7 @@ this module keeps the formatting in one place.
 
 from __future__ import annotations
 
+import json
 from typing import Any, List, Optional, Sequence
 
 
@@ -45,6 +46,18 @@ def format_kv(title: str, mapping: "dict") -> str:
     lines = [title]
     lines.extend(f"  {str(k).ljust(width)} : {v}" for k, v in mapping.items())
     return "\n".join(lines)
+
+
+def write_json(payload: Any, dest: str) -> None:
+    """A CLI's ``--json DEST``: sorted, indented JSON to a file (then a
+    ``wrote DEST`` line) or, for ``-``, to stdout."""
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    if dest == "-":
+        print(text)
+    else:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"wrote {dest}")
 
 
 def hours(sim_seconds: float) -> str:

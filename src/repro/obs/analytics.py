@@ -476,16 +476,9 @@ def diff_modes(previous: Dict[str, Any], current: AnalyticsReport) -> int:
 # ---------------------------------------------------------------------------
 # the CLI
 # ---------------------------------------------------------------------------
-def _write_json(payload: str, dest: str) -> None:
-    if dest == "-":
-        print(payload)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-        print(f"wrote {dest}")
-
-
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.core.report import write_json
+
     parser = argparse.ArgumentParser(
         prog="python -m repro analytics",
         description="Failure-mode analytics over a campaign trace JSONL.",
@@ -516,22 +509,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "modes":
             print(format_modes(report))
             if args.json:
-                _write_json(report.to_json(), args.json)
+                write_json(report.to_dict(), args.json)
             if args.diff:
                 with open(args.diff, "r", encoding="utf-8") as fh:
                     diff_modes(json.load(fh), report)
         elif args.command == "dedup":
             print(format_dedup(report))
             if args.json:
-                _write_json(json.dumps(
-                    [c.to_dict() for c in report.dedup],
-                    indent=2, sort_keys=True), args.json)
+                write_json([c.to_dict() for c in report.dedup], args.json)
         else:
             print(format_rank(report, top=args.top))
             if args.json:
-                _write_json(json.dumps(
-                    report.to_dict()["ranking"], indent=2, sort_keys=True),
-                    args.json)
+                write_json(report.to_dict()["ranking"], args.json)
     except BrokenPipeError:
         # a downstream pager/head closed the pipe; suppress the shutdown
         # flush so the interpreter does not report the same break again

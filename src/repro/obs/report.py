@@ -20,13 +20,12 @@ mirroring ``python -m repro.core.analysis report --json``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
-from repro.core.report import format_table
+from repro.core.report import format_table, write_json
 from repro.obs.diagnosis import format_diagnoses
 from repro.obs.export import TraceData, read_trace_jsonl
 
@@ -160,16 +159,6 @@ def diff(a: TraceData, b: TraceData) -> str:
     return "\n\n".join(parts)
 
 
-def _emit_json(payload: Dict[str, Any], dest: str) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if dest == "-":
-        print(text)
-    else:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {dest}")
-
-
 def main(argv: List[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro report",
@@ -195,7 +184,7 @@ def main(argv: List[str] = None) -> int:
         if args.command == "summarize":
             trace = read_trace_jsonl(args.trace)
             if args.json_path:
-                _emit_json(summarize_json(trace), args.json_path)
+                write_json(summarize_json(trace), args.json_path)
             else:
                 print(summarize(trace))
         else:

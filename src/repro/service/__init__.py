@@ -1,18 +1,18 @@
-"""The campaign service: a crash-surviving daemon for campaign fleets.
+"""The campaign service: a crash-surviving daemon for queued campaigns.
 
 CrashTuner's thesis is that systems must survive crashes at their worst
 moments — this package makes the tool itself pass its own test.  One
 :class:`CampaignDaemon` per service directory runs submitted campaigns
-over a fleet of worker processes, with every piece of state durable:
+in forked worker processes, with every piece of state durable:
 
 * the queue is a CRC-framed, fsync'd write-ahead log
   (:mod:`repro.service.wal`) with torn-tail truncation,
 * workers heartbeat per-job pid sentinels (:mod:`repro.service.sentinel`)
   and checkpoint through the campaign journal, so a restarted daemon
-  reattaches to live workers and resumes dead workers' jobs from their
-  last checkpoint,
-* scheduling is per-system fair with work stealing
-  (:mod:`repro.service.scheduler`),
+  reattaches to live workers and resumes dead or hung workers' jobs
+  from their last checkpoint,
+* the queue is the WAL-folded job table itself — the next job is a pure
+  function of it, per-system fair (:meth:`JobTable.next_job`),
 * :mod:`repro.service.admin` serves ``status``/``queue``/``recovery``/
   ``metrics`` views and the :class:`ServiceClient` used by
   ``repro.api`` and ``python -m repro daemon``.
@@ -33,14 +33,12 @@ from repro.service.admin import (
 )
 from repro.service.daemon import CampaignDaemon, DaemonAlreadyRunning
 from repro.service.jobs import JobRecord, JobSpec, JobTable, ServiceLayout
-from repro.service.scheduler import FleetScheduler
 from repro.service.sentinel import Sentinel
 from repro.service.wal import WalCorrupt, WriteAheadLog, atomic_write_json
 
 __all__ = [
     "CampaignDaemon",
     "DaemonAlreadyRunning",
-    "FleetScheduler",
     "JobRecord",
     "JobSpec",
     "JobTable",

@@ -60,7 +60,7 @@ def service_status(service_dir: Union[str, Path],
 
 
 def queue_snapshot(service_dir: Union[str, Path]) -> Dict[str, Any]:
-    """The ``queue`` admin view: per-slot/per-system depths + job list."""
+    """The ``queue`` admin view: per-system queue depths + job list."""
     payload = _load_status(service_dir)
     jobs = payload.get("jobs", {})
     return {

@@ -12,7 +12,7 @@ Subcommands::
     submit DIR SYS  queue one campaign; prints the job id
     wait DIR JOB    block until a job's result lands; prints a summary
     status DIR      daemon liveness + job counts      [--json PATH|-]
-    queue DIR       per-slot/per-system queue depths  [--json PATH|-]
+    queue DIR       per-system queue depths + jobs    [--json PATH|-]
     recovery DIR    what the last startup pass did    [--json PATH|-]
     metrics DIR     the daemon's metrics snapshot     [--json PATH|-]
     drain DIR       ask the daemon to finish all work, then exit
@@ -22,25 +22,12 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.injection import CampaignConfig
-from repro.core.report import format_kv, format_table
-
-
-def _dump_json(payload: Any, target: Optional[str]) -> bool:
-    """Write ``--json`` output; returns True when it handled the output."""
-    if target is None:
-        return False
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if target == "-":
-        sys.stdout.write(text)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return True
+from repro.core.report import format_kv, format_table, write_json
+from repro.service.admin import ServiceUnavailable
 
 
 def _cmd_start(args: argparse.Namespace) -> int:
@@ -95,7 +82,9 @@ def _cmd_wait(args: argparse.Namespace) -> int:
     except (TimeoutError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not _dump_json(result, args.json):
+    if args.json:
+        write_json(result, args.json)
+    else:
         print(format_kv(f"job {args.job_id}", {
             "state": result["state"],
             "points": result.get("n_points", 0),
@@ -111,7 +100,8 @@ def _cmd_status(args: argparse.Namespace) -> int:
     from repro.service import service_status
 
     payload = service_status(args.service_dir)
-    if _dump_json(payload, args.json):
+    if args.json:
+        write_json(payload, args.json)
         return 0
     daemon = payload.get("daemon", {})
     print(format_kv("daemon", {
@@ -129,13 +119,13 @@ def _cmd_queue(args: argparse.Namespace) -> int:
     from repro.service import queue_snapshot
 
     payload = queue_snapshot(args.service_dir)
-    if _dump_json(payload, args.json):
+    if args.json:
+        write_json(payload, args.json)
         return 0
     queue = payload.get("queue", {})
     print(format_kv("queue", {
         "pending": queue.get("pending", 0),
         "per_system": queue.get("per_system", {}),
-        "per_slot": queue.get("per_slot", []),
     }))
     rows = [[j["job_id"], j["system"], j["state"], j["attempts"],
              j.get("reason", "")] for j in payload.get("jobs", [])]
@@ -148,7 +138,8 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     from repro.service import recovery_report
 
     payload = recovery_report(args.service_dir)
-    if _dump_json(payload, args.json):
+    if args.json:
+        write_json(payload, args.json)
         return 0
     if not payload:
         print("no recovery pass recorded yet")
@@ -169,7 +160,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     from repro.service import metrics_snapshot
 
     payload = metrics_snapshot(args.service_dir)
-    if _dump_json(payload, args.json):
+    if args.json:
+        write_json(payload, args.json)
         return 0
     print(format_kv("counters", payload.get("counters", {})))
     print(format_kv("gauges", payload.get("gauges", {})))
@@ -261,7 +253,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ServiceUnavailable as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via -m repro

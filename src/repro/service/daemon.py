@@ -1,4 +1,4 @@
-"""The long-lived campaign daemon: durable queue, fleet, self-recovery.
+"""The long-lived campaign daemon: durable queue, workers, self-recovery.
 
 :class:`CampaignDaemon` owns one service directory.  Its whole design
 follows the thesis of the paper it serves — assume *this process* can be
@@ -8,19 +8,20 @@ processes that outlive the daemon, and startup is a recovery pass:
 
 1. take the service lock (heartbeat sentinel; a stale lock is claimed
    atomically, a fresh one means another daemon is alive),
-2. replay the WAL (torn tail truncated) into the job table,
-3. for every job the log says is ``running``: a finished ``result.json``
-   settles it; a live worker (fresh heartbeat + live pid) is
-   *reattached* — watched, not restarted; a dead or hung worker is
-   claimed and the job requeued — its next attempt resumes from the
-   campaign journal's last checkpoint, re-executing nothing before it,
-4. re-enqueue ``queued`` jobs, ingest the spool, resume dispatching.
+2. replay the WAL (torn tail truncated) into the job table — which *is*
+   the queue (:meth:`JobTable.next_job`), so nothing is refilled,
+3. judge every job the log says is ``running`` (:meth:`CampaignDaemon.
+   _judge`, the same call every later tick makes): a finished
+   ``result.json`` settles it; a live worker (fresh heartbeat + live
+   pid) is *reattached* — watched, not restarted; a dead or hung worker
+   is claimed, killed if need be, and the job requeued — its next
+   attempt resumes from the campaign journal's last checkpoint,
+4. ingest the spool, resume dispatching.
 
 The daemon then loops: ingest spool submissions, honor drain/stop
-requests, poll workers, dispatch queued jobs over the worker slots
-(per-system fairness with work stealing — :mod:`repro.service.scheduler`),
-beat its own lock sentinel, and atomically rewrite ``status.json`` for
-the admin APIs in :mod:`repro.service.admin`.
+requests, judge running jobs, dispatch queued ones while fewer than
+``workers`` run, beat its own lock sentinel, and atomically rewrite
+``status.json`` for the admin APIs in :mod:`repro.service.admin`.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import os
 import signal
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.core.pipeline import source_digest
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import MetricsRegistry
 from repro.service.jobs import (
     DONE,
     FAILED,
@@ -44,7 +45,6 @@ from repro.service.jobs import (
     JobTable,
     ServiceLayout,
 )
-from repro.service.scheduler import FleetScheduler
 from repro.service.sentinel import ALIVE, MISSING, STALE, Sentinel, pid_alive
 from repro.service.wal import WriteAheadLog, atomic_write_json, read_json
 from repro.service.worker import RESULT_NAME, SENTINEL_NAME, worker_main
@@ -63,11 +63,12 @@ class CampaignDaemon:
 
     Args:
         service_dir: the service root (created if missing).
-        workers: worker slots — campaigns running concurrently.
+        workers: campaigns running concurrently.
         heartbeat_timeout: seconds without a heartbeat after which a
-            worker (or a previous daemon) is presumed dead; must be
-            generous relative to the longest gap between a worker's
-            beats (one injection run, one analysis pass).
+            worker — inherited or forked by this daemon — or a previous
+            daemon is presumed dead or hung, and killed; must exceed the
+            longest gap between a worker's beats (one injection run,
+            one analysis pass).
         poll_interval: sleep between scheduling ticks in :meth:`run`.
         max_attempts: dispatches per job before it is failed for good.
         fsync: fsync every WAL frame (the durable default; tests that
@@ -83,6 +84,8 @@ class CampaignDaemon:
         max_attempts: int = 3,
         fsync: bool = True,
     ):
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1, got {workers}")
         self.layout = ServiceLayout(service_dir)
         self.layout.ensure()
         self.workers = workers
@@ -92,18 +95,22 @@ class CampaignDaemon:
         self.daemon_id = f"daemon-{os.getpid()}"
         self.wal = WriteAheadLog(self.layout.wal, fsync=fsync)
         self.table = JobTable()
-        self.scheduler = FleetScheduler(workers)
         self.metrics = MetricsRegistry()
-        self.tracer = Tracer(max_spans=10_000, clock=time.time)
         self._lock = Sentinel(self.layout.lock, owner=self.daemon_id)
+        #: workers this daemon forked (an inherited one has no entry)
         self._procs: Dict[str, multiprocessing.process.BaseProcess] = {}
-        self._slot_of: Dict[str, int] = {}
-        self._reattached: Dict[str, int] = {}
         self._recovery: Dict[str, Any] = {}
         self._draining = False
         self._stopping = False
         self._started = False
         self.started_at = 0.0
+
+    @property
+    def scheduler(self) -> JobTable:
+        """The job table under the name ``bench/probes.py`` reads
+        (``daemon.scheduler.pending()``); ``bench/`` is frozen outside a
+        ``benchmark`` PR, and the next one drops this alias."""
+        return self.table
 
     # ------------------------------------------------------------------
     # startup & recovery
@@ -124,8 +131,7 @@ class CampaignDaemon:
         records = self.wal.replay()
         self.wal.open_append()
         self.table = JobTable.from_records(records)
-        with self.tracer.span("daemon.recover", wal_frames=len(records)):
-            self._recover(wal_frames=len(records))
+        self._recover(wal_frames=len(records))
         self._ingest_spool()
         self._started = True
         self._write_status()
@@ -170,44 +176,8 @@ class CampaignDaemon:
             "failed": [],
         }
         for job in self.table.in_state(RUNNING):
-            job_dir = self.layout.job_dir(job.job_id)
-            result = read_json(job_dir / RESULT_NAME)
-            if result is not None and result.get("attempts") == job.attempts:
-                # the worker finished while no daemon was watching
-                self._settle(job, result)
-                report["settled"].append(job.job_id)
-                continue
-            sentinel = Sentinel(job_dir / SENTINEL_NAME)
-            status = sentinel.status(self.heartbeat_timeout)
-            if status == ALIVE:
-                data = sentinel.read() or {}
-                self._reattached[job.job_id] = data.get("pid", 0)
-                self.metrics.counter("service.jobs_reattached").inc()
-                self.tracer.event("daemon.reattach", job_id=job.job_id,
-                                  pid=data.get("pid", 0))
-                report["reattached"].append(job.job_id)
-                continue
-            if status == STALE:
-                claimed = sentinel.claim(self.daemon_id)
-                if claimed is None:
-                    # lost a takeover race — someone else owns this job now
-                    continue
-                pid = claimed.get("pid", 0)
-                if pid_alive(pid) and pid != os.getpid():
-                    # alive but silent: a hung worker; reclaim the slot
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                        self.metrics.counter("service.workers_killed").inc()
-                    except OSError:  # pragma: no cover - raced its death
-                        pass
-                sentinel.release_claim(self.daemon_id)
-            requeued = self._requeue(job, reason=f"worker {status} at recovery")
-            report[("requeued" if requeued else "failed")].append(job.job_id)
-        for job in self.table.in_state(QUEUED):
-            # _requeue already enqueued its jobs; adding them again here
-            # would double-dispatch them after they finish
-            if job.job_id not in report["requeued"]:
-                self.scheduler.add(job.job_id, job.system)
+            # left running: its worker outlived the previous daemon
+            report[self._judge(job) or "reattached"].append(job.job_id)
         self._recovery = report
 
     # ------------------------------------------------------------------
@@ -225,10 +195,7 @@ class CampaignDaemon:
         if spec.job_id in self.table.jobs:
             return spec.job_id
         self._append(JobTable.submit_record(spec))
-        self.scheduler.add(spec.job_id, spec.system)
         self.metrics.counter("service.jobs_submitted").inc()
-        self.tracer.event("daemon.submit", job_id=spec.job_id,
-                          system=spec.system)
         return spec.job_id
 
     def _ingest_spool(self) -> int:
@@ -244,11 +211,9 @@ class CampaignDaemon:
                 continue
             try:
                 spec = JobSpec.from_dict(data)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError):
                 # a malformed submission must not wedge the queue
                 path.rename(path.with_suffix(".rejected"))
-                self.tracer.event("daemon.reject", path=str(path),
-                                  error=str(exc))
                 continue
             self.submit(spec)
             path.unlink()
@@ -260,12 +225,8 @@ class CampaignDaemon:
     # ------------------------------------------------------------------
     def _read_control(self) -> None:
         if (self.layout.control / DRAIN_REQUEST).exists():
-            if not self._draining:
-                self.tracer.event("daemon.drain")
             self._draining = True
         if (self.layout.control / STOP_REQUEST).exists():
-            if not self._stopping:
-                self.tracer.event("daemon.stop")
             self._stopping = True
 
     def _clear_control(self, name: str) -> None:
@@ -293,18 +254,15 @@ class CampaignDaemon:
         self.metrics.counter(
             "service.jobs_completed" if state == DONE
             else "service.jobs_failed").inc()
-        self.tracer.event("daemon.settle", job_id=job.job_id, state=state)
         self._reap(job.job_id)
 
     def _reap(self, job_id: str) -> None:
         proc = self._procs.pop(job_id, None)
         if proc is not None:
             proc.join(timeout=1.0)
-        self._slot_of.pop(job_id, None)
-        self._reattached.pop(job_id, None)
 
-    def _requeue(self, job: JobRecord, reason: str) -> bool:
-        """Back to the queue (True) or out of attempts (False)."""
+    def _requeue(self, job: JobRecord, reason: str) -> str:
+        """Back to the queue (``requeued``) or out of attempts (``failed``)."""
         self._reap(job.job_id)
         job_dir = self.layout.job_dir(job.job_id)
         # a stale result.json from the dead attempt must not settle the
@@ -319,60 +277,58 @@ class CampaignDaemon:
                 job.job_id, FAILED,
                 reason=f"gave up after {job.attempts} attempts ({reason})"))
             self.metrics.counter("service.jobs_failed").inc()
-            return False
+            return "failed"
         self._append(JobTable.transition_record(
             job.job_id, QUEUED, reason=reason))
-        self.scheduler.add(job.job_id, job.system)
         self.metrics.counter("service.jobs_requeued").inc()
-        self.tracer.event("daemon.requeue", job_id=job.job_id, reason=reason)
-        return True
+        return "requeued"
 
-    def _poll_workers(self) -> None:
-        for job in self.table.in_state(RUNNING):
-            job_dir = self.layout.job_dir(job.job_id)
-            result = read_json(job_dir / RESULT_NAME)
-            if result is not None and result.get("attempts") == job.attempts:
-                self._settle(job, result)
-                continue
-            proc = self._procs.get(job.job_id)
-            if proc is not None:
-                if proc.is_alive():
-                    continue
-                # our own child exited without a result: it was killed
-                self._requeue(job, reason="worker exited without result")
-                continue
-            # reattached worker (not our child): judge by its sentinel
-            status = Sentinel(job_dir / SENTINEL_NAME).status(
-                self.heartbeat_timeout)
-            if status == ALIVE:
-                continue
-            if status == STALE:
-                data = Sentinel(job_dir / SENTINEL_NAME).read() or {}
-                pid = data.get("pid", 0)
-                if pid_alive(pid) and pid != os.getpid():
-                    try:
-                        os.kill(pid, signal.SIGKILL)
-                        self.metrics.counter("service.workers_killed").inc()
-                    except OSError:  # pragma: no cover
-                        pass
-            self._requeue(job, reason=f"reattached worker went {status}")
+    def _judge(self, job: JobRecord) -> Optional[str]:
+        """Decide one RUNNING job's fate — at recovery and on every tick.
+
+        Returns ``settled``, ``requeued`` or ``failed`` (out of
+        attempts), or ``None`` when the job is left running.
+        """
+        job_dir = self.layout.job_dir(job.job_id)
+        result = read_json(job_dir / RESULT_NAME)
+        if result is not None and result.get("attempts") == job.attempts:
+            self._settle(job, result)
+            return "settled"
+        proc = self._procs.get(job.job_id)
+        if proc is not None and not proc.is_alive():
+            # our own child exited without a result: it was killed
+            return self._requeue(job, reason="worker exited without result")
+        sentinel = Sentinel(job_dir / SENTINEL_NAME)
+        status = sentinel.status(self.heartbeat_timeout)
+        if status == ALIVE:
+            # for status.json; an attempt's pid never changes, read it once
+            job.pid = job.pid or (sentinel.read() or {}).get("pid", 0)
+            return None
+        if status == MISSING and proc is not None:
+            return None  # our live child, forked but not at its first beat
+        if status == STALE:
+            claimed = sentinel.claim(self.daemon_id)
+            if claimed is None:
+                # lost a takeover race — someone else owns this job now
+                return None
+            pid = claimed.get("pid", 0)
+            if pid_alive(pid) and pid != os.getpid():
+                # alive but silent: hung — it must not write the journal
+                # beside the next attempt
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                    self.metrics.counter("service.workers_killed").inc()
+                except OSError:  # pragma: no cover - raced its death
+                    pass
+            sentinel.release_claim(self.daemon_id)
+        return self._requeue(job, reason=f"worker {status}")
 
     def _dispatch(self) -> None:
-        busy = set(self._slot_of.values())
-        for slot in range(self.workers):
-            if slot in busy or len(self._slot_of) + len(self._reattached) \
-                    >= self.workers:
-                continue
-            while True:
-                pick = self.scheduler.next_job(slot)
-                if pick is None or self.table.jobs[pick[0]].state == QUEUED:
-                    break
-                # a stale scheduler entry: the WAL's state wins — a job
-                # that is running/done/failed must never launch again
-            if pick is None:
-                break
-            job_id, system, stolen = pick
-            job = self.table.jobs[job_id]
+        while len(self.table.in_state(RUNNING)) < self.workers:
+            job = self.table.next_job()
+            if job is None:
+                return
+            job_id = job.job_id
             job_dir = self.layout.job_dir(job_id)
             job_dir.mkdir(parents=True, exist_ok=True)
             try:
@@ -382,8 +338,7 @@ class CampaignDaemon:
             # the transition is durable *before* the fork: a kill in
             # between recovers as "running, no sentinel, no result" and
             # simply requeues — never two workers on one journal
-            self._append(JobTable.transition_record(
-                job_id, RUNNING, slot=slot, stolen=stolen))
+            self._append(JobTable.transition_record(job_id, RUNNING))
             context = multiprocessing.get_context("fork")
             proc = context.Process(
                 target=worker_main,
@@ -392,15 +347,8 @@ class CampaignDaemon:
                 daemon=False,  # must outlive a SIGKILL'd daemon
             )
             proc.start()
-            job.pid = proc.pid or 0
             self._procs[job_id] = proc
-            self._slot_of[job_id] = slot
             self.metrics.counter("service.jobs_dispatched").inc()
-            if stolen:
-                self.metrics.counter("service.jobs_stolen").inc()
-            self.tracer.event("daemon.dispatch", job_id=job_id,
-                              system=system, slot=slot, pid=job.pid,
-                              stolen=stolen, attempt=job.attempts)
 
     # ------------------------------------------------------------------
     # the loop
@@ -410,13 +358,13 @@ class CampaignDaemon:
         assert self._started, "call start() first"
         self._read_control()
         self._ingest_spool()
-        self._poll_workers()
+        for job in self.table.in_state(RUNNING):
+            self._judge(job)
         if not self._stopping:
             self._dispatch()
         self._lock.beat()
         self._write_status()
-        return bool(self.scheduler.pending()
-                    or self.table.in_state(RUNNING))
+        return bool(self.table.in_state(QUEUED, RUNNING))
 
     def run(self) -> None:
         """Serve until a stop request, or a drain request empties us."""
@@ -462,9 +410,7 @@ class CampaignDaemon:
             "counts": self.table.counts(),
             "jobs": {job_id: self.table.jobs[job_id].summary()
                      for job_id in self.table.order},
-            "queue": self.scheduler.snapshot(),
-            "running": sorted(self._slot_of),
-            "reattached": sorted(self._reattached),
+            "queue": self.table.queue(),
             "recovery": self._recovery,
             "metrics": self.metrics.snapshot(),
             "updated_at": time.time(),

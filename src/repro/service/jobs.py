@@ -128,14 +128,11 @@ class JobRecord:
     state: str = QUEUED
     #: dispatch count: 1 on first run, +1 per requeue
     attempts: int = 0
-    #: worker pid of the current/last run (0 = never dispatched)
+    #: the current run's worker pid, as its sentinel last reported it
+    #: (0 until the first beat is seen; never in the WAL)
     pid: int = 0
-    #: scheduler slot of the current/last run (-1 = never dispatched)
-    slot: int = -1
     #: why the job was last requeued/failed, for the admin APIs
     reason: str = ""
-    #: full transition history [(state, at, extra), ...]
-    history: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def job_id(self) -> str:
@@ -153,7 +150,6 @@ class JobRecord:
             "state": self.state,
             "attempts": self.attempts,
             "pid": self.pid,
-            "slot": self.slot,
             "reason": self.reason,
             "submitted_at": self.spec.submitted_at,
         }
@@ -192,17 +188,11 @@ class JobTable:
             job = self.jobs.get(rec["job_id"])
             if job is None:
                 return
-            state = rec["state"]
-            extra = rec.get("extra", {})
-            job.state = state
-            job.reason = extra.get("reason", "")
-            if state == RUNNING:
+            job.state = rec["state"]
+            job.reason = rec.get("extra", {}).get("reason", "")
+            if job.state == RUNNING:
                 job.attempts += 1
-                job.pid = extra.get("pid", 0)
-                job.slot = extra.get("slot", -1)
-            job.history.append(
-                {"state": state, "at": rec.get("at", 0.0), "extra": extra}
-            )
+                job.pid = 0
 
     # ------------------------------------------------------------------
     # WAL record builders (the daemon appends these, then applies them)
@@ -235,6 +225,38 @@ class JobTable:
         for job in self.jobs.values():
             out[job.state] += 1
         return out
+
+    # ------------------------------------------------------------------
+    # the queue: a pure function of the table, so of the WAL
+    # ------------------------------------------------------------------
+    def next_job(self) -> Optional[JobRecord]:
+        """The queued job to dispatch next, or ``None``.
+
+        The system dispatched least so far goes first (ties by name),
+        FIFO by submission within it.  Dispatches are counted from
+        ``attempts``, which the WAL folds, so a restarted daemon picks
+        what the dead one would have.
+        """
+        dispatched: Dict[str, int] = {}
+        heads: Dict[str, JobRecord] = {}
+        for job_id in self.order:
+            job = self.jobs[job_id]
+            dispatched[job.system] = (dispatched.get(job.system, 0)
+                                      + job.attempts)
+            if job.state == QUEUED:
+                heads.setdefault(job.system, job)
+        return min(heads.values(), default=None,
+                   key=lambda job: (dispatched[job.system], job.system))
+
+    def pending(self) -> int:
+        return self.counts()[QUEUED]
+
+    def queue(self) -> Dict[str, Any]:
+        """The admin-API view: queue depth, total and per system."""
+        per_system: Dict[str, int] = {}
+        for job in self.in_state(QUEUED):
+            per_system[job.system] = per_system.get(job.system, 0) + 1
+        return {"pending": sum(per_system.values()), "per_system": per_system}
 
     def __len__(self) -> int:
         return len(self.jobs)

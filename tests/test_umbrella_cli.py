@@ -112,6 +112,32 @@ def test_daemon_subcommand_round_trip(tmp_path):
     assert payload["counts"]["done"] == 1
 
 
+@pytest.mark.parametrize("view", ["status", "queue", "recovery", "metrics"])
+def test_daemon_views_before_any_daemon_fail_in_one_line(tmp_path, view, capsys):
+    from repro.service.cli import main
+
+    assert main([view, str(tmp_path / "never-served"), "--json", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "status.json" in captured.err
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "never-served").exists()
+
+
+def test_front_door_advertises_a_real_analytics_subcommand(capsys):
+    import repro.__main__ as front
+    from repro.obs.analytics import main
+
+    example = next(line for line in front.__doc__.splitlines()
+                   if "python -m repro analytics" in line)
+    subcommand = example.split("repro analytics")[1].split()[0]
+    with pytest.raises(SystemExit) as exit_:
+        main([subcommand, "--help"])
+    assert exit_.value.code == 0
+    assert "trace" in capsys.readouterr().out
+    assert "journal" not in front.COMMANDS["analytics"][1]
+
+
 @pytest.mark.parametrize("module", LEGACY)
 def test_legacy_entry_point_is_removed(module):
     proc = run_module(module, "--help")
