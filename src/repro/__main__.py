@@ -26,6 +26,9 @@ def _run_campaign_cmd(argv: List[str]) -> int:
     """The ``campaign`` subcommand: one full pipeline run, one summary."""
     import argparse
 
+    from repro.core.report import add_campaign_knobs, campaign_from_knobs
+    from repro.core.report import format_summary, write_json
+
     parser = argparse.ArgumentParser(
         prog="python -m repro campaign",
         description="Run one crash-injection campaign: analyze the system, "
@@ -33,23 +36,7 @@ def _run_campaign_cmd(argv: List[str]) -> int:
                     "and print the detection summary.",
     )
     parser.add_argument("system", help="system under test (e.g. yarn)")
-    parser.add_argument("--points", type=int, default=None,
-                        help="cap the number of points tested")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="campaign worker-pool size")
-    parser.add_argument("--order", choices=("point", "novelty"),
-                        default="point")
-    parser.add_argument("--execution", choices=("replay", "snapshot"),
-                        default="replay")
-    parser.add_argument("--select", choices=("full", "representative"),
-                        default="full",
-                        help="'representative' clusters points into "
-                             "equivalence classes and tests one per class")
-    parser.add_argument("--audit-fraction", type=float, default=0.1,
-                        help="fraction of non-representative members "
-                             "executed anyway to cross-check their class "
-                             "(representative mode only)")
+    add_campaign_knobs(parser)
     parser.add_argument("--journal", metavar="PATH", default=None,
                         help="checkpoint journal (reruns resume from it, and "
                              "reuse the analysis kept in PATH.setup/)")
@@ -57,14 +44,8 @@ def _run_campaign_cmd(argv: List[str]) -> int:
                         help="dump the result payload ('-' = stdout)")
     args = parser.parse_args(argv)
 
-    from repro.api import (
-        CampaignConfig,
-        format_kv,
-        matcher_for_system,
-        prepare,
-        run_campaign,
-    )
-    from repro.core.report import write_json
+    from repro.api import matcher_for_system, prepare, run_campaign
+    from repro.core.injection import JournalMismatch
     from repro.systems import all_systems, get_system
 
     known = sorted(s.name for s in all_systems())
@@ -72,51 +53,41 @@ def _run_campaign_cmd(argv: List[str]) -> int:
         print(f"error: unknown system {args.system!r} — pick one of {known}",
               file=sys.stderr)
         return 2
-    cfg = CampaignConfig(
-        max_points=args.points, seed=args.seed, workers=args.workers,
-        point_order=args.order, execution=args.execution,
-        point_select=args.select, audit_fraction=args.audit_fraction,
-        journal_path=args.journal,
-    )
+    try:
+        cfg = campaign_from_knobs(args, journal_path=args.journal)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     system = get_system(args.system)
-    # a journaled campaign keeps its phase 1 beside the journal, so a
-    # resume skips straight to the first unrestored point
-    analysis, profile, baseline = prepare(
-        system, cfg.seed,
-        cache_dir=f"{args.journal}.setup" if args.journal else None)
-    result = run_campaign(system, analysis, profile.dynamic_points,
-                          campaign=cfg, baseline=baseline,
-                          matcher=matcher_for_system(args.system))
-    bugs = result.detected_bugs()
-    summary = {
-        "points": len(result.outcomes),
-        "resumed": result.resumed,
-        "bugs": ", ".join(f"{k}({len(v)})" for k, v in sorted(bugs.items()))
-                or "-",
-        "first_detection": result.first_detection(),
-        "sim_seconds": f"{result.sim_seconds:.1f}",
-        "wall_seconds": f"{result.wall_seconds:.2f}",
-    }
-    if result.classes is not None:
-        cs = result.classes
-        summary["classes"] = (
-            f"{cs['classes']} ({cs['executed']} executed, "
-            f"{cs['audited']} audited, {cs['promoted']} promoted)"
-        )
-    print(format_kv(f"campaign {args.system}", summary))
+    tested: List[int] = []  # points finalized by this process
+    total = "?"
+    try:
+        # a journaled campaign keeps its phase 1 beside the journal, so a
+        # resume skips straight to the first unrestored point
+        analysis, profile, baseline = prepare(
+            system, cfg.seed,
+            cache_dir=f"{args.journal}.setup" if args.journal else None)
+        total = len(profile.dynamic_points[:cfg.max_points])
+        result = run_campaign(system, analysis, profile.dynamic_points,
+                              campaign=cfg, baseline=baseline,
+                              matcher=matcher_for_system(args.system),
+                              on_outcome=lambda index, _: tested.append(index))
+    except (JournalMismatch, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # every execution mode has wound its children down by now, and the
+        # journal (if any) holds one whole line per finalized point
+        print(f"interrupted after {len(tested)} of {total} points — "
+              + (f"rerun with --journal {args.journal} to resume"
+                 if args.journal else
+                 "nothing was kept; pass --journal PATH to make a run resumable"),
+              file=sys.stderr)
+        return 130
+    payload = result.summary()
+    print(format_summary(f"campaign {args.system}", payload))
     if args.json:
-        write_json({
-            "system": args.system,
-            "n_points": len(result.outcomes),
-            "resumed": result.resumed,
-            "detected_bugs": {k: len(v) for k, v in bugs.items()},
-            "first_detection": result.first_detection(),
-            "outcomes": [o.to_dict() for o in result.outcomes],
-            "point_select": result.point_select,
-            "classes": result.classes,
-            "sim_seconds": result.sim_seconds,
-            "wall_seconds": result.wall_seconds,
-        }, args.json)
+        write_json(payload, args.json)
     return 0
 
 

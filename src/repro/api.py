@@ -24,6 +24,9 @@ The supported surface:
   when one matches,
 * :func:`run_campaign` / :class:`CampaignResult` — just the
   fault-injection phase, over pre-computed dynamic crash points,
+* :func:`outcome_digest` — the one definition of "same result": a hash
+  of a campaign's outcomes, wall-clock stripped and order-independent
+  (``campaign --json``'s ``digest``, ``result.json``'s ``fingerprint``),
 * :class:`CampaignConfig` — the one frozen config object for both
   (oracle knobs, seed, ``workers`` for parallel campaigns,
   ``journal_path`` for checkpoint/resume, ``execution="snapshot"`` for
@@ -77,6 +80,7 @@ from repro.core.injection import (
     CampaignResult,
     InjectionOutcome,
     build_baseline,
+    outcome_digest,
     run_campaign,
 )
 from repro.core.profiler import profile_system
@@ -170,6 +174,7 @@ __all__ = [
     "format_table",
     "get_system",
     "matcher_for_system",
+    "outcome_digest",
     "point_key",
     "prepare",
     "profile_system",

@@ -4,6 +4,7 @@ from repro.core.injection.campaign import (
     CampaignConfig,
     CampaignResult,
     InjectionOutcome,
+    outcome_digest,
     run_campaign,
     run_one_injection,
 )
@@ -48,6 +49,7 @@ __all__ = [
     "build_classes",
     "class_signature",
     "evaluate_run",
+    "outcome_digest",
     "run_campaign",
     "run_one_injection",
 ]

@@ -17,10 +17,12 @@ one, only ``wall_seconds`` differs.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time as _wallclock
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster import Cluster
 from repro.core.analysis import AnalysisReport
@@ -46,12 +48,6 @@ EXTENDED_FACTOR = 400.0
 @dataclass(frozen=True)
 class CampaignConfig:
     """How a fault-injection campaign runs (the stable public knobs).
-
-    Replaces the loose ``seed``/``wait``/... kwargs that used to be
-    threaded through ``crashtuner`` → ``run_campaign`` →
-    ``run_one_injection``; their one-release deprecation shims are gone —
-    passing the old kwargs (or an int seed in the ``campaign`` slot) is a
-    TypeError.
 
     Attributes:
         wait: simulated seconds the reading thread blocks after a
@@ -228,20 +224,14 @@ def _coerce_campaign(
     campaign: Optional[CampaignConfig],
     caller: str,
 ) -> CampaignConfig:
-    """Validate the ``campaign`` argument (the loose-kwargs shim era ended).
-
-    The one-release ``DeprecationWarning`` shims that folded loose
-    ``seed``/``wait``/... kwargs (including a positional int seed in this
-    slot) into a :class:`CampaignConfig` have been removed: anything but a
-    :class:`CampaignConfig` or ``None`` is a TypeError now.
-    """
+    """The ``campaign`` argument as a config: anything but a
+    :class:`CampaignConfig` or ``None`` is a TypeError."""
     if campaign is None:
         return CampaignConfig()
     if not isinstance(campaign, CampaignConfig):
         raise TypeError(
-            f"{caller}: campaign must be a CampaignConfig (or None), "
-            f"got {type(campaign).__name__} — the deprecated loose-kwargs "
-            f"shims were removed; pass campaign=CampaignConfig(...)"
+            f"{caller}: campaign must be a CampaignConfig (or None), got "
+            f"{type(campaign).__name__}; pass campaign=CampaignConfig(...)"
         )
     return campaign
 
@@ -285,9 +275,8 @@ class InjectionOutcome:
             "wall_seconds": self.wall_seconds,
             "diagnosis": self.diagnosis.to_dict() if self.diagnosis else None,
         }
-        # emitted only when set: a full-execution campaign's dicts (and
-        # the service's cross-run fingerprints) are unchanged by the
-        # representative-mode fields
+        # emitted only when set: a full-execution campaign's dicts, and so
+        # its outcome_digest, carry no representative-mode fields
         if self.class_id:
             data["class_id"] = self.class_id
         if self.propagated:
@@ -314,6 +303,26 @@ class InjectionOutcome:
             class_id=data.get("class_id", ""),
             propagated=data.get("propagated", False),
         )
+
+
+def outcome_digest(
+    outcomes: Iterable[Union[InjectionOutcome, Dict[str, Any]]],
+) -> str:
+    """The identity of a set of outcomes: 16 hex digits of a sha256.
+
+    Covers every field of every :meth:`InjectionOutcome.to_dict` except
+    ``wall_seconds`` — the one property of the host, not of the campaign —
+    over *sorted* rows, so replay, snapshot, pooled, resumed and reordered
+    campaigns over the same points share it.  Accepts outcomes or their
+    dicts; ``tests/data/outcome_digests.json`` pins the seed-0 values.
+    """
+    rows = []
+    for outcome in outcomes:
+        data = dict(outcome.to_dict() if isinstance(outcome, InjectionOutcome)
+                    else outcome)
+        data.pop("wall_seconds", None)
+        rows.append(json.dumps(data, sort_keys=True))
+    return hashlib.sha256("\n".join(sorted(rows)).encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -373,6 +382,27 @@ class CampaignResult:
             for bug in outcome.matched_bugs:
                 out.setdefault(bug, []).append(outcome)
         return out
+
+    def summary(self) -> Dict[str, Any]:
+        """The JSON-able payload ``python -m repro campaign --json`` dumps
+        and the campaign service stores in ``result.json``."""
+        outcomes = [o.to_dict() for o in self.outcomes]
+        return {
+            "system": self.system,
+            "n_points": len(outcomes),
+            "resumed": self.resumed,
+            "outcomes": outcomes,
+            "digest": outcome_digest(outcomes),
+            "detected_bugs": {k: len(v) for k, v in self.detected_bugs().items()},
+            "first_detection": self.first_detection(),
+            "sim_seconds": self.sim_seconds,
+            "wall_seconds": self.wall_seconds,
+            "execution": self.execution,
+            "workers_realized": self.workers_realized,
+            "point_order": self.point_order,
+            "point_select": self.point_select,
+            "classes": self.classes,
+        }
 
 
 def _arm(

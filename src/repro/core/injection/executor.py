@@ -306,6 +306,8 @@ _inherited_ctx: Optional[ExecContext] = None
 def _inherit(ctx: ExecContext) -> None:
     global _inherited_ctx
     _inherited_ctx = ctx
+    # Ctrl-C reaches the whole process group; the campaign process answers
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if sys.platform == "linux":
         # a worker blocked on the call queue never learns that its parent
         # was SIGKILLed (a STALE daemon job): let the kernel tell it

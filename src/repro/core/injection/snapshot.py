@@ -206,6 +206,11 @@ class _SnapshotWatcher:
 
     def _fork(self, entry: _ArmedPoint) -> bool:
         """Snapshot the world for one point; True only in the child."""
+        # a SIGINT landing inside fork's own hooks is swallowed there: hold
+        # it until the child is on the books (abandon() can then kill it).
+        # The child keeps it held: Ctrl-C reaches the whole process group
+        # and is the campaign process's to answer
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
             result_r, result_w = os.pipe()
             try:
@@ -216,6 +221,7 @@ class _SnapshotWatcher:
                 raise
         except OSError:
             # no snapshot (process or fd limit, memory): the world goes on
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             self.failed.append(entry)
             return False
         if pid == 0:
@@ -228,6 +234,7 @@ class _SnapshotWatcher:
             return True
         os.close(result_w)
         self.inflight[result_r] = (entry, pid)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         while len(self.inflight) >= self.ctx.workers and self.held is None:
             self.collect()
         return False

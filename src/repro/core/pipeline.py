@@ -8,9 +8,7 @@ stats (Table 12), times (Table 11), flagged outcomes and attributed bugs
 (Table 5).
 
 The campaign phase is configured by one frozen
-:class:`~repro.core.injection.CampaignConfig` (workers, journal, seed,
-oracle knobs); the pre-CampaignConfig loose kwargs and their one-release
-deprecation shims are gone — passing them is a TypeError.
+:class:`~repro.core.injection.CampaignConfig` (workers, journal, seed, ...).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
-"""Plain-text table rendering for benchmarks and examples.
+"""Plain-text rendering and flag plumbing the CLIs and benchmarks share.
 
 The benchmark harness prints the same rows the paper's tables report;
-this module keeps the formatting in one place.
+this module keeps the formatting (and the campaign flags) in one place.
 """
 
 from __future__ import annotations
@@ -46,6 +46,61 @@ def format_kv(title: str, mapping: "dict") -> str:
     lines = [title]
     lines.extend(f"  {str(k).ljust(width)} : {v}" for k, v in mapping.items())
     return "\n".join(lines)
+
+
+def format_summary(title: str, payload: "dict") -> str:
+    """The block the ``campaign`` and ``daemon wait`` CLIs print for a
+    ``CampaignResult.summary()`` payload or the ``result.json`` built on
+    one (a failed job's holds little more than ``state`` and ``error``)."""
+    rows = {key: payload[key] for key in ("state", "error") if payload.get(key)}
+    # result.json calls it ``fingerprint`` (a list of outcomes up to 1.13.0)
+    digest = payload.get("digest", payload.get("fingerprint"))
+    rows.update({
+        "points": payload.get("n_points", 0),
+        "resumed": payload.get("resumed", 0),
+        "bugs": ", ".join(f"{bug}({n})" for bug, n in
+                          sorted(payload.get("detected_bugs", {}).items())) or "-",
+        "first_detection": payload.get("first_detection"),
+        "sim_seconds": f"{payload.get('sim_seconds', 0.0):.1f}",
+        "wall_seconds": f"{payload.get('wall_seconds', 0.0):.2f}",
+        "digest": digest if isinstance(digest, str) else "-",
+    })
+    if payload.get("classes"):
+        rows["classes"] = ("{classes} ({executed} executed, {audited} audited, "
+                           "{promoted} promoted)".format(**payload["classes"]))
+    return format_kv(title, rows)
+
+
+def add_campaign_knobs(parser: Any, workers_flag: str = "--workers") -> None:
+    """The ``CampaignConfig`` flags ``campaign`` and ``daemon submit`` share."""
+    parser.add_argument("--points", type=int, default=None,
+                        help="cap the number of points tested")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(workers_flag, dest="workers", type=int, default=1,
+                        help="the campaign's worker-pool size")
+    parser.add_argument("--order", choices=("point", "novelty"), default="point")
+    parser.add_argument("--execution", choices=("replay", "snapshot"),
+                        default="replay")
+    parser.add_argument("--select", choices=("full", "representative"),
+                        default="full",
+                        help="'representative' clusters points into "
+                             "equivalence classes and tests one per class")
+    parser.add_argument("--audit-fraction", type=float, default=0.1,
+                        help="fraction of non-representative members "
+                             "executed anyway to cross-check their class "
+                             "(representative mode only)")
+
+
+def campaign_from_knobs(args: Any, journal_path: Optional[str] = None) -> Any:
+    """The config those flags spell; ``ValueError`` names a bad one."""
+    from repro.core.injection import CampaignConfig
+
+    return CampaignConfig(
+        max_points=args.points, seed=args.seed, workers=args.workers,
+        point_order=args.order, execution=args.execution,
+        point_select=args.select, audit_fraction=args.audit_fraction,
+        journal_path=journal_path,
+    )
 
 
 def write_json(payload: Any, dest: str) -> None:

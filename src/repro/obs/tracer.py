@@ -88,23 +88,16 @@ class Tracer:
     campaign trace holds ~170k RPC spans): past the cap, finished spans
     are counted in :attr:`dropped` instead of stored, and the exporter
     surfaces that count so a truncated trace never reads as a full one.
-
-    ``clock`` overrides the time source: by default spans are stamped
-    with the ambient cluster's *simulated* time, but processes that live
-    outside any simulation — the campaign daemon — pass ``time.time`` so
-    their spans read in wall-clock seconds instead of a flat 0.0.
     """
 
     enabled = True
 
-    def __init__(self, max_spans: Optional[int] = None,
-                 clock: Optional[Any] = None) -> None:
+    def __init__(self, max_spans: Optional[int] = None) -> None:
         self.spans: List[SpanRecord] = []
         self.max_spans = max_spans
         self.dropped = 0
         self._stack: List[SpanRecord] = []
         self._next_id = 1
-        self._clock = clock if clock is not None else runtime.current_time
 
     # ------------------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> _OpenSpan:
@@ -113,7 +106,7 @@ class Tracer:
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
             name=name,
-            start=self._clock(),
+            start=runtime.current_time(),
             node=runtime.current_node(),
             attrs=dict(attrs),
         )
@@ -129,7 +122,7 @@ class Tracer:
 
     def event(self, name: str, **attrs: Any) -> SpanRecord:
         """Record an instantaneous event (a zero-duration span)."""
-        now = self._clock()
+        now = runtime.current_time()
         record = SpanRecord(
             span_id=self._next_id,
             parent_id=self._stack[-1].span_id if self._stack else None,
@@ -145,7 +138,7 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def _finish(self, record: SpanRecord) -> None:
-        record.end = self._clock()
+        record.end = runtime.current_time()
         # Close any spans left open by an exception unwinding past them.
         while self._stack:
             top = self._stack.pop()

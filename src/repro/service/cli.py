@@ -25,8 +25,8 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.injection import CampaignConfig
-from repro.core.report import format_kv, format_table, write_json
+from repro.core.report import add_campaign_knobs, campaign_from_knobs
+from repro.core.report import format_kv, format_summary, format_table, write_json
 from repro.service.admin import ServiceUnavailable
 
 
@@ -57,18 +57,9 @@ def _cmd_start(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.service import ServiceClient
 
-    campaign = CampaignConfig(
-        max_points=args.points,
-        seed=args.seed,
-        workers=args.campaign_workers,
-        execution=args.execution,
-        point_order=args.order,
-        point_select=args.select,
-        audit_fraction=args.audit_fraction,
-    )
     client = ServiceClient(args.service_dir)
-    job_id = client.submit(args.system, campaign, trace=args.trace,
-                           job_id=args.job_id)
+    job_id = client.submit(args.system, campaign_from_knobs(args),
+                           trace=args.trace, job_id=args.job_id)
     print(job_id)
     return 0
 
@@ -85,14 +76,7 @@ def _cmd_wait(args: argparse.Namespace) -> int:
     if args.json:
         write_json(result, args.json)
     else:
-        print(format_kv(f"job {args.job_id}", {
-            "state": result["state"],
-            "points": result.get("n_points", 0),
-            "resumed": result.get("resumed", 0),
-            "bugs": ", ".join(sorted(result.get("detected_bugs", {}))) or "-",
-            "sim_seconds": f"{result.get('sim_seconds', 0.0):.1f}",
-            "wall_seconds": f"{result.get('wall_seconds', 0.0):.2f}",
-        }))
+        print(format_summary(f"job {args.job_id}", result))
     return 0 if result["state"] == "done" else 1
 
 
@@ -213,18 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser("submit", help="queue one campaign")
     submit.add_argument("service_dir")
     submit.add_argument("system")
-    submit.add_argument("--points", type=int, default=None)
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument("--campaign-workers", type=int, default=1,
-                        help="CampaignConfig.workers inside the job")
-    submit.add_argument("--execution", choices=("replay", "snapshot"),
-                        default="replay")
-    submit.add_argument("--order", choices=("point", "novelty"),
-                        default="point")
-    submit.add_argument("--select", choices=("full", "representative"),
-                        default="full",
-                        help="CampaignConfig.point_select inside the job")
-    submit.add_argument("--audit-fraction", type=float, default=0.1)
+    add_campaign_knobs(submit, workers_flag="--campaign-workers")
     submit.add_argument("--trace", action="store_true",
                         help="export the job's JSONL trace")
     submit.add_argument("--job-id", default=None)
@@ -258,6 +231,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ServiceUnavailable as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a bad campaign knob, an unknown system
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via -m repro

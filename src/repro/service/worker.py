@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.bugs import matcher_for_system
-from repro.core.injection import CampaignResult, run_campaign
+from repro.core.injection import run_campaign
 from repro.core.pipeline import prepare
 from repro.obs import NULL_OBS, Observability, Tracer, write_trace_jsonl
 from repro.service.jobs import JobSpec
@@ -31,49 +31,6 @@ JOURNAL_NAME = "journal.jsonl"
 SENTINEL_NAME = "sentinel.json"
 RESULT_NAME = "result.json"
 TRACE_NAME = "trace.jsonl"
-
-
-def result_fingerprint(outcomes: Any) -> Any:
-    """Outcome dicts with wall-clock stripped: the cross-run identity.
-
-    Two runs of the same campaign — interrupted or not, parallel or not —
-    must produce byte-identical fingerprints; only wall-clock may differ.
-    """
-    stripped = []
-    for data in outcomes:
-        data = dict(data)
-        data.pop("wall_seconds", None)
-        stripped.append(data)
-    return stripped
-
-
-def build_result(spec: JobSpec, result: CampaignResult, attempts: int,
-                 setup: Dict[str, Any]) -> Dict[str, Any]:
-    """The ``result.json`` payload for a finished campaign."""
-    outcomes = [o.to_dict() for o in result.outcomes]
-    return {
-        "job_id": spec.job_id,
-        "system": spec.system,
-        "state": "done",
-        "error": None,
-        "attempts": attempts,
-        "n_points": len(result.outcomes),
-        "resumed": result.resumed,
-        "outcomes": outcomes,
-        "fingerprint": result_fingerprint(outcomes),
-        "detected_bugs": {k: len(v) for k, v in result.detected_bugs().items()},
-        "first_detection": result.first_detection(),
-        "sim_seconds": result.sim_seconds,
-        "wall_seconds": result.wall_seconds,
-        "execution": result.execution,
-        "workers_realized": result.workers_realized,
-        "point_order": result.point_order,
-        "point_select": result.point_select,
-        "classes": result.classes,
-        # how phase 1 was obtained; outside ``fingerprint`` by design
-        "setup": setup,
-        "finished_at": time.time(),
-    }
 
 
 def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1,
@@ -122,17 +79,19 @@ def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1,
             write_trace_jsonl(job_dir / TRACE_NAME, obs=obs,
                               meta={"system": spec.system,
                                     "job_id": spec.job_id})
-        payload = build_result(spec, result, attempts, setup)
+        payload = result.summary()
+        # the outcome_digest: equal across interrupted, resumed and pooled
+        # runs of one job, whatever ``setup`` says
+        payload.update(state="done", error=None, setup=setup,
+                       fingerprint=payload.pop("digest"))
     except BaseException as exc:  # noqa: BLE001 - the trail is the contract
         payload = {
-            "job_id": spec.job_id,
             "system": spec.system,
             "state": "failed",
             "error": f"{type(exc).__name__}: {exc}",
             "traceback": traceback.format_exc(),
-            "attempts": attempts,
-            "finished_at": time.time(),
         }
+    payload.update(job_id=spec.job_id, attempts=attempts, finished_at=time.time())
     # result.json lands atomically *before* the final beat, so any
     # observer that sees the "finished" phase will also see the result
     atomic_write_json(job_dir / RESULT_NAME, payload)

@@ -1,5 +1,7 @@
 """Shared fixtures and helpers for the test suite."""
 
+import json
+from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 import pytest
@@ -7,11 +9,29 @@ import pytest
 from repro.bugs import matcher_for_system
 from repro.cluster.state import BUS
 from repro.core.analysis import analyze_system
-from repro.core.injection import CampaignConfig, build_baseline, run_one_injection
+from repro.core.injection import (
+    CampaignConfig,
+    build_baseline,
+    run_campaign,
+    run_one_injection,
+)
 from repro.core.profiler import profile_system
+from repro.obs import Observability
 from repro.systems import get_system
 
+#: system -> {"full" | "representative" -> outcome_digest} of the seed-0
+#: campaign; a PR that means to move an outcome edits the file
+PINS: Dict[str, Dict[str, str]] = json.loads(
+    (Path(__file__).parent / "data" / "outcome_digests.json").read_text())
+
+#: yarn's first nine points hold three equivalence classes and no hang:
+#: journal, pool and class mechanics run on them in milliseconds, and leave
+#: the 2 s hang extension of point 9 to the full campaigns of the matrix
+#: in test_outcome_identity.py
+N_CHEAP = 9
+
 _CACHE: Dict[Tuple[str, Any], Tuple] = {}
+_REFERENCES: Dict[Tuple[str, bool, Optional[int]], Any] = {}
 
 
 def _config_key(config: Optional[Dict[str, Any]]) -> Any:
@@ -31,6 +51,54 @@ def prepared(system_name: str, config: Optional[Dict[str, Any]] = None):
         baseline = build_baseline(system, config=config)
         _CACHE[key] = (system, analysis, profile, baseline)
     return _CACHE[key]
+
+
+def campaign(system_name: str, n_points: Optional[int] = None, points=None,
+             setup=None, obs=None, on_outcome=None, **knobs):
+    """One campaign over the first ``n_points`` profiled points (or
+    ``points``) of ``prepared(system_name)`` — or of ``setup``, another
+    (analysis, profile, baseline); ``knobs`` are CampaignConfig fields."""
+    system = get_system(system_name)
+    analysis, profile, baseline = setup or prepared(system_name)[1:]
+    if points is None:
+        points = profile.dynamic_points[:n_points]
+    return run_campaign(
+        system, analysis, points, campaign=CampaignConfig(**knobs),
+        baseline=baseline, matcher=matcher_for_system(system_name), obs=obs,
+        on_outcome=on_outcome,
+    )
+
+
+def reference(system_name: str, traced: bool = False,
+              n_points: Optional[int] = None):
+    """The default seed-0 campaign (replay, one worker, point order) over
+    the first ``n_points`` points, run once per session: plain, the
+    ``CampaignResult`` (``PINS[system]["full"]`` pins the uncapped one);
+    traced, ``(result, obs)``."""
+    key = (system_name, traced, n_points)
+    if key not in _REFERENCES:
+        obs = Observability() if traced else None
+        result = campaign(system_name, n_points, obs=obs)
+        _REFERENCES[key] = (result, obs) if traced else result
+    return _REFERENCES[key]
+
+
+def outcome_dicts(result):
+    """A campaign's outcomes as dicts, wall-clock stripped."""
+    dicts = [o.to_dict() for o in result.outcomes]
+    for d in dicts:
+        d.pop("wall_seconds")
+    return dicts
+
+
+def span_dicts(obs):
+    """A traced campaign's spans as dicts, wall-clock-dependent attrs
+    (``wall_seconds``, the pool width) stripped."""
+    spans = [span.to_dict() for span in obs.tracer.spans]
+    for span in spans:
+        for attr in ("wall_seconds", "workers"):
+            span.get("attrs", {}).pop(attr, None)
+    return spans
 
 
 def find_dpoints(profile, enclosing_frag: str, field: Optional[str] = None,

@@ -12,8 +12,8 @@ import json
 
 import pytest
 
-from repro.bugs import matcher_for_system, seeded_bugs
-from repro.core.injection import CampaignConfig, JournalMismatch, run_campaign
+from repro.bugs import seeded_bugs
+from repro.core.injection import CampaignConfig, JournalMismatch
 from repro.obs import Observability, read_trace_jsonl, write_trace_jsonl
 from repro.obs.analytics import (
     analyze_diagnoses,
@@ -31,42 +31,16 @@ from repro.obs.features import (
     static_only,
     static_tokens,
 )
-from tests.conftest import prepared
+from tests.conftest import campaign, prepared, reference
 
-_CACHE = {}
-
-
-def full_campaign(name, point_order="point"):
-    """One full traced campaign per (system, order), cached for the session."""
-    key = (name, point_order)
-    if key not in _CACHE:
-        system, analysis, profile, baseline = prepared(name)
-        obs = Observability()
-        result = run_campaign(
-            system, analysis, profile.dynamic_points, baseline=baseline,
-            campaign=CampaignConfig(point_order=point_order),
-            matcher=matcher_for_system(name), obs=obs,
-        )
-        _CACHE[key] = (obs, result)
-    return _CACHE[key]
-
-
-def full_analytics(name):
-    """The analytics pass over the cached full campaign's live evidence."""
-    key = (name, "analytics")
-    if key not in _CACHE:
-        obs, result = full_campaign(name)
-        _CACHE[key] = analyze_diagnoses(result.diagnoses(), spans=obs.tracer.spans)
-    return _CACHE[key]
-
-
-def _run(name, points=None, **knobs):
-    system, analysis, profile, baseline = prepared(name)
-    return run_campaign(
-        system, analysis, profile.dynamic_points if points is None else points,
-        baseline=baseline,
-        campaign=CampaignConfig(**knobs), matcher=matcher_for_system(name),
-    )
+@pytest.fixture(scope="module")
+def full_analytics():
+    """``name ->`` the analytics pass over that traced reference's evidence."""
+    reports = {}
+    for name in ("yarn", "hbase"):
+        result, obs = reference(name, traced=True)
+        reports[name] = analyze_diagnoses(result.diagnoses(), spans=obs.tracer.spans)
+    return reports
 
 
 # ----------------------------------------------------------------------
@@ -75,14 +49,14 @@ def _run(name, points=None, **knobs):
 def test_static_tokens_identical_from_point_and_diagnosis():
     # the contract putting pending points and finished injections in one
     # feature space: point_tokens (pre-run) == static_tokens (post-run)
-    obs, result = full_campaign("yarn")
+    result, obs = reference("yarn", traced=True)
     assert len(obs.diagnoses) == len(result.outcomes)
     for outcome, diagnosis in zip(result.outcomes, obs.diagnoses):
         assert point_tokens(outcome.dpoint) == static_tokens(diagnosis)
 
 
 def test_featurize_tokens_are_static_plus_dynamic():
-    obs, result = full_campaign("yarn")
+    result, obs = reference("yarn", traced=True)
     features, span_features = featurize(obs.diagnoses, spans=obs.tracer.spans)
     assert span_features
     for feat, diagnosis in zip(features, obs.diagnoses):
@@ -98,13 +72,8 @@ def test_span_features_survive_unclassified_hangs():
     # one workload span per injection whatever the verdict: fired hangs
     # that never got an extension used to be booked as two runs each,
     # which dropped span features for the whole trace
-    system, analysis, profile, baseline = prepared("hbase")
     obs = Observability()
-    run_campaign(
-        system, analysis, profile.dynamic_points, baseline=baseline,
-        campaign=CampaignConfig(classify_timeouts=False),
-        matcher=matcher_for_system("hbase"), obs=obs,
-    )
+    campaign("hbase", classify_timeouts=False, obs=obs)
     assert any(d.fired and "hang" in d.verdict_kinds for d in obs.diagnoses)
     features, span_features = featurize(obs.diagnoses, spans=obs.tracer.spans)
     assert span_features
@@ -112,7 +81,7 @@ def test_span_features_survive_unclassified_hangs():
 
 
 def test_span_features_dropped_when_unattributable():
-    obs, _ = full_campaign("yarn")
+    _, obs = reference("yarn", traced=True)
     # hand the featurizer a span set that cannot add up (no spans at all,
     # then a truncated one): it must degrade, not misattribute
     _, ok = featurize(obs.diagnoses, spans=None)
@@ -131,9 +100,9 @@ def test_jaccard_distance_bounds():
 # ----------------------------------------------------------------------
 # clustering
 # ----------------------------------------------------------------------
-def test_cluster_modes_partition_and_threshold_extremes():
-    obs, _ = full_campaign("yarn")
-    rep = full_analytics("yarn")
+def test_cluster_modes_partition_and_threshold_extremes(full_analytics):
+    _, obs = reference("yarn", traced=True)
+    rep = full_analytics["yarn"]
     covered = sorted(i for m in rep.modes for i in m.members)
     assert covered == list(range(len(obs.diagnoses)))
     for mode in rep.modes:
@@ -147,23 +116,23 @@ def test_cluster_modes_partition_and_threshold_extremes():
     assert len(merged) == 1
 
 
-def test_analytics_json_is_byte_deterministic(tmp_path):
-    obs, _ = full_campaign("yarn")
+def test_analytics_json_is_byte_deterministic(tmp_path, full_analytics):
+    _, obs = reference("yarn", traced=True)
     path = write_trace_jsonl(tmp_path / "yarn.jsonl", obs=obs)
     once = analyze_trace(read_trace_jsonl(path)).to_json()
     again = analyze_trace(read_trace_jsonl(path)).to_json()
     assert once == again
     # and the in-process report (computed from live objects) agrees
-    assert full_analytics("yarn").to_json() == once
+    assert full_analytics["yarn"].to_json() == once
 
 
 # ----------------------------------------------------------------------
 # detection dedup (pinned against the bug catalog)
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", ["yarn", "hbase"])
-def test_dedup_collapses_every_seeded_bug(name):
-    obs, _ = full_campaign(name)
-    rep = full_analytics(name)
+def test_dedup_collapses_every_seeded_bug(name, full_analytics):
+    _, obs = reference(name, traced=True)
+    rep = full_analytics[name]
     raw = {}
     for i, diagnosis in enumerate(obs.diagnoses):
         for bug in diagnosis.matched_bugs:
@@ -203,38 +172,34 @@ def test_novelty_order_starts_far_from_observed():
 
 
 def test_novelty_reaches_first_detection_sooner_on_yarn():
-    _, by_point = full_campaign("yarn")
-    _, by_novelty = full_campaign("yarn", point_order="novelty")
-    assert by_point.point_order == "point"
-    assert by_novelty.point_order == "novelty"
-    first_point = by_point.first_detection()
-    first_novelty = by_novelty.first_detection()
-    assert first_point is not None and first_novelty is not None
+    first_point = reference("yarn").first_detection()
+    assert first_point  # point order does not detect at its very first point
     # the acceptance criterion: strictly fewer injections to first detection
-    assert first_novelty < first_point
-    # same points, same bugs — only the order changed
-    assert by_novelty.detected_bugs().keys() == by_point.detected_bugs().keys()
-    assert {o.dpoint.key() for o in by_novelty.outcomes} == \
-        {o.dpoint.key() for o in by_point.outcomes}
+    by_novelty = campaign("yarn", point_order="novelty", max_points=first_point)
+    assert by_novelty.point_order == "novelty"
+    assert by_novelty.first_detection() is not None
     # hbase's point order already detects at its second point: there
     # novelty order must at least never schedule the detection later
-    _, hbase_point = full_campaign("hbase")
-    _, hbase_novelty = full_campaign("hbase", point_order="novelty")
-    assert hbase_novelty.first_detection() <= hbase_point.first_detection()
+    hbase_first = reference("hbase").first_detection()
+    hbase_novelty = campaign("hbase", point_order="novelty",
+                             max_points=hbase_first + 1)
+    assert hbase_novelty.first_detection() is not None
 
 
 def test_novelty_order_applies_before_max_points_cap():
-    capped = _run("yarn", point_order="novelty", max_points=6)
-    _, full = full_campaign("yarn", point_order="novelty")
+    capped = campaign("yarn", point_order="novelty", max_points=6)
+    points = prepared("yarn")[2].dynamic_points
     assert [o.dpoint.key() for o in capped.outcomes] == \
-        [o.dpoint.key() for o in full.outcomes[:6]]
+        [p.key() for p in order_points(points)[:6]]
+    assert [p.key() for p in order_points(points)[:6]] != \
+        [p.key() for p in points[:6]]
 
 
-def test_order_points_consumes_prior_analytics(tmp_path):
+def test_order_points_consumes_prior_analytics(tmp_path, full_analytics):
     system, analysis, profile, baseline = prepared("yarn")
     points = list(profile.dynamic_points)
     dump = tmp_path / "analytics.json"
-    dump.write_text(full_analytics("yarn").to_json() + "\n")
+    dump.write_text(full_analytics["yarn"].to_json() + "\n")
 
     seeded = order_points(points, analytics_path=dump)
     assert sorted(p.key() for p in seeded) == sorted(p.key() for p in points)
@@ -248,24 +213,24 @@ def test_order_points_consumes_prior_analytics(tmp_path):
     assert floors[[p.key() for p in points].index(first.key())] == max(floors)
 
     # a campaign handed the seeded order visits the points in it
-    ran = _run("yarn", points=seeded, max_points=4)
+    ran = campaign("yarn", points=seeded, max_points=4)
     assert [o.dpoint.key() for o in ran.outcomes] == \
         [p.key() for p in seeded[:4]]
 
 
 def test_novelty_campaign_journal_pins_order(tmp_path):
     journal = tmp_path / "journal.jsonl"
-    first = _run("yarn", point_order="novelty", max_points=5,
-                 journal_path=str(journal))
-    resumed = _run("yarn", point_order="novelty", max_points=5,
-                   journal_path=str(journal))
+    first = campaign("yarn", point_order="novelty", max_points=5,
+                     journal_path=str(journal))
+    resumed = campaign("yarn", point_order="novelty", max_points=5,
+                       journal_path=str(journal))
     assert [o.dpoint.key() for o in resumed.outcomes] == \
         [o.dpoint.key() for o in first.outcomes]
     assert [o.matched_bugs for o in resumed.outcomes] == \
         [o.matched_bugs for o in first.outcomes]
     # a journal written under one order must refuse another
     with pytest.raises(JournalMismatch):
-        _run("yarn", max_points=5, journal_path=str(journal))
+        campaign("yarn", max_points=5, journal_path=str(journal))
 
 
 def test_point_order_is_validated():
@@ -277,10 +242,10 @@ def test_point_order_is_validated():
 # campaign outputs are untouched by analytics
 # ----------------------------------------------------------------------
 def test_analytics_flag_leaves_campaign_outputs_identical(tmp_path):
-    result = _run("yarn", max_points=12)
-    a = write_trace_jsonl(tmp_path / "plain.jsonl", diagnoses=result.diagnoses())
-    assert analyze_diagnoses(result.diagnoses()).modes
-    b = write_trace_jsonl(tmp_path / "analyzed.jsonl", diagnoses=result.diagnoses())
+    diagnoses = reference("yarn").diagnoses()[:12]
+    a = write_trace_jsonl(tmp_path / "plain.jsonl", diagnoses=diagnoses)
+    assert analyze_diagnoses(diagnoses).modes
+    b = write_trace_jsonl(tmp_path / "analyzed.jsonl", diagnoses=diagnoses)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -288,7 +253,8 @@ def test_analytics_flag_leaves_campaign_outputs_identical(tmp_path):
 # the CLI
 # ----------------------------------------------------------------------
 def _trace_path(tmp_path):
-    obs, _ = full_campaign("yarn")
+    # twelve points hold every mode the subcommands render
+    _, obs = reference("yarn", traced=True, n_points=12)
     return str(write_trace_jsonl(tmp_path / "yarn.jsonl", obs=obs,
                                  meta={"system": "yarn"}))
 

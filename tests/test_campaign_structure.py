@@ -1,10 +1,8 @@
 """Tests for campaign result structures and analysis facade helpers."""
 
-from repro.bugs import matcher_for_system
 from repro.core.analysis import analysis_modules, analyze_system, cluster_hosts
-from repro.core.injection import run_campaign
 from repro.systems import get_system, run_workload
-from tests.conftest import prepared
+from tests.conftest import campaign, prepared, reference
 
 
 def test_analysis_modules_include_shared_id_records():
@@ -31,11 +29,9 @@ def test_analysis_report_totals_consistency():
 
 
 def test_campaign_result_shape_and_dedup():
-    system, analysis, profile, baseline = prepared("cassandra")
-    result = run_campaign(system, analysis, profile.dynamic_points,
-                          baseline=baseline, matcher=matcher_for_system("cassandra"))
+    result = reference("cassandra")
     assert result.system == "cassandra"
-    assert len(result.outcomes) == len(profile.dynamic_points)
+    assert len(result.outcomes) == len(prepared("cassandra")[2].dynamic_points)
     assert result.sim_seconds > 0
     detected = result.detected_bugs()
     for bug_id, outcomes in detected.items():
@@ -46,22 +42,14 @@ def test_campaign_result_shape_and_dedup():
 
 
 def test_campaign_is_deterministic():
-    system, analysis, profile, baseline = prepared("cassandra")
-    a = run_campaign(system, analysis, profile.dynamic_points,
-                     baseline=baseline, matcher=matcher_for_system("cassandra"))
-    b = run_campaign(system, analysis, profile.dynamic_points,
-                     baseline=baseline, matcher=matcher_for_system("cassandra"))
+    a, b = reference("cassandra"), campaign("cassandra")
     assert [(o.fired, tuple(o.matched_bugs), o.verdict.kinds())
             for o in a.outcomes] == \
         [(o.fired, tuple(o.matched_bugs), o.verdict.kinds()) for o in b.outcomes]
 
 
 def test_unfired_outcomes_are_never_flagged_by_injection():
-    system, analysis, profile, baseline = prepared("zookeeper")
-    result = run_campaign(system, analysis, profile.dynamic_points,
-                          baseline=baseline,
-                          matcher=matcher_for_system("zookeeper"))
-    for outcome in result.outcomes:
+    for outcome in reference("zookeeper").outcomes:
         if not outcome.fired:
             assert outcome.injection is None
 

@@ -2,22 +2,14 @@
 
 Template-identity matching, lazy rendering, and the online agent's
 interesting-template early-out must be *invisible* in every report
-surface: a full CrashTuner run (analysis → profile → campaign, with
-observability on) under ``fast_lane(True)`` must be byte-identical — the
-outcomes, the diagnoses, the merged metrics, the Table 11 rows — to the
-same run forced down the paper-faithful scored-regex lane with
-``fast_lane(False)``.  Only wall-clock fields may differ.
-
-CI runs this module in the smoke job and fails the build if any test in
-it is skipped (see .github/workflows/ci.yml) — the identity guarantee is
-the whole justification for keeping the fast lane.
+surface.  The whole-campaign half of that claim is the ``slow-log-lane``
+row of the matrix in ``tests/test_outcome_identity.py``; this module
+holds the per-record cross-check and the lane's edge cases.  CI runs
+both and fails the build if any of it is skipped — the identity is the
+whole justification for keeping the fast lane.
 """
 
-import json
-
-import pytest
-
-from repro import crashtuner, get_system
+from repro import get_system
 from repro.core.analysis import analyze_system
 from repro.core.analysis.logging_statements import LogStatement
 from repro.core.analysis.patterns import (
@@ -27,48 +19,7 @@ from repro.core.analysis.patterns import (
 )
 from repro.core.injection.online_log import OnlineMetaStore
 from repro.mtlog.records import LogRecord
-from repro.obs import Observability
 from repro.systems.base import run_workload
-
-# ----------------------------------------------------------------------
-# the tentpole guarantee: full-pipeline byte-identity, obs on
-# ----------------------------------------------------------------------
-
-def _pipeline_fingerprint(result, obs):
-    """Everything a run reports, minus wall-clock: one comparable dict."""
-    outcomes = [o.to_dict() for o in result.campaign.outcomes]
-    for d in outcomes:
-        d.pop("wall_seconds")
-    table11 = result.table11_row()
-    for key in list(table11):
-        if key.endswith("_wall_s") or key == "test_speedup":
-            table11.pop(key)
-    log = result.analysis.log_result
-    return {
-        "outcomes": outcomes,
-        "detected_bugs": sorted(result.detected_bugs().items()),
-        "diagnoses": [d.to_dict() for d in obs.diagnoses],
-        "metrics": obs.metrics.snapshot(),
-        "log_matched": [log.matched, log.unmatched],
-        "meta_slots": sorted(map(repr, log.meta_slots)),
-        "table11": table11,
-    }
-
-
-def _run_pipeline(system_name, enabled):
-    obs = Observability()
-    with fast_lane(enabled), obs:
-        result = crashtuner(get_system(system_name), obs=obs)
-    return _pipeline_fingerprint(result, obs)
-
-
-@pytest.mark.parametrize("system_name", ["yarn", "hbase"])
-def test_fast_lane_byte_identical_to_slow_lane(system_name):
-    fast = _run_pipeline(system_name, True)
-    slow = _run_pipeline(system_name, False)
-    for key in fast:
-        assert json.dumps(fast[key], sort_keys=True, default=str) == \
-            json.dumps(slow[key], sort_keys=True, default=str), key
 
 
 def test_fast_lane_flag_nests_and_restores():

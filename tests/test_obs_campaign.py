@@ -6,33 +6,27 @@ record per dynamic crash point tested — point id, value -> node
 resolution, action taken, and oracle verdict.
 """
 
-from repro.bugs import matcher_for_system
-from repro.core.injection import CampaignConfig, run_campaign
+import pytest
+
 from repro.obs import Observability, read_trace_jsonl, write_trace_jsonl
 from repro.obs.report import main as report_main
-from tests.conftest import prepared
+from tests.conftest import campaign, reference
 
 #: enough YARN points to cover unresolved, crash, shutdown, and flagged runs
 N_POINTS = 12
 
-_CACHE = {}
 
-
-def traced_yarn_campaign(random_fallback=False):
-    if random_fallback not in _CACHE:
-        system, analysis, profile, baseline = prepared("yarn")
-        obs = Observability()
-        result = run_campaign(
-            system, analysis, profile.dynamic_points[:N_POINTS], baseline=baseline,
-            campaign=CampaignConfig(random_fallback=random_fallback),
-            matcher=matcher_for_system("yarn"), obs=obs,
-        )
-        _CACHE[random_fallback] = (obs, result)
-    return _CACHE[random_fallback]
+@pytest.fixture(scope="module")
+def traced_with_fallback():
+    obs = Observability()
+    # classification off: targeting ignores it, hang extensions cost seconds
+    campaign("yarn", N_POINTS, random_fallback=True, classify_timeouts=False,
+             obs=obs)
+    return obs
 
 
 def test_campaign_emits_one_diagnosis_per_point():
-    obs, result = traced_yarn_campaign()
+    result, obs = reference("yarn", traced=True, n_points=N_POINTS)
     assert len(obs.diagnoses) == N_POINTS
     assert len(result.diagnoses()) == N_POINTS
     for outcome, diagnosis in zip(result.outcomes, result.diagnoses()):
@@ -52,7 +46,7 @@ def test_campaign_emits_one_diagnosis_per_point():
 
 
 def test_campaign_metrics_snapshot_covers_every_layer():
-    obs, result = traced_yarn_campaign()
+    result, obs = reference("yarn", traced=True, n_points=N_POINTS)
     counters = result.metrics["counters"]
     # sim kernel, network, injection, oracle — every layer reported in
     assert counters["sim.events_processed"] > 0
@@ -70,21 +64,19 @@ def test_one_injection_is_counted_once_whatever_its_verdict():
     # a flagged hang's extension continues its own run, so classifying
     # timeouts adds no second injection, crash or workload span (a re-run
     # used to: hbase reported 35 visits for 28 fired points)
-    system, analysis, profile, baseline = prepared("hbase")
     runs = {}
     for classify in (True, False):
-        obs = Observability()
-        result = run_campaign(
-            system, analysis, profile.dynamic_points, baseline=baseline,
-            campaign=CampaignConfig(classify_timeouts=classify),
-            matcher=matcher_for_system("hbase"), obs=obs,
-        )
+        if classify:
+            result, obs = reference("hbase", traced=True)
+        else:
+            obs = Observability()
+            result = campaign("hbase", classify_timeouts=False, obs=obs)
         runs[classify] = counters = result.metrics["counters"]
         fired = sum(o.fired for o in result.outcomes)
         assert counters["inject.crash_points_visited"] == fired
-        (campaign,) = [s for s in obs.tracer.spans if s.name == "campaign"]
+        (root,) = [s for s in obs.tracer.spans if s.name == "campaign"]
         workloads = [s for s in obs.tracer.spans
-                     if s.name == "workload" and s.parent_id == campaign.span_id]
+                     if s.name == "workload" and s.parent_id == root.span_id]
         assert len(workloads) == len(result.outcomes)
         if classify:  # the case is live: some run was extended and completed
             assert any("timeout" in o.verdict.kinds() for o in result.outcomes)
@@ -93,7 +85,7 @@ def test_one_injection_is_counted_once_whatever_its_verdict():
 
 
 def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():
-    obs, _ = traced_yarn_campaign()
+    _, obs = reference("yarn", traced=True, n_points=N_POINTS)
     names = {s.name for s in obs.tracer.spans}
     assert "workload" in names
     assert "rpc" in names
@@ -117,8 +109,9 @@ def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():
     assert all(has_workload_ancestor(s) for s in injections)
 
 
-def test_resolution_fields_distinguish_store_hits_from_fallback():
-    obs, _ = traced_yarn_campaign()
+def test_resolution_fields_distinguish_store_hits_from_fallback(
+        traced_with_fallback):
+    _, obs = reference("yarn", traced=True, n_points=N_POINTS)
     resolved = [d for d in obs.diagnoses if d.fired and d.action]
     assert resolved, "expected some points to resolve via the online store"
     for diagnosis in resolved:
@@ -128,8 +121,7 @@ def test_resolution_fields_distinguish_store_hits_from_fallback():
     unresolved = [d for d in obs.diagnoses if d.fired and not d.action]
     assert unresolved, "expected some early-startup points to be unresolvable"
 
-    obs_fb, _ = traced_yarn_campaign(random_fallback=True)
-    fallback = [d for d in obs_fb.diagnoses if d.via_fallback]
+    fallback = [d for d in traced_with_fallback.diagnoses if d.via_fallback]
     assert fallback, "random fallback should target unresolvable points"
     for diagnosis in fallback:
         assert diagnosis.resolved_value == ""
@@ -137,8 +129,8 @@ def test_resolution_fields_distinguish_store_hits_from_fallback():
         assert diagnosis.action
 
 
-def test_campaign_trace_jsonl_and_cli(tmp_path, capsys):
-    obs, result = traced_yarn_campaign()
+def test_campaign_trace_jsonl_and_cli(tmp_path, capsys, traced_with_fallback):
+    result, obs = reference("yarn", traced=True, n_points=N_POINTS)
     path = write_trace_jsonl(tmp_path / "yarn.jsonl", obs=obs,
                              meta={"system": "yarn"})
     trace = read_trace_jsonl(path)
@@ -151,18 +143,14 @@ def test_campaign_trace_jsonl_and_cli(tmp_path, capsys):
     assert "Injection diagnoses" in out
     assert "sim.events_processed" in out
 
-    obs_fb, _ = traced_yarn_campaign(random_fallback=True)
-    path_fb = write_trace_jsonl(tmp_path / "yarn-fb.jsonl", obs=obs_fb)
+    path_fb = write_trace_jsonl(tmp_path / "yarn-fb.jsonl",
+                                obs=traced_with_fallback)
     assert report_main([str(path), str(path_fb)]) == 0
     out = capsys.readouterr().out
     assert "Metric deltas" in out
 
 
 def test_observability_off_still_populates_diagnoses():
-    system, analysis, profile, baseline = prepared("yarn")
-    result = run_campaign(
-        system, analysis, profile.dynamic_points[:4], baseline=baseline,
-        matcher=matcher_for_system("yarn"),
-    )
+    result = campaign("yarn", 4)
     assert result.metrics is None
     assert len(result.diagnoses()) == 4

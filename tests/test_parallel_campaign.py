@@ -26,41 +26,14 @@ from repro.core.injection import (
 )
 from repro.core.injection import executor as executor_mod
 from repro.obs import Observability
-from tests.conftest import prepared
+from tests.conftest import N_CHEAP, campaign, outcome_dicts
+from tests.conftest import prepared, reference, span_dicts
 
 N_POINTS = 12
 
-#: wall-clock-dependent span attrs / outcome fields, excluded from identity
-_WALL_ATTRS = ("wall_seconds", "workers")
 
-
-def _campaign(workers, journal_path=None, obs=None, n_points=N_POINTS, **knobs):
-    system, analysis, profile, baseline = prepared("yarn")
-    cfg = CampaignConfig(workers=workers, journal_path=journal_path, **knobs)
-    return run_campaign(
-        system, analysis, profile.dynamic_points[:n_points], campaign=cfg,
-        baseline=baseline, matcher=matcher_for_system("yarn"), obs=obs,
-    )
-
-
-def _outcome_dicts(result):
-    dicts = [o.to_dict() for o in result.outcomes]
-    for d in dicts:
-        d.pop("wall_seconds")
-    return dicts
-
-
-def _span_dicts(obs):
-    spans = [span.to_dict() for span in obs.tracer.spans]
-    for span in spans:
-        for attr in _WALL_ATTRS:
-            span.get("attrs", {}).pop(attr, None)
-    return spans
-
-
-def _fingerprint(obs):
-    """The cross-run identity of a traced campaign (no wall-clock)."""
-    return json.dumps([d.to_dict() for d in obs.diagnoses], sort_keys=True)
+def _campaign(workers, n_points=N_POINTS, **knobs):
+    return campaign("yarn", n_points, workers=workers, **knobs)
 
 
 # ----------------------------------------------------------------------
@@ -68,33 +41,28 @@ def _fingerprint(obs):
 # ----------------------------------------------------------------------
 
 def test_parallel_campaign_identical_to_sequential():
-    prepared("yarn")  # warm the cache outside the obs contexts
-    obs_seq, obs_par = Observability(), Observability()
-    with obs_seq:
-        seq = _campaign(1, obs=obs_seq)
-    with obs_par:
-        par = _campaign(4, obs=obs_par)
+    seq, obs_seq = reference("yarn", traced=True, n_points=N_POINTS)
+    obs_par = Observability()
+    par = _campaign(4, obs=obs_par)
 
     assert par.workers == 4 and seq.workers == 1
-    assert _outcome_dicts(par) == _outcome_dicts(seq)
+    assert outcome_dicts(par) == outcome_dicts(seq)
     assert sorted(par.detected_bugs()) == sorted(seq.detected_bugs())
     assert par.sim_seconds == seq.sim_seconds
     # merged metrics are exactly the sequential snapshot
     assert obs_par.metrics.snapshot() == obs_seq.metrics.snapshot()
     # re-stitched trace: same spans, same ids, same parentage, same order
-    assert _span_dicts(obs_par) == _span_dicts(obs_seq)
+    assert span_dicts(obs_par) == span_dicts(obs_seq)
     assert obs_par.tracer.dropped == obs_seq.tracer.dropped
     # diagnoses are the report surface: identical, in point order
-    assert _fingerprint(obs_par) == _fingerprint(obs_seq)
+    assert [d.to_dict() for d in obs_par.diagnoses] == \
+        [d.to_dict() for d in obs_seq.diagnoses]
 
 
 def test_parallel_campaign_without_obs_matches_sequential():
-    seq = _campaign(1, n_points=6)
     par = _campaign(3, n_points=6)
-    assert _outcome_dicts(par) == _outcome_dicts(seq)
+    assert outcome_dicts(par) == outcome_dicts(reference("yarn"))[:6]
     assert len(par.diagnoses()) == 6
-    assert [d.to_dict() for d in par.diagnoses()] == \
-        [d.to_dict() for d in seq.diagnoses()]
 
 
 def test_speedup_reports_realized_parallelism():
@@ -110,42 +78,38 @@ def test_speedup_reports_realized_parallelism():
 
 @pytest.mark.parametrize("resume_workers", [1, 2])
 def test_journal_resume_after_partial_run(tmp_path, resume_workers):
-    reference = _campaign(1)
+    expected = outcome_dicts(reference("yarn"))[:N_CHEAP]
     journal = tmp_path / "campaign.jsonl"
 
-    full = _campaign(1, journal_path=str(journal))
-    assert _outcome_dicts(full) == _outcome_dicts(reference)
+    full = _campaign(1, N_CHEAP, journal_path=str(journal))
+    assert outcome_dicts(full) == expected
     lines = journal.read_text().splitlines()
-    assert len(lines) == N_POINTS + 1  # meta + one line per point
+    assert len(lines) == N_CHEAP + 1  # meta + one line per point
 
     # simulate a kill after 4 completed points, mid-write of the 5th
     journal.write_text("\n".join(lines[:5]) + "\n" + lines[5][:37])
 
-    resumed = _campaign(resume_workers, journal_path=str(journal))
+    resumed = _campaign(resume_workers, N_CHEAP, journal_path=str(journal))
     assert resumed.resumed == 4
-    assert _outcome_dicts(resumed) == _outcome_dicts(reference)
-    assert sorted(resumed.detected_bugs()) == sorted(reference.detected_bugs())
+    assert resumed.workers_realized == resume_workers
+    assert outcome_dicts(resumed) == expected
     # the journal is whole again: a further re-run replays everything
-    replay = _campaign(1, journal_path=str(journal))
-    assert replay.resumed == N_POINTS
-    assert _outcome_dicts(replay) == _outcome_dicts(reference)
+    replay = _campaign(1, N_CHEAP, journal_path=str(journal))
+    assert replay.resumed == N_CHEAP
+    assert outcome_dicts(replay) == expected
 
 
 def test_journal_resume_restores_diagnoses_in_point_order(tmp_path):
     journal = tmp_path / "campaign.jsonl"
-    obs_ref = Observability()
-    with obs_ref:
-        _campaign(1, obs=obs_ref)
-
-    _campaign(1, journal_path=str(journal))
+    _campaign(1, N_CHEAP, journal_path=str(journal))
     lines = journal.read_text().splitlines()
     journal.write_text("\n".join(lines[:6]) + "\n")  # meta + 5 outcomes
     obs = Observability()
-    with obs:
-        resumed = _campaign(2, journal_path=str(journal), obs=obs)
+    resumed = _campaign(2, N_CHEAP, journal_path=str(journal), obs=obs)
     assert resumed.resumed == 5
     # journaled points keep their diagnosis records, in point order
-    assert _fingerprint(obs) == _fingerprint(obs_ref)
+    assert [d.to_dict() for d in obs.diagnoses] == \
+        [o.diagnosis.to_dict() for o in reference("yarn").outcomes[:N_CHEAP]]
 
 
 def test_journal_refuses_mismatched_campaign(tmp_path):
@@ -181,16 +145,13 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
     """Once per point finalized in this process — propagated clones
     included, restored points never — under the *campaign* index, with
     that index's journal line already on disk."""
-    system, analysis, profile, baseline = prepared("hdfs")
-    points = profile.dynamic_points[:10]
+    points = prepared("hdfs")[2].dynamic_points[:10]
     journal = tmp_path / "campaign.jsonl" if journaled else None
-    cfg = CampaignConfig(execution=execution, workers=workers,
-                         point_select=point_select, journal_path=journal)
 
     def run(on_outcome=None):
-        return run_campaign(system, analysis, points, campaign=cfg,
-                            baseline=baseline, matcher=matcher_for_system("hdfs"),
-                            on_outcome=on_outcome)
+        return campaign("hdfs", 10, on_outcome=on_outcome, execution=execution,
+                        workers=workers, point_select=point_select,
+                        journal_path=journal)
 
     restored = set()
     if journaled:
@@ -219,7 +180,7 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
         assert all(o.class_id == "" for o in result.outcomes)
     else:
         # class stamps do not depend on a journal being configured
-        class_of = build_classes(points, cfg.audit_fraction).class_of
+        class_of = build_classes(points, 0.1).class_of
         assert [o.class_id for o in result.outcomes] == \
             [class_of[i] for i in range(len(points))]
         assert all(o.diagnosis.point_class == o.class_id for o in result.outcomes)
@@ -228,8 +189,6 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
 
 
 def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):
-    system, analysis, profile, baseline = prepared("yarn")
-    points = profile.dynamic_points[:24]
     ran = tmp_path / "ran"
     real = executor_mod.run_one_injection
 
@@ -248,10 +207,8 @@ def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):
     # pool workers inherit the patched module through fork
     monkeypatch.setattr(executor_mod, "run_one_injection", counted)
     with pytest.raises(RuntimeError, match="first checkpoint"):
-        run_campaign(system, analysis, points,
-                     campaign=CampaignConfig(workers=2), baseline=baseline,
-                     matcher=matcher_for_system("yarn"), on_outcome=abort)
-    assert 1 <= ran.stat().st_size < len(points)
+        campaign("yarn", 24, workers=2, on_outcome=abort)
+    assert 1 <= ran.stat().st_size < 24
 
 
 # ----------------------------------------------------------------------
@@ -289,9 +246,6 @@ def test_campaign_config_is_frozen_and_replaceable():
 
 
 def test_new_api_emits_no_deprecation_warnings():
-    system, analysis, profile, baseline = prepared("yarn")
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
-        run_campaign(system, analysis, profile.dynamic_points[:2],
-                     campaign=CampaignConfig(), baseline=baseline,
-                     matcher=matcher_for_system("yarn"))
+        campaign("yarn", 2)

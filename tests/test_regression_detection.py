@@ -7,9 +7,8 @@ analysis, or the systems shows up here first.
 
 import pytest
 
-from repro.bugs import matcher_for_system, seeded_bugs
-from repro.core.injection import run_campaign
-from tests.conftest import prepared
+from repro.bugs import seeded_bugs
+from tests.conftest import reference
 
 EXPECTED = {
     "yarn": {
@@ -30,11 +29,7 @@ EXPECTED = {
 
 @pytest.mark.parametrize("system_name", sorted(EXPECTED))
 def test_campaign_detects_exactly_the_seeded_bugs(system_name):
-    system, analysis, profile, baseline = prepared(system_name)
-    result = run_campaign(system, analysis, profile.dynamic_points,
-                          baseline=baseline,
-                          matcher=matcher_for_system(system_name))
-    assert set(result.detected_bugs()) == EXPECTED[system_name]
+    assert set(reference(system_name).detected_bugs()) == EXPECTED[system_name]
 
 
 def test_expected_sets_cover_every_matchable_seeded_bug():

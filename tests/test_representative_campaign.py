@@ -20,63 +20,41 @@ outcome to the rest.  The contract under test:
 """
 
 import json
-from pathlib import Path
 
 import pytest
 
-from tests.conftest import prepared
-from repro.bugs import matcher_for_system
+from tests.conftest import N_CHEAP, PINS, campaign, outcome_dicts
+from tests.conftest import prepared, reference
 from repro.core.injection import (
     CampaignConfig,
     JournalMismatch,
     build_classes,
-    run_campaign,
+    outcome_digest,
 )
 from repro.core.injection import executor as executor_mod
 from repro.core.injection.classes import PointClass, SelectionPlan
+from repro.core.injection.executor import _behavior
 from repro.obs import Observability
 
-_CACHE = {}
 
-
-def _both_modes(system_name):
-    """(full result, representative result, rep obs), cached per session."""
-    if system_name not in _CACHE:
-        system, analysis, profile, baseline = prepared(system_name)
-        matcher = matcher_for_system(system_name)
-        obs_full = Observability()
-        with obs_full:
-            full = run_campaign(system, analysis, profile.dynamic_points,
-                                campaign=CampaignConfig(), baseline=baseline,
-                                matcher=matcher, obs=obs_full)
-        obs_rep = Observability()
-        with obs_rep:
-            rep = run_campaign(
-                system, analysis, profile.dynamic_points,
-                campaign=CampaignConfig(point_select="representative"),
-                baseline=baseline, matcher=matcher, obs=obs_rep)
-        _CACHE[system_name] = (full, rep, obs_rep)
-    return _CACHE[system_name]
-
-
-def _outcome_dicts(result):
-    dicts = [o.to_dict() for o in result.outcomes]
-    for d in dicts:
-        d.pop("wall_seconds")
-    return dicts
-
-
-def _behavior(outcome):
-    return (tuple(sorted(outcome.verdict.kinds())),
-            tuple(sorted(outcome.matched_bugs)))
+@pytest.fixture(scope="module")
+def representative():
+    """``name -> (result, obs)`` of the traced representative campaigns."""
+    runs = {}
+    for name in ("yarn", "hbase"):
+        obs = Observability()
+        runs[name] = (campaign(name, point_select="representative", obs=obs), obs)
+    return runs
 
 
 # ---------------------------------------------------------------------------
 # the headline gate: no missed bugs, real savings
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("system_name", ["yarn", "hbase"])
-def test_representative_detects_identical_bug_set(system_name):
-    full, rep, _ = _both_modes(system_name)
+def test_representative_detects_identical_bug_set(system_name, representative):
+    full = reference(system_name)
+    rep, _ = representative[system_name]
+    assert outcome_digest(rep.outcomes) == PINS[system_name]["representative"]
     full_bugs = sorted(full.detected_bugs())
     rep_bugs = sorted(rep.detected_bugs())
     assert full_bugs, "seeded system detected nothing under full execution"
@@ -91,10 +69,10 @@ def test_representative_detects_identical_bug_set(system_name):
             == len(full.outcomes))
 
 
-def test_aggregate_execution_fraction_at_most_60_percent():
+def test_aggregate_execution_fraction_at_most_60_percent(representative):
     executed = total = 0
     for system_name in ("yarn", "hbase"):
-        _, rep, _ = _both_modes(system_name)
+        rep, _ = representative[system_name]
         executed += rep.classes["executed"]
         total += len(rep.outcomes)
     assert executed / total <= 0.60, (
@@ -107,7 +85,6 @@ def test_aggregate_execution_fraction_at_most_60_percent():
 # the class plan
 # ---------------------------------------------------------------------------
 def test_class_plan_partitions_points():
-    _, _, _ = _both_modes("yarn")
     _, _, profile, _ = prepared("yarn")
     points = profile.dynamic_points
     plan = build_classes(points, 0.1)
@@ -124,8 +101,8 @@ def test_class_plan_partitions_points():
     assert plan.digest() != build_classes(points, 0.5).digest()
 
 
-def test_propagated_outcomes_carry_own_identity():
-    _, rep, _ = _both_modes("yarn")
+def test_propagated_outcomes_carry_own_identity(representative):
+    rep, _ = representative["yarn"]
     _, _, profile, _ = prepared("yarn")
     points = profile.dynamic_points
     by_class = {}
@@ -152,14 +129,13 @@ def test_propagated_outcomes_carry_own_identity():
 
 
 def test_full_mode_dicts_unchanged_by_new_fields():
-    full, _, _ = _both_modes("yarn")
-    for data in _outcome_dicts(full):
+    for data in outcome_dicts(reference("yarn")):
         assert "class_id" not in data
         assert "propagated" not in data
 
 
-def test_diagnoses_rejoin_in_point_order():
-    _, rep, obs_rep = _both_modes("yarn")
+def test_diagnoses_rejoin_in_point_order(representative):
+    rep, obs_rep = representative["yarn"]
     assert len(obs_rep.diagnoses) == len(rep.outcomes)
     assert [d.point for d in obs_rep.diagnoses] == [
         o.dpoint.point.describe() for o in rep.outcomes
@@ -168,8 +144,8 @@ def test_diagnoses_rejoin_in_point_order():
             == [o.propagated for o in rep.outcomes])
 
 
-def test_purity_counters_in_metrics_registry():
-    _, rep, obs_rep = _both_modes("yarn")
+def test_purity_counters_in_metrics_registry(representative):
+    rep, obs_rep = representative["yarn"]
     counters = obs_rep.metrics.snapshot()["counters"]
     assert counters["campaign.classes"] == rep.classes["classes"]
     assert counters["campaign.classes_promoted"] == rep.classes["promoted"]
@@ -185,12 +161,9 @@ def test_purity_counters_in_metrics_registry():
 # the audit lane: disagreement promotes the whole class
 # ---------------------------------------------------------------------------
 def test_audit_disagreement_promotes_class(monkeypatch):
-    system, analysis, profile, baseline = prepared("yarn")
-    matcher = matcher_for_system("yarn")
-    points = profile.dynamic_points[:12]
-    full = run_campaign(system, analysis, points, campaign=CampaignConfig(),
-                        baseline=baseline, matcher=matcher)
-    behaviors = {_behavior(o) for o in full.outcomes}
+    full = reference("yarn").outcomes[:N_CHEAP]
+    points = [o.dpoint for o in full]
+    behaviors = {_behavior(o) for o in full}
     assert len(behaviors) > 1, "subset too uniform to force a disagreement"
 
     def one_impure_class(pts, audit_fraction=0.1):
@@ -208,90 +181,61 @@ def test_audit_disagreement_promotes_class(monkeypatch):
         )
 
     monkeypatch.setattr(executor_mod, "build_classes", one_impure_class)
-    rep = run_campaign(
-        system, analysis, points,
-        campaign=CampaignConfig(point_select="representative"),
-        baseline=baseline, matcher=matcher)
+    rep = campaign("yarn", points=points, point_select="representative")
     assert rep.classes["promoted"] == 1
     assert rep.classes["propagated"] == 0
     assert rep.classes["executed"] == len(points)
     # a promoted class is fully executed: behavior-identical to full mode
     assert ([_behavior(o) for o in rep.outcomes]
-            == [_behavior(o) for o in full.outcomes])
+            == [_behavior(o) for o in full])
     assert all(not o.propagated for o in rep.outcomes)
 
 
 # ---------------------------------------------------------------------------
 # execution paths and resume
 # ---------------------------------------------------------------------------
+def _representative(**knobs):
+    return campaign("yarn", N_CHEAP, point_select="representative", **knobs)
+
+
 def test_sequential_parallel_snapshot_identical():
-    system, analysis, profile, baseline = prepared("yarn")
-    matcher = matcher_for_system("yarn")
-    points = profile.dynamic_points[:12]
-
-    def run(**overrides):
-        cfg = CampaignConfig(point_select="representative", **overrides)
-        return run_campaign(system, analysis, points, campaign=cfg,
-                            baseline=baseline, matcher=matcher)
-
-    sequential = run()
-    parallel = run(workers=2)
-    snapshot = run(execution="snapshot")
+    sequential = _representative()
+    parallel = _representative(workers=2)
+    snapshot = _representative(execution="snapshot")
     assert parallel.workers_realized == 2  # round 1 is >= 2 * workers points
-    assert _outcome_dicts(parallel) == _outcome_dicts(sequential)
-    assert _outcome_dicts(snapshot) == _outcome_dicts(sequential)
+    assert outcome_dicts(parallel) == outcome_dicts(sequential)
+    assert outcome_dicts(snapshot) == outcome_dicts(sequential)
     assert snapshot.snapshot_stats is not None
     assert snapshot.classes == sequential.classes
 
 
 def test_journal_resume_is_exact(tmp_path):
-    system, analysis, profile, baseline = prepared("yarn")
-    matcher = matcher_for_system("yarn")
-    points = profile.dynamic_points[:20]
+    points = prepared("yarn")[2].dynamic_points[:N_CHEAP]
     journal = tmp_path / "journal.jsonl"
-    cfg = CampaignConfig(point_select="representative",
-                         journal_path=journal)
-    one = run_campaign(system, analysis, points, campaign=cfg,
-                       baseline=baseline, matcher=matcher)
+    one = _representative(journal_path=journal)
     meta = json.loads(journal.read_text().splitlines()[0])
     assert meta["point_select"] == "representative"
-    assert meta["classes"] == build_classes(points, cfg.audit_fraction).digest()
+    assert meta["classes"] == build_classes(points, 0.1).digest()
 
     # interrupt after six outcomes (meta line + 6), then resume
     lines = journal.read_text().splitlines()
     journal.write_text("\n".join(lines[:7]) + "\n")
-    two = run_campaign(system, analysis, points, campaign=cfg,
-                       baseline=baseline, matcher=matcher)
+    two = _representative(journal_path=journal)
     assert two.resumed == 6
-    assert _outcome_dicts(two) == _outcome_dicts(one)
+    assert outcome_dicts(two) == outcome_dicts(one)
 
 
 def test_journal_mismatches_on_plan_drift(tmp_path):
-    system, analysis, profile, baseline = prepared("yarn")
-    matcher = matcher_for_system("yarn")
-    points = profile.dynamic_points[:8]
     journal = tmp_path / "journal.jsonl"
-    run_campaign(system, analysis, points,
-                 campaign=CampaignConfig(point_select="representative",
-                                         journal_path=journal),
-                 baseline=baseline, matcher=matcher)
+    _representative(journal_path=journal)
     # a different audit fraction is a different selection plan
     with pytest.raises(JournalMismatch):
-        run_campaign(system, analysis, points,
-                     campaign=CampaignConfig(point_select="representative",
-                                             audit_fraction=0.9,
-                                             journal_path=journal),
-                     baseline=baseline, matcher=matcher)
+        _representative(journal_path=journal, audit_fraction=0.9)
     # and so is a full-mode journal resumed under representative mode
     full_journal = tmp_path / "full.jsonl"
-    run_campaign(system, analysis, points,
-                 campaign=CampaignConfig(journal_path=full_journal),
-                 baseline=baseline, matcher=matcher)
+    campaign("yarn", N_CHEAP, journal_path=full_journal)
     with pytest.raises(JournalMismatch):
-        run_campaign(system, analysis, points,
-                     campaign=CampaignConfig(point_select="representative",
-                                             journal_path=full_journal),
-                     baseline=baseline, matcher=matcher)
+        _representative(journal_path=full_journal)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ the knob coexist with the determinism guarantees:
   bug set and outcome fingerprint as an uninterrupted run.
 """
 
-from typing import Any, Dict, Optional
+from typing import Optional
 
 import pytest
 
@@ -27,6 +27,7 @@ from repro.core.profiler import profile_system
 from repro.systems import get_system, run_workload
 from repro.systems.hbase.system import HBaseSystem
 from repro.systems.yarn.system import YarnSystem
+from tests.conftest import outcome_dicts
 
 
 def _records(report):
@@ -110,58 +111,39 @@ def test_scheduler_index_matches_linear_scan_at_seed():
 # scaled campaign: kill mid-run, resume from the journal, same answer
 # ----------------------------------------------------------------------
 
-_PREPARED_10X: Dict[str, Any] = {}
-
-
-def _prepared_10x():
+@pytest.fixture(scope="module")
+def prepared_10x():
     """(system, analysis, profile, baseline) for the 10x yarn world."""
-    if not _PREPARED_10X:
-        system = YarnSystem(world_scale=10)
-        analysis = analyze_system(system)
-        profile = profile_system(system, analysis, max_iterations=1)
-        baseline = build_baseline(system, seeds=[0])
-        _PREPARED_10X.update(system=system, analysis=analysis,
-                             profile=profile, baseline=baseline)
-    return (_PREPARED_10X["system"], _PREPARED_10X["analysis"],
-            _PREPARED_10X["profile"], _PREPARED_10X["baseline"])
+    system = YarnSystem(world_scale=10)
+    analysis = analyze_system(system)
+    profile = profile_system(system, analysis, max_iterations=1)
+    return system, analysis, profile, build_baseline(system, seeds=[0])
 
 
-def _campaign_10x(journal_path: Optional[str] = None, n_points: int = 3):
-    system, analysis, profile, baseline = _prepared_10x()
+def _campaign_10x(prepared_10x, journal_path: Optional[str] = None):
+    system, analysis, profile, baseline = prepared_10x
     cfg = CampaignConfig(journal_path=journal_path, classify_timeouts=False)
     return run_campaign(
-        system, analysis, profile.dynamic_points[:n_points], campaign=cfg,
+        system, analysis, profile.dynamic_points[:3], campaign=cfg,
         baseline=baseline, matcher=matcher_for_system("yarn"),
     )
 
 
-def _outcome_dicts(result):
-    dicts = [o.to_dict() for o in result.outcomes]
-    for d in dicts:
-        d.pop("wall_seconds")
-    return dicts
+def test_scaled_campaign_profile_finds_points(prepared_10x):
+    assert len(prepared_10x[2].dynamic_points) >= 3
 
 
-def test_scaled_campaign_profile_finds_points():
-    _, _, profile, _ = _prepared_10x()
-    assert len(profile.dynamic_points) >= 3
-
-
-def test_scaled_campaign_journal_kill_and_resume(tmp_path):
-    reference = _campaign_10x()
+def test_scaled_campaign_journal_kill_and_resume(tmp_path, prepared_10x):
     journal = tmp_path / "campaign10x.jsonl"
 
-    full = _campaign_10x(journal_path=str(journal))
-    assert _outcome_dicts(full) == _outcome_dicts(reference)
+    full = _campaign_10x(prepared_10x, journal_path=str(journal))
     lines = journal.read_text().splitlines()
     assert len(lines) == 3 + 1  # meta + one line per point
 
     # simulate a kill after the first completed point, mid-write of the 2nd
     journal.write_text("\n".join(lines[:2]) + "\n" + lines[2][:29])
 
-    resumed = _campaign_10x(journal_path=str(journal))
+    resumed = _campaign_10x(prepared_10x, journal_path=str(journal))
     assert resumed.resumed == 1
-    assert _outcome_dicts(resumed) == _outcome_dicts(reference)
-    assert sorted(resumed.detected_bugs()) == sorted(reference.detected_bugs())
-    assert [d.to_dict() for d in resumed.diagnoses()] == \
-        [d.to_dict() for d in reference.diagnoses()]
+    assert outcome_dicts(resumed) == outcome_dicts(full)
+    assert sorted(resumed.detected_bugs()) == sorted(full.detected_bugs())

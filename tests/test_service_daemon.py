@@ -15,43 +15,20 @@ import time
 
 import pytest
 
-from repro.core.injection import CampaignConfig, run_campaign
-from repro.bugs import matcher_for_system
+from repro.core.injection import CampaignConfig
 from repro.service import (
     CampaignDaemon,
     DaemonAlreadyRunning,
     ServiceClient,
 )
+from repro.service.cli import main as cli_main
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel, pid_alive
 from repro.service.wal import WriteAheadLog
-from repro.service.worker import (
-    JOURNAL_NAME,
-    RESULT_NAME,
-    SENTINEL_NAME,
-    result_fingerprint,
-)
-from tests.conftest import prepared
+from repro.service.worker import JOURNAL_NAME, RESULT_NAME, SENTINEL_NAME
+from tests.conftest import PINS
 
 KILL_SYSTEM = "hbase"
-
-_BASELINES = {}
-
-
-def baseline_fingerprint(system_name, max_points=None):
-    """The uninterrupted run's identity for a (system, cap) campaign."""
-    key = (system_name, max_points)
-    if key not in _BASELINES:
-        system, analysis, profile, baseline = prepared(system_name)
-        result = run_campaign(
-            system, analysis, profile.dynamic_points,
-            campaign=CampaignConfig(max_points=max_points),
-            baseline=baseline, matcher=matcher_for_system(system_name),
-        )
-        _BASELINES[key] = result_fingerprint(
-            [o.to_dict() for o in result.outcomes])
-    return _BASELINES[key]
-
 
 def fork_daemon(service_dir, **kwargs):
     """A daemon in a forked child; returns its pid."""
@@ -125,7 +102,7 @@ def test_submit_drain_done_and_admin_views(tmp_path):
 
     result = client.result(job_id)
     assert result["state"] == "done"
-    assert result["fingerprint"] == baseline_fingerprint("cassandra")
+    assert result["fingerprint"] == PINS["cassandra"]["full"]
     assert result["attempts"] == 1
 
     status = client.status()
@@ -148,6 +125,23 @@ def test_submit_drain_done_and_admin_views(tmp_path):
 
     # wait() returns instantly on a settled job
     assert client.wait(job_id, timeout=5.0)["state"] == "done"
+
+
+def test_result_written_by_1_13_0_is_still_readable(tmp_path, capsys):
+    client = ServiceClient(tmp_path)
+    job_id = client.submit("cassandra", CampaignConfig())
+    drain_in_process(tmp_path, workers=1, poll_interval=0.01, fsync=False)
+    result_path = tmp_path / "jobs" / job_id / RESULT_NAME
+    result = json.loads(result_path.read_text())
+    # up to 1.13.0 ``fingerprint`` was a second copy of ``outcomes``
+    result["fingerprint"] = [dict(o, wall_seconds=None) for o in result["outcomes"]]
+    result_path.write_text(json.dumps(result))
+
+    assert client.wait(job_id, timeout=5.0)["fingerprint"] == result["fingerprint"]
+    assert cli_main(["wait", str(tmp_path), job_id]) == 0
+    assert cli_main(["status", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "CA-15131(1)" in out and "digest" in out and "'point'" not in out
 
 
 def test_submit_rejects_unknown_system(tmp_path):
@@ -182,7 +176,7 @@ def test_daemon_killed_worker_survives_and_is_reattached(tmp_path):
     assert result["state"] == "done"
     assert result["attempts"] == 1, "reattached job must not be re-dispatched"
     assert result["resumed"] == 0, "reattached worker never restarted"
-    assert result["fingerprint"] == baseline_fingerprint(KILL_SYSTEM)
+    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
 
 
 # ----------------------------------------------------------------------
@@ -222,7 +216,7 @@ def test_daemon_and_worker_killed_resume_from_checkpoint(tmp_path):
     assert journal.read_bytes().startswith(frozen)
     assert len(journal_outcomes(journal)) == result["n_points"]
     # and the stitched outcome stream is identical to an untouched run
-    assert result["fingerprint"] == baseline_fingerprint(KILL_SYSTEM)
+    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +249,7 @@ def test_worker_killed_under_live_daemon_is_requeued(tmp_path):
     # the dead attempt published phase 1 before its first injection: the
     # requeued one resumes the journal *and* skips straight to it
     assert result["setup"]["cache"] == "hit"
-    assert result["fingerprint"] == baseline_fingerprint(KILL_SYSTEM)
+    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
 
 
 # ----------------------------------------------------------------------
@@ -293,7 +287,7 @@ def test_wedged_worker_under_live_daemon_is_killed_and_resumed(tmp_path):
     assert result["state"] == "done"
     assert result["attempts"] == 2
     assert result["resumed"] >= tested_before
-    assert result["fingerprint"] == baseline_fingerprint(KILL_SYSTEM)
+    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
     assert not pid_alive(worker_pid), "the wedged worker must not wake up"
     counters = client.metrics()["counters"]
     assert counters["service.workers_killed"] == 1

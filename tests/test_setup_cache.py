@@ -25,12 +25,12 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.bugs import matcher_for_system
 from repro.core import pipeline
 from repro.core.injection import (
     CampaignConfig,
     CampaignJournal,
     JournalMismatch,
+    outcome_digest,
     run_campaign,
 )
 from repro.core.pipeline import prepare, setup_key, source_digest
@@ -38,26 +38,11 @@ from repro.obs import read_trace_jsonl
 from repro.service import CampaignDaemon, ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel
-from repro.service.worker import (
-    SENTINEL_NAME,
-    TRACE_NAME,
-    result_fingerprint,
-    run_job,
-)
+from repro.service.worker import SENTINEL_NAME, TRACE_NAME, run_job
 from repro.systems import get_system
-from tests.conftest import prepared
+from tests.conftest import PINS, campaign, outcome_dicts, prepared, reference
 
 FAST = "cassandra"  # 3 points, ~0.1 s per job: the protocol tests' subject
-
-
-def _fingerprint(system_name, setup, cfg=None):
-    analysis, profile, baseline = setup
-    result = run_campaign(
-        get_system(system_name), analysis, profile.dynamic_points,
-        campaign=cfg, baseline=baseline,
-        matcher=matcher_for_system(system_name),
-    )
-    return result_fingerprint([o.to_dict() for o in result.outcomes])
 
 
 def _prepare(system_name, cache_dir, **kwargs):
@@ -86,18 +71,20 @@ def test_hit_is_outcome_identical_to_miss(tmp_path, system_name):
     # one pickle: the profile's points are the analysis's own objects
     static = {id(p) for p in loaded[0].crash.crash_points}
     assert all(id(d.point) in static for d in loaded[1].dynamic_points)
-    assert json.dumps(_fingerprint(system_name, loaded), sort_keys=True) == \
-        json.dumps(_fingerprint(system_name, built), sort_keys=True)
+    # nine points of it here; the whole campaign over a hit is a row of
+    # the matrix in test_outcome_identity.py
+    assert outcome_dicts(campaign(system_name, 9, setup=loaded)) == \
+        outcome_dicts(reference(system_name))[:9]
 
 
 def test_hit_is_identical_under_representative_selection(tmp_path):
     # class signatures read the engine's dataflow summaries off the
     # (here: unpickled) analysis
-    cfg = CampaignConfig(point_select="representative")
-    built, _ = _prepare("yarn", tmp_path)
+    _prepare("yarn", tmp_path)
     loaded, hit = _prepare("yarn", tmp_path)
     assert hit["cache"] == "hit"
-    assert _fingerprint("yarn", loaded, cfg) == _fingerprint("yarn", built, cfg)
+    result = campaign("yarn", setup=loaded, point_select="representative")
+    assert outcome_digest(result.outcomes) == PINS["yarn"]["representative"]
 
 
 def test_no_cache_dir_touches_no_disk(tmp_path, monkeypatch):
@@ -316,7 +303,7 @@ def test_failed_publish_degrades_to_building_in_place(
         cache.write_text("a file where the directory should be")
     payload = run_job(_job(), tmp_path / "job", cache_dir=cache)
     assert payload["state"] == "done" and payload["setup"]["cache"] == "miss"
-    assert payload["fingerprint"] == _fingerprint(FAST, prepared(FAST)[1:])
+    assert payload["fingerprint"] == PINS[FAST]["full"]
     if failure == "enospc":
         assert list(cache.iterdir()) == [], "a failed publish leaves nothing"
 
@@ -384,8 +371,7 @@ def test_second_job_hits_and_the_daemon_counts_it(tmp_path):
     results = [client.result(job_id) for job_id in jobs]
     # one worker slot: whichever job ran first built, the others loaded
     assert sorted(r["setup"]["cache"] for r in results) == ["hit", "hit", "miss"]
-    assert len({json.dumps(r["fingerprint"]) for r in results}) == 1
-    assert "setup" not in json.dumps(results[0]["fingerprint"])
+    assert {r["fingerprint"] for r in results} == {PINS[FAST]["full"]}
     for result in results:
         assert set(result["setup"]) == {"cache", "key", "seconds"}
         assert (tmp_path / "setup-cache" / (result["setup"]["key"] + ".pkl")).exists()

@@ -13,7 +13,6 @@ campaign with fewer than ``workers * 2`` pending points runs in-process.
 
 import dataclasses
 import errno
-import functools
 import json
 import os
 import random
@@ -21,60 +20,21 @@ import signal
 
 import pytest
 
-from repro.bugs import matcher_for_system
-from repro.core.injection import CampaignConfig, run_campaign
+from repro.core.injection import CampaignConfig, outcome_digest
 from repro.obs import Observability, get_obs
-from tests.conftest import prepared
+from tests.conftest import N_CHEAP, campaign, outcome_dicts
+from tests.conftest import prepared, reference, span_dicts
 
 N_POINTS = 12
 
-#: wall-clock-dependent span attrs / outcome fields, excluded from identity
-_WALL_ATTRS = ("wall_seconds", "workers")
+
+def _campaign(system_name="yarn", n_points=N_POINTS, **knobs):
+    return campaign(system_name, n_points, **knobs)
 
 
-def _campaign(system_name="yarn", n_points=N_POINTS, obs=None,
-              journal_path=None, points=None, on_outcome=None, **knobs):
-    system, analysis, profile, baseline = prepared(system_name)
-    cfg = CampaignConfig(journal_path=journal_path, **knobs)
-    if points is None:
-        points = profile.dynamic_points[:n_points]
-    return run_campaign(
-        system, analysis, points, campaign=cfg,
-        baseline=baseline, matcher=matcher_for_system(system_name), obs=obs,
-        on_outcome=on_outcome,
-    )
-
-
-@functools.lru_cache(maxsize=None)
-def _replay_reference(n_points=N_POINTS):
-    """The plain yarn replay campaign several tests compare against, run
-    once per size (campaigns under test, observed or journaled runs are
-    never memoised)."""
-    return _campaign(n_points=n_points)
-
-
-def _outcome_dicts(result):
-    dicts = [o.to_dict() for o in result.outcomes]
-    for d in dicts:
-        d.pop("wall_seconds")
-    return dicts
-
-
-def _span_dicts(obs):
-    spans = [span.to_dict() for span in obs.tracer.spans]
-    for span in spans:
-        for attr in _WALL_ATTRS:
-            span.get("attrs", {}).pop(attr, None)
-    return spans
-
-
-def _fingerprint(obs):
-    return json.dumps([d.to_dict() for d in obs.diagnoses], sort_keys=True)
-
-
-def _bugs(result):
-    return {bug: sorted(o.dpoint.point.describe() for o in outcomes)
-            for bug, outcomes in result.detected_bugs().items()}
+def _replay(n_points=N_POINTS):
+    """Outcome dicts of the plain yarn replay campaign's first points."""
+    return outcome_dicts(reference("yarn"))[:n_points]
 
 
 def _no_child_left_unreaped():
@@ -87,32 +47,26 @@ def _no_child_left_unreaped():
 # ----------------------------------------------------------------------
 
 def test_snapshot_identical_to_replay_with_obs():
-    prepared("yarn")  # warm the cache outside the obs contexts
-    obs_rep, obs_snap = Observability(), Observability()
-    with obs_rep:
-        rep = _campaign(obs=obs_rep)
-    with obs_snap:
-        snap = _campaign(obs=obs_snap, execution="snapshot")
+    rep, obs_rep = reference("yarn", traced=True, n_points=N_POINTS)
+    obs_snap = Observability()
+    snap = _campaign(obs=obs_snap, execution="snapshot")
 
     assert rep.execution == "replay" and snap.execution == "snapshot"
-    assert _outcome_dicts(snap) == _outcome_dicts(rep)
-    assert _bugs(snap) == _bugs(rep)
+    assert outcome_dicts(snap) == outcome_dicts(rep)
     assert snap.sim_seconds == rep.sim_seconds
     # merged metrics are exactly the replay snapshot
     assert obs_snap.metrics.snapshot() == obs_rep.metrics.snapshot()
     # re-stitched trace: same spans, same ids, same parentage, same order
-    assert _span_dicts(obs_snap) == _span_dicts(obs_rep)
+    assert span_dicts(obs_snap) == span_dicts(obs_rep)
     assert obs_snap.tracer.dropped == obs_rep.tracer.dropped
-    assert _fingerprint(obs_snap) == _fingerprint(obs_rep)
+    assert [d.to_dict() for d in obs_snap.diagnoses] == \
+        [d.to_dict() for d in obs_rep.diagnoses]
 
 
 def test_snapshot_identical_on_hbase():
-    rep = _campaign("hbase", n_points=10)
+    rep = reference("hbase")
     snap = _campaign("hbase", n_points=10, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(rep)
-    assert _bugs(snap) == _bugs(rep)
-    assert [d.to_dict() for d in snap.diagnoses()] == \
-        [d.to_dict() for d in rep.diagnoses()]
+    assert outcome_dicts(snap) == outcome_dicts(rep)[:10]
 
 
 def test_snapshot_reports_engine_stats():
@@ -133,12 +87,9 @@ def test_snapshot_reports_engine_stats():
 
 
 def test_snapshot_with_workers_matches_single():
-    one = _campaign(execution="snapshot")
-    two = _campaign(execution="snapshot", workers=2)
-    assert _outcome_dicts(two) == _outcome_dicts(one)
+    two = _campaign(n_points=N_CHEAP, execution="snapshot", workers=2)
+    assert outcome_dicts(two) == _replay(N_CHEAP)
     assert two.workers_realized == 2
-    assert [d.to_dict() for d in two.diagnoses()] == \
-        [d.to_dict() for d in one.diagnoses()]
 
 
 def test_snapshot_aliases_points_sharing_a_fire_event():
@@ -146,9 +97,8 @@ def test_snapshot_aliases_points_sharing_a_fire_event():
     system, analysis, profile, baseline = prepared("yarn")
     dpoint = profile.dynamic_points[0]
     points = [dpoint, dpoint]  # same point twice: same first-fire event
-    rep = _campaign(points=points)
     snap = _campaign(points=points, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(rep)
+    assert outcome_dicts(snap) == _replay(1) * 2
     assert snap.snapshot_stats["aliased_points"] == 1
     assert snap.snapshot_stats["resumed_points"] == 1
 
@@ -185,7 +135,8 @@ def test_generated_point_multisets_match_replay(system_name):
         assert [o.fired for o in rep.outcomes] == [p in real for p in points]
         for workers in (1, 2, 3):
             snap, obs_snap = run(execution="snapshot", workers=workers)
-            assert _outcome_dicts(snap) == _outcome_dicts(rep)
+            assert outcome_dicts(snap) == outcome_dicts(rep)
+            assert outcome_digest(snap.outcomes) == outcome_digest(rep.outcomes)
             stats = snap.snapshot_stats
             assert stats["never_fired"] == len(ghosts)
             # observed, every duplicate runs its own child: its spans
@@ -195,8 +146,9 @@ def test_generated_point_multisets_match_replay(system_name):
             assert stats["fallback_points"] == 0
             if observed:
                 assert obs_snap.metrics.snapshot() == obs_rep.metrics.snapshot()
-                assert _span_dicts(obs_snap) == _span_dicts(obs_rep)
-                assert _fingerprint(obs_snap) == _fingerprint(obs_rep)
+                assert span_dicts(obs_snap) == span_dicts(obs_rep)
+                assert [d.to_dict() for d in obs_snap.diagnoses] == \
+                    [d.to_dict() for d in obs_rep.diagnoses]
 
 
 # ----------------------------------------------------------------------
@@ -204,35 +156,36 @@ def test_generated_point_multisets_match_replay(system_name):
 # ----------------------------------------------------------------------
 
 def test_snapshot_journal_resume_after_partial_run(tmp_path):
-    reference = _replay_reference()
     journal = tmp_path / "campaign.jsonl"
 
-    full = _campaign(journal_path=str(journal), execution="snapshot")
-    assert _outcome_dicts(full) == _outcome_dicts(reference)
+    full = _campaign(n_points=N_CHEAP, journal_path=str(journal),
+                     execution="snapshot")
+    assert outcome_dicts(full) == _replay(N_CHEAP)
     lines = journal.read_text().splitlines()
-    assert len(lines) == N_POINTS + 1  # meta + one line per point
+    assert len(lines) == N_CHEAP + 1  # meta + one line per point
 
     # simulate a kill after 4 completed points, mid-write of the 5th
     journal.write_text("\n".join(lines[:5]) + "\n" + lines[5][:37])
 
-    resumed = _campaign(journal_path=str(journal), execution="snapshot")
+    resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),
+                        execution="snapshot")
     assert resumed.resumed == 4
-    assert _outcome_dicts(resumed) == _outcome_dicts(reference)
-    assert _bugs(resumed) == _bugs(reference)
+    assert outcome_dicts(resumed) == _replay(N_CHEAP)
 
 
 def test_journal_crosses_execution_modes(tmp_path):
     """The journal pins *what* was computed, not *how* — a campaign
     interrupted under replay resumes under snapshot (and vice versa)."""
-    reference = _replay_reference()
     journal = tmp_path / "campaign.jsonl"
-    _campaign(journal_path=str(journal))
+    _campaign(n_points=N_CHEAP, journal_path=str(journal))
     lines = journal.read_text().splitlines()
     journal.write_text("\n".join(lines[:7]) + "\n")  # meta + 6 outcomes
 
-    resumed = _campaign(journal_path=str(journal), execution="snapshot")
+    resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),
+                        execution="snapshot")
     assert resumed.resumed == 6
-    assert _outcome_dicts(resumed) == _outcome_dicts(reference)
+    assert resumed.snapshot_stats["resumed_points"] == N_CHEAP - 6
+    assert outcome_dicts(resumed) == _replay(N_CHEAP)
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +193,6 @@ def test_journal_crosses_execution_modes(tmp_path):
 # ----------------------------------------------------------------------
 
 def test_snapshot_falls_back_per_point_on_resumer_error(monkeypatch):
-    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     def _boom(report, state):
@@ -249,13 +201,12 @@ def test_snapshot_falls_back_per_point_on_resumer_error(monkeypatch):
     # children inherit the patched module through fork
     monkeypatch.setattr(snapshot_mod, "_resumer_result", _boom)
     snap = _campaign(n_points=4, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert outcome_dicts(snap) == _replay(4)
     assert snap.snapshot_stats["fallback_points"] == 4
     assert snap.snapshot_stats["resumed_points"] == 0
 
 
 def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch):
-    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     judged = snapshot_mod._resumer_result
@@ -269,14 +220,13 @@ def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch):
 
     monkeypatch.setattr(snapshot_mod, "_resumer_result", _die_on_odd_points)
     snap = _campaign(n_points=4, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert outcome_dicts(snap) == _replay(4)
     assert snap.snapshot_stats["fallback_points"] == 2
     assert snap.snapshot_stats["resumed_points"] == 2
     _no_child_left_unreaped()
 
 
 def test_snapshot_falls_back_whole_chunk_when_recorder_dies(monkeypatch):
-    reference = _replay_reference(4)
     import repro.core.injection.snapshot as snapshot_mod
 
     def _boom(*args, **kwargs):
@@ -284,7 +234,7 @@ def test_snapshot_falls_back_whole_chunk_when_recorder_dies(monkeypatch):
 
     monkeypatch.setattr(snapshot_mod, "run_workload", _boom)
     snap = _campaign(n_points=4, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert outcome_dicts(snap) == _replay(4)
     assert snap.snapshot_stats["fallback_points"] == 4
     assert snap.snapshot_stats["recording_runs"] == 1
 
@@ -303,14 +253,13 @@ def _fork_fails_from(monkeypatch, nth):
 
 
 def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(monkeypatch):
-    reference = _replay_reference(8)
     forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
     # the first point's child forks; every later snapshot cannot
     _fork_fails_from(monkeypatch, 2)
     snap = _campaign(n_points=8, execution="snapshot")
     # the fork fails inside a node handler: the recording run must go on
     # as if the hook had not been there, not crash the handler's node
-    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert outcome_dicts(snap) == _replay(8)
     assert snap.snapshot_stats["resumed_points"] == 1
     assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"] - 1
     assert snap.snapshot_stats["never_fired"] == forked["never_fired"]
@@ -320,11 +269,10 @@ def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(monkeypatch):
 def test_failed_recorder_fork_degrades_the_group_to_replay(monkeypatch):
     """Every fork fails: the recording pass still runs — it needs none —
     and every fired point is replayed after it."""
-    reference = _replay_reference(8)
     forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
     _fork_fails_from(monkeypatch, 1)
     snap = _campaign(n_points=8, execution="snapshot")
-    assert _outcome_dicts(snap) == _outcome_dicts(reference)
+    assert outcome_dicts(snap) == _replay(8)
     assert snap.snapshot_stats["resumed_points"] == 0
     assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"]
     _no_child_left_unreaped()
@@ -344,17 +292,17 @@ def test_raising_on_outcome_aborts_after_the_checkpoints_seen(tmp_path, workers)
             raise RuntimeError("stop at the third checkpoint")
 
     with obs, pytest.raises(RuntimeError, match="third checkpoint"):
-        _campaign(obs=obs, journal_path=str(journal), execution="snapshot",
-                  workers=workers, on_outcome=abort)
+        _campaign(n_points=N_CHEAP, obs=obs, journal_path=str(journal),
+                  execution="snapshot", workers=workers, on_outcome=abort)
     assert len(calls) == 3
     lines = journal.read_text().splitlines()
     assert [json.loads(line)["index"] for line in lines[1:]] == calls
     _no_child_left_unreaped()
     # the journal it left is a clean checkpoint: the campaign resumes
-    resumed = _campaign(journal_path=str(journal), execution="snapshot",
-                        workers=workers)
+    resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),
+                        execution="snapshot", workers=workers)
     assert resumed.resumed == 3
-    assert _outcome_dicts(resumed) == _outcome_dicts(_replay_reference())
+    assert outcome_dicts(resumed) == _replay(N_CHEAP)
 
 
 # ----------------------------------------------------------------------
@@ -375,4 +323,4 @@ def test_small_replay_campaign_degrades_to_in_process():
     # ...and at workers * 2 points the pool is worth its startup
     pooled = _campaign(n_points=8, workers=4)
     assert pooled.workers_realized == 4
-    assert _outcome_dicts(pooled)[:4] == _outcome_dicts(degraded)
+    assert outcome_dicts(pooled)[:4] == outcome_dicts(degraded)

@@ -2,7 +2,7 @@
 
 from repro.systems import get_system, run_workload
 from repro.systems.zookeeper.server import ZKServer
-from tests.conftest import prepared
+from tests.conftest import prepared, reference
 
 
 def run_zk(seed=0, config=None, before_run=None, deadline=None):
@@ -105,10 +105,4 @@ def test_paper_negative_result_few_meta_info_types():
 
 
 def test_zookeeper_campaign_finds_no_new_bugs():
-    from repro.bugs import matcher_for_system
-    from repro.core.injection import run_campaign
-
-    system, analysis, profile, baseline = prepared("zookeeper")
-    result = run_campaign(system, analysis, profile.dynamic_points,
-                          baseline=baseline, matcher=matcher_for_system("zookeeper"))
-    assert result.detected_bugs() == {}
+    assert reference("zookeeper").detected_bugs() == {}

@@ -9,10 +9,17 @@ to the replacement on stderr, never stdout — CI pipes stdout into
 """
 
 import json
+import os
+import re
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
+
+from tests.conftest import PINS
+from tests.test_campaign_kill import _alive_in_session
 
 SUBCOMMANDS = ("campaign", "daemon", "report", "analytics", "analysis")
 
@@ -85,6 +92,85 @@ def test_campaign_subcommand_rejects_unknown_system():
     proc = run_module("repro", "campaign", "hadoop-classic")
     assert proc.returncode == 2
     assert "unknown system" in proc.stderr
+
+
+def _main(capsys, *argv):
+    """``python -m repro ARGV`` in this process: (exit code, stdout, stderr)."""
+    from repro.__main__ import main
+
+    code = main(list(argv))
+    return (code, *capsys.readouterr())
+
+
+def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
+    campaign = ["campaign", "cassandra"]
+    journal = str(tmp_path / "rep.jsonl")
+    assert _main(capsys, *campaign, "--journal", journal,
+                 "--select", "representative")[0] == 0
+    for argv, exit_code, needle in [
+        (campaign + ["--workers", "0"], 2, "workers must be >= 1"),
+        (campaign + ["--audit-fraction", "2"], 2, "audit_fraction must be within"),
+        (campaign + ["--journal", str(tmp_path)], 2, "is a directory"),
+        (campaign + ["--journal", journal], 1, "written by a different campaign"),
+        # "inside" a regular file: no directory to create the journal in
+        (campaign + ["--journal", journal + "/j.jsonl"], 1, "Not a directory"),
+        (["daemon", "submit", str(tmp_path / "svc"), "cassandra",
+          "--campaign-workers", "0"], 2, "workers must be >= 1"),
+    ]:
+        code, out, err = _main(capsys, *argv)
+        assert (code, out) == (exit_code, ""), argv
+        assert err.startswith("error: ") and needle in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_interrupted_unjournaled_campaign_says_how_to_make_it_resumable(
+        capsys, monkeypatch):
+    import repro.api
+
+    def interrupted(*args, on_outcome, **kwargs):
+        on_outcome(0, None)
+        on_outcome(1, None)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(repro.api, "run_campaign", interrupted)
+    assert _main(capsys, "campaign", "cassandra") == (
+        130, "", "interrupted after 2 of 3 points — nothing was kept; "
+        "pass --journal PATH to make a run resumable\n")
+
+
+@pytest.mark.parametrize("mode", [[], ["--execution", "snapshot"],
+                                  ["--workers", "2"]],
+                         ids=["replay", "snapshot", "pooled"])
+def test_sigint_ends_in_one_line_and_the_journal_resumes_to_the_pin(
+        tmp_path, mode):
+    journal = tmp_path / "hbase.jsonl"
+    command = [sys.executable, "-m", "repro", "campaign", "hbase",
+               "--journal", str(journal), *mode]
+    proc = subprocess.Popen(command, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    while not (journal.exists() and journal.read_text().count("\n") >= 2):
+        assert proc.poll() is None, proc.stderr.read()
+        time.sleep(0.01)
+    os.killpg(proc.pid, signal.SIGINT)  # what a terminal's Ctrl-C does
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out) == (130, ""), err
+    match = re.fullmatch(
+        r"interrupted after (\d+) of 28 points — rerun with --journal "
+        + re.escape(str(journal)) + r" to resume\n", err)
+    assert match, err
+    assert not _alive_in_session(proc.pid)
+    journaled = journal.read_text().count("\n") - 1
+    assert 1 <= int(match.group(1)) <= journaled < 28
+
+    rerun = subprocess.run(
+        command + ["--json", str(tmp_path / "out.json")],
+        env=dict(os.environ, PYTHONHASHSEED="7"),
+        capture_output=True, text=True, timeout=240)
+    assert rerun.returncode == 0, rerun.stderr
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["resumed"] == journaled
+    assert payload["digest"] == PINS["hbase"]["full"]
 
 
 def test_daemon_subcommand_round_trip(tmp_path):
