@@ -32,7 +32,7 @@ The supported surface:
   ``journal_path`` for checkpoint/resume, ``execution="snapshot"`` for
   snapshot-and-resume test runs, ``point_select="representative"`` to
   cluster points into predicted-behavior equivalence classes and test
-  one per class, with an ``audit_fraction`` verification lane);
+  one per class — the rest carry their representative's outcome);
   cross-field combinations are validated at construction,
 * :class:`Observability` — opt-in tracing/metrics/diagnoses, passed as
   ``obs=``,

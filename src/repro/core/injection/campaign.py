@@ -89,15 +89,8 @@ class CampaignConfig:
             ``"full"`` (default) runs every point; ``"representative"``
             clusters points into predicted-behavior equivalence classes
             (:mod:`repro.core.injection.classes`) and executes one
-            representative per class plus an audit draw, propagating the
-            representative's outcome to the rest (flagged
-            ``propagated=True``).  A class whose audited members disagree
-            with their representative is promoted to full execution.
-        audit_fraction: size of the representative mode's verification
-            lane — the fraction of non-representative members executed
-            anyway and cross-checked against their class representative
-            (``0.0`` disables auditing; only meaningful with
-            ``point_select="representative"``).
+            representative per class, propagating the representative's
+            outcome to the rest (flagged ``propagated=True``).
     """
 
     wait: float = 1.0
@@ -110,7 +103,6 @@ class CampaignConfig:
     execution: str = "replay"
     point_order: str = "point"
     point_select: str = "full"
-    audit_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.execution not in ("replay", "snapshot"):
@@ -125,13 +117,6 @@ class CampaignConfig:
             raise ValueError(
                 f"point_select must be 'full' or 'representative', "
                 f"got {self.point_select!r}"
-            )
-        if not 0.0 <= self.audit_fraction <= 1.0:
-            raise ValueError(
-                f"audit_fraction must be within [0.0, 1.0], got "
-                f"{self.audit_fraction} — it is the fraction of "
-                f"non-representative class members executed for "
-                f"cross-checking"
             )
         if self.point_select == "representative" and self.random_fallback:
             raise ValueError(
@@ -198,7 +183,9 @@ class CampaignConfig:
         older daemons persisted in their WAL and spool.
         """
         # force_workers (retired 1.7.0) and analytics (1.11.0) never
-        # changed outcomes, so they are dropped whatever their value;
+        # changed outcomes, and audit_fraction (1.15.0) sized a
+        # verification lane that no longer runs, so they are dropped
+        # whatever their value;
         # analytics_path (1.11.0) reordered points, so only its default
         # may be dropped
         if data.get("analytics_path") is not None:
@@ -208,7 +195,8 @@ class CampaignConfig:
                 "order_points(points, analytics_path=...) and pass them to "
                 "run_campaign instead"
             )
-        retired = ("force_workers", "analytics", "analytics_path")
+        retired = ("force_workers", "analytics", "analytics_path",
+                   "audit_fraction")
         data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -352,8 +340,8 @@ class CampaignResult:
     point_order: str = "point"
     #: which points the test phase executed (CampaignConfig.point_select)
     point_select: str = "full"
-    #: representative-execution statistics (classes, executed, audited,
-    #: promoted, propagated) when ``point_select="representative"`` ran
+    #: representative-execution statistics (classes, executed,
+    #: propagated) when ``point_select="representative"`` ran
     classes: Optional[Dict[str, Any]] = None
 
     def first_detection(self) -> Optional[int]:

@@ -12,7 +12,8 @@ one representative per class and propagate its outcome to the rest
 The signature is built from the profiler's fire prediction
 (:class:`~repro.core.profiler.DynamicCrashPoint` ``fire_*`` fields — the
 injection the campaign will deliver, resolved through a live meta-info
-store at profile time) and is *blast-radius adaptive*:
+store at profile time), and a class is only as wide as the argument that
+its members behave alike:
 
 * ``fire_kind == ""`` — the point predates fire prediction (or none was
   possible): nothing is known about its behavior, so it is its own
@@ -20,28 +21,38 @@ store at profile time) and is *blast-radius adaptive*:
 * ``fire_kind == "none"`` — no meta-info value resolves at the access,
   so the trigger fires but injects nothing; every such point replays the
   injection-free baseline run of its scale, one class per scale;
-* the injection misses the executing node — the access's own position
-  (field, op, stack) cannot influence the outcome, because simulated
-  time does not advance inside a handler: the post-injection world is a
-  function of (scale, target, action, fire time) alone;
-* the injection hits the executing node (``fire_self``) — the handler's
-  position *does* matter (which statement the shutdown truncates), so
-  the static token namespace (:func:`repro.obs.features.point_tokens`:
-  meta-info field, access op, bounded stack suffix, location, lane) is
-  appended to the fire-event base.
+* ``fire_kind == "crash"`` — a crash is instantaneous and never pumps
+  the event loop, and it always hits a node other than the executing one
+  (a post-write self-target is downgraded to a shutdown).  The handler
+  runs on to its end at the same simulated instant, and whatever it
+  sends is delivered at least ``min_latency`` later, so whether a send
+  precedes or follows the crash inside the handler is unobservable: the
+  post-injection world is a function of (scale, target, exact fire
+  time) alone, position-free;
+* ``fire_kind == "shutdown"`` — the control center's shutdown RPC pumps
+  ``wait`` simulated seconds *inside* the interrupted handler (pre-read,
+  and post-write self-target), so the rest of the world runs on while
+  the handler is suspended mid-statement, and *which* statement matters
+  even when the target is remote.  The static token namespace
+  (:func:`repro.obs.features.point_tokens`: meta-info field, access op,
+  bounded stack suffix, location, lane) joins the fire-event base.
+
+``fire_time`` is compared exactly: the network separates two deliveries
+on one channel by ``1e-9``, so any rounding merges distinct events.
+The argument is checked where it can be, exhaustively and off the run
+path: ``tests/test_representative_campaign.py`` holds every class of
+every seeded system behavior-homogeneous in the full campaign, and CI
+sweeps six systems over eight seeds (DESIGN.md publishes the table).
 
 Everything here is deterministic and input-order independent: class ids
 are content digests of the signature, the representative is the member
-with the minimal :meth:`DynamicCrashPoint.key`, members are kept in key
-order, and the audit draw is a round-robin over classes sorted by
-(within-class rank, key) — the property suite pins permutation
-invariance.
+with the minimal :meth:`DynamicCrashPoint.key`, and members are kept in
+key order — the property suite pins permutation invariance.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -55,9 +66,9 @@ def class_signature(dpoint) -> Tuple:
     if dpoint.fire_kind == "none":
         return ("none", dpoint.scale)
     base = ("fire", dpoint.scale, dpoint.fire_target, dpoint.fire_kind,
-            round(dpoint.fire_time, 6))
-    if dpoint.fire_self:
-        return base + ("self",) + tuple(sorted(point_tokens(dpoint)))
+            dpoint.fire_time)
+    if dpoint.fire_kind == "shutdown":
+        return base + tuple(sorted(point_tokens(dpoint)))
     return base
 
 
@@ -71,8 +82,6 @@ class PointClass:
     members: Tuple[int, ...]
     #: the member with the minimal ``key()`` — the one that executes
     representative: int
-    #: members drawn into the verification lane (never the representative)
-    audited: Tuple[int, ...]
 
 
 @dataclass
@@ -83,94 +92,50 @@ class SelectionPlan:
     #: point index -> class id, for every point
     class_of: Dict[int, str]
     representatives: List[int]
-    audited: List[int]
     #: content digest of the whole assignment (journal meta pin): class
-    #: ids, membership, representative choices, and the audit draw, all
-    #: named by point *key* so the digest is input-order independent.
-    #: Resuming a journal under a drifted assignment (changed signature,
-    #: audit fraction, or point list) must mismatch rather than silently
-    #: mix plans.
+    #: ids, membership and representative choices, all named by point
+    #: *key* so the digest is input-order independent.  Resuming a
+    #: journal under a drifted assignment (changed signature or point
+    #: list) must mismatch rather than silently mix plans.
     plan_digest: str = ""
 
     def digest(self) -> str:
         return self.plan_digest
 
 
-def build_classes(
-    points: Sequence,
-    audit_fraction: float = 0.1,
-) -> SelectionPlan:
-    """Partition ``points`` into equivalence classes with an audit draw.
+def build_classes(points: Sequence) -> SelectionPlan:
+    """Partition ``points`` into equivalence classes.
 
-    ``audit_fraction`` sizes a *global* verification pool: of all
-    non-representative members across all classes,
-    ``ceil(audit_fraction * n)`` are executed anyway and cross-checked
-    against their representative's verdict — drawn round-robin (first
-    every class's first non-representative, then every class's second,
-    ...) so small classes are not starved by one giant class, with key
-    order breaking ties.  Deterministic for any input order of
-    ``points``.
+    Deterministic for any input order of ``points``.
     """
     groups: Dict[Tuple, List[int]] = {}
     for i, dpoint in enumerate(points):
         groups.setdefault(class_signature(dpoint), []).append(i)
 
     classes: List[PointClass] = []
-    # (rank, key, class_id, class#, index) — class_id is the tiebreak when
-    # two classes hold equal-rank members with the very same point key
-    # (possible: key() ignores the fire_* prediction fields, the signature
-    # does not), so the audit cutoff never depends on input order
-    pool: List[Tuple[int, str, str, int, int]] = []
     for signature, members in groups.items():
         members = sorted(members, key=lambda i: points[i].key())
-        class_id = hashlib.sha256(
-            repr(signature).encode("utf-8")
-        ).hexdigest()[:12]
         classes.append(PointClass(
-            class_id=class_id,
+            class_id=hashlib.sha256(
+                repr(signature).encode("utf-8")
+            ).hexdigest()[:12],
             signature=signature,
             members=tuple(members),
             representative=members[0],
-            audited=(),  # filled after the global draw
         ))
-        for rank, index in enumerate(members[1:]):
-            pool.append((rank, repr(points[index].key()), class_id,
-                         len(classes) - 1, index))
-
-    pool.sort(key=lambda item: (item[0], item[1], item[2]))
-    n_audit = (
-        math.ceil(audit_fraction * len(pool))
-        if pool and audit_fraction > 0 else 0
-    )
-    drawn: Dict[int, List[int]] = {}
-    for _, _, _, class_no, index in pool[:n_audit]:
-        drawn.setdefault(class_no, []).append(index)
-    for class_no, indices in drawn.items():
-        cls = classes[class_no]
-        classes[class_no] = PointClass(
-            class_id=cls.class_id,
-            signature=cls.signature,
-            members=cls.members,
-            representative=cls.representative,
-            audited=tuple(sorted(indices, key=lambda i: points[i].key())),
-        )
-
     classes.sort(key=lambda cls: cls.class_id)
-    class_of = {i: cls.class_id for cls in classes for i in cls.members}
     parts = [
         (
             cls.class_id,
             tuple(repr(points[i].key()) for i in cls.members),
             repr(points[cls.representative].key()),
-            tuple(repr(points[i].key()) for i in cls.audited),
         )
         for cls in classes
     ]
     return SelectionPlan(
         classes=classes,
-        class_of=class_of,
+        class_of={i: cls.class_id for cls in classes for i in cls.members},
         representatives=[cls.representative for cls in classes],
-        audited=[i for cls in classes for i in cls.audited],
         plan_digest=hashlib.sha256(
             repr(parts).encode("utf-8")
         ).hexdigest()[:16],

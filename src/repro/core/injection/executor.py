@@ -4,23 +4,24 @@ The paper's test phase (Figure 4) is one loop — arm a dynamic crash
 point, run, judge — and so is this module.  Three seams share everything
 else:
 
-* the **plan** decides which campaign indices run in which round: every
-  unrestored point in one round (``point_select="full"``), or class
-  representatives plus the audit draw, then any promoted classes
-  (``"representative"``, see :mod:`~repro.core.injection.classes`);
-* the **runner** executes one round, ``run(ctx, indices, sink)``, and
+* the **plan** decides which campaign indices run: every unrestored
+  point (``point_select="full"``), or the unrestored class
+  representatives, whose outcomes are then propagated to the rest of
+  their class (``"representative"``, see
+  :mod:`~repro.core.injection.classes`);
+* the **runner** executes them, ``run(ctx, indices, sink)``, and
   returns ``{index: (outcome, telemetry payloads)}``.  It has two
   bodies — :class:`ReplayRunner` here, and
   :class:`~repro.core.injection.snapshot.SnapshotRunner` — that both
   index the campaign's real point list;
-* the **pool** is how the replay runner spends its round: in this
+* the **pool** is how the replay runner spends its indices: in this
   process, or fanned out over ``fork``-ed workers.  Either way a point is
   run by :func:`run_point`.
 
-Every injection is an isolated, seed-deterministic simulation, so how a
-round is spent never shows in the result: :func:`_merge` emits outcomes,
-diagnoses, metrics and spans **in point order**, with span ids remapped
-to exactly the ids a single traced run would have allocated (see
+Every injection is an isolated, seed-deterministic simulation, so how
+the indices are spent never shows in the result: :func:`_merge` emits
+outcomes, diagnoses, metrics and spans **in point order**, with span ids
+remapped to exactly the ids a single traced run would have allocated (see
 :meth:`~repro.obs.tracer.Tracer.adopt` and
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).  Only
 wall-clock differs between replay, snapshot, pooled, representative and
@@ -51,7 +52,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.campaign import (
@@ -75,7 +76,7 @@ OutcomeHook = Callable[[int, InjectionOutcome], None]
 #: one run's telemetry, as :func:`_telemetry` packs it
 Payload = Dict[str, Any]
 
-#: what a runner returns for a round: per campaign index, the outcome and
+#: what a runner returns: per campaign index, the outcome and
 #: the payloads of the run(s) that produced it (none when telemetry is off)
 Results = Dict[int, Tuple[InjectionOutcome, List[Payload]]]
 
@@ -153,12 +154,11 @@ class CampaignJournal:
         if cfg.point_select != "full":
             # the class-assignment digest pins which points execute and
             # which propagate: a journal resumed under a drifted
-            # assignment (changed signature, audit fraction, or point
-            # list) must mismatch instead of silently mixing plans.  The
-            # keys are omitted under "full" to keep old journals valid.
+            # assignment (changed signature or point list) must mismatch
+            # instead of silently mixing plans.  The keys are omitted
+            # under "full" to keep old journals valid.
             meta["point_select"] = cfg.point_select
-            meta["audit_fraction"] = cfg.audit_fraction
-            meta["classes"] = build_classes(points, cfg.audit_fraction).digest()
+            meta["classes"] = build_classes(points).digest()
         return meta
 
     def open(self, meta: Dict[str, Any]) -> Dict[int, InjectionOutcome]:
@@ -368,7 +368,7 @@ class ReplayRunner:
 
 
 # ---------------------------------------------------------------------------
-# the campaign parent: plan the rounds, run them, merge
+# the campaign parent: plan the indices, run them, merge
 # ---------------------------------------------------------------------------
 @dataclass
 class ExecutionReport:
@@ -385,8 +385,8 @@ class ExecutionReport:
     workers: int
     execution: str
     snapshot_stats: Optional[Dict[str, Any]] = None
-    #: representative-execution statistics (classes, executed, audited,
-    #: promoted, propagated) when ``point_select="representative"`` ran
+    #: representative-execution statistics (classes, executed,
+    #: propagated) when ``point_select="representative"`` ran
     class_stats: Optional[Dict[str, Any]] = None
 
 
@@ -429,35 +429,25 @@ def execute_points(
         runner = SnapshotRunner()
     else:
         runner = ReplayRunner()
-    classes = (
-        build_classes(points, cfg.audit_fraction)
-        if cfg.point_select == "representative" else None
-    )
+    plan = build_classes(points) if cfg.point_select == "representative" else None
     journal = CampaignJournal(
         cfg.journal_path, points, on_outcome,
-        class_of=classes.class_of if classes else None,
+        class_of=plan.class_of if plan else None,
     )
-    #: index -> outcome of every point restored, run or propagated so far
-    done: Dict[int, InjectionOutcome] = {}
     payloads: Dict[int, List[Payload]] = {}
-
-    def run_round(indices: Iterable[int]) -> None:
-        todo = [i for i in indices if i not in done]
-        if not todo:
-            return
-        for index, (outcome, telemetry) in runner.run(ctx, todo, journal).items():
-            done[index] = outcome
-            payloads[index] = telemetry
-
     class_stats: Optional[Dict[str, Any]] = None
     try:
-        done.update(journal.open(CampaignJournal.meta_for(system, points, cfg, config)))
+        #: index -> outcome of every point restored, run or propagated
+        done = journal.open(CampaignJournal.meta_for(system, points, cfg, config))
         resumed = len(done)
-        if classes is None:
-            run_round(range(len(points)))
-        else:
-            class_stats = _run_representative(
-                classes, points, done, run_round, journal, active)
+        wanted = plan.representatives if plan else range(len(points))
+        todo = sorted(i for i in wanted if i not in done)
+        if todo:
+            for index, (outcome, telemetry) in runner.run(ctx, todo, journal).items():
+                done[index] = outcome
+                payloads[index] = telemetry
+        if plan is not None:
+            class_stats = _propagate(plan, points, done, journal, active)
     finally:
         journal.close()
     return ExecutionReport(
@@ -506,53 +496,24 @@ def _merge(
 # ---------------------------------------------------------------------------
 # the representative plan (point_select="representative")
 # ---------------------------------------------------------------------------
-def _behavior(outcome: InjectionOutcome) -> Tuple:
-    """What the audit lane compares: oracle verdict + bug attribution."""
-    return (
-        tuple(sorted(outcome.verdict.kinds())),
-        tuple(sorted(outcome.matched_bugs)),
-    )
-
-
-def _run_representative(
+def _propagate(
     plan: SelectionPlan,
     points: List[DynamicCrashPoint],
     done: Dict[int, InjectionOutcome],
-    run_round: Callable[[Iterable[int]], None],
     journal: CampaignJournal,
     active: Observability,
 ) -> Dict[str, Any]:
-    """Execute one representative per equivalence class, audit a sample.
+    """Give every unexecuted class member its representative's outcome.
 
-    Round 1 runs every class representative plus the global audit draw;
-    any audited member whose behavior (verdict kinds + matched bugs)
-    disagrees with its representative promotes its *whole class* to full
-    execution in round 2.  Remaining members get propagated clones of
-    their representative's outcome.  Promotion is a pure function of
-    behaviors, so a journal-resumed campaign promotes exactly the same
-    classes a fresh run would.  Returns the class statistics.
+    Members inherit their representative's evidence under their own
+    identity, flagged so analytics can exclude them from bug dedup and
+    span attribution; wall/sim accounting stays with the representative
+    (a propagated point cost nothing).  Journaled under their own
+    index/key, so a resume restores them without re-deriving anything.
+    Returns the class statistics.
     """
-    run_round(sorted(set(plan.representatives) | set(plan.audited)))
-
-    # the verification lane: an audited member disagreeing with its
-    # representative promotes the whole class to full execution
-    promoted = [
-        cls for cls in plan.classes
-        if any(_behavior(done[i]) != _behavior(done[cls.representative])
-               for i in cls.audited)
-    ]
-    run_round(sorted(i for cls in promoted for i in cls.members))
-
-    # propagate: unexecuted members of unpromoted classes inherit their
-    # representative's evidence under their own identity, flagged so
-    # analytics can exclude them from bug dedup and span attribution;
-    # wall/sim accounting stays with the representative (a propagated
-    # point cost nothing).  Journaled under their own index/key, so a
-    # resume restores them without re-deriving the plan's history.
     n_propagated = 0
     for cls in plan.classes:
-        if cls in promoted:
-            continue
         for index in cls.members:
             if index in done:
                 continue
@@ -564,24 +525,11 @@ def _run_representative(
             done[index] = clone
             n_propagated += 1
             journal.record(index, clone)
-
-    audited_run = [i for i in plan.audited if not done[i].propagated]
     if active.enabled:
-        # the purity counters: how often the audit lane caught an impure
-        # class (a promotion) versus confirmed the representative
-        metrics = active.metrics
-        metrics.counter("campaign.classes").inc(len(plan.classes))
-        metrics.counter("campaign.classes_promoted").inc(len(promoted))
-        metrics.counter("campaign.points_audited").inc(len(audited_run))
-        metrics.counter("campaign.points_propagated").inc(n_propagated)
-        if plan.classes:
-            metrics.gauge("campaign.class_purity").set(
-                1.0 - len(promoted) / len(plan.classes)
-            )
+        active.metrics.counter("campaign.classes").inc(len(plan.classes))
+        active.metrics.counter("campaign.points_propagated").inc(n_propagated)
     return {
         "classes": len(plan.classes),
         "executed": sum(1 for outcome in done.values() if not outcome.propagated),
-        "audited": len(audited_run),
-        "promoted": len(promoted),
         "propagated": n_propagated,
     }

@@ -80,10 +80,8 @@ class CrashTunerResult:
         }
         if self.campaign is not None and self.campaign.classes is not None:
             # representative execution: how many equivalence classes the
-            # campaign collapsed to, and how many members the audit lane
-            # cross-checked against their representative
+            # campaign collapsed to
             row["classes"] = self.campaign.classes["classes"]
-            row["audited"] = self.campaign.classes["audited"]
         row["total_wall_s"] = (
             row["analysis_wall_s"] + row["profile_wall_s"] + row["test_wall_s"]
         )

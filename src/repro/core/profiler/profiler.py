@@ -45,8 +45,6 @@ class DynamicCrashPoint:
     fire_kind: str = field(default="", compare=False)
     #: simulated time of the first matching access (-1.0 when none/unknown)
     fire_time: float = field(default=-1.0, compare=False)
-    #: the predicted target is the node executing the access itself
-    fire_self: bool = field(default=False, compare=False)
 
     def key(self) -> Tuple:
         return (self.point.module, self.point.lineno, self.point.op,
@@ -101,7 +99,7 @@ def _predict_fire(
     point: AccessPoint,
     event: AccessEvent,
     holder: Dict[str, Any],
-) -> Tuple[str, str, float, bool]:
+) -> Tuple[str, str, float]:
     """The injection the campaign will deliver at this access.
 
     Mirrors :meth:`ControlCenter._resolve` plus the trigger's action
@@ -114,7 +112,7 @@ def _predict_fire(
     store = holder.get("store")
     cluster = holder.get("cluster")
     if store is None or cluster is None:
-        return "", "", -1.0, False
+        return "", "", -1.0
     target = None
     for value in event.values:
         host = store.query(value)
@@ -122,16 +120,15 @@ def _predict_fire(
             target = host
             break
     if target is None:
-        return "", "none", -1.0, False
+        return "", "none", -1.0
     executing = ""
     if event.node in cluster.nodes:
         executing = cluster.nodes[event.node].host
-    self_affecting = target == executing
-    if point.op == "read" or self_affecting:
+    if point.op == "read" or target == executing:
         kind = "shutdown"
     else:
         kind = "crash"
-    return target, kind, event.time, self_affecting
+    return target, kind, event.time
 
 
 def profile_system(
@@ -184,13 +181,10 @@ def profile_system(
             key = dpoint.key()
             if key in found:
                 return
-            target, kind, fire_time, self_affecting = _predict_fire(
-                point, event, holder
-            )
+            target, kind, fire_time = _predict_fire(point, event, holder)
             found[key] = DynamicCrashPoint(
                 point=point, stack=event.stack, scale=_scale,
                 fire_target=target, fire_kind=kind, fire_time=fire_time,
-                fire_self=self_affecting,
             )
 
         BUS.capture_stacks = True

@@ -66,8 +66,8 @@ def format_summary(title: str, payload: "dict") -> str:
         "digest": digest if isinstance(digest, str) else "-",
     })
     if payload.get("classes"):
-        rows["classes"] = ("{classes} ({executed} executed, {audited} audited, "
-                           "{promoted} promoted)".format(**payload["classes"]))
+        rows["classes"] = ("{classes} ({executed} executed, {propagated} "
+                           "propagated)".format(**payload["classes"]))
     return format_kv(title, rows)
 
 
@@ -85,10 +85,6 @@ def add_campaign_knobs(parser: Any, workers_flag: str = "--workers") -> None:
                         default="full",
                         help="'representative' clusters points into "
                              "equivalence classes and tests one per class")
-    parser.add_argument("--audit-fraction", type=float, default=0.1,
-                        help="fraction of non-representative members "
-                             "executed anyway to cross-check their class "
-                             "(representative mode only)")
 
 
 def campaign_from_knobs(args: Any, journal_path: Optional[str] = None) -> Any:
@@ -98,8 +94,7 @@ def campaign_from_knobs(args: Any, journal_path: Optional[str] = None) -> Any:
     return CampaignConfig(
         max_points=args.points, seed=args.seed, workers=args.workers,
         point_order=args.order, execution=args.execution,
-        point_select=args.select, audit_fraction=args.audit_fraction,
-        journal_path=journal_path,
+        point_select=args.select, journal_path=journal_path,
     )
 
 

@@ -91,6 +91,15 @@ def outcome_dicts(result):
     return dicts
 
 
+def behavior(outcome):
+    """What two runs must share for one to stand in for the other: oracle
+    verdict + bug attribution."""
+    return (
+        tuple(sorted(outcome.verdict.kinds())),
+        tuple(sorted(outcome.matched_bugs)),
+    )
+
+
 def span_dicts(obs):
     """A traced campaign's spans as dicts, wall-clock-dependent attrs
     (``wall_seconds``, the pool width) stripped."""

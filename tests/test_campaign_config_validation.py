@@ -86,6 +86,17 @@ def test_from_dict_drops_the_retired_analytics_keys(value):
     assert CampaignConfig.from_dict(data) == CampaignConfig(point_order="novelty")
 
 
+@pytest.mark.parametrize("value", [0.0, 0.1, 1.0])
+def test_from_dict_drops_the_retired_audit_fraction_key(value):
+    # what a <= 1.14.0 daemon persisted in its WAL and spool: the size of
+    # a verification lane that no longer runs
+    data = CampaignConfig(point_select="representative").to_dict()
+    assert "audit_fraction" not in data
+    data["audit_fraction"] = value
+    assert (CampaignConfig.from_dict(data)
+            == CampaignConfig(point_select="representative"))
+
+
 def test_from_dict_rejects_a_persisted_analytics_path():
     # it changed the point order, so dropping it would run another campaign
     data = CampaignConfig(point_order="novelty").to_dict()

@@ -180,7 +180,7 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
         assert all(o.class_id == "" for o in result.outcomes)
     else:
         # class stamps do not depend on a journal being configured
-        class_of = build_classes(points, 0.1).class_of
+        class_of = build_classes(points).class_of
         assert [o.class_id for o in result.outcomes] == \
             [class_of[i] for i in range(len(points))]
         assert all(o.diagnosis.point_class == o.class_id for o in result.outcomes)

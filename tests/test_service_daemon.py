@@ -144,6 +144,30 @@ def test_result_written_by_1_13_0_is_still_readable(tmp_path, capsys):
     assert "CA-15131(1)" in out and "digest" in out and "'point'" not in out
 
 
+def test_job_spooled_and_result_written_by_1_14_0_still_work(tmp_path, capsys):
+    client = ServiceClient(tmp_path)
+    job_id = client.submit("cassandra",
+                           CampaignConfig(point_select="representative"))
+    # up to 1.14.0 a spooled config carried the audit lane's size...
+    spooled = tmp_path / "spool" / f"{job_id}.json"
+    spec = json.loads(spooled.read_text())
+    assert "audit_fraction" not in spec["campaign"]
+    spec["campaign"]["audit_fraction"] = 0.1
+    spooled.write_text(json.dumps(spec))
+    drain_in_process(tmp_path, workers=1, poll_interval=0.01, fsync=False)
+    result_path = tmp_path / "jobs" / job_id / RESULT_NAME
+    result = json.loads(result_path.read_text())
+    assert result["state"] == "done"
+    assert result["fingerprint"] == PINS["cassandra"]["representative"]
+    assert result["classes"] == {"classes": 3, "executed": 3, "propagated": 0}
+
+    # ...and a result's class statistics the lane's two counts
+    result["classes"].update(audited=0, promoted=0)
+    result_path.write_text(json.dumps(result))
+    assert cli_main(["wait", str(tmp_path), job_id]) == 0
+    assert "classes         : 3 (3 executed, 0 propagated)" in capsys.readouterr().out
+
+
 def test_submit_rejects_unknown_system(tmp_path):
     with pytest.raises(ValueError, match="unknown system"):
         ServiceClient(tmp_path).submit("hadoop-classic")

@@ -107,11 +107,21 @@ def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
     journal = str(tmp_path / "rep.jsonl")
     assert _main(capsys, *campaign, "--journal", journal,
                  "--select", "representative")[0] == 0
+    # the identity line of a 1.14.0 representative journal, verbatim: its
+    # plan had an audit draw, so the fraction and another class digest
+    old_journal = tmp_path / "rep-1.14.0.jsonl"
+    old_journal.write_text(json.dumps({
+        "type": "campaign-meta", "version": 1, "system": "cassandra",
+        "seed": 0, "wait": 1.0, "random_fallback": False,
+        "classify_timeouts": True, "n_points": 3, "config": "",
+        "point_select": "representative", "audit_fraction": 0.1,
+        "classes": "38ff5d538fd6519d"}) + "\n")
     for argv, exit_code, needle in [
         (campaign + ["--workers", "0"], 2, "workers must be >= 1"),
-        (campaign + ["--audit-fraction", "2"], 2, "audit_fraction must be within"),
         (campaign + ["--journal", str(tmp_path)], 2, "is a directory"),
         (campaign + ["--journal", journal], 1, "written by a different campaign"),
+        (campaign + ["--journal", str(old_journal), "--select",
+                     "representative"], 1, "written by a different campaign"),
         # "inside" a regular file: no directory to create the journal in
         (campaign + ["--journal", journal + "/j.jsonl"], 1, "Not a directory"),
         (["daemon", "submit", str(tmp_path / "svc"), "cassandra",
