@@ -47,6 +47,13 @@ class Cluster:
         self.crashes: List[Tuple[float, str]] = []
         self.shutdowns: List[Tuple[float, str]] = []
         self.aborts: List[Tuple[float, str, BaseException]] = []
+        # recovery bookkeeping, read by the injection campaign to decide
+        # how long a flagged hang is worth driving (DESIGN.md "One
+        # timeline"): the longest ``expiry + interval`` of any
+        # LivenessMonitor built on this cluster, and the last instant a
+        # guard was armed or tripped or a node died
+        self.longest_guard = 0.0
+        self.last_recovery = 0.0
 
     # ------------------------------------------------------------------
     # configuration: the "patched" switchboard for seeded bugs
@@ -151,18 +158,21 @@ class Cluster:
     # ------------------------------------------------------------------
     def record_crash(self, node: Node) -> None:
         self.crashes.append((self.loop.now, node.name))
+        self.last_recovery = self.loop.now
         if self.obs.enabled:
             self.obs.metrics.counter("fault.crashes").inc()
             self.obs.tracer.event("fault.crash", node=node.name, host=node.host)
 
     def record_shutdown(self, node: Node) -> None:
         self.shutdowns.append((self.loop.now, node.name))
+        self.last_recovery = self.loop.now
         if self.obs.enabled:
             self.obs.metrics.counter("fault.shutdowns").inc()
             self.obs.tracer.event("fault.shutdown", node=node.name, host=node.host)
 
     def record_abort(self, node: Node, cause: BaseException) -> None:
         self.aborts.append((self.loop.now, node.name, cause))
+        self.last_recovery = self.loop.now
         if self.obs.enabled:
             self.obs.metrics.counter("fault.aborts").inc()
             self.obs.tracer.event(

@@ -44,6 +44,10 @@ class LivenessMonitor:
         self.name = name
         self._last_ping: Dict[Hashable, float] = {}
         self._started = False
+        # the longest a registered entity can stay silent before this
+        # monitor acts on it: what a flagged hang must outlive
+        cluster = owner.cluster
+        cluster.longest_guard = max(cluster.longest_guard, expiry + interval)
 
     def start(self) -> None:
         if self._started:
@@ -52,7 +56,8 @@ class LivenessMonitor:
         self.owner.set_timer(self.interval, self._scan, periodic=self.interval)
 
     def register(self, key: Hashable) -> None:
-        self._last_ping[key] = self.owner.cluster.loop.now
+        cluster = self.owner.cluster
+        self._last_ping[key] = cluster.last_recovery = cluster.loop.now
 
     def ping(self, key: Hashable) -> None:
         if key in self._last_ping:
@@ -70,6 +75,7 @@ class LivenessMonitor:
         expired = [k for k, t in self._last_ping.items() if now - t > self.expiry]
         for key in expired:
             del self._last_ping[key]
+            self.owner.cluster.last_recovery = now
             LOG.info("{} monitor expired {}", self.name, key)
             if obs.enabled:
                 obs.metrics.counter("cluster.heartbeats_missed").inc()

@@ -3,8 +3,9 @@
 Exercises each dynamic crash point in its own cluster run: the online log
 agent feeds the meta-info store, the trigger arms the point, the control
 center injects the fault, and the oracles judge the outcome.  A flagged
-hang is optionally given an extended deadline — the same run, driven on —
-to separate the paper's "timeout issues" (Section 4.1.3) from true hangs.
+hang is optionally driven on — the same run — until the system has
+outlived the timeouts it configured, to separate the paper's "timeout
+issues" (Section 4.1.3) from true hangs.
 
 How a campaign runs is described by one frozen :class:`CampaignConfig`
 (the stable public knobs, see :mod:`repro.api`); because every injection
@@ -41,7 +42,8 @@ BugMatcherFn = Callable[[RunReport, OracleVerdict], List[str]]
 #: timers, leak auditors) land in the observed logs
 COOLDOWN = 10.0
 
-#: deadline multiplier a flagged hang's run is extended to (Section 4.1.3)
+#: cap on how far a flagged hang's run is driven, as a multiple of one
+#: clean run (Section 4.1.3); the recovery horizon usually ends it sooner
 EXTENDED_FACTOR = 400.0
 
 
@@ -54,9 +56,11 @@ class CampaignConfig:
             pre-read shutdown (the paper's instrumented wait).
         random_fallback: target a random live node when no meta-info
             value resolves (paper Section 3.2.2).
-        classify_timeouts: extend a flagged hang's run to a much later
-            deadline to separate "timeout issues" from true hangs
-            (Section 4.1.3).
+        classify_timeouts: drive a flagged hang's run on until the system
+            has outlived every wait it configured — its liveness monitors,
+            chore-scanned guards and retry budgets, re-armed by whatever
+            recovery they set off; at most 400x one run — to separate
+            "timeout issues" from true hangs (Section 4.1.3).
         max_points: cap the number of dynamic crash points tested
             (``None`` tests all).
         seed: RNG seed for every cluster run of the campaign.
@@ -417,14 +421,24 @@ def _arm(
 class _Judge:
     """One injection's verdict over one timeline (paper Section 4.1.3).
 
-    :meth:`at_deadline` is ``run_workload``'s continuation seam: it
-    judges the run as it stands at the 4x deadline and, for a fired,
-    flagged hang, asks for the *same* cluster to be driven on to the
-    extended deadline.  :meth:`finish` folds the run's end into that
-    judgement: a run that completed in its extension is a "timeout
-    issue", anything else keeps the at-deadline outcome.  The replay
-    path and the snapshot child both judge through this one object;
-    whoever arms the run sets ``trigger`` and ``agent``.
+    :meth:`at_deadline` is ``run_workload``'s continuation seam.  On its
+    first consultation it judges the run as it stands at the 4x deadline
+    and, for a fired, flagged hang, asks for the *same* cluster to be
+    driven on.  How far is the recovery horizon (DESIGN.md "One
+    timeline"): the last instant a guard was armed or tripped or a node
+    died (``Cluster.last_recovery``, never earlier than the deadline),
+    plus the longest wait the system configured (its liveness monitors'
+    ``Cluster.longest_guard`` or its declared
+    :meth:`~repro.systems.base.SystemUnderTest.recovery_horizon`), plus
+    one more 4x budget for whatever a trip sets in motion — capped at
+    ``EXTENDED_FACTOR`` runs.  Consulted again there, it answers the same
+    way: a recovery in the meantime has moved the horizon on, none has
+    left it where it is, which ends the extension.  :meth:`finish` folds
+    the run's end into the judgement: a run that completed in its
+    extension is a "timeout issue", anything else keeps the at-deadline
+    outcome — so how long a true hang was driven shows in no outcome
+    field.  The replay path and the snapshot child both judge through
+    this one object; whoever arms the run sets ``trigger`` and ``agent``.
     """
 
     def __init__(
@@ -444,8 +458,12 @@ class _Judge:
         self.agent: Optional[OnlineLogAgent] = None
         #: the run as judged at its deadline (None: it finished earlier)
         self.outcome: Optional[InjectionOutcome] = None
-        #: the run was driven past its deadline
-        self.extended = False
+        #: the 4x deadline the run was driven past (None: it was not)
+        self.budget: Optional[float] = None
+
+    @property
+    def extended(self) -> bool:
+        return self.budget is not None
 
     def _judge(self, report: RunReport, verdict: OracleVerdict) -> InjectionOutcome:
         assert self.trigger is not None, "judged a run nobody armed"
@@ -453,25 +471,37 @@ class _Judge:
                        self.matcher, report)
 
     def at_deadline(self, report: RunReport) -> Optional[float]:
-        verdict = evaluate_run(report, self.baseline)
-        self.outcome = self._judge(report, verdict)
-        if not (verdict.hang and self.cfg.classify_timeouts and self.outcome.fired):
-            return None
-        self.extended = True
-        if not get_obs().enabled:
-            # the extension only asks "does the run complete": the
-            # diagnosis keeps the at-deadline store_size and the oracles
-            # read the collector, not the store, so with telemetry off
-            # nothing observable is fed by pattern-matching the long tail
-            report.log.unsubscribe(self.agent)
-        return (self.system.base_runtime() * EXTENDED_FACTOR
-                * max(1, self.dpoint.scale))
+        if self.outcome is None:
+            verdict = evaluate_run(report, self.baseline)
+            self.outcome = self._judge(report, verdict)
+            if not (verdict.hang and self.cfg.classify_timeouts and self.outcome.fired):
+                return None
+            self.budget = report.deadline
+            get_obs().metrics.counter("campaign.hangs_extended").inc()
+            if not get_obs().enabled:
+                # the extension only asks "does the run complete": the
+                # diagnosis keeps the at-deadline store_size and the oracles
+                # read the collector, not the store, so with telemetry off
+                # nothing observable is fed by pattern-matching the long tail
+                report.log.unsubscribe(self.agent)
+        cluster = report.cluster
+        wait = max(cluster.longest_guard,
+                   self.system.recovery_horizon(cluster.config))
+        cap = (self.system.base_runtime() * EXTENDED_FACTOR
+               * max(1, self.dpoint.scale))
+        return min(cap, max(self.budget, cluster.last_recovery)
+                   + wait + self.budget)
 
     def finish(self, report: RunReport) -> InjectionOutcome:
         if self.outcome is None:
             return self._judge(report, evaluate_run(report, self.baseline))
-        if not (self.extended and report.completed):
-            return self.outcome  # a true hang even at the extended deadline
+        if not self.extended:
+            return self.outcome
+        # (whole seconds: counters are integral throughout repro.obs)
+        get_obs().metrics.counter("campaign.extension_sim_seconds").inc(
+            round(report.duration - self.budget))
+        if not report.completed:
+            return self.outcome  # a true hang: it outlived every timeout
         verdict = evaluate_run(report, self.baseline)
         verdict.timeout_issue = True
         outcome = self._judge(report, verdict)

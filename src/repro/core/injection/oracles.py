@@ -5,9 +5,9 @@ A test run is flagged when any of the paper's three conditions holds:
 1. **job failure** — the workload completed but did not succeed;
 2. **system hang** — the workload did not reach a terminal state within
    the deadline (default 4x one clean run, Section 4.1.3); a flagged
-   hang's run can optionally be extended to a much later deadline to
-   separate true hangs from the paper's "timeout issues" (tasks finish,
-   but take ~10 minutes);
+   hang's run can optionally be driven on until the system has outlived
+   its own timeouts, to separate true hangs from the paper's "timeout
+   issues" (tasks finish, but take ~10 minutes);
 3. **uncommon exceptions** — error-level log signatures never observed in
    clean baseline runs.
 
@@ -67,7 +67,7 @@ class OracleVerdict:
 
     job_failure: bool
     hang: bool
-    timeout_issue: bool  # hang that completed under an extended deadline
+    timeout_issue: bool  # hang that completed once its run was driven on
     uncommon_exceptions: List[str] = field(default_factory=list)
     critical_aborts: List[str] = field(default_factory=list)
     #: log signatures of the uncommon exceptions, runtime values stripped

@@ -40,7 +40,7 @@ recording pass, so checkpoints land as points complete.  A flagged hang
 needs no second resume: the child judges its suffix through the same
 :class:`~repro.core.injection.campaign._Judge` the replay path uses, and
 ``run_workload``'s continuation seam drives the run it already holds on
-to the extended deadline (paper Section 4.1.3).  Points whose trigger
+to its recovery horizon (paper Section 4.1.3).  Points whose trigger
 never fires during the recording pass need no fork at all: for them the
 recording run *is* the test run, and its verdict/diagnosis/telemetry are
 shared.

@@ -81,6 +81,22 @@ class SystemUnderTest(abc.ABC):
         the paper's default threshold of 4x one run (Section 4.1.3).
         """
 
+    @abc.abstractmethod
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        """The longest wait this system configured that no
+        :class:`~repro.cluster.LivenessMonitor` carries, in simulated
+        seconds, derived from the same ``config`` keys its code reads.
+
+        Two kinds of wait belong here: guards scanned by a chore
+        (``expiry + scan period``) and bounded retry budgets *in full*
+        (``limit x step``).  The injection campaign drives a flagged
+        hang until the system has outlived this and every monitor
+        (``Cluster.longest_guard``) with no recovery activity — past
+        that, nothing the system set up can still turn the hang into a
+        completion.  A system all of whose waits are monitors says so
+        by returning 0; an unbounded loop is not a wait.
+        """
+
 
 @dataclass
 class RunReport:
@@ -137,13 +153,15 @@ def run_workload(
             where fault-injection arms itself.
         keep_cluster: attach the cluster/logs to the report (disable for
             bulk campaigns that only need verdicts).
-        extend: the continuation seam, consulted once, when the deadline
-            passes with the workload unfinished: given the report as it
-            stands at the deadline it returns a later absolute deadline —
-            the *same* cluster is then driven on to it — or ``None`` to
-            stop there.  This is how the injection campaign gives a
-            flagged hang more time (paper Section 4.1.3) without a
-            second run.
+        extend: the continuation seam, consulted each time a deadline
+            passes with the workload unfinished, until it returns
+            ``None``: given the report as it stands at that deadline it
+            returns a later absolute deadline — the *same* cluster is
+            then driven on to it — or ``None`` to stop there.  A return
+            that is not strictly later than the deadline just reached
+            ends the extension too.  This is how the injection campaign
+            gives a flagged hang more time (paper Section 4.1.3) without
+            a second run.
     """
     if deadline is None:
         deadline = system.base_runtime() * deadline_factor * max(1, scale)
@@ -218,13 +236,18 @@ def _run_workload(
                 before_run(cluster, workload)
             cluster.start_all()
             cluster.run(until=deadline, stop_when=finished)
-            if extend is not None and not finished():
+            budget, consults = deadline, 0
+            while extend is not None and not finished():
+                consults += 1
                 later = extend(report(deadline, False, False, deadline))
-                if later is not None:
-                    # one timeline: the run that just missed its deadline
-                    # *is* the prefix of the longer run, so keep driving it
-                    deadline = later
-                    cluster.run(until=deadline, stop_when=finished)
+                if later is None or later <= deadline:
+                    break
+                # one timeline: the run that just missed its deadline
+                # *is* the prefix of the longer run, so keep driving it
+                deadline = later
+                cluster.run(until=deadline, stop_when=finished)
+            if deadline > budget:
+                span.set(extended_until=deadline, extension_consults=consults)
             completed = finished()
             succeeded = completed and workload.succeeded(cluster)
             finish_time = cluster.loop.now

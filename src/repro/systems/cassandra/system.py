@@ -39,3 +39,10 @@ class CassandraSystem(SystemUnderTest):
 
     def base_runtime(self) -> float:
         return 5.0
+
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        # No LivenessMonitor here: the 0.5 s gossip round convicts an
+        # endpoint silent for convict_after, and the stress client
+        # rewrites a stalled key every 2 s until client_retries run out.
+        return max(config.get("cassandra.convict_after", 2.0) + 0.5,
+                   (config.get("cassandra.client_retries", 8) + 1) * 2.0)

@@ -60,3 +60,17 @@ class HBaseSystem(SystemUnderTest):
         # submission windows (pass 2 staggers at 0.4x the pass-1 rate).
         rows = 8 * self.world_scale * self.world_scale
         return 6.0 + 1.4 * (min(0.05 * rows, 20.0) - 0.4)
+
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        # ZooKeeper's session tracker is a LivenessMonitor (the embedded
+        # ensemble is one server, so no peer is ever convicted).  The
+        # master's guards are chores: stuck transitions are reassigned
+        # after assign_timeout by a 10 s chore, and — patched only — the
+        # meta bootstrap gives up on a server after meta_retry_limit
+        # checks.  The PE client retries a stuck row every 4 s (2 s to
+        # re-put, 2 s to notice the stall) until client_retries run out.
+        assign = config.get("hbase.assign_timeout", 600.0) + 10.0
+        meta = ((config.get("hbase.meta_retry_limit", 10) + 1)
+                * config.get("hbase.meta_retry_interval", 1.0))
+        client = (config.get("hbase.client_retries", 1500) + 1) * 4.0
+        return max(assign, meta, client)

@@ -39,3 +39,10 @@ class HdfsSystem(SystemUnderTest):
 
     def base_runtime(self) -> float:
         return 5.0
+
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        # The NameNode's heartbeat manager is a LivenessMonitor.  The
+        # client notices a stalled write or read after 3 s and retries
+        # until its budgets (one counter, spent by both phases) run out.
+        return 3.0 * (config.get("hdfs.write_retries", 3) + 1
+                      + config.get("hdfs.read_retries", 3) + 1)

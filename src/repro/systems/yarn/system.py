@@ -64,3 +64,16 @@ class YarnSystem(SystemUnderTest):
         # headroom for scheduler jitter.  A scaled world adds its paced
         # submission window (~2*ws) plus drain time on top.
         return 8.0 + 2.4 * (self.world_scale - 1)
+
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        # The RM's three guards are LivenessMonitors.  What is left are
+        # bounded retry budgets: a reduce gives up on a lost map output
+        # after max_fetch_retries rounds of (timeout + back-off) — the
+        # wait that rescues timeout issue TO-1 — and the AM fails a task
+        # after task_fail_limit launch timeouts.
+        fetch = config.get("yarn.max_fetch_retries", 20) * (
+            config.get("yarn.fetch_timeout", 5.0)
+            + config.get("yarn.fetch_retry_interval", 30.0))
+        launch = (config.get("yarn.task_fail_limit", 4)
+                  * config.get("yarn.launch_timeout", 2.5))
+        return max(fetch, launch)

@@ -39,3 +39,11 @@ class ZooKeeperSystem(SystemUnderTest):
 
     def base_runtime(self) -> float:
         return 4.0
+
+    def recovery_horizon(self, config: Dict[str, Any]) -> float:
+        # The session tracker is a LivenessMonitor.  A silent peer is
+        # dropped by the 0.5 s ping chore after peer_expiry, and the
+        # smoke client re-creates a stalled znode every 2 s until
+        # client_retries run out.
+        return max(config.get("zk.peer_expiry", 1.5) + 0.5,
+                   (config.get("zk.client_retries", 8) + 1) * 2.0)

@@ -84,6 +84,52 @@ def test_one_injection_is_counted_once_whatever_its_verdict():
     assert runs[True]["inject.crashes"] == runs[False]["inject.crashes"]
 
 
+def _extensions(result, obs):
+    """(the two extension counters, each extended run's span attributes)."""
+    counters = result.metrics["counters"]
+    return (
+        counters["campaign.hangs_extended"],
+        counters["campaign.extension_sim_seconds"],
+        [{k: s.attrs[k] for k in ("completed", "extended_until",
+                                  "extension_consults")}
+         for s in obs.tracer.named("workload") if "extended_until" in s.attrs],
+    )
+
+
+def test_hang_extensions_say_how_far_they_ran_and_why_they_stopped():
+    result, obs = reference("yarn", traced=True, n_points=N_POINTS)
+    extended, sim_seconds, spans = _extensions(result, obs)
+    # one true hang (the commit livelock) and two timeout issues
+    kinds = [o.verdict.kinds() for o in result.outcomes]
+    assert extended == len(spans) == 3 == sum(
+        "hang" in k or "timeout" in k for k in kinds)
+    (hang,) = [s for s in spans if not s["completed"]]
+    # it stopped where yarn had outlived its longest wait (the reduce
+    # fetch budget) with nothing recovering: consulted at the deadline,
+    # and once more there — far below the 400x cap
+    assert hang == {"completed": False, "extended_until": 32.0 + 700.0 + 32.0,
+                    "extension_consults": 2}
+    assert hang["extended_until"] < 8.0 * 400
+    assert all(s["extension_consults"] == 1 for s in spans if s["completed"])
+    assert sim_seconds == round(764.0 - 32.0) + sum(
+        round(o.duration - 32.0) for o in result.outcomes
+        if o.verdict.timeout_issue)
+    # a snapshot child answers the seam through the same judge
+    obs_snap = Observability()
+    snap = campaign("yarn", N_POINTS, execution="snapshot", obs=obs_snap)
+    assert _extensions(snap, obs_snap) == (extended, sim_seconds, spans)
+
+
+def test_hbase_true_hangs_still_run_to_the_cap():
+    # its client's retry budget (1 501 x 4 s) is a configured wait longer
+    # than 400x one run, so the cap decides
+    result, obs = reference("hbase", traced=True)
+    extended, _, spans = _extensions(result, obs)
+    hangs = [s for s in spans if not s["completed"]]
+    assert extended == 7 and len(hangs) == 4
+    assert all(s["extended_until"] == 6.0 * 400 for s in hangs)
+
+
 def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():
     _, obs = reference("yarn", traced=True, n_points=N_POINTS)
     names = {s.name for s in obs.tracer.spans}

@@ -31,25 +31,57 @@ def test_explicit_deadline_overrides_factor():
 
 def test_extend_continues_the_same_run_to_a_later_deadline():
     plain = run_workload(get_system("cassandra"), seed=0)
+    steps = iter([0.2, 0.4, plain.deadline])
     seen = []
 
     def extend(report):
         seen.append((report.completed, report.duration, report.cluster))
-        return plain.deadline
+        return next(steps)
 
     extended = run_workload(get_system("cassandra"), seed=0, deadline=0.05,
                             extend=extend)
-    # consulted once, with the run as it stood at the missed deadline...
-    assert [(c, d) for c, d, _ in seen] == [(False, 0.05)]
-    # ...and the cluster it saw was driven on: one timeline, the same
-    # events a run started with the later deadline processes
-    assert extended.cluster is seen[0][2]
+    # consulted at each deadline the run missed, with the run as it stood
+    # there...
+    assert [(c, d) for c, d, _ in seen] == [
+        (False, 0.05), (False, 0.2), (False, 0.4)]
+    # ...and every time the cluster it saw was driven on: one timeline, the
+    # same events a run started with the final deadline processes
+    assert all(cluster is extended.cluster for _, _, cluster in seen)
     assert extended.completed and extended.deadline == plain.deadline
     assert extended.duration == plain.duration
     assert extended.cluster.loop.events_processed == \
         plain.cluster.loop.events_processed
     assert [str(r) for r in extended.log.records] == \
         [str(r) for r in plain.log.records]
+
+
+def test_extend_is_consulted_until_it_declines():
+    answers = [0.2, 0.4, None]
+    seen = []
+
+    def extend(report):
+        seen.append(report.deadline)
+        return answers[len(seen) - 1]
+
+    report = run_workload(get_system("cassandra"), deadline=0.05, extend=extend)
+    assert seen == [0.05, 0.2, 0.4]
+    assert not report.completed and report.deadline == report.duration == 0.4
+
+
+@pytest.mark.parametrize("answer", [0.4, 0.05, 0.01])
+def test_extend_that_does_not_move_the_deadline_ends_the_extension(answer):
+    # a constant-returning extend must not spin: a deadline that is not
+    # strictly later than the one just reached is a decline
+    seen = []
+
+    def extend(report):
+        seen.append(report.deadline)
+        return answer
+
+    report = run_workload(get_system("cassandra"), deadline=0.05, extend=extend)
+    assert seen == ([0.05, 0.4] if answer == 0.4 else [0.05])
+    assert report.deadline == report.duration == max(answer, 0.05)
+    assert report.cluster.loop.now == report.deadline
 
 
 def test_extend_may_decline_and_is_skipped_when_the_run_finishes():
