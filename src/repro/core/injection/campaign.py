@@ -27,6 +27,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster import Cluster
 from repro.core.analysis import AnalysisReport
+from repro.core.injection.classes import suffix_key
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
 from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
@@ -75,11 +76,15 @@ class CampaignConfig:
             outcomes; an interrupted campaign re-run with the same
             journal resumes at the first untested point.
         execution: how the test phase executes each point.  ``"replay"``
-            re-runs every injection from t=0; ``"snapshot"`` records the
-            deterministic prefix once per scale group and runs each
-            injection's suffix in a fork taken at its fire instant
-            (outcome-identical, see DESIGN.md).  Falls back to replay
-            where ``fork`` is unavailable.
+            runs every injection from t=0 up to its fire, and on past it
+            unless an earlier run of the campaign already fired the same
+            fault into the same world — then that run's judged suffix is
+            taken (suffix reuse, unobserved campaigns only);
+            ``"snapshot"`` records the deterministic prefix once per scale
+            group and runs each injection's suffix in a fork taken at its
+            fire instant.  Both are outcome-identical to running every
+            point in full (see DESIGN.md).  Falls back to replay where
+            ``fork`` is unavailable.
         point_order: the order the test phase visits dynamic crash
             points.  ``"point"`` (default) is the profiler's deterministic
             point order; ``"novelty"`` schedules novelty-first — a greedy
@@ -247,6 +252,10 @@ class InjectionOutcome:
     #: of being executed itself
     class_id: str = ""
     propagated: bool = False
+    #: suffix reuse: the campaign index of the point whose run's suffix
+    #: this outcome took (``None``: it ran its own).  Not part of the
+    #: outcome: the journal line carries it beside ``data``
+    reused_from: Optional[int] = field(default=None, compare=False)
 
     @property
     def flagged(self) -> bool:
@@ -347,6 +356,9 @@ class CampaignResult:
     #: representative-execution statistics (classes, executed,
     #: propagated) when ``point_select="representative"`` ran
     classes: Optional[Dict[str, Any]] = None
+    #: points of this process whose run stopped at its fire and took an
+    #: earlier run's suffix (DESIGN.md "Suffix reuse")
+    reused: int = 0
 
     def first_detection(self) -> Optional[int]:
         """Index of the first tested injection that matched a bug."""
@@ -383,6 +395,7 @@ class CampaignResult:
             "system": self.system,
             "n_points": len(outcomes),
             "resumed": self.resumed,
+            "reused": self.reused,
             "outcomes": outcomes,
             "digest": outcome_digest(outcomes),
             "detected_bugs": {k: len(v) for k, v in self.detected_bugs().items()},
@@ -439,6 +452,15 @@ class _Judge:
     outcome — so how long a true hang was driven shows in no outcome
     field.  The replay path and the snapshot child both judge through
     this one object; whoever arms the run sets ``trigger`` and ``agent``.
+
+    Given ``suffixes`` — a replay campaign's map from
+    :func:`~repro.core.injection.classes.suffix_key` to ``(index,
+    outcome)`` of the run that first judged that suffix (DESIGN.md
+    "Suffix reuse") — :meth:`fired` is the trigger's post-fire callback.
+    A known key cuts the run right after its fire (``SimLoop.stop``),
+    :meth:`at_deadline` declines to extend it and :meth:`finish` returns
+    the known outcome under this run's own at-fire evidence; a new key
+    gets its run judged as usual and the outcome filed under it.
     """
 
     def __init__(
@@ -448,22 +470,39 @@ class _Judge:
         baseline: Baseline,
         cfg: CampaignConfig,
         matcher: Optional[BugMatcherFn],
+        suffixes: Optional[Dict[Tuple, Tuple[int, InjectionOutcome]]] = None,
+        index: int = -1,
     ):
         self.system = system
         self.dpoint = dpoint
         self.baseline = baseline
         self.cfg = cfg
         self.matcher = matcher
+        self.suffixes = suffixes
+        #: the point's campaign index, which a reusing run names
+        self.index = index
         self.trigger: Optional[Trigger] = None
         self.agent: Optional[OnlineLogAgent] = None
         #: the run as judged at its deadline (None: it finished earlier)
         self.outcome: Optional[InjectionOutcome] = None
         #: the 4x deadline the run was driven past (None: it was not)
         self.budget: Optional[float] = None
+        #: this run's suffix key, once its trigger fired and returned
+        self.key: Optional[Tuple] = None
+        #: ``(index, outcome)`` whose suffix this run takes (None: its own)
+        self.source: Optional[Tuple[int, InjectionOutcome]] = None
 
     @property
     def extended(self) -> bool:
         return self.budget is not None
+
+    def fired(self, ordinal: int) -> None:
+        """Look the fire's suffix up; cut the run here if it is known."""
+        center = self.trigger.center
+        self.key = suffix_key(self.dpoint, center.injection, ordinal)
+        self.source = self.suffixes.get(self.key)
+        if self.source is not None:
+            center.cluster.loop.stop()
 
     def _judge(self, report: RunReport, verdict: OracleVerdict) -> InjectionOutcome:
         assert self.trigger is not None, "judged a run nobody armed"
@@ -471,6 +510,8 @@ class _Judge:
                        self.matcher, report)
 
     def at_deadline(self, report: RunReport) -> Optional[float]:
+        if self.source is not None:
+            return None  # a cut run: its suffix is another run's
         if self.outcome is None:
             verdict = evaluate_run(report, self.baseline)
             self.outcome = self._judge(report, verdict)
@@ -493,6 +534,19 @@ class _Judge:
                    + wait + self.budget)
 
     def finish(self, report: RunReport) -> InjectionOutcome:
+        if self.source is not None:
+            index, source = self.source
+            # (both runs fired: only a fire has a key)
+            outcome = _clone_for(source, self.dpoint, **_at_fire(self.trigger))
+            outcome.injection = self.trigger.center.injection
+            outcome.reused_from = index
+            return outcome
+        outcome = self._verdict(report)
+        if self.key is not None:
+            self.suffixes[self.key] = (self.index, outcome)
+        return outcome
+
+    def _verdict(self, report: RunReport) -> InjectionOutcome:
         if self.outcome is None:
             return self._judge(report, evaluate_run(report, self.baseline))
         if not self.extended:
@@ -520,13 +574,31 @@ def run_one_injection(
     matcher: Optional[BugMatcherFn] = None,
 ) -> InjectionOutcome:
     """Test one dynamic crash point (a flagged hang gets its extension)."""
-    cfg = _coerce_campaign(campaign, "run_one_injection")
+    return _run_injection(system, analysis, dpoint, baseline,
+                          _coerce_campaign(campaign, "run_one_injection"),
+                          config, matcher)
+
+
+def _run_injection(
+    system: SystemUnderTest,
+    analysis: AnalysisReport,
+    dpoint: DynamicCrashPoint,
+    baseline: Baseline,
+    cfg: CampaignConfig,
+    config: Optional[Dict[str, Any]],
+    matcher: Optional[BugMatcherFn],
+    suffixes: Optional[Dict[Tuple, Tuple[int, InjectionOutcome]]] = None,
+    index: int = -1,
+) -> InjectionOutcome:
+    """:func:`run_one_injection`, reusing and filing suffixes in
+    ``suffixes`` (point ``index`` of a replay campaign) when given."""
     wall0 = _wallclock.perf_counter()
-    judge = _Judge(system, dpoint, baseline, cfg, matcher)
+    judge = _Judge(system, dpoint, baseline, cfg, matcher, suffixes, index)
 
     def before_run(cluster: Cluster, workload: Any) -> None:
         judge.agent, center = _arm(cluster, analysis, cfg.wait, cfg.random_fallback)
-        judge.trigger = Trigger(dpoint, center)
+        judge.trigger = Trigger(
+            dpoint, center, on_fired=judge.fired if suffixes is not None else None)
         judge.trigger.install()
 
     try:
@@ -583,6 +655,21 @@ def _point_identity(dpoint: DynamicCrashPoint) -> Dict[str, Any]:
     }
 
 
+def _at_fire(trigger: Trigger) -> Dict[str, Any]:
+    """The diagnosis fields a run's own fire decides: what the point read
+    and how it resolved.  Everything else is its suffix's."""
+    center = trigger.center
+    injection = center.injection
+    return {
+        "fired": trigger.fired,
+        "hits": trigger.hits,
+        "values": list(trigger.values),
+        "resolved_value": injection.resolved_value if injection else "",
+        "via_fallback": injection.via_fallback if injection else False,
+        "unresolved_values": list(center.unresolved_values),
+    }
+
+
 def _clone_for(
     outcome: InjectionOutcome,
     dpoint: DynamicCrashPoint,
@@ -591,7 +678,8 @@ def _clone_for(
     """``outcome``'s evidence under ``dpoint``'s own identity.
 
     For points known to share a run with another — snapshot aliases and
-    never-fired points, representative-mode class members: verdict,
+    never-fired points, representative-mode class members, replay points
+    that reuse a suffix (which also pass their own at-fire fields): verdict,
     matched bugs, injection and measurements are the source's; the
     point-identity fields of the diagnosis are the clone's own.
     """
@@ -617,13 +705,8 @@ def _diagnose(
     return InjectionDiagnosis(
         system=system.name,
         **_point_identity(dpoint),
-        fired=trigger.fired,
-        hits=trigger.hits,
-        values=list(trigger.values),
-        resolved_value=injection.resolved_value if injection else "",
+        **_at_fire(trigger),
         target_host=injection.target_host if injection else "",
-        via_fallback=injection.via_fallback if injection else False,
-        unresolved_values=list(center.unresolved_values),
         store_size=center.store.size(),
         action=injection.kind if injection else "",
         injection_time=injection.time if injection else 0.0,
@@ -721,4 +804,5 @@ def run_campaign(
         point_order=cfg.point_order,
         point_select=cfg.point_select,
         classes=report.class_stats,
+        reused=sum(o.reused_from is not None for o in report.outcomes),
     )

@@ -44,15 +44,17 @@ tests the points the interrupted run never reached.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import signal
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.campaign import (
@@ -60,7 +62,7 @@ from repro.core.injection.campaign import (
     CampaignConfig,
     InjectionOutcome,
     _clone_for,
-    run_one_injection,
+    _run_injection,
 )
 from repro.core.injection.classes import SelectionPlan, build_classes
 from repro.core.injection.oracles import Baseline
@@ -233,12 +235,16 @@ class CampaignJournal:
             if outcome.diagnosis is not None:
                 outcome.diagnosis.point_class = class_id
         if self._fh is not None:
-            self._append({
+            line = {
                 "type": "outcome",
                 "index": index,
                 "key": repr(self._points[index].key()),
                 "data": outcome.to_dict(),
-            })
+            }
+            if outcome.reused_from is not None:
+                # beside the outcome, not in it: a resume restores ``data``
+                line["reused_from"] = outcome.reused_from
+            self._append(line)
         if self._hook is not None:
             self._hook(index, outcome)
 
@@ -266,6 +272,10 @@ class ExecContext:
     observed: bool
     #: ``cfg.workers``, or 1 where the platform cannot fork
     workers: int
+    #: suffix reuse (DESIGN.md "Suffix reuse"): suffix key -> ``(index,
+    #: outcome)`` of the run that judged it; a pool worker fills its own
+    #: copy.  ``None`` when observed: the injection span names the point
+    suffixes: Optional[Dict[Tuple, Tuple[int, InjectionOutcome]]]
 
 
 def _telemetry(obs: Observability) -> Payload:
@@ -275,6 +285,31 @@ def _telemetry(obs: Observability) -> Payload:
         "allocated": obs.tracer.ids_allocated(),
         "metrics": obs.metrics.snapshot(),
     }
+
+
+@contextmanager
+def _world_freed_on_return() -> Iterator[None]:
+    """Free a run's simulated world when the run returns.
+
+    A world is one web of reference cycles (nodes, handlers, state
+    machines, log records), so only the cycle collector frees it.  Left
+    to its thresholds, the collector promotes a run's objects to the
+    oldest generation while the run is live and frees them in one full
+    pass some later point pays for: ~0.25 s on the 10x yarn world, which
+    also walks every long-lived object (analysis, profile, baseline) and
+    lands on a 20 ms reused point as readily as on a full run.  Paused
+    for the run and pointed at the youngest generation once it returns,
+    the collector frees exactly that run's objects, on that run's clock.
+    """
+    if not gc.isenabled():  # the host manages collection itself
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect(0)
 
 
 def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, List[Payload]]:
@@ -287,10 +322,10 @@ def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, List[Payl
     """
     # entering NULL_OBS is a no-op: the (disabled) ambient context stays
     private = Observability() if ctx.observed else NULL_OBS
-    with private:
-        outcome = run_one_injection(
+    with private, _world_freed_on_return():
+        outcome = _run_injection(
             ctx.system, ctx.analysis, ctx.points[index], ctx.baseline,
-            campaign=ctx.cfg, config=ctx.config, matcher=ctx.matcher,
+            ctx.cfg, ctx.config, ctx.matcher, ctx.suffixes, index,
         )
     return outcome, [_telemetry(private)] if ctx.observed else []
 
@@ -326,7 +361,12 @@ def _fork_available() -> bool:
 
 
 class ReplayRunner:
-    """The replay body of the runner seam: every index re-runs from t=0."""
+    """The replay body of the runner seam: every index re-runs from t=0.
+
+    Up to its fire, that is: a run whose fire repeats one this process
+    already ran past (``ExecContext.suffixes``) stops there and takes
+    that run's judged suffix (DESIGN.md "Suffix reuse").
+    """
 
     #: replay keeps no engine statistics (see ``SnapshotRunner.stats``)
     stats: Optional[Dict[str, Any]] = None
@@ -421,7 +461,7 @@ def execute_points(
     ctx = ExecContext(
         system=system, analysis=analysis, points=points, baseline=baseline,
         matcher=matcher, cfg=cfg, config=config, observed=active.enabled,
-        workers=workers,
+        workers=workers, suffixes=None if active.enabled else {},
     )
     if execution == "snapshot":
         from repro.core.injection.snapshot import SnapshotRunner

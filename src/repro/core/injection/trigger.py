@@ -10,7 +10,7 @@ stack, the control center is invoked with the accessed meta-info values.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.cluster.state import BUS, AccessEvent
 from repro.core.injection.control_center import ControlCenter
@@ -41,11 +41,19 @@ def point_matches(dpoint: DynamicCrashPoint, event: AccessEvent) -> bool:
 
 
 class Trigger:
-    """Arms one dynamic crash point on the global access bus."""
+    """Arms one dynamic crash point on the global access bus.
 
-    def __init__(self, dpoint: DynamicCrashPoint, center: ControlCenter):
+    ``on_fired``, when set, is called with the ordinal of the dispatched
+    event the point fired in (``SimLoop.events_processed`` at the fire)
+    once the injection has returned — not when it raised
+    :class:`~repro.errors.NodeCrashedError`, which cut the handler short.
+    """
+
+    def __init__(self, dpoint: DynamicCrashPoint, center: ControlCenter,
+                 on_fired: Optional[Callable[[int], None]] = None):
         self.dpoint = dpoint
         self.center = center
+        self.on_fired = on_fired
         self.fired = False
         self.hits = 0
         #: the runtime meta-info values observed when the point fired
@@ -93,7 +101,9 @@ class Trigger:
         self.fired = True  # each dynamic crash point is exercised once
         values = list(event.values)
         self.values = values
-        obs = self.center.cluster.obs
+        cluster = self.center.cluster
+        ordinal = cluster.loop.events_processed
+        obs = cluster.obs
         if obs.enabled:
             obs.metrics.counter("inject.crash_points_visited").inc()
         with obs.tracer.span("injection", point=self.dpoint.point.describe(),
@@ -102,3 +112,5 @@ class Trigger:
                 self.center.shutdown_rpc(values, event.node)
             else:
                 self.center.crash_rpc(values, event.node)
+        if self.on_fired is not None:
+            self.on_fired(ordinal)

@@ -63,8 +63,9 @@ class CrashTunerResult:
         parallelized — speedup is the summed per-run wall time over the
         campaign's wall time, i.e. the realized parallelism.
         ``execution`` is the mode the test phase actually ran under
-        (``replay`` re-runs every prefix; ``snapshot`` resumes each
-        injection from a fork at its fire instant).
+        (``replay`` re-runs every prefix and, unobserved, each distinct
+        suffix once; ``snapshot`` resumes each injection from a fork at
+        its fire instant).
         """
         row = {
             "analysis_mode": "engine",

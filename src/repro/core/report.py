@@ -55,9 +55,11 @@ def format_summary(title: str, payload: "dict") -> str:
     rows = {key: payload[key] for key in ("state", "error") if payload.get(key)}
     # result.json calls it ``fingerprint`` (a list of outcomes up to 1.13.0)
     digest = payload.get("digest", payload.get("fingerprint"))
+    n_points = payload.get("n_points", 0)
     rows.update({
-        "points": payload.get("n_points", 0),
+        "points": n_points,
         "resumed": payload.get("resumed", 0),
+        "reuse": f"{payload.get('reused', 0)} of {n_points} suffixes reused",
         "bugs": ", ".join(f"{bug}({n})" for bug, n in
                           sorted(payload.get("detected_bugs", {}).items())) or "-",
         "first_detection": payload.get("first_detection"),

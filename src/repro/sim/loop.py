@@ -192,7 +192,14 @@ class SimLoop:
         return sum(1 for _, _, e in self._queue if not e._cancelled)
 
     def stop(self) -> None:
-        """Ask the outermost :meth:`run` to return after the current event."""
+        """Cut the run after the current event, for good.
+
+        The handler that calls it runs to its end; then the :meth:`run`
+        or :meth:`pump` in progress returns, and so does every later one
+        without dispatching an event — a stop issued before the loop
+        started, or inside a pump, still holds when the outer ``run``
+        resumes.
+        """
         self._stopped = True
 
     # ------------------------------------------------------------------
@@ -263,7 +270,6 @@ class SimLoop:
                 (a runaway simulation is a harness bug, not a system bug).
             stop_when: checked after every event; return True to stop.
         """
-        self._stopped = False
         processed = 0
         stopped_by_predicate = False
         while not self._stopped and self._queue:
@@ -306,7 +312,7 @@ class SimLoop:
         try:
             deadline = self._now + duration
             processed = 0
-            while True:
+            while not self._stopped:
                 event = self._pop_due(deadline)
                 if event is None:
                     break
@@ -314,7 +320,7 @@ class SimLoop:
                 processed += 1
                 if processed > max_events:
                     raise SimulationError(f"pump event budget exceeded ({max_events})")
-            if self._now < deadline:
+            if self._now < deadline and not self._stopped:
                 self._now = deadline
         finally:
             self._pump_depth -= 1

@@ -41,13 +41,15 @@ def _config_key(config: Optional[Dict[str, Any]]) -> Any:
                         for k, v in config.items()))
 
 
-def prepared(system_name: str, config: Optional[Dict[str, Any]] = None):
-    """(system, analysis, profile, baseline) for a config, cached per session."""
-    key = (system_name, _config_key(config))
+def prepared(system_name: str, config: Optional[Dict[str, Any]] = None,
+             seed: int = 0):
+    """(system, analysis, profile, baseline) for a config and phase-1
+    seed, cached per session."""
+    key = (system_name, _config_key(config), seed)
     if key not in _CACHE:
         system = get_system(system_name)
-        analysis = analyze_system(system, config=config)
-        profile = profile_system(system, analysis, config=config)
+        analysis = analyze_system(system, seed=seed, config=config)
+        profile = profile_system(system, analysis, seed=seed, config=config)
         baseline = build_baseline(system, config=config)
         _CACHE[key] = (system, analysis, profile, baseline)
     return _CACHE[key]

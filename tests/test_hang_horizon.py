@@ -31,7 +31,6 @@ from repro.api import (
     get_system,
     matcher_for_system,
     outcome_digest,
-    prepare,
     run_campaign,
     run_workload,
 )
@@ -62,17 +61,9 @@ def flat():
         yield
 
 
-_SETUPS = {}
-
-
 def _setup(name, seed):
-    """Phase 1 at ``seed``: shared with the session at 0, else kept here so
-    the two arms of a cell share it."""
-    if seed == 0:
-        return prepared(name)[1:]
-    if (name, seed) not in _SETUPS:
-        _SETUPS[name, seed] = prepare(get_system(name), seed)
-    return _SETUPS[name, seed]
+    """Phase 1 at ``seed``, shared with the session."""
+    return prepared(name, seed=seed)[1:]
 
 
 def run(name, seed=0, config=None, points=None, observed=False):

@@ -190,7 +190,7 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
 
 def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):
     ran = tmp_path / "ran"
-    real = executor_mod.run_one_injection
+    real = executor_mod._run_injection
 
     def counted(*args, **kwargs):
         # O_APPEND: one atomic byte per point, from whichever forked worker
@@ -205,7 +205,7 @@ def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):
         raise RuntimeError("stop at the first checkpoint")
 
     # pool workers inherit the patched module through fork
-    monkeypatch.setattr(executor_mod, "run_one_injection", counted)
+    monkeypatch.setattr(executor_mod, "_run_injection", counted)
     with pytest.raises(RuntimeError, match="first checkpoint"):
         campaign("yarn", 24, workers=2, on_outcome=abort)
     assert 1 <= ran.stat().st_size < 24

@@ -34,9 +34,7 @@ from repro.core.injection import (
     build_classes,
     outcome_digest,
 )
-from repro.core.pipeline import prepare
 from repro.obs import Observability
-from repro.systems import get_system
 
 SYSTEMS = ["yarn", "hbase", "hdfs", "kube", "cassandra", "zookeeper"]
 
@@ -163,7 +161,7 @@ def test_yarn_seed_1_keeps_the_shutdowns_1ns_apart_in_separate_classes():
     # points 39 (on_am_register:278) and 40 (on_allocate:308) are both
     # pre-read "shutdown node1", fired 1 ns apart on one channel; they end
     # in YARN-9165 against YARN-9238 + YARN-9248
-    setup = prepare(get_system("yarn"), seed=1)
+    setup = prepared("yarn", seed=1)[1:]
     full = campaign("yarn", setup=setup, seed=1)
     assert "YARN-9238" in full.detected_bugs()
     assert _impure_classes(full) == {}

@@ -1,0 +1,387 @@
+"""Suffix reuse: a replay campaign computes each distinct suffix once.
+
+A point whose actual fire repeats one an earlier run of the campaign
+already went past — same action, target, instant and dispatched event,
+or no target at all (:func:`repro.core.injection.classes.suffix_key`) —
+stops right after its fire and takes that run's judged outcome under its
+own at-fire evidence (DESIGN.md "Suffix reuse").  An observed campaign
+reuses nothing (the injection span names the point), so the reference of
+every cell below is the same campaign run with an ``Observability()``:
+the two must share one ``outcome_digest``.
+
+``python -m tests.test_suffix_reuse`` (CI's ``suffix-reuse`` step) prints
+the comparison for six systems x seeds 0-7.
+"""
+
+import gc
+import json
+import sys
+
+import pytest
+
+from repro.api import (
+    CampaignConfig,
+    Observability,
+    build_baseline,
+    get_system,
+    matcher_for_system,
+    outcome_digest,
+    run_campaign,
+)
+from repro.cluster import Cluster
+from repro.core.injection import campaign as campaign_mod
+from repro.core.injection import run_one_injection
+from repro.core.injection.classes import class_signature, suffix_key
+from repro.core.injection.control_center import ControlCenter
+from repro.core.report import format_summary
+from repro.errors import NodeCrashedError
+from repro.sim import SimLoop
+from tests.conftest import PINS, prepared, reference
+
+SYSTEMS = ("yarn", "hbase", "hdfs", "kube", "cassandra", "zookeeper")
+
+#: points whose suffix another point of the seed-0 campaign computed
+REUSED_AT_SEED_0 = {"yarn": 33, "hbase": 10, "hdfs": 5, "kube": 5,
+                    "zookeeper": 0, "cassandra": 0}
+
+HBASE_PATCHED = {"patched_bugs": frozenset(
+    {"HBASE-22041", "HBASE-22017", "HBASE-21740"})}
+
+
+def run(name, seed=0, observed=False, points=None, config=None, **knobs):
+    """One campaign over ``name``'s points (phase 1 at ``seed``)."""
+    _, analysis, profile, baseline = prepared(name, config, seed)
+    return run_campaign(
+        get_system(name), analysis,
+        profile.dynamic_points if points is None else points,
+        campaign=CampaignConfig(seed=seed, **knobs), config=config,
+        baseline=baseline, matcher=matcher_for_system(name),
+        obs=Observability() if observed else None)
+
+
+_OBSERVED = {}
+
+
+def observed_digest(name, seed=0, config=None, **knobs):
+    """The digest of the same campaign without reuse (cached; the plain
+    seed-0 one is the session's traced reference)."""
+    if seed == 0 and config is None and not knobs:
+        return outcome_digest(reference(name, traced=True)[0].outcomes)
+    key = (name, seed, repr(config), tuple(sorted(knobs.items())))
+    if key not in _OBSERVED:
+        result = run(name, seed, observed=True, config=config, **knobs)
+        assert result.reused == 0
+        _OBSERVED[key] = outcome_digest(result.outcomes)
+    return _OBSERVED[key]
+
+
+# ---------------------------------------------------------------------------
+# the differential: reusing campaign == observed campaign
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_reuse_is_outcome_identical_to_running_every_suffix(name, seed):
+    result = reference(name) if seed == 0 else run(name, seed)
+    assert outcome_digest(result.outcomes) == observed_digest(name, seed)
+    if seed == 0:
+        assert outcome_digest(result.outcomes) == PINS[name]["full"]
+        assert result.reused == REUSED_AT_SEED_0[name]
+
+
+def test_yarn_10x_first_12_points():
+    # the yarn-10x-replay benchmark's campaign: seed-profiled points on the
+    # 132-node world, hang extensions off.  Each reused point is held to
+    # its own run through run_one_injection, which never reuses (an
+    # observed campaign would triple the cost of this cell)
+    system = get_system("yarn", world_scale=10)
+    _, analysis, profile, _ = prepared("yarn")
+    points, baseline = profile.dynamic_points[:12], build_baseline(system)
+    cfg, matcher = CampaignConfig(classify_timeouts=False), matcher_for_system("yarn")
+    result = run_campaign(system, analysis, points, campaign=cfg,
+                          baseline=baseline, matcher=matcher)
+    reused = [o for o in result.outcomes if o.reused_from is not None]
+    assert len(reused) == result.reused == 7
+    for outcome in reused:
+        alone = run_one_injection(system, analysis, outcome.dpoint, baseline,
+                                  campaign=cfg, matcher=matcher)
+        assert outcome_digest([outcome]) == outcome_digest([alone])
+
+
+def test_pool_workers_reuse_in_their_own_maps():
+    result = run("yarn", workers=2)
+    assert result.workers_realized == 2
+    assert 0 < result.reused <= REUSED_AT_SEED_0["yarn"]
+    assert outcome_digest(result.outcomes) == PINS["yarn"]["full"]
+
+
+@pytest.mark.parametrize("name, knobs", [
+    ("hdfs", {"random_fallback": True}),
+    ("hdfs", {"wait": 3.0}),
+    ("kube", {"wait": 3.0}),
+], ids=["hdfs-random-fallback", "hdfs-wait-3", "kube-wait-3"])
+def test_knobs_that_change_the_fire(name, knobs):
+    result = run(name, **knobs)
+    assert result.reused > 0
+    assert outcome_digest(result.outcomes) == observed_digest(name, **knobs)
+
+
+def test_journal_resume_from_a_torn_tail(tmp_path):
+    journal = tmp_path / "hdfs.jsonl"
+    first = run("hdfs", journal_path=journal)
+    lines = journal.read_text().splitlines(keepends=True)
+    reusing = [record for record in map(json.loads, lines)
+               if "reused_from" in record]
+    assert len(reusing) == first.reused == REUSED_AT_SEED_0["hdfs"]
+    for record in reusing:
+        # beside the outcome, naming another point, one that ran its suffix
+        assert record["type"] == "outcome" and "reused_from" not in record["data"]
+        assert first.outcomes[record["reused_from"]].reused_from is None
+    # the identity line, five outcomes, then half of the sixth
+    journal.write_text("".join(lines[:6]) + lines[6][:40])
+    resumed = run("hdfs", journal_path=journal)
+    assert resumed.resumed == 5
+    assert outcome_digest(resumed.outcomes) == PINS["hdfs"]["full"]
+
+
+# ---------------------------------------------------------------------------
+# visible: summary, CLI block, observed campaigns
+# ---------------------------------------------------------------------------
+def test_an_observed_campaign_reuses_nothing_and_says_so():
+    observed, _ = reference("hdfs", traced=True)
+    assert observed.reused == 0
+    assert outcome_digest(observed.outcomes) == PINS["hdfs"]["full"]
+    summary = reference("hdfs").summary()
+    assert summary["reused"] == REUSED_AT_SEED_0["hdfs"]
+    assert summary["digest"] == PINS["hdfs"]["full"]
+    assert "5 of 16 suffixes reused" in format_summary("campaign hdfs", summary)
+
+
+# ---------------------------------------------------------------------------
+# one definition of "same suffix"
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_the_key_is_the_class_signature_of_the_actual_fire(name):
+    # where the campaign made the fire the profile predicted, the reuse key
+    # is the point's class signature plus the dispatched-event ordinal
+    # (none: the signature alone) — never coarser than the class
+    _, _, profile, _ = prepared(name)
+    seen = 0
+    for dpoint, outcome in zip(profile.dynamic_points, reference(name).outcomes):
+        record = outcome.injection
+        if record is None and dpoint.fire_kind == "none":
+            assert suffix_key(dpoint, None, 17) == class_signature(dpoint)
+        elif record is not None and (record.kind, record.target_host, record.time) == (
+                dpoint.fire_kind, dpoint.fire_target, dpoint.fire_time):
+            assert suffix_key(dpoint, record, 17) == class_signature(dpoint) + (17,)
+        else:
+            continue
+        seen += 1
+    assert seen
+
+
+# ---------------------------------------------------------------------------
+# what the key must hold: a seeded mistake
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_key_without_the_target_host_is_caught(seed, monkeypatch):
+    def no_target(dpoint, injection, ordinal):
+        key = suffix_key(dpoint, injection, ordinal)
+        return key[:2] + key[3:] if key[0] == "fire" else key
+
+    observed = observed_digest("hbase", seed)
+    monkeypatch.setattr(campaign_mod, "suffix_key", no_target)
+    assert outcome_digest(run("hbase", seed).outcomes) != observed
+
+
+# ---------------------------------------------------------------------------
+# scoped to one campaign
+# ---------------------------------------------------------------------------
+def test_run_one_injection_after_a_campaign_reuses_nothing():
+    reference("hbase")
+    _, analysis, profile, baseline = prepared("hbase", HBASE_PATCHED)
+    (point,) = [p for p in profile.dynamic_points
+                if "on_report_for_duty" in p.point.enclosing
+                and p.point.field_name == "online_servers" and p.point.op == "write"]
+    outcome = run_one_injection(
+        get_system("hbase"), analysis, point, baseline, config=HBASE_PATCHED,
+        campaign=CampaignConfig(classify_timeouts=False),
+        matcher=matcher_for_system("hbase"))
+    assert outcome.reused_from is None
+    assert "HBASE-22041" not in outcome.matched_bugs
+    assert not outcome.verdict.hang
+
+
+def test_a_second_campaign_under_a_patched_config_starts_empty():
+    assert reference("hbase").reused == REUSED_AT_SEED_0["hbase"]
+    patched = run("hbase", config=HBASE_PATCHED)
+    assert patched.reused > 0
+    assert (outcome_digest(patched.outcomes)
+            == observed_digest("hbase", config=HBASE_PATCHED))
+    # every reused outcome names a point of its own campaign that ran
+    for outcome in patched.outcomes:
+        if outcome.reused_from is not None:
+            assert patched.outcomes[outcome.reused_from].reused_from is None
+
+
+# ---------------------------------------------------------------------------
+# the cut holds wherever the fire lands
+# ---------------------------------------------------------------------------
+def test_a_stop_inside_run_holds_for_every_later_run():
+    loop, fired = SimLoop(), []
+
+    def cut():
+        fired.append("cut")
+        loop.stop()
+
+    loop.schedule(1.0, cut)
+    loop.schedule(2.0, lambda: fired.append("later"))
+    loop.run(until=10.0)
+    loop.run(until=20.0)
+    assert fired == ["cut"] and loop.now == 1.0 and loop.events_processed == 1
+
+
+def test_a_stop_inside_a_pump_ends_the_pump_and_the_run():
+    loop, fired = SimLoop(), []
+
+    def waiting_handler():
+        fired.append("handler")
+        loop.pump(5.0)
+        fired.append("resumed")
+
+    def cut():
+        fired.append("cut")
+        loop.stop()
+
+    loop.schedule(1.0, waiting_handler)
+    loop.schedule(2.0, cut)
+    loop.schedule(3.0, lambda: fired.append("pumped"))
+    loop.schedule(8.0, lambda: fired.append("later"))
+    loop.run(until=10.0)
+    # the handler that pumped runs on to its end, at the cut's instant
+    assert fired == ["handler", "cut", "resumed"] and loop.now == 2.0
+
+
+def test_a_stop_before_the_loop_starts_holds():
+    loop, fired = SimLoop(), []
+    loop.schedule(0.0, lambda: fired.append("first"))
+    loop.stop()
+    loop.run(until=10.0)
+    loop.pump(1.0)
+    assert fired == [] and loop.now == 0.0 and loop.events_processed == 0
+
+
+def _record_cuts(monkeypatch):
+    """Per campaign run, in order: ``(events dispatched before the cut,
+    events dispatched after it)``, or None for a run nobody cut."""
+    at_stop, runs = {}, []
+    stop, run_workload = SimLoop.stop, campaign_mod.run_workload
+
+    def recorded_stop(loop):
+        at_stop.setdefault(id(loop), loop.events_processed)
+        stop(loop)
+
+    def recorded_run(*args, **kwargs):
+        report = run_workload(*args, **kwargs)
+        loop = report.cluster.loop
+        before = at_stop.pop(id(loop), None)
+        runs.append(None if before is None
+                    else (before, loop.events_processed - before))
+        return report
+
+    monkeypatch.setattr(SimLoop, "stop", recorded_stop)
+    monkeypatch.setattr(campaign_mod, "run_workload", recorded_run)
+    return runs
+
+
+def test_a_hit_inside_the_run_dispatches_nothing_after_its_fire(monkeypatch):
+    runs = _record_cuts(monkeypatch)
+    result = run("hdfs")
+    cuts = [cut for cut in runs if cut is not None]
+    assert len(cuts) == result.reused == REUSED_AT_SEED_0["hdfs"]
+    assert all(before > 0 and after == 0 for before, after in cuts)
+
+
+def test_a_hit_before_the_loop_starts_dispatches_nothing(monkeypatch):
+    # cassandra has a point that crashes a node from inside start_all()
+    _, _, profile, _ = prepared("cassandra")
+    (crash,) = [p for p, o in zip(profile.dynamic_points,
+                                  reference("cassandra").outcomes)
+                if o.injection.kind == "crash"]
+    runs = _record_cuts(monkeypatch)
+    result = run("cassandra", points=[crash, crash])
+    assert runs == [None, (0, 0)]  # cut before the loop dispatched an event
+    assert result.outcomes[1].reused_from == 0
+    assert (outcome_digest(result.outcomes[1:])
+            == outcome_digest(result.outcomes[:1]))
+
+
+def test_a_fire_that_kills_its_own_handler_gets_no_key(monkeypatch):
+    crash_rpc = ControlCenter.crash_rpc
+
+    def fatal(self, values, executing):
+        crash_rpc(self, values, executing)
+        raise NodeCrashedError(executing)
+
+    _, _, profile, _ = prepared("hdfs")
+    crashes = [p for p, o in zip(profile.dynamic_points, reference("hdfs").outcomes)
+               if o.injection is not None and o.injection.kind == "crash"]
+    assert crashes
+    monkeypatch.setattr(ControlCenter, "crash_rpc", fatal)
+    result = run("hdfs", points=crashes + crashes)
+    assert result.reused == 0
+    assert all(o.fired for o in result.outcomes)
+
+
+# ---------------------------------------------------------------------------
+# a run's world is freed on that run's clock
+# ---------------------------------------------------------------------------
+def _live_clusters():
+    return sum(isinstance(o, Cluster) for o in gc.get_objects())
+
+
+def test_every_replayed_run_frees_its_world_when_it_returns():
+    # a world is reference cycles only the collector frees; left to its
+    # thresholds, one full pass freed several runs' worlds at once, on
+    # whichever point crossed the threshold — often a 20 ms reused one
+    _, analysis, profile, baseline = prepared("hdfs")
+    gc.collect()
+    before = _live_clusters()
+    seen = []
+    result = run_campaign(
+        get_system("hdfs"), analysis, profile.dynamic_points,
+        baseline=baseline, matcher=matcher_for_system("hdfs"),
+        on_outcome=lambda index, outcome: seen.append(_live_clusters()))
+    assert result.reused == REUSED_AT_SEED_0["hdfs"]
+    assert seen == [before] * len(profile.dynamic_points)
+
+
+def test_the_collector_is_left_as_the_host_set_it():
+    run("cassandra")
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        result = run("cassandra")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert outcome_digest(result.outcomes) == PINS["cassandra"]["full"]
+
+
+# ---------------------------------------------------------------------------
+# CI's suffix-reuse step
+# ---------------------------------------------------------------------------
+def main(seeds=range(8)):
+    print("system, seed, points, reused, digest equal")
+    failed = False
+    for name in SYSTEMS:
+        for seed in seeds:
+            reusing = run(name, seed)
+            same = outcome_digest(reusing.outcomes) == observed_digest(name, seed)
+            print(f"{name}, {seed}, {len(reusing.outcomes)}, {reusing.reused}, "
+                  f"{'yes' if same else 'NO'}", flush=True)
+            failed |= not same
+    return int(failed)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
