@@ -30,10 +30,7 @@ The supported surface:
 * :class:`CampaignConfig` — the one frozen config object for both
   (oracle knobs, seed, ``workers`` for parallel campaigns,
   ``journal_path`` for checkpoint/resume, ``execution="snapshot"`` for
-  snapshot-and-resume test runs, ``point_select="representative"`` to
-  cluster points into predicted-behavior equivalence classes and test
-  one per class — the rest carry their representative's outcome);
-  cross-field combinations are validated at construction,
+  snapshot-and-resume test runs), validated at construction,
 * :class:`Observability` — opt-in tracing/metrics/diagnoses, passed as
   ``obs=``,
 * :func:`analyze_trace` / :class:`AnalyticsReport` — post-hoc

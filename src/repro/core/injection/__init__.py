@@ -8,12 +8,6 @@ from repro.core.injection.campaign import (
     run_campaign,
     run_one_injection,
 )
-from repro.core.injection.classes import (
-    PointClass,
-    SelectionPlan,
-    build_classes,
-    class_signature,
-)
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.executor import (
     CampaignJournal,
@@ -42,12 +36,8 @@ __all__ = [
     "OnlineLogAgent",
     "OnlineMetaStore",
     "OracleVerdict",
-    "PointClass",
-    "SelectionPlan",
     "Trigger",
     "build_baseline",
-    "build_classes",
-    "class_signature",
     "evaluate_run",
     "outcome_digest",
     "run_campaign",

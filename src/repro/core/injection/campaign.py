@@ -27,20 +27,20 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.cluster import Cluster
 from repro.core.analysis import AnalysisReport
-from repro.core.injection.classes import suffix_key
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
 from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
 from repro.core.injection.trigger import Trigger
 from repro.core.profiler import DynamicCrashPoint
 from repro.obs import InjectionDiagnosis, Observability, get_obs
+from repro.obs.features import point_tokens
 from repro.systems.base import RunReport, SystemUnderTest, run_workload
 
 #: signature of a bug-attribution function (see repro.bugs.match_bugs)
 BugMatcherFn = Callable[[RunReport, OracleVerdict], List[str]]
 
 #: grace period after workload completion, so delayed symptoms (stale
-#: timers, leak auditors) land in the observed logs
+#: timers, the yarn RM's resource-leak auditor) land in the observed logs
 COOLDOWN = 10.0
 
 #: cap on how far a flagged hang's run is driven, as a multiple of one
@@ -94,12 +94,6 @@ class CampaignConfig:
             points and reaches its first detection sooner.  Applied
             *before* the ``max_points`` cut; outcomes, diagnoses, and the
             journal follow the scheduled order.
-        point_select: which points the test phase actually executes.
-            ``"full"`` (default) runs every point; ``"representative"``
-            clusters points into predicted-behavior equivalence classes
-            (:mod:`repro.core.injection.classes`) and executes one
-            representative per class, propagating the representative's
-            outcome to the rest (flagged ``propagated=True``).
     """
 
     wait: float = 1.0
@@ -111,9 +105,11 @@ class CampaignConfig:
     journal_path: Optional[Union[str, Path]] = None
     execution: str = "replay"
     point_order: str = "point"
-    point_select: str = "full"
 
     def __post_init__(self) -> None:
+        # Fields are validated here, at construction, so misuse fails with
+        # one clear message instead of surfacing deep inside the executor
+        # (or worse, being silently ignored).
         if self.execution not in ("replay", "snapshot"):
             raise ValueError(
                 f"execution must be 'replay' or 'snapshot', got {self.execution!r}"
@@ -122,22 +118,6 @@ class CampaignConfig:
             raise ValueError(
                 f"point_order must be 'point' or 'novelty', got {self.point_order!r}"
             )
-        if self.point_select not in ("full", "representative"):
-            raise ValueError(
-                f"point_select must be 'full' or 'representative', "
-                f"got {self.point_select!r}"
-            )
-        if self.point_select == "representative" and self.random_fallback:
-            raise ValueError(
-                "point_select='representative' clusters points by the "
-                "injection predicted at profile time, which assumes the "
-                "default store-based resolution; random_fallback targets "
-                "an unpredictable node for unresolved values — run those "
-                "campaigns with point_select='full'"
-            )
-        # Cross-field combinations are validated here, at construction, so
-        # misuse fails with one clear message instead of surfacing deep
-        # inside the executor (or worse, being silently ignored).
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers} — 1 runs "
@@ -195,8 +175,8 @@ class CampaignConfig:
         # changed outcomes, and audit_fraction (1.15.0) sized a
         # verification lane that no longer runs, so they are dropped
         # whatever their value;
-        # analytics_path (1.11.0) reordered points, so only its default
-        # may be dropped
+        # analytics_path (1.11.0) reordered points and point_select
+        # (1.18.0) chose which ran, so only their defaults may be dropped
         if data.get("analytics_path") is not None:
             raise ValueError(
                 "CampaignConfig.from_dict: analytics_path was removed in "
@@ -204,8 +184,14 @@ class CampaignConfig:
                 "order_points(points, analytics_path=...) and pass them to "
                 "run_campaign instead"
             )
+        if data.get("point_select", "full") != "full":
+            raise ValueError(
+                f"CampaignConfig.from_dict: point_select="
+                f"{data['point_select']!r} was removed in 1.18.0 — every "
+                f"point runs, and replay computes each distinct suffix once"
+            )
         retired = ("force_workers", "analytics", "analytics_path",
-                   "audit_fraction")
+                   "audit_fraction", "point_select")
         data = {k: v for k, v in data.items() if k not in retired}
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -246,12 +232,6 @@ class InjectionOutcome:
     wall_seconds: float = 0.0
     #: the full per-injection story (repro.obs), always populated
     diagnosis: Optional[InjectionDiagnosis] = None
-    #: representative-point execution: the equivalence class this point
-    #: was assigned to ("" under point_select="full"), and whether this
-    #: outcome was propagated from the class representative's run instead
-    #: of being executed itself
-    class_id: str = ""
-    propagated: bool = False
     #: suffix reuse: the campaign index of the point whose run's suffix
     #: this outcome took (``None``: it ran its own).  Not part of the
     #: outcome: the journal line carries it beside ``data``
@@ -266,7 +246,7 @@ class InjectionOutcome:
     # the campaign re-attaches by index (it is not JSON-able losslessly)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        data = {
+        return {
             "point": self.dpoint.describe(),
             "fired": self.fired,
             "injection": self.injection.to_dict() if self.injection else None,
@@ -276,13 +256,6 @@ class InjectionOutcome:
             "wall_seconds": self.wall_seconds,
             "diagnosis": self.diagnosis.to_dict() if self.diagnosis else None,
         }
-        # emitted only when set: a full-execution campaign's dicts, and so
-        # its outcome_digest, carry no representative-mode fields
-        if self.class_id:
-            data["class_id"] = self.class_id
-        if self.propagated:
-            data["propagated"] = True
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any], dpoint: DynamicCrashPoint) -> "InjectionOutcome":
@@ -301,8 +274,6 @@ class InjectionOutcome:
                 InjectionDiagnosis.from_dict(data["diagnosis"])
                 if data.get("diagnosis") else None
             ),
-            class_id=data.get("class_id", ""),
-            propagated=data.get("propagated", False),
         )
 
 
@@ -351,11 +322,6 @@ class CampaignResult:
     snapshot_stats: Optional[Dict[str, Any]] = None
     #: the order the test phase visited points (CampaignConfig.point_order)
     point_order: str = "point"
-    #: which points the test phase executed (CampaignConfig.point_select)
-    point_select: str = "full"
-    #: representative-execution statistics (classes, executed,
-    #: propagated) when ``point_select="representative"`` ran
-    classes: Optional[Dict[str, Any]] = None
     #: points of this process whose run stopped at its fire and took an
     #: earlier run's suffix (DESIGN.md "Suffix reuse")
     reused: int = 0
@@ -405,8 +371,6 @@ class CampaignResult:
             "execution": self.execution,
             "workers_realized": self.workers_realized,
             "point_order": self.point_order,
-            "point_select": self.point_select,
-            "classes": self.classes,
         }
 
 
@@ -431,6 +395,58 @@ def _arm(
         cluster, store, wait=wait, random_fallback=random_fallback)
 
 
+def suffix_key(
+    dpoint: DynamicCrashPoint,
+    injection: Optional[InjectionRecord],
+    ordinal: int,
+) -> Tuple:
+    """What one fire of ``dpoint`` leaves behind: two fires of a replay
+    campaign with one key run the same suffix (DESIGN.md "Suffix reuse").
+
+    ``injection`` is the fault the fire delivered (``None``: no meta-info
+    value resolved) and ``ordinal`` the dispatched event it fired in.  The
+    runs of one campaign share seed, config and, per scale, the
+    injection-free prefix, so one ordinal is one handler invocation of one
+    world.  A key is only as wide as the argument that fires under it
+    behave alike:
+
+    * nothing resolved — the trigger fires but injects nothing, so the run
+      is the injection-free run of its scale whenever that happened: one
+      key per scale, no ordinal;
+    * ``"crash"`` — a crash is instantaneous and never pumps the event
+      loop, and it always hits a node other than the executing one (a
+      post-write self-target is downgraded to a shutdown).  The handler
+      runs on to its end at the same simulated instant, and whatever it
+      sends is delivered at least ``min_latency`` later, so whether a send
+      precedes or follows the crash inside the handler is unobservable:
+      the post-injection world is a function of (scale, target, exact fire
+      time) alone, position-free.  A crash that kills the executing node
+      itself (``NodeCrashedError``) cuts the handler short where it
+      stands, so it has a position and gets no key;
+    * ``"shutdown"`` — the control center's shutdown RPC pumps ``wait``
+      simulated seconds *inside* the interrupted handler (pre-read, and
+      post-write self-target), so the rest of the world runs on while the
+      handler is suspended mid-statement, and *which* statement matters
+      even when the target is remote.  The static token namespace
+      (:func:`repro.obs.features.point_tokens`: meta-info field, access
+      op, bounded stack suffix, location, lane) joins the key.
+
+    The fire time is compared exactly: the network separates two
+    deliveries on one channel by ``1e-9``, so any rounding merges distinct
+    events.  ``tests/test_suffix_reuse.py`` holds reusing campaigns to
+    their pinned digests and shows a coarser key caught; CI sweeps them
+    against the campaign run without reuse over six systems and eight
+    seeds.
+    """
+    if injection is None:
+        return ("none", dpoint.scale)
+    key = ("fire", dpoint.scale, injection.target_host, injection.kind,
+           injection.time)
+    if injection.kind == "shutdown":
+        key += tuple(sorted(point_tokens(dpoint)))
+    return key + (ordinal,)
+
+
 class _Judge:
     """One injection's verdict over one timeline (paper Section 4.1.3).
 
@@ -453,10 +469,9 @@ class _Judge:
     field.  The replay path and the snapshot child both judge through
     this one object; whoever arms the run sets ``trigger`` and ``agent``.
 
-    Given ``suffixes`` — a replay campaign's map from
-    :func:`~repro.core.injection.classes.suffix_key` to ``(index,
-    outcome)`` of the run that first judged that suffix (DESIGN.md
-    "Suffix reuse") — :meth:`fired` is the trigger's post-fire callback.
+    Given ``suffixes`` — a replay campaign's map from :func:`suffix_key`
+    to ``(index, outcome)`` of the run that first judged that suffix —
+    :meth:`fired` is the trigger's post-fire callback.
     A known key cuts the run right after its fire (``SimLoop.stop``),
     :meth:`at_deadline` declines to extend it and :meth:`finish` returns
     the known outcome under this run's own at-fire evidence; a new key
@@ -678,10 +693,10 @@ def _clone_for(
     """``outcome``'s evidence under ``dpoint``'s own identity.
 
     For points known to share a run with another — snapshot aliases and
-    never-fired points, representative-mode class members, replay points
-    that reuse a suffix (which also pass their own at-fire fields): verdict,
-    matched bugs, injection and measurements are the source's; the
-    point-identity fields of the diagnosis are the clone's own.
+    never-fired points, replay points that reuse a suffix (which also pass
+    their own at-fire fields): verdict, matched bugs, injection and
+    measurements are the source's; the point-identity fields of the
+    diagnosis are the clone's own.
     """
     clone = InjectionOutcome.from_dict(outcome.to_dict(), dpoint)
     if clone.diagnosis is not None:
@@ -751,11 +766,10 @@ def run_campaign(
             the campaign ran sequentially or on a worker pool.
         on_outcome: checkpoint hook, called as ``on_outcome(index,
             outcome)`` — ``index`` into the campaign's point list — each
-            time a point finalizes in this process: tested, or (in
-            representative mode) propagated from its class
-            representative.  It fires right after the point's journal
-            line, when a journal is configured, in completion order,
-            which under a worker pool may differ from point order.
+            time a point is tested in this process.  It fires right after
+            the point's journal line, when a journal is configured, in
+            completion order, which under a worker pool may differ from
+            point order.
             Restored (journal-resumed) points do not call it.  The
             campaign service uses this to beat each job's heartbeat
             sentinel at every checkpoint; exceptions propagate and abort
@@ -802,7 +816,5 @@ def run_campaign(
         workers_realized=report.workers,
         snapshot_stats=report.snapshot_stats,
         point_order=cfg.point_order,
-        point_select=cfg.point_select,
-        classes=report.class_stats,
         reused=sum(o.reused_from is not None for o in report.outcomes),
     )

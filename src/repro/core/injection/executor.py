@@ -1,14 +1,9 @@
-"""The campaign's test phase: plan -> runner -> pool, over one journal.
+"""The campaign's test phase: runner -> pool, over one journal.
 
 The paper's test phase (Figure 4) is one loop — arm a dynamic crash
-point, run, judge — and so is this module.  Three seams share everything
-else:
+point, run, judge — and so is this module.  Every point the journal does
+not restore runs, through two seams:
 
-* the **plan** decides which campaign indices run: every unrestored
-  point (``point_select="full"``), or the unrestored class
-  representatives, whose outcomes are then propagated to the rest of
-  their class (``"representative"``, see
-  :mod:`~repro.core.injection.classes`);
 * the **runner** executes them, ``run(ctx, indices, sink)``, and
   returns ``{index: (outcome, telemetry payloads)}``.  It has two
   bodies — :class:`ReplayRunner` here, and
@@ -24,8 +19,8 @@ outcomes, diagnoses, metrics and spans **in point order**, with span ids
 remapped to exactly the ids a single traced run would have allocated (see
 :meth:`~repro.obs.tracer.Tracer.adopt` and
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).  Only
-wall-clock differs between replay, snapshot, pooled, representative and
-resumed campaigns.
+wall-clock differs between replay, snapshot, pooled and resumed
+campaigns.
 
 Everything a point needs travels in one frozen :class:`ExecContext`.
 Forked children inherit it (analysis reports and matchers are
@@ -61,10 +56,8 @@ from repro.core.injection.campaign import (
     BugMatcherFn,
     CampaignConfig,
     InjectionOutcome,
-    _clone_for,
     _run_injection,
 )
-from repro.core.injection.classes import SelectionPlan, build_classes
 from repro.core.injection.oracles import Baseline
 from repro.core.profiler import DynamicCrashPoint
 from repro.obs import NULL_OBS, Observability
@@ -101,15 +94,13 @@ def _canonical_config(config: Optional[Dict[str, Any]]) -> str:
 
 
 class CampaignJournal:
-    """The campaign's one outcome sink: stamp, append, then notify.
+    """The campaign's one outcome sink: append, then notify.
 
-    Every finalized point — replayed, resumed from a snapshot, or
-    propagated from its class representative — passes through
-    :meth:`record` exactly once, under its *campaign* index.  The outcome
-    (and its diagnosis, in place) is stamped with its equivalence class;
-    its line is appended and flushed when a ``path`` is configured; and
-    only then does the ``on_outcome`` hook fire, so a hook that observes
-    a checkpoint can rely on it being on disk.
+    Every tested point — replayed or resumed from a snapshot — passes
+    through :meth:`record` exactly once, under its *campaign* index.  Its
+    line is appended and flushed when a ``path`` is configured, and only
+    then does the ``on_outcome`` hook fire, so a hook that observes a
+    checkpoint can rely on it being on disk.
     """
 
     def __init__(
@@ -117,12 +108,10 @@ class CampaignJournal:
         path: Optional[Union[str, Path]],
         points: List[DynamicCrashPoint],
         on_outcome: Optional[OutcomeHook] = None,
-        class_of: Optional[Dict[int, str]] = None,
     ):
         self.path = Path(path) if path is not None else None
         self._points = points
         self._hook = on_outcome
-        self._class_of = class_of or {}
         self._fh = None
 
     # ------------------------------------------------------------------
@@ -153,14 +142,6 @@ class CampaignJournal:
             # a different order must mismatch; the key is omitted for the
             # default order to keep pre-existing journals valid
             meta["point_order"] = cfg.point_order
-        if cfg.point_select != "full":
-            # the class-assignment digest pins which points execute and
-            # which propagate: a journal resumed under a drifted
-            # assignment (changed signature or point list) must mismatch
-            # instead of silently mixing plans.  The keys are omitted
-            # under "full" to keep old journals valid.
-            meta["point_select"] = cfg.point_select
-            meta["classes"] = build_classes(points).digest()
         return meta
 
     def open(self, meta: Dict[str, Any]) -> Dict[int, InjectionOutcome]:
@@ -229,11 +210,6 @@ class CampaignJournal:
         self._fh.flush()
 
     def record(self, index: int, outcome: InjectionOutcome) -> None:
-        class_id = self._class_of.get(index)
-        if class_id:
-            outcome.class_id = class_id
-            if outcome.diagnosis is not None:
-                outcome.diagnosis.point_class = class_id
         if self._fh is not None:
             line = {
                 "type": "outcome",
@@ -408,7 +384,7 @@ class ReplayRunner:
 
 
 # ---------------------------------------------------------------------------
-# the campaign parent: plan the indices, run them, merge
+# the campaign parent: run what the journal lacks, merge
 # ---------------------------------------------------------------------------
 @dataclass
 class ExecutionReport:
@@ -425,9 +401,6 @@ class ExecutionReport:
     workers: int
     execution: str
     snapshot_stats: Optional[Dict[str, Any]] = None
-    #: representative-execution statistics (classes, executed,
-    #: propagated) when ``point_select="representative"`` ran
-    class_stats: Optional[Dict[str, Any]] = None
 
 
 def execute_points(
@@ -447,7 +420,7 @@ def execute_points(
     The ambient ``active`` context is already installed by
     :func:`~repro.core.injection.campaign.run_campaign`, with the
     campaign span open.  ``on_outcome`` (when given) fires per newly
-    finalized point, after its journal line is written — see
+    tested point, after its journal line is written — see
     :func:`~repro.core.injection.campaign.run_campaign`.
     """
     workers, execution = cfg.workers, cfg.execution
@@ -469,25 +442,17 @@ def execute_points(
         runner = SnapshotRunner()
     else:
         runner = ReplayRunner()
-    plan = build_classes(points) if cfg.point_select == "representative" else None
-    journal = CampaignJournal(
-        cfg.journal_path, points, on_outcome,
-        class_of=plan.class_of if plan else None,
-    )
+    journal = CampaignJournal(cfg.journal_path, points, on_outcome)
     payloads: Dict[int, List[Payload]] = {}
-    class_stats: Optional[Dict[str, Any]] = None
     try:
-        #: index -> outcome of every point restored, run or propagated
+        #: index -> outcome of every point restored or run
         done = journal.open(CampaignJournal.meta_for(system, points, cfg, config))
         resumed = len(done)
-        wanted = plan.representatives if plan else range(len(points))
-        todo = sorted(i for i in wanted if i not in done)
+        todo = [i for i in range(len(points)) if i not in done]
         if todo:
             for index, (outcome, telemetry) in runner.run(ctx, todo, journal).items():
                 done[index] = outcome
                 payloads[index] = telemetry
-        if plan is not None:
-            class_stats = _propagate(plan, points, done, journal, active)
     finally:
         journal.close()
     return ExecutionReport(
@@ -496,7 +461,6 @@ def execute_points(
         workers=runner.workers,
         execution=execution,
         snapshot_stats=runner.stats,
-        class_stats=class_stats,
     )
 
 
@@ -511,10 +475,9 @@ def _merge(
 
     Telemetry is re-stitched under the campaign span and diagnoses land
     on ``active`` exactly as one traced in-order run would have recorded
-    them.  Restored and propagated points carry no payloads: their
-    diagnoses rejoin, but spans and metrics of an interrupted process
-    are gone with it (DESIGN.md — a resumed campaign's telemetry covers
-    this process only).
+    them.  Restored points carry no payloads: their diagnoses rejoin, but
+    spans and metrics of an interrupted process are gone with it
+    (DESIGN.md — a resumed campaign's telemetry covers this process only).
     """
     reparent_to = (
         campaign_span.record.span_id
@@ -531,45 +494,3 @@ def _merge(
             active.diagnoses.append(outcome.diagnosis)
         outcomes.append(outcome)
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# the representative plan (point_select="representative")
-# ---------------------------------------------------------------------------
-def _propagate(
-    plan: SelectionPlan,
-    points: List[DynamicCrashPoint],
-    done: Dict[int, InjectionOutcome],
-    journal: CampaignJournal,
-    active: Observability,
-) -> Dict[str, Any]:
-    """Give every unexecuted class member its representative's outcome.
-
-    Members inherit their representative's evidence under their own
-    identity, flagged so analytics can exclude them from bug dedup and
-    span attribution; wall/sim accounting stays with the representative
-    (a propagated point cost nothing).  Journaled under their own
-    index/key, so a resume restores them without re-deriving anything.
-    Returns the class statistics.
-    """
-    n_propagated = 0
-    for cls in plan.classes:
-        for index in cls.members:
-            if index in done:
-                continue
-            clone = _clone_for(done[cls.representative], points[index],
-                               propagated=True)
-            clone.propagated = True
-            clone.wall_seconds = 0.0
-            clone.duration = 0.0
-            done[index] = clone
-            n_propagated += 1
-            journal.record(index, clone)
-    if active.enabled:
-        active.metrics.counter("campaign.classes").inc(len(plan.classes))
-        active.metrics.counter("campaign.points_propagated").inc(n_propagated)
-    return {
-        "classes": len(plan.classes),
-        "executed": sum(1 for outcome in done.values() if not outcome.propagated),
-        "propagated": n_propagated,
-    }

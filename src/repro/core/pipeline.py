@@ -77,12 +77,7 @@ class CrashTunerResult:
             "test_speedup": self.campaign.speedup if self.campaign else 0.0,
             "execution": self.campaign.execution if self.campaign else "replay",
             "point_order": self.campaign.point_order if self.campaign else "point",
-            "point_select": self.campaign.point_select if self.campaign else "full",
         }
-        if self.campaign is not None and self.campaign.classes is not None:
-            # representative execution: how many equivalence classes the
-            # campaign collapsed to
-            row["classes"] = self.campaign.classes["classes"]
         row["total_wall_s"] = (
             row["analysis_wall_s"] + row["profile_wall_s"] + row["test_wall_s"]
         )

@@ -20,31 +20,11 @@ class DynamicCrashPoint:
     ``module.qualname:line``, innermost first.  ``scale`` records the
     workload size at which the profiler first saw this point, so the
     injection phase can reproduce the execution that reaches it.
-
-    The ``fire_*`` fields are the profiler's *predicted injection*: while
-    recording, the profiling run carries a live online meta-info store
-    (the same agent/store pair a campaign run attaches), and at each
-    point's first sighting the store resolves the access's values exactly
-    as the control center will.  Because every run is seed-deterministic
-    and identical to the campaign run up to the fire instant, the
-    prediction names the fault the campaign will actually deliver —
-    target host, action kind, and simulated fire time.  They carry
-    ``compare=False``: a point's identity (``key()``, equality, hashing)
-    spans only <P, Context>, so journals and results written before these
-    fields existed still line up.
     """
 
     point: AccessPoint
     stack: Tuple[str, ...]
     scale: int = 1
-    #: predicted injection target host ("" when nothing resolved, or when
-    #: the point predates fire prediction)
-    fire_target: str = field(default="", compare=False)
-    #: "shutdown" | "crash" | "none" (no value resolved -> no injection) |
-    #: "" (unknown: profiled without a store)
-    fire_kind: str = field(default="", compare=False)
-    #: simulated time of the first matching access (-1.0 when none/unknown)
-    fire_time: float = field(default=-1.0, compare=False)
 
     def key(self) -> Tuple:
         return (self.point.module, self.point.lineno, self.point.op,
@@ -95,42 +75,6 @@ class ProfileResult:
     unexecuted: List[AccessPoint] = field(default_factory=list)
 
 
-def _predict_fire(
-    point: AccessPoint,
-    event: AccessEvent,
-    holder: Dict[str, Any],
-) -> Tuple[str, str, float]:
-    """The injection the campaign will deliver at this access.
-
-    Mirrors :meth:`ControlCenter._resolve` plus the trigger's action
-    choice (pre-read -> shutdown; post-write -> crash, unless the target
-    is the executing node, which the center downgrades to shutdown)
-    against the profiling run's own store.  Assumes the default
-    ``random_fallback=False`` resolution — representative-point campaigns
-    validate that at config time.
-    """
-    store = holder.get("store")
-    cluster = holder.get("cluster")
-    if store is None or cluster is None:
-        return "", "", -1.0
-    target = None
-    for value in event.values:
-        host = store.query(value)
-        if host is not None:
-            target = host
-            break
-    if target is None:
-        return "", "none", -1.0
-    executing = ""
-    if event.node in cluster.nodes:
-        executing = cluster.nodes[event.node].host
-    if point.op == "read" or target == executing:
-        kind = "shutdown"
-    else:
-        kind = "crash"
-    return target, kind, event.time
-
-
 def profile_system(
     system: SystemUnderTest,
     analysis: AnalysisReport,
@@ -139,10 +83,6 @@ def profile_system(
     max_iterations: int = 3,
 ) -> ProfileResult:
     """Record dynamic crash points, doubling the workload to fixpoint."""
-    # imported here: the profiler package must not depend on the injection
-    # package at import time (injection imports the profiler's points)
-    from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
-
     index = PointIndex(analysis.crash.crash_points)
     found: Dict[Tuple, DynamicCrashPoint] = {}
     hit_static: set = set()
@@ -152,20 +92,6 @@ def profile_system(
     while iterations < max_iterations:
         iterations += 1
         before = len(found)
-        holder: Dict[str, Any] = {}
-
-        def before_run(cluster, workload) -> None:
-            # the same store/agent pair a campaign run attaches, so the
-            # fire prediction sees exactly the resolution state the
-            # control center will see at this instant
-            store = OnlineMetaStore(analysis.hosts)
-            agent = OnlineLogAgent(
-                analysis.index, analysis.log_result.meta_slots, store
-            )
-            assert cluster.log_collector is not None
-            agent.attach(cluster.log_collector)
-            holder["store"] = store
-            holder["cluster"] = cluster
 
         def hook(event: AccessEvent, _scale: int = scale) -> None:
             if not event.node:
@@ -178,25 +104,17 @@ def profile_system(
                 return
             hit_static.add(point.location + (point.op,))
             dpoint = DynamicCrashPoint(point=point, stack=event.stack, scale=_scale)
-            key = dpoint.key()
-            if key in found:
-                return
-            target, kind, fire_time = _predict_fire(point, event, holder)
-            found[key] = DynamicCrashPoint(
-                point=point, stack=event.stack, scale=_scale,
-                fire_target=target, fire_kind=kind, fire_time=fire_time,
-            )
+            found.setdefault(dpoint.key(), dpoint)
 
         BUS.capture_stacks = True
         BUS.add_hook(hook)
         try:
             run_workload(system, seed=seed, config=config, scale=scale,
-                         keep_cluster=False, before_run=before_run)
+                         keep_cluster=False)
         finally:
             BUS.remove_hook(hook)
             if not BUS.enabled:
                 BUS.capture_stacks = False
-            holder.clear()
         if len(found) == before:
             break  # fixpoint: doubling added nothing new
         scale *= 2

@@ -67,9 +67,6 @@ def format_summary(title: str, payload: "dict") -> str:
         "wall_seconds": f"{payload.get('wall_seconds', 0.0):.2f}",
         "digest": digest if isinstance(digest, str) else "-",
     })
-    if payload.get("classes"):
-        rows["classes"] = ("{classes} ({executed} executed, {propagated} "
-                           "propagated)".format(**payload["classes"]))
     return format_kv(title, rows)
 
 
@@ -83,10 +80,6 @@ def add_campaign_knobs(parser: Any, workers_flag: str = "--workers") -> None:
     parser.add_argument("--order", choices=("point", "novelty"), default="point")
     parser.add_argument("--execution", choices=("replay", "snapshot"),
                         default="replay")
-    parser.add_argument("--select", choices=("full", "representative"),
-                        default="full",
-                        help="'representative' clusters points into "
-                             "equivalence classes and tests one per class")
 
 
 def campaign_from_knobs(args: Any, journal_path: Optional[str] = None) -> Any:
@@ -96,7 +89,7 @@ def campaign_from_knobs(args: Any, journal_path: Optional[str] = None) -> Any:
     return CampaignConfig(
         max_points=args.points, seed=args.seed, workers=args.workers,
         point_order=args.order, execution=args.execution,
-        point_select=args.select, journal_path=journal_path,
+        journal_path=journal_path,
     )
 
 

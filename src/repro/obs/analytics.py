@@ -199,11 +199,6 @@ def dedup_detections(
             mode_of[i] = mode.mode_id
     by_bug: Dict[str, List[int]] = {}
     for i, diagnosis in enumerate(diagnoses):
-        if diagnosis.propagated:
-            # a propagated diagnosis is a copy of its class
-            # representative's evidence, not an independent detection —
-            # counting it would inflate every representative-mode bug
-            continue
         for bug in diagnosis.matched_bugs:
             by_bug.setdefault(bug, []).append(i)
     out = [

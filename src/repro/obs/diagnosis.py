@@ -57,12 +57,6 @@ class InjectionDiagnosis:
     # run accounting (simulated time + event count pin determinism)
     duration: float = 0.0
     events_processed: int = 0
-    #: representative-point execution (see repro.core.injection.classes):
-    #: the equivalence class this point belongs to, and whether this
-    #: diagnosis was propagated from the class representative's run
-    #: rather than produced by a run of its own
-    point_class: str = ""
-    propagated: bool = False
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:

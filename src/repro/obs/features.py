@@ -240,11 +240,6 @@ def span_shapes(
     dropped for the whole trace rather than misattributed, and the
     analytics report says so.
     """
-    # a representative-mode campaign propagates diagnoses for points it
-    # never ran — no workload span exists for them, so per-point span
-    # attribution cannot line up; drop span features for the whole trace
-    if any(d.propagated for d in diagnoses):
-        return None
     children: Dict[Optional[int], List[SpanRecord]] = {}
     for span in spans:
         children.setdefault(span.parent_id, []).append(span)

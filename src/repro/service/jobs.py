@@ -177,16 +177,27 @@ class JobTable:
         """Fold one WAL record into the table (also used live)."""
         kind = rec.get("type")
         if kind == "submit":
-            spec = JobSpec.from_dict(rec["job"])
-            if spec.job_id in self.jobs:
+            data = rec["job"]
+            if data["job_id"] in self.jobs:
                 # replayed duplicate submit (client retried into the
                 # spool): first one wins, later ones are no-ops
                 return
-            self.jobs[spec.job_id] = JobRecord(spec=spec)
-            self.order.append(spec.job_id)
+            try:
+                job = JobRecord(spec=JobSpec.from_dict(data))
+            except ValueError as exc:
+                # a campaign an older version accepted and this one no
+                # longer runs (a retired knob): the job fails, the rest run
+                job = JobRecord(
+                    spec=JobSpec(data["job_id"], data["system"],
+                                 submitted_at=data.get("submitted_at", 0.0)),
+                    state=FAILED, reason=str(exc))
+            self.jobs[job.job_id] = job
+            self.order.append(job.job_id)
         elif kind == "transition":
             job = self.jobs.get(rec["job_id"])
-            if job is None:
+            if job is None or job.state in TERMINAL:
+                # final — also for a job failed above that an older
+                # daemon went on to run
                 return
             job.state = rec["state"]
             job.reason = rec.get("extra", {}).get("reason", "")

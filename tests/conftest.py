@@ -19,19 +19,22 @@ from repro.core.profiler import profile_system
 from repro.obs import Observability
 from repro.systems import get_system
 
-#: system -> {"full" | "representative" -> outcome_digest} of the seed-0
-#: campaign; a PR that means to move an outcome edits the file
-PINS: Dict[str, Dict[str, str]] = json.loads(
-    (Path(__file__).parent / "data" / "outcome_digests.json").read_text())
+#: system -> {seed -> outcome_digest} of the default campaign at seeds
+#: 0-3; a PR that means to move an outcome edits the file
+PINS: Dict[str, Dict[int, str]] = {
+    name: {int(seed): digest for seed, digest in by_seed.items()}
+    for name, by_seed in json.loads(
+        (Path(__file__).parent / "data" / "outcome_digests.json").read_text()
+    ).items()
+}
 
-#: yarn's first nine points hold three equivalence classes and no hang:
-#: journal, pool and class mechanics run on them in milliseconds, and leave
-#: the 2 s hang extension of point 9 to the full campaigns of the matrix
-#: in test_outcome_identity.py
+#: yarn's first nine points hold no hang: journal and pool mechanics run
+#: on them in milliseconds, and leave the hang extension of point 9 to the
+#: full campaigns of the matrix in test_outcome_identity.py
 N_CHEAP = 9
 
 _CACHE: Dict[Tuple[str, Any], Tuple] = {}
-_REFERENCES: Dict[Tuple[str, bool, Optional[int]], Any] = {}
+_REFERENCES: Dict[Tuple[str, bool, Optional[int], int], Any] = {}
 
 
 def _config_key(config: Optional[Dict[str, Any]]) -> Any:
@@ -72,15 +75,16 @@ def campaign(system_name: str, n_points: Optional[int] = None, points=None,
 
 
 def reference(system_name: str, traced: bool = False,
-              n_points: Optional[int] = None):
-    """The default seed-0 campaign (replay, one worker, point order) over
-    the first ``n_points`` points, run once per session: plain, the
-    ``CampaignResult`` (``PINS[system]["full"]`` pins the uncapped one);
+              n_points: Optional[int] = None, seed: int = 0):
+    """The default campaign (replay, one worker, point order) at ``seed``
+    over the first ``n_points`` points, run once per session: plain, the
+    ``CampaignResult`` (``PINS[system][seed]`` pins the uncapped one);
     traced, ``(result, obs)``."""
-    key = (system_name, traced, n_points)
+    key = (system_name, traced, n_points, seed)
     if key not in _REFERENCES:
         obs = Observability() if traced else None
-        result = campaign(system_name, n_points, obs=obs)
+        result = campaign(system_name, n_points, obs=obs, seed=seed,
+                          setup=prepared(system_name, seed=seed)[1:])
         _REFERENCES[key] = (result, obs) if traced else result
     return _REFERENCES[key]
 
@@ -91,15 +95,6 @@ def outcome_dicts(result):
     for d in dicts:
         d.pop("wall_seconds")
     return dicts
-
-
-def behavior(outcome):
-    """What two runs must share for one to stand in for the other: oracle
-    verdict + bug attribution."""
-    return (
-        tuple(sorted(outcome.verdict.kinds())),
-        tuple(sorted(outcome.matched_bugs)),
-    )
 
 
 def span_dicts(obs):

@@ -90,11 +90,27 @@ def test_from_dict_drops_the_retired_analytics_keys(value):
 def test_from_dict_drops_the_retired_audit_fraction_key(value):
     # what a <= 1.14.0 daemon persisted in its WAL and spool: the size of
     # a verification lane that no longer runs
-    data = CampaignConfig(point_select="representative").to_dict()
+    data = CampaignConfig(seed=3).to_dict()
     assert "audit_fraction" not in data
     data["audit_fraction"] = value
-    assert (CampaignConfig.from_dict(data)
-            == CampaignConfig(point_select="representative"))
+    assert CampaignConfig.from_dict(data) == CampaignConfig(seed=3)
+
+
+def test_from_dict_drops_a_persisted_full_point_select():
+    # what a <= 1.17.0 daemon persisted: every point ran, as now
+    data = CampaignConfig(seed=3).to_dict()
+    assert "point_select" not in data and len(data) == 9
+    data["point_select"] = "full"
+    assert CampaignConfig.from_dict(data) == CampaignConfig(seed=3)
+
+
+def test_from_dict_rejects_a_persisted_representative_point_select():
+    # it ran one point per predicted class: dropping it would run another
+    # campaign
+    data = dict(CampaignConfig().to_dict(), point_select="representative")
+    with pytest.raises(ValueError, match="removed in 1.18.0") as raised:
+        CampaignConfig.from_dict(data)
+    assert "\n" not in str(raised.value)
 
 
 def test_from_dict_rejects_a_persisted_analytics_path():

@@ -1,8 +1,8 @@
 """One outcome identity, pinned; every cheaper way to run a campaign held to it.
 
 CrashTuner tests each dynamic crash point in exactly one run, so a pool,
-a fork, a class representative or a resumed journal is trusted only
-because it yields the outcomes of the plain seed-0 replay campaign.
+a fork or a resumed journal is trusted only because it yields the
+outcomes of the plain seed-0 replay campaign.
 ``outcome_digest`` names those, ``tests/data/outcome_digests.json`` pins
 them, and the matrix compares each variant to the pin — not to a
 reference of its own.  A PR that means to move an outcome edits the pin
@@ -110,8 +110,7 @@ def _knobs(**knobs):
         assert result.execution == knobs.get("execution", "replay")
         assert result.point_order == knobs.get("point_order", "point")
         assert (result.snapshot_stats or {}).get("fallback_points", 0) == 0
-        executed = (result.classes or {}).get("executed", len(result.outcomes))
-        if executed >= 2 * knobs.get("workers", 1):
+        if len(result.outcomes) >= 2 * knobs.get("workers", 1):
             assert result.workers_realized == knobs.get("workers", 1)
         return result.outcomes
     return run
@@ -169,39 +168,32 @@ def _hash_seed_through_the_cli(system_name, tmp_path):
 
 
 #: the systems whose campaigns are long enough to interrupt, pool and hang
-#: (the other four hold their two pins: more cells, little more evidence)
+#: (the other four hold their pin: more cells, little more evidence)
 HEAVY = ["yarn", "hbase"]
 
-#: variant -> (the pin it is held to, how to run it, the systems it runs on)
+#: variant -> (how to run it, the systems it runs on)
 VARIANTS = {
-    "reference": ("full", lambda s, tmp: reference(s).outcomes, SYSTEMS),
-    "representative":
-        ("representative", _knobs(point_select="representative"), SYSTEMS),
-    "obs-on": ("full", _obs_on, HEAVY),
-    "pooled": ("full", _knobs(workers=2), HEAVY),
-    "snapshot": ("full", _knobs(execution="snapshot"), HEAVY),
-    "snapshot+pooled":
-        ("full", _knobs(execution="snapshot", workers=2), HEAVY),
-    "novelty-order": ("full", _knobs(point_order="novelty"), HEAVY),
-    "representative+snapshot+pooled":
-        ("representative",
-         _knobs(point_select="representative", execution="snapshot", workers=2),
-         HEAVY),
-    "resumed-torn-tail": ("full", _interrupted, HEAVY),
+    "reference": (lambda s, tmp: reference(s).outcomes, SYSTEMS),
+    "obs-on": (_obs_on, HEAVY),
+    "pooled": (_knobs(workers=2), HEAVY),
+    "snapshot": (_knobs(execution="snapshot"), HEAVY),
+    "snapshot+pooled": (_knobs(execution="snapshot", workers=2), HEAVY),
+    "novelty-order": (_knobs(point_order="novelty"), HEAVY),
+    "resumed-torn-tail": (_interrupted, HEAVY),
     "resumed-under-snapshot":
-        ("full", lambda s, tmp: _interrupted(s, tmp, execution="snapshot"), HEAVY),
-    "slow-log-lane": ("full", _slow_log_lane, HEAVY),
-    "setup-cache-hit": ("full", _setup_cache_hit, HEAVY),
-    "hashseed-12345-cli": ("full", _hash_seed_through_the_cli, HEAVY),
+        (lambda s, tmp: _interrupted(s, tmp, execution="snapshot"), HEAVY),
+    "slow-log-lane": (_slow_log_lane, HEAVY),
+    "setup-cache-hit": (_setup_cache_hit, HEAVY),
+    "hashseed-12345-cli": (_hash_seed_through_the_cli, HEAVY),
 }
 
 
 @pytest.mark.parametrize(
     "variant, system_name",
-    [(variant, system_name) for variant, (_, _, systems) in VARIANTS.items()
+    [(variant, system_name) for variant, (_, systems) in VARIANTS.items()
      for system_name in systems])
 def test_variant_matches_the_pin(variant, system_name, tmp_path):
-    select, run, _ = VARIANTS[variant]
-    pinned = PINS[system_name][select]
+    run, _ = VARIANTS[variant]
+    pinned = PINS[system_name][0]
     got = outcome_digest(run(system_name, tmp_path))
     assert got == pinned, f"{system_name}: pinned {pinned}, got {got}"

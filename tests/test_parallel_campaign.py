@@ -21,7 +21,6 @@ from repro.bugs import matcher_for_system
 from repro.core.injection import (
     CampaignConfig,
     JournalMismatch,
-    build_classes,
     run_campaign,
 )
 from repro.core.injection import executor as executor_mod
@@ -137,21 +136,18 @@ def test_journal_refuses_mismatched_campaign(tmp_path):
 # ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("journaled", [False, True])
-@pytest.mark.parametrize("point_select", ["full", "representative"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("execution", ["replay", "snapshot"])
-def test_on_outcome_contract(tmp_path, execution, workers, point_select,
-                             journaled):
-    """Once per point finalized in this process — propagated clones
-    included, restored points never — under the *campaign* index, with
-    that index's journal line already on disk."""
+def test_on_outcome_contract(tmp_path, execution, workers, journaled):
+    """Once per point tested in this process — restored points never —
+    under the *campaign* index, with that index's journal line already on
+    disk."""
     points = prepared("hdfs")[2].dynamic_points[:10]
     journal = tmp_path / "campaign.jsonl" if journaled else None
 
     def run(on_outcome=None):
         return campaign("hdfs", 10, on_outcome=on_outcome, execution=execution,
-                        workers=workers, point_select=point_select,
-                        journal_path=journal)
+                        workers=workers, journal_path=journal)
 
     restored = set()
     if journaled:
@@ -176,16 +172,6 @@ def test_on_outcome_contract(tmp_path, execution, workers, point_select,
     assert sorted(calls) == [i for i in range(len(points)) if i not in restored]
     if workers == 2:
         assert result.workers_realized == 2
-    if point_select == "full":
-        assert all(o.class_id == "" for o in result.outcomes)
-    else:
-        # class stamps do not depend on a journal being configured
-        class_of = build_classes(points).class_of
-        assert [o.class_id for o in result.outcomes] == \
-            [class_of[i] for i in range(len(points))]
-        assert all(o.diagnosis.point_class == o.class_id for o in result.outcomes)
-        propagated = {i for i, o in enumerate(result.outcomes) if o.propagated}
-        assert propagated and propagated - restored <= set(calls)
 
 
 def test_raising_hook_aborts_pool_without_draining_queue(tmp_path, monkeypatch):

@@ -23,6 +23,17 @@ def test_profiler_finds_dynamic_points_with_stacks():
         assert len(dpoint.stack) <= 5
 
 
+def test_describe_includes_full_stack():
+    _, _, profile, _ = prepared("yarn")
+    deep = [d for d in profile.dynamic_points if len(d.stack) >= 2]
+    assert deep, "yarn profile should reach nested call strings"
+    for dpoint in deep:
+        text = dpoint.describe()
+        for frame in dpoint.stack:
+            assert frame in text
+        assert " > ".join(dpoint.stack) in text
+
+
 def test_profiler_discards_unexecuted_static_points():
     _, analysis, profile, _ = prepared("yarn")
     executed = {(d.point.module, d.point.lineno, d.point.op)

@@ -10,7 +10,8 @@ from repro.core.analysis.logging_statements import LogStatement
 from repro.core.analysis.meta_graph import MetaInfoGraph, host_in_value
 from repro.core.analysis.patterns import PatternIndex, pattern_for
 from repro.core.analysis.static_points import AccessPoint
-from repro.core.injection import OnlineMetaStore, build_classes
+from repro.core.injection import InjectionRecord, OnlineMetaStore
+from repro.core.injection.campaign import suffix_key
 from repro.core.profiler import DynamicCrashPoint
 from repro.mtlog.logger import render
 from repro.obs.features import point_tokens
@@ -180,12 +181,10 @@ def test_store_is_insensitive_to_unrelated_noise(pairs):
 
 
 # ---------------------------------------------------------------------------
-# representative-execution classes: input-order independent, and never
-# wider than the soundness argument (classes.py's module docstring)
+# the suffix key: never wider than the argument next to suffix_key
 # ---------------------------------------------------------------------------
 _fire = st.one_of(
-    st.just(("", "", -1.0)),          # profiled without a store
-    st.just(("", "none", -1.0)),      # no value resolved
+    st.none(),                        # no value resolved
     st.tuples(hostnames, st.sampled_from(["shutdown", "crash"]),
               # a coarse grid plus its 1 ns successors: equal fire times
               # are common, and so are the network's FIFO neighbours
@@ -196,53 +195,41 @@ _fire = st.one_of(
 
 
 @st.composite
-def _dpoints(draw):
+def _fires(draw):
+    """``(dpoint, injection, ordinal)`` per fire of a campaign."""
     specs = draw(st.lists(
         st.tuples(st.integers(min_value=0, max_value=5),
-                  st.sampled_from(["read", "write"]), _fire),
+                  st.sampled_from(["read", "write"]), _fire,
+                  st.integers(min_value=0, max_value=2)),
         min_size=1, max_size=25))
     out = []
-    for n, (slot, op, (target, kind, time)) in enumerate(specs):
+    for n, (slot, op, fire, ordinal) in enumerate(specs):
         point = AccessPoint(
             module=f"mod{slot}", lineno=10 + slot, field_cls=f"mod{slot}.Cls",
             field_name=f"field{slot}", op=op, via="getfield",
             enclosing=f"Cls.m{slot}",
         )
-        out.append(DynamicCrashPoint(
+        dpoint = DynamicCrashPoint(
             point=point, stack=(f"mod{slot}.Cls.m{slot}:{20 + n % 3}",),
-            scale=1 + slot % 2, fire_target=target, fire_kind=kind,
-            fire_time=time,
-        ))
+            scale=1 + slot % 2)
+        injection = None if fire is None else InjectionRecord(
+            kind=fire[1], target_host=fire[0], value="v", time=fire[2])
+        out.append((dpoint, injection, ordinal))
     return out
 
 
-@given(_dpoints(), st.randoms(use_true_random=False))
+@given(_fires())
 @settings(max_examples=60)
-def test_build_classes_invariant_under_permutation(points, rng):
-    shuffled = list(points)
-    rng.shuffle(shuffled)
-    plan = build_classes(points)
-    other = build_classes(shuffled)
-    assert plan.digest() == other.digest()
-    # membership and representatives name the same points (indices
-    # differ with input order; keys must not)
-    def by_key(p, seq):
-        return {
-            "classes": {seq[i].key(): cls.class_id
-                        for cls in p.classes for i in cls.members},
-            "reps": {seq[i].key() for i in p.representatives},
-        }
-    assert by_key(plan, points) == by_key(other, shuffled)
-
-
-@given(_dpoints())
-@settings(max_examples=60)
-def test_a_class_shares_one_injection_and_a_shutdown_class_one_position(points):
-    for cls in build_classes(points).classes:
-        members = [points[i] for i in cls.members]
-        assert len({(d.scale, d.fire_kind, d.fire_target, d.fire_time)
-                    for d in members}) == 1
-        if members[0].fire_kind == "shutdown":
-            assert len({point_tokens(d) for d in members}) == 1
-        if not members[0].fire_kind:  # nothing predicted: nothing merged
-            assert len({d.key() for d in members}) == 1
+def test_a_class_shares_one_injection_and_a_shutdown_class_one_position(fires):
+    # a class: the fires one suffix key groups
+    classes = {}
+    for fire in fires:
+        classes.setdefault(suffix_key(*fire), []).append(fire)
+    for members in classes.values():
+        injections = {(d.scale, None) if i is None
+                      else (d.scale, i.kind, i.target_host, i.time, ordinal)
+                      for d, i, ordinal in members}
+        assert len(injections) == 1
+        injection = members[0][1]
+        if injection is not None and injection.kind == "shutdown":
+            assert len({point_tokens(d) for d, _, _ in members}) == 1

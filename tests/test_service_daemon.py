@@ -102,7 +102,7 @@ def test_submit_drain_done_and_admin_views(tmp_path):
 
     result = client.result(job_id)
     assert result["state"] == "done"
-    assert result["fingerprint"] == PINS["cassandra"]["full"]
+    assert result["fingerprint"] == PINS["cassandra"][0]
     assert result["attempts"] == 1
 
     status = client.status()
@@ -146,26 +146,65 @@ def test_result_written_by_1_13_0_is_still_readable(tmp_path, capsys):
 
 def test_job_spooled_and_result_written_by_1_14_0_still_work(tmp_path, capsys):
     client = ServiceClient(tmp_path)
-    job_id = client.submit("cassandra",
-                           CampaignConfig(point_select="representative"))
-    # up to 1.14.0 a spooled config carried the audit lane's size...
-    spooled = tmp_path / "spool" / f"{job_id}.json"
-    spec = json.loads(spooled.read_text())
-    assert "audit_fraction" not in spec["campaign"]
-    spec["campaign"]["audit_fraction"] = 0.1
-    spooled.write_text(json.dumps(spec))
+    full, representative = client.submit("cassandra"), client.submit("cassandra")
+    # up to 1.14.0 a spooled config carried the audit lane's size, and up
+    # to 1.17.0 which points ran
+    for job_id, select in ((full, "full"), (representative, "representative")):
+        spooled = tmp_path / "spool" / f"{job_id}.json"
+        spec = json.loads(spooled.read_text())
+        assert "audit_fraction" not in spec["campaign"]
+        spec["campaign"].update(audit_fraction=0.1, point_select=select)
+        spooled.write_text(json.dumps(spec))
     drain_in_process(tmp_path, workers=1, poll_interval=0.01, fsync=False)
-    result_path = tmp_path / "jobs" / job_id / RESULT_NAME
+    result_path = tmp_path / "jobs" / full / RESULT_NAME
     result = json.loads(result_path.read_text())
     assert result["state"] == "done"
-    assert result["fingerprint"] == PINS["cassandra"]["representative"]
-    assert result["classes"] == {"classes": 3, "executed": 3, "propagated": 0}
+    assert result["fingerprint"] == PINS["cassandra"][0]
+    # one point per predicted class no longer runs: quarantined as malformed
+    assert (tmp_path / "spool" / f"{representative}.rejected").exists()
+    assert client.job(representative) is None
 
-    # ...and a result's class statistics the lane's two counts
-    result["classes"].update(audited=0, promoted=0)
+    # ...and a result's class statistics, which nothing prints any more
+    result["classes"] = {"classes": 3, "executed": 3, "propagated": 0,
+                         "audited": 0, "promoted": 0}
     result_path.write_text(json.dumps(result))
-    assert cli_main(["wait", str(tmp_path), job_id]) == 0
-    assert "classes         : 3 (3 executed, 0 propagated)" in capsys.readouterr().out
+    assert cli_main(["wait", str(tmp_path), full]) == 0
+    out = capsys.readouterr().out
+    assert PINS["cassandra"][0] in out and "classes" not in out
+
+
+def test_a_wal_submit_this_version_cannot_parse_fails_alone(tmp_path):
+    # what older daemons acknowledged: a 1.10.0 campaign ordered by an
+    # analytics file, and a 1.17.0 one that ran one point per predicted
+    # class — which a 1.17.0 daemon had already dispatched when it died
+    good = JobSpec("good", "cassandra")
+    retired = {
+        "ordered": dict(CampaignConfig().to_dict(), analytics=True,
+                        analytics_path="modes.json"),
+        "classes": dict(CampaignConfig().to_dict(), point_select="representative"),
+    }
+    with WriteAheadLog(tmp_path / "wal.jsonl", fsync=False) as wal:
+        wal.append({"type": "submit", "job": good.to_dict()})
+        for job_id, campaign in retired.items():
+            wal.append({"type": "submit", "job": dict(
+                JobSpec(job_id, "cassandra").to_dict(), campaign=campaign)})
+        wal.append({"type": "transition", "job_id": "classes",
+                    "state": "running", "at": 0.0, "extra": {}})
+
+    daemon = drain_in_process(tmp_path, workers=1, poll_interval=0.01,
+                              fsync=False)
+    jobs = {job.job_id: job for job in daemon.table.jobs.values()}
+    assert (jobs["good"].state, jobs["good"].attempts) == ("done", 1)
+    result = ServiceClient(tmp_path).result("good")
+    assert result["fingerprint"] == PINS["cassandra"][0]
+    for job_id, needle in (("ordered", "analytics_path was removed in 1.11.0"),
+                           ("classes", "removed in 1.18.0")):
+        job = jobs[job_id]
+        assert (job.state, job.attempts) == ("failed", 0)
+        assert needle in job.reason and "\n" not in job.reason
+        with pytest.raises(RuntimeError, match="failed"):
+            ServiceClient(tmp_path).wait(job_id, timeout=5.0)
+    assert not (tmp_path / "jobs" / "classes").exists()
 
 
 def test_submit_rejects_unknown_system(tmp_path):
@@ -200,7 +239,7 @@ def test_daemon_killed_worker_survives_and_is_reattached(tmp_path):
     assert result["state"] == "done"
     assert result["attempts"] == 1, "reattached job must not be re-dispatched"
     assert result["resumed"] == 0, "reattached worker never restarted"
-    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
+    assert result["fingerprint"] == PINS[KILL_SYSTEM][0]
 
 
 # ----------------------------------------------------------------------
@@ -240,7 +279,7 @@ def test_daemon_and_worker_killed_resume_from_checkpoint(tmp_path):
     assert journal.read_bytes().startswith(frozen)
     assert len(journal_outcomes(journal)) == result["n_points"]
     # and the stitched outcome stream is identical to an untouched run
-    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
+    assert result["fingerprint"] == PINS[KILL_SYSTEM][0]
 
 
 # ----------------------------------------------------------------------
@@ -273,7 +312,7 @@ def test_worker_killed_under_live_daemon_is_requeued(tmp_path):
     # the dead attempt published phase 1 before its first injection: the
     # requeued one resumes the journal *and* skips straight to it
     assert result["setup"]["cache"] == "hit"
-    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
+    assert result["fingerprint"] == PINS[KILL_SYSTEM][0]
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +350,7 @@ def test_wedged_worker_under_live_daemon_is_killed_and_resumed(tmp_path):
     assert result["state"] == "done"
     assert result["attempts"] == 2
     assert result["resumed"] >= tested_before
-    assert result["fingerprint"] == PINS[KILL_SYSTEM]["full"]
+    assert result["fingerprint"] == PINS[KILL_SYSTEM][0]
     assert not pid_alive(worker_pid), "the wedged worker must not wake up"
     counters = client.metrics()["counters"]
     assert counters["service.workers_killed"] == 1

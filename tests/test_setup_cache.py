@@ -30,7 +30,6 @@ from repro.core.injection import (
     CampaignConfig,
     CampaignJournal,
     JournalMismatch,
-    outcome_digest,
     run_campaign,
 )
 from repro.core.pipeline import prepare, setup_key, source_digest
@@ -75,16 +74,6 @@ def test_hit_is_outcome_identical_to_miss(tmp_path, system_name):
     # the matrix in test_outcome_identity.py
     assert outcome_dicts(campaign(system_name, 9, setup=loaded)) == \
         outcome_dicts(reference(system_name))[:9]
-
-
-def test_hit_is_identical_under_representative_selection(tmp_path):
-    # class signatures read the engine's dataflow summaries off the
-    # (here: unpickled) analysis
-    _prepare("yarn", tmp_path)
-    loaded, hit = _prepare("yarn", tmp_path)
-    assert hit["cache"] == "hit"
-    result = campaign("yarn", setup=loaded, point_select="representative")
-    assert outcome_digest(result.outcomes) == PINS["yarn"]["representative"]
 
 
 def test_no_cache_dir_touches_no_disk(tmp_path, monkeypatch):
@@ -303,7 +292,7 @@ def test_failed_publish_degrades_to_building_in_place(
         cache.write_text("a file where the directory should be")
     payload = run_job(_job(), tmp_path / "job", cache_dir=cache)
     assert payload["state"] == "done" and payload["setup"]["cache"] == "miss"
-    assert payload["fingerprint"] == PINS[FAST]["full"]
+    assert payload["fingerprint"] == PINS[FAST][0]
     if failure == "enospc":
         assert list(cache.iterdir()) == [], "a failed publish leaves nothing"
 
@@ -371,7 +360,7 @@ def test_second_job_hits_and_the_daemon_counts_it(tmp_path):
     results = [client.result(job_id) for job_id in jobs]
     # one worker slot: whichever job ran first built, the others loaded
     assert sorted(r["setup"]["cache"] for r in results) == ["hit", "hit", "miss"]
-    assert {r["fingerprint"] for r in results} == {PINS[FAST]["full"]}
+    assert {r["fingerprint"] for r in results} == {PINS[FAST][0]}
     for result in results:
         assert set(result["setup"]) == {"cache", "key", "seconds"}
         assert (tmp_path / "setup-cache" / (result["setup"]["key"] + ".pkl")).exists()

@@ -104,24 +104,26 @@ def _main(capsys, *argv):
 
 def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
     campaign = ["campaign", "cassandra"]
-    journal = str(tmp_path / "rep.jsonl")
-    assert _main(capsys, *campaign, "--journal", journal,
-                 "--select", "representative")[0] == 0
-    # the identity line of a 1.14.0 representative journal, verbatim: its
-    # plan had an audit draw, so the fraction and another class digest
-    old_journal = tmp_path / "rep-1.14.0.jsonl"
-    old_journal.write_text(json.dumps({
-        "type": "campaign-meta", "version": 1, "system": "cassandra",
-        "seed": 0, "wait": 1.0, "random_fallback": False,
-        "classify_timeouts": True, "n_points": 3, "config": "",
-        "point_select": "representative", "audit_fraction": 0.1,
-        "classes": "38ff5d538fd6519d"}) + "\n")
+    journal = str(tmp_path / "capped.jsonl")
+    assert _main(capsys, *campaign, "--journal", journal, "--points", "2")[0] == 0
+    # the identity lines of representative journals, verbatim: 1.14.0's
+    # plan had an audit draw, 1.17.0's did not
+    meta = {"type": "campaign-meta", "version": 1, "system": "cassandra",
+            "seed": 0, "wait": 1.0, "random_fallback": False,
+            "classify_timeouts": True, "n_points": 3, "config": "",
+            "point_select": "representative"}
+    old_journals = {
+        "1.14.0": dict(meta, audit_fraction=0.1, classes="38ff5d538fd6519d"),
+        "1.17.0": dict(meta, classes="bad8731a77cf8c44"),
+    }
+    for version, line in old_journals.items():
+        (tmp_path / f"rep-{version}.jsonl").write_text(json.dumps(line) + "\n")
     for argv, exit_code, needle in [
         (campaign + ["--workers", "0"], 2, "workers must be >= 1"),
         (campaign + ["--journal", str(tmp_path)], 2, "is a directory"),
         (campaign + ["--journal", journal], 1, "written by a different campaign"),
-        (campaign + ["--journal", str(old_journal), "--select",
-                     "representative"], 1, "written by a different campaign"),
+        *((campaign + ["--journal", str(tmp_path / f"rep-{version}.jsonl")],
+           1, "written by a different campaign") for version in old_journals),
         # "inside" a regular file: no directory to create the journal in
         (campaign + ["--journal", journal + "/j.jsonl"], 1, "Not a directory"),
         (["daemon", "submit", str(tmp_path / "svc"), "cassandra",
@@ -131,6 +133,22 @@ def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
         assert (code, out) == (exit_code, ""), argv
         assert err.startswith("error: ") and needle in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_1_17_0_full_journal_resumes_every_point(tmp_path, capsys):
+    journal = tmp_path / "full.jsonl"
+    argv = ["campaign", "cassandra", "--journal", str(journal),
+            "--json", str(tmp_path / "out.json")]
+    assert _main(capsys, *argv)[0] == 0
+    # 1.17.0 wrote the same lines, bar two constant diagnosis keys
+    lines = [json.loads(line) for line in journal.read_text().splitlines()]
+    for line in lines[1:]:
+        line["data"]["diagnosis"].update(point_class="", propagated=False)
+    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert _main(capsys, *argv)[0] == 0
+    payload = json.loads((tmp_path / "out.json").read_text())
+    assert payload["resumed"] == payload["n_points"] == 3
+    assert payload["digest"] == PINS["cassandra"][0]
 
 
 def test_interrupted_unjournaled_campaign_says_how_to_make_it_resumable(
@@ -180,7 +198,7 @@ def test_sigint_ends_in_one_line_and_the_journal_resumes_to_the_pin(
     assert rerun.returncode == 0, rerun.stderr
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["resumed"] == journaled
-    assert payload["digest"] == PINS["hbase"]["full"]
+    assert payload["digest"] == PINS["hbase"][0]
 
 
 def test_daemon_subcommand_round_trip(tmp_path):
