@@ -82,9 +82,10 @@ class CampaignConfig:
             taken (suffix reuse, unobserved campaigns only);
             ``"snapshot"`` records the deterministic prefix once per scale
             group and runs each injection's suffix in a fork taken at its
-            fire instant.  Both are outcome-identical to running every
-            point in full (see DESIGN.md).  Falls back to replay where
-            ``fork`` is unavailable.
+            fire instant, reusing suffixes the same way.  Both are
+            outcome-identical to running every point in full (see
+            DESIGN.md).  Falls back to replay where ``fork`` is
+            unavailable.
         point_order: the order the test phase visits dynamic crash
             points.  ``"point"`` (default) is the profiler's deterministic
             point order; ``"novelty"`` schedules novelty-first — a greedy
@@ -317,13 +318,13 @@ class CampaignResult:
     #: worker processes actually used, after the small-campaign degrade
     #: rule and any platform fallback (see CampaignConfig.workers)
     workers_realized: int = 1
-    #: snapshot-engine statistics (recording runs, resumed/never-fired/
-    #: aliased/fallback point counts, extended resumes) when it ran
+    #: snapshot-engine statistics (recording runs, own-suffix resumed/
+    #: never-fired/fallback point counts, extended resumes) when it ran
     snapshot_stats: Optional[Dict[str, Any]] = None
     #: the order the test phase visited points (CampaignConfig.point_order)
     point_order: str = "point"
-    #: points of this process whose run stopped at its fire and took an
-    #: earlier run's suffix (DESIGN.md "Suffix reuse")
+    #: points of this process whose run or fork stopped at its fire and
+    #: took an earlier run's suffix (DESIGN.md "Suffix reuse")
     reused: int = 0
 
     def first_detection(self) -> Optional[int]:
@@ -400,8 +401,8 @@ def suffix_key(
     injection: Optional[InjectionRecord],
     ordinal: int,
 ) -> Tuple:
-    """What one fire of ``dpoint`` leaves behind: two fires of a replay
-    campaign with one key run the same suffix (DESIGN.md "Suffix reuse").
+    """What one fire of ``dpoint`` leaves behind: two fires of a campaign
+    with one key run the same suffix (DESIGN.md "Suffix reuse").
 
     ``injection`` is the fault the fire delivered (``None``: no meta-info
     value resolved) and ``ordinal`` the dispatched event it fired in.  The
@@ -469,8 +470,8 @@ class _Judge:
     field.  The replay path and the snapshot child both judge through
     this one object; whoever arms the run sets ``trigger`` and ``agent``.
 
-    Given ``suffixes`` — a replay campaign's map from :func:`suffix_key`
-    to ``(index, outcome)`` of the run that first judged that suffix —
+    Given ``suffixes`` — a campaign's map from :func:`suffix_key` to
+    ``(index, outcome)`` of the run that first judged that suffix —
     :meth:`fired` is the trigger's post-fire callback.
     A known key cuts the run right after its fire (``SimLoop.stop``),
     :meth:`at_deadline` declines to extend it and :meth:`finish` returns
@@ -692,9 +693,9 @@ def _clone_for(
 ) -> InjectionOutcome:
     """``outcome``'s evidence under ``dpoint``'s own identity.
 
-    For points known to share a run with another — snapshot aliases and
-    never-fired points, replay points that reuse a suffix (which also pass
-    their own at-fire fields): verdict, matched bugs, injection and
+    For points known to share a run with another — snapshot never-fired
+    points, points that reuse a suffix (which also pass their own
+    at-fire fields): verdict, matched bugs, injection and
     measurements are the source's; the point-identity fields of the
     diagnosis are the clone's own.
     """

@@ -250,7 +250,8 @@ class ExecContext:
     workers: int
     #: suffix reuse (DESIGN.md "Suffix reuse"): suffix key -> ``(index,
     #: outcome)`` of the run that judged it; a pool worker fills its own
-    #: copy.  ``None`` when observed: the injection span names the point
+    #: copy, a snapshot fork reads the copy it was forked with.  ``None``
+    #: when observed: the injection span names the point
     suffixes: Optional[Dict[Tuple, Tuple[int, InjectionOutcome]]]
 
 

@@ -28,7 +28,8 @@ Process tree (one tier, at most ``workers`` children at any moment)::
       ├─ child         fires point P's trigger against the inherited
       │                world, lets the already-in-flight run_workload()
       │                finish — the suffix — writes the outcome to its
-      │                pipe and exits
+      │                pipe and exits; a fire whose suffix an earlier
+      │                child already judged stops there and ships at once
       └─ ...
 
 A snapshot serves exactly one resume, the instant it is taken: nothing is
@@ -40,10 +41,13 @@ recording pass, so checkpoints land as points complete.  A flagged hang
 needs no second resume: the child judges its suffix through the same
 :class:`~repro.core.injection.campaign._Judge` the replay path uses, and
 ``run_workload``'s continuation seam drives the run it already holds on
-to its recovery horizon (paper Section 4.1.3).  Points whose trigger
-never fires during the recording pass need no fork at all: for them the
-recording run *is* the test run, and its verdict/diagnosis/telemetry are
-shared.
+to its recovery horizon (paper Section 4.1.3), and reuses suffixes
+(DESIGN.md "Suffix reuse"): a fire whose key the map it was forked with
+holds stops there.  Each new key a child reports is filed for every
+later fork (siblings in flight share nothing) and fallback replay.
+Points whose trigger never fires during the recording pass need no fork
+at all: for them the recording run *is* the test run, and its
+verdict/diagnosis/telemetry are shared.
 
 Three invariants keep the recording pass the run every replay would have
 had.  (1) The bus hook never perturbs the simulated world: it runs inside
@@ -134,7 +138,9 @@ class _SnapshotWatcher:
     event it forks that point's child, then lets the recording run
     continue unperturbed.  Matching reuses the trigger's own
     :func:`point_matches`, so "the event the recording pass forked on" is
-    exactly "the event the replay trigger would fire on".
+    exactly "the event the replay trigger would fire on".  Every matching
+    point gets its own fork, even at one event: whether its suffix is a
+    known one is for the child to learn from its own fire.
     """
 
     def __init__(self, entries: List[_ArmedPoint], this: "_Round"):
@@ -143,9 +149,6 @@ class _SnapshotWatcher:
         self.ctx = this.ctx
         #: result pipe's read end -> (point, child pid) of running children
         self.inflight: Dict[int, Tuple[_ArmedPoint, int]] = {}
-        #: alias point index -> primary point index (same fire event, so
-        #: a byte-identical suffix; only built when running unobserved)
-        self.aliases: Dict[int, int] = {}
         #: fired points without an outcome (no fork, or a child that raised
         #: or died): replayed in-process once the pass is over
         self.failed: List[_ArmedPoint] = []
@@ -175,23 +178,10 @@ class _SnapshotWatcher:
 
     # ------------------------------------------------------------------
     def _hook(self, event: AccessEvent) -> None:
-        matched = [
-            entry for entry in self.entries
-            if not entry.recorded and point_matches(entry.dpoint, event)
-        ]
-        for entry in matched:
+        for entry in self.entries:
+            if entry.recorded or not point_matches(entry.dpoint, event):
+                continue
             entry.recorded = True
-        if not self.ctx.observed:
-            # points firing at the *same* access event with the same op
-            # perform the same injection on the same world — their
-            # suffixes are byte-identical, so one child serves all and
-            # the outcome is cloned per alias, swapping only the
-            # point-identity fields.  Observed, every point runs its own:
-            # the injection span names the point.
-            for alias in matched[1:]:
-                self.aliases[alias.index] = matched[0].index
-            del matched[1:]
-        for entry in matched:
             if self.held is None and self._fork(entry):
                 # the child: inject here and let the inherited
                 # run_workload() call stack finish the suffix
@@ -245,12 +235,16 @@ class _SnapshotWatcher:
         No hook is installed for the suffix: the match already happened —
         at this very event — during the recording pass, and a fired
         trigger stops listening anyway (:meth:`Trigger.fire`), so the
-        suffix runs with the access bus disabled, exactly like replay's.
+        suffix runs with the access bus disabled, exactly like replay's,
+        and stops at the fire when its suffix is already known.
         """
         self.uninstall()
         ctx = self.ctx
-        judge = _Judge(ctx.system, entry.dpoint, ctx.baseline, ctx.cfg, ctx.matcher)
+        judge = _Judge(ctx.system, entry.dpoint, ctx.baseline, ctx.cfg,
+                       ctx.matcher, ctx.suffixes, entry.index)
         judge.trigger, judge.agent = entry.trigger, self.agent
+        if ctx.suffixes is not None:
+            entry.trigger.on_fired = judge.fired
         _ROLE["judge"] = judge
         judge.trigger.fire(event)
 
@@ -269,13 +263,19 @@ class _SnapshotWatcher:
             self.failed.append(entry)
             return
         this = self.round
-        this.stats["resumed_points"] += 1
+        outcome = InjectionOutcome.from_dict(reply["outcome"], entry.dpoint)
+        outcome.reused_from = reply["reused_from"]
+        if outcome.reused_from is None:
+            this.stats["resumed_points"] += 1
+            if reply["key"] is not None:
+                # every later fork inherits it; a sibling in flight does not
+                self.ctx.suffixes.setdefault(
+                    tuple(reply["key"]), (entry.index, outcome))
         this.stats["reclassified"] += reply["extended"]
         if telemetry != b"\n":
             this.undecoded[entry.index] = telemetry
         try:
-            this.finish(
-                entry, InjectionOutcome.from_dict(reply["outcome"], entry.dpoint), [])
+            this.finish(entry, outcome, [])
         except Exception as exc:  # noqa: BLE001 - re-raised after the pass
             self.held = exc
             self.abandon()
@@ -304,7 +304,8 @@ def _resumer_result(report: Any, ctx: ExecContext) -> Dict[str, Any]:
     judge: _Judge = _ROLE["judge"]
     outcome = judge.finish(report)
     outcome.wall_seconds = _wallclock.perf_counter() - _ROLE["wall0"]
-    return {"outcome": outcome.to_dict(), "extended": judge.extended}
+    return {"outcome": outcome.to_dict(), "extended": judge.extended,
+            "reused_from": outcome.reused_from, "key": judge.key}
 
 
 def _ship(reply: Dict[str, Any], telemetry: Optional[Payload]) -> None:
@@ -329,14 +330,13 @@ class SnapshotRunner:
         #: snapshots resumed concurrently, once a round has run
         self.workers = 1
         #: the engine's work across all rounds (``CampaignResult.
-        #: snapshot_stats``): recording runs, resumed / never-fired /
-        #: aliased / fallback point counts, how many resumes extended
+        #: snapshot_stats``): recording runs, resumed (own suffix) /
+        #: never-fired / fallback point counts, how many resumes extended
         #: their run (``reclassified``)
         self.stats: Dict[str, Any] = {
             "recording_runs": 0,
             "resumed_points": 0,
             "never_fired": 0,
-            "aliased_points": 0,
             "reclassified": 0,
             "fallback_points": 0,
         }
@@ -422,15 +422,6 @@ class _Round:
                 self.finish(entry, _clone_for(basis, entry.dpoint), list(shared))
         for entry in watcher.failed:
             self.fallback(entry)
-        # aliased points fired at the same access event as their primary,
-        # with the same op: the primary's run already computed their
-        # (byte-identical) run, so each alias is the primary's outcome
-        # under its own identity.  Only built unobserved: no payloads.
-        for entry in entries:
-            if entry.index in watcher.aliases:
-                stats["aliased_points"] += 1
-                primary, _ = self.results[watcher.aliases[entry.index]]
-                self.finish(entry, _clone_for(primary, entry.dpoint), [])
 
     def _record(self, watcher: _SnapshotWatcher,
                 scale: int) -> Tuple[Any, Observability]:

@@ -74,9 +74,12 @@ def test_snapshot_reports_engine_stats():
     rep = _campaign(n_points=2)
     stats = snap.snapshot_stats
     assert stats is not None and rep.snapshot_stats is None
-    accounted = (stats["resumed_points"] + stats["never_fired"]
-                 + stats["aliased_points"] + stats["fallback_points"])
+    # a fork either ran its own suffix or took an earlier fork's
+    accounted = (stats["resumed_points"] + snap.reused
+                 + stats["never_fired"] + stats["fallback_points"])
     assert accounted == N_POINTS
+    assert snap.reused == sum(o.reused_from is not None
+                              for o in reference("yarn").outcomes[:N_POINTS])
     # the snapshot forest: ONE recording pass per scale group, however
     # many points the group holds — never a per-chunk re-record from t=0
     system, _analysis, profile, _ = prepared("yarn")
@@ -92,26 +95,28 @@ def test_snapshot_with_workers_matches_single():
     assert two.workers_realized == 2
 
 
-def test_snapshot_aliases_points_sharing_a_fire_event():
-    """Two points firing at the same access event share one resume."""
+def test_snapshot_reuses_the_suffix_of_a_point_sharing_its_fire_event():
+    """Two points firing at the same access event fork twice; the second
+    child's fire has the first one's suffix key, so it stops there."""
     system, analysis, profile, baseline = prepared("yarn")
     dpoint = profile.dynamic_points[0]
     points = [dpoint, dpoint]  # same point twice: same first-fire event
     snap = _campaign(points=points, execution="snapshot")
     assert outcome_dicts(snap) == _replay(1) * 2
-    assert snap.snapshot_stats["aliased_points"] == 1
+    assert [o.reused_from for o in snap.outcomes] == [None, 0]
+    assert snap.reused == 1
     assert snap.snapshot_stats["resumed_points"] == 1
 
 
 @pytest.mark.parametrize("system_name", ["hdfs", "zookeeper", "cassandra", "kube"])
 def test_generated_point_multisets_match_replay(system_name):
-    """Aliases and never-fired points, which no profiled campaign holds.
+    """Duplicates and never-fired points, which no profiled campaign holds.
 
-    Every profiled point fires and no two share a fire event, so the
-    lanes that clone an outcome are reached only by a generated multiset:
-    duplicates (aliases of their first occurrence when unobserved) and
-    "ghosts" whose call stack matches no event (the recording run *is*
-    their test run: judged once, cloned per point, telemetry shared).
+    Every profiled point fires and no two share a fire event, so a
+    generated multiset reaches what profiles do not: duplicates (reused
+    forks of their first occurrence when unobserved) and "ghosts" whose
+    call stack matches no event (the recording run *is* their test run:
+    judged once, cloned per point, telemetry shared).
     """
     profiled = prepared(system_name)[2].dynamic_points
     rng = random.Random(system_name)
@@ -139,11 +144,30 @@ def test_generated_point_multisets_match_replay(system_name):
             assert outcome_digest(snap.outcomes) == outcome_digest(rep.outcomes)
             stats = snap.snapshot_stats
             assert stats["never_fired"] == len(ghosts)
-            # observed, every duplicate runs its own child: its spans
-            # carry its own name
-            assert stats["aliased_points"] == (0 if observed else len(real) - distinct)
-            assert stats["resumed_points"] == (len(real) if observed else distinct)
             assert stats["fallback_points"] == 0
+            assert (stats["resumed_points"] + snap.reused + stats["never_fired"]
+                    == len(points))
+            for outcome in snap.outcomes:
+                if outcome.reused_from is not None:
+                    assert snap.outcomes[outcome.reused_from].reused_from is None
+            # observed, every duplicate runs its own suffix: its spans
+            # carry its own name
+            if observed:
+                assert snap.reused == 0
+                assert stats["resumed_points"] == len(real)
+            elif workers == 1:
+                # each fork is collected before the next one forks, so it
+                # reuses what replay does; siblings in flight share nothing
+                assert snap.reused == rep.reused >= len(real) - distinct
+                first = {}
+                for index, (point, outcome) in enumerate(zip(points, snap.outcomes)):
+                    if point in real and point in first:
+                        # a duplicate takes its first occurrence's suffix
+                        # (or the one its first occurrence took)
+                        earlier = snap.outcomes[first[point]].reused_from
+                        assert outcome.reused_from == (
+                            first[point] if earlier is None else earlier)
+                    first.setdefault(point, index)
             if observed:
                 assert obs_snap.metrics.snapshot() == obs_rep.metrics.snapshot()
                 assert span_dicts(obs_snap) == span_dicts(obs_rep)
@@ -184,7 +208,8 @@ def test_journal_crosses_execution_modes(tmp_path):
     resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),
                         execution="snapshot")
     assert resumed.resumed == 6
-    assert resumed.snapshot_stats["resumed_points"] == N_CHEAP - 6
+    assert (resumed.snapshot_stats["resumed_points"] + resumed.reused
+            == N_CHEAP - 6)
     assert outcome_dicts(resumed) == _replay(N_CHEAP)
 
 
@@ -222,7 +247,10 @@ def test_snapshot_survives_resumers_killed_mid_suffix(monkeypatch):
     snap = _campaign(n_points=4, execution="snapshot")
     assert outcome_dicts(snap) == _replay(4)
     assert snap.snapshot_stats["fallback_points"] == 2
-    assert snap.snapshot_stats["resumed_points"] == 2
+    # points 1-3 fire into point 0's suffix: 2 is a reused fork, and the
+    # replays of 1 and 3 reuse it from the same map
+    assert snap.snapshot_stats["resumed_points"] == 1
+    assert [o.reused_from for o in snap.outcomes] == [None, 0, 0, 0]
     _no_child_left_unreaped()
 
 
@@ -253,7 +281,8 @@ def _fork_fails_from(monkeypatch, nth):
 
 
 def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(monkeypatch):
-    forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
+    forked = _campaign(n_points=8, execution="snapshot")
+    fired = forked.snapshot_stats["resumed_points"] + forked.reused
     # the first point's child forks; every later snapshot cannot
     _fork_fails_from(monkeypatch, 2)
     snap = _campaign(n_points=8, execution="snapshot")
@@ -261,20 +290,23 @@ def test_failed_resumer_fork_is_a_fallback_not_a_simulated_crash(monkeypatch):
     # as if the hook had not been there, not crash the handler's node
     assert outcome_dicts(snap) == _replay(8)
     assert snap.snapshot_stats["resumed_points"] == 1
-    assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"] - 1
-    assert snap.snapshot_stats["never_fired"] == forked["never_fired"]
+    assert snap.snapshot_stats["fallback_points"] == fired - 1
+    assert snap.snapshot_stats["never_fired"] == forked.snapshot_stats["never_fired"]
+    # the replays reuse from the map the one child filled
+    assert snap.reused == forked.reused
     _no_child_left_unreaped()
 
 
 def test_failed_recorder_fork_degrades_the_group_to_replay(monkeypatch):
     """Every fork fails: the recording pass still runs — it needs none —
     and every fired point is replayed after it."""
-    forked = _campaign(n_points=8, execution="snapshot").snapshot_stats
+    forked = _campaign(n_points=8, execution="snapshot")
     _fork_fails_from(monkeypatch, 1)
     snap = _campaign(n_points=8, execution="snapshot")
     assert outcome_dicts(snap) == _replay(8)
     assert snap.snapshot_stats["resumed_points"] == 0
-    assert snap.snapshot_stats["fallback_points"] == forked["resumed_points"]
+    assert (snap.snapshot_stats["fallback_points"]
+            == forked.snapshot_stats["resumed_points"] + forked.reused)
     _no_child_left_unreaped()
 
 

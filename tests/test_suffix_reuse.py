@@ -1,18 +1,21 @@
-"""Suffix reuse: a replay campaign computes each distinct suffix once.
+"""Suffix reuse: a campaign computes each distinct suffix once.
 
 A point whose actual fire repeats one an earlier run of the campaign
 already went past — same action, target, instant and dispatched event,
 or no target at all (:func:`repro.core.injection.campaign.suffix_key`) —
 stops right after its fire and takes that run's judged outcome under its
-own at-fire evidence (DESIGN.md "Suffix reuse").  An observed campaign
-reuses nothing (the injection span names the point), so it is the
-oracle: the pins of seeds 0-3 are its digests, and the cells below that
-change a knob run it beside the reusing campaign.
+own at-fire evidence (DESIGN.md "Suffix reuse"), in a replay run or in
+a snapshot fork, which inherits the map as it stood when it forked.  An
+observed campaign reuses nothing (the injection span names the point),
+so it is the oracle: the pins of seeds 0-3 are its digests, and the
+cells below that change a knob run it beside the reusing campaign.
 
 ``python -m tests.test_suffix_reuse`` (CI's ``suffix-reuse`` step) runs
-the oracle live for six systems x seeds 0-7.
+the oracle live for six systems x seeds 0-7, against the replay and the
+snapshot campaign.
 """
 
+import functools
 import gc
 import json
 import sys
@@ -89,27 +92,67 @@ def test_reuse_is_outcome_identical_to_running_every_suffix(name, seed):
         assert result.reused == REUSED_AT_SEED_0[name]
 
 
-def test_yarn_10x_first_12_points():
-    # the yarn-10x-replay benchmark's campaign: seed-profiled points on the
-    # 132-node world, hang extensions off.  Each reused point is held to
-    # its own run through run_one_injection, which never reuses (an
-    # observed campaign would triple the cost of this cell)
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_snapshot_forks_reuse_what_replay_does(name):
+    # one child at a time: each is collected, its key filed, before the
+    # next fork, so every fork inherits what replay's next run would see
+    result = run(name, execution="snapshot")
+    assert result.execution == "snapshot"
+    assert result.reused == REUSED_AT_SEED_0[name]
+    assert outcome_digest(result.outcomes) == PINS[name][0]
+
+
+@functools.lru_cache(maxsize=None)
+def _yarn_10x():
+    """The yarn-10x benchmarks' world, points and baseline."""
     system = get_system("yarn", world_scale=10)
     _, analysis, profile, _ = prepared("yarn")
-    points, baseline = profile.dynamic_points[:12], build_baseline(system)
-    cfg, matcher = CampaignConfig(classify_timeouts=False), matcher_for_system("yarn")
+    return system, analysis, profile.dynamic_points[:12], build_baseline(system)
+
+
+#: point key -> digest of that point's own run on the 10x world
+_ALONE_10X = {}
+
+
+def _yarn_10x_first_12_points(execution):
+    # seed-profiled points on the 132-node world, hang extensions off.
+    # Each reused point is held to its own run through run_one_injection,
+    # which never reuses (an observed campaign would triple the cost of
+    # this cell); both modes share those runs
+    system, analysis, points, baseline = _yarn_10x()
+    cfg = CampaignConfig(classify_timeouts=False, execution=execution)
+    matcher = matcher_for_system("yarn")
     result = run_campaign(system, analysis, points, campaign=cfg,
                           baseline=baseline, matcher=matcher)
+    assert result.execution == execution
     reused = [o for o in result.outcomes if o.reused_from is not None]
     assert len(reused) == result.reused == 7
     for outcome in reused:
-        alone = run_one_injection(system, analysis, outcome.dpoint, baseline,
-                                  campaign=cfg, matcher=matcher)
-        assert outcome_digest([outcome]) == outcome_digest([alone])
+        key = outcome.dpoint.key()
+        if key not in _ALONE_10X:
+            _ALONE_10X[key] = outcome_digest([run_one_injection(
+                system, analysis, outcome.dpoint, baseline,
+                campaign=cfg, matcher=matcher)])
+        assert outcome_digest([outcome]) == _ALONE_10X[key]
+
+
+def test_yarn_10x_first_12_points():
+    _yarn_10x_first_12_points("replay")
+
+
+def test_yarn_10x_first_12_points_in_snapshot_forks():
+    _yarn_10x_first_12_points("snapshot")
 
 
 def test_pool_workers_reuse_in_their_own_maps():
     result = run("yarn", workers=2)
+    assert result.workers_realized == 2
+    assert 0 < result.reused <= REUSED_AT_SEED_0["yarn"]
+    assert outcome_digest(result.outcomes) == PINS["yarn"][0]
+
+
+def test_snapshot_siblings_in_flight_share_nothing():
+    result = run("yarn", execution="snapshot", workers=2)
     assert result.workers_realized == 2
     assert 0 < result.reused <= REUSED_AT_SEED_0["yarn"]
     assert outcome_digest(result.outcomes) == PINS["yarn"][0]
@@ -126,22 +169,34 @@ def test_knobs_that_change_the_fire(name, knobs):
     assert outcome_digest(result.outcomes) == observed_digest(name, **knobs)
 
 
+def _assert_reusing_lines_name_their_source(lines, result):
+    reusing = [record for record in map(json.loads, lines)
+               if "reused_from" in record]
+    assert len(reusing) == result.reused == REUSED_AT_SEED_0["hdfs"]
+    for record in reusing:
+        # beside the outcome, naming another point, one that ran its suffix
+        assert record["type"] == "outcome" and "reused_from" not in record["data"]
+        assert result.outcomes[record["reused_from"]].reused_from is None
+
+
 def test_journal_resume_from_a_torn_tail(tmp_path):
     journal = tmp_path / "hdfs.jsonl"
     first = run("hdfs", journal_path=journal)
     lines = journal.read_text().splitlines(keepends=True)
-    reusing = [record for record in map(json.loads, lines)
-               if "reused_from" in record]
-    assert len(reusing) == first.reused == REUSED_AT_SEED_0["hdfs"]
-    for record in reusing:
-        # beside the outcome, naming another point, one that ran its suffix
-        assert record["type"] == "outcome" and "reused_from" not in record["data"]
-        assert first.outcomes[record["reused_from"]].reused_from is None
+    _assert_reusing_lines_name_their_source(lines, first)
     # the identity line, five outcomes, then half of the sixth
     journal.write_text("".join(lines[:6]) + lines[6][:40])
     resumed = run("hdfs", journal_path=journal)
     assert resumed.resumed == 5
     assert outcome_digest(resumed.outcomes) == PINS["hdfs"][0]
+
+
+def test_a_snapshot_journal_names_the_fork_it_reused(tmp_path):
+    journal = tmp_path / "hdfs.jsonl"
+    result = run("hdfs", journal_path=journal, execution="snapshot")
+    _assert_reusing_lines_name_their_source(
+        journal.read_text().splitlines(), result)
+    assert outcome_digest(result.outcomes) == PINS["hdfs"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +424,16 @@ def test_the_collector_is_left_as_the_host_set_it():
 # CI's suffix-reuse step
 # ---------------------------------------------------------------------------
 def main(seeds=range(8)):
-    print("system, seed, points, reused, digest equal")
+    print("system, seed, points, reused, snapshot reused, digest equal")
     failed = False
     for name in SYSTEMS:
         for seed in seeds:
             reusing = run(name, seed)
-            same = outcome_digest(reusing.outcomes) == observed_digest(name, seed)
+            forked = run(name, seed, execution="snapshot")
+            same = ({outcome_digest(reusing.outcomes), outcome_digest(forked.outcomes)}
+                    == {observed_digest(name, seed)})
             print(f"{name}, {seed}, {len(reusing.outcomes)}, {reusing.reused}, "
-                  f"{'yes' if same else 'NO'}", flush=True)
+                  f"{forked.reused}, {'yes' if same else 'NO'}", flush=True)
             failed |= not same
     return int(failed)
 
