@@ -29,10 +29,11 @@ and picklable :class:`~repro.core.injection.campaign.InjectionOutcome`
 records plus span/metric payloads come back.  Where ``fork`` is
 unavailable the campaign replays in-process with a warning.
 
-Finished points go to one sink, the :class:`CampaignJournal`: an
-append-only JSONL checkpoint (``CampaignConfig.journal_path``; no file
-when ``None``) with one ``campaign-meta`` line pinning the campaign's
-identity and one ``outcome`` line per tested point.  A re-run with the
+Finished points go to one sink, the :class:`CampaignJournal`: a
+flush-only :class:`~repro.durable.WriteAheadLog`
+(``CampaignConfig.journal_path``; no file when ``None``) whose first
+record, ``campaign-meta``, pins the campaign's identity, followed by one
+``outcome`` record per tested point.  A re-run with the
 same journal restores recorded outcomes — diagnoses included — and only
 tests the points the interrupted run never reached.
 """
@@ -40,7 +41,6 @@ tests the points the interrupted run never reached.
 from __future__ import annotations
 
 import gc
-import json
 import multiprocessing
 import signal
 import sys
@@ -60,10 +60,11 @@ from repro.core.injection.campaign import (
 )
 from repro.core.injection.oracles import Baseline
 from repro.core.profiler import DynamicCrashPoint
+from repro.durable import WalCorrupt, WriteAheadLog
 from repro.obs import NULL_OBS, Observability
 from repro.systems.base import SystemUnderTest
 
-JOURNAL_VERSION = 1
+JOURNAL_VERSION = 2
 
 #: checkpoint hook signature: ``(point_index, outcome)`` per tested point
 OutcomeHook = Callable[[int, InjectionOutcome], None]
@@ -98,7 +99,7 @@ class CampaignJournal:
 
     Every tested point — replayed or resumed from a snapshot — passes
     through :meth:`record` exactly once, under its *campaign* index.  Its
-    line is appended and flushed when a ``path`` is configured, and only
+    frame is appended and flushed when a ``path`` is configured, and only
     then does the ``on_outcome`` hook fire, so a hook that observes a
     checkpoint can rely on it being on disk.
     """
@@ -112,7 +113,7 @@ class CampaignJournal:
         self.path = Path(path) if path is not None else None
         self._points = points
         self._hook = on_outcome
-        self._fh = None
+        self._log: Optional[WriteAheadLog] = None
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -149,68 +150,47 @@ class CampaignJournal:
 
         Returns the journaled outcomes keyed by point index.  Raises
         :class:`JournalMismatch` when the journal belongs to a different
-        campaign (different system, seed, knobs, config, or point list),
-        or holds outcomes but no identity line to check them against —
-        mixing outcomes across campaigns would silently corrupt results.
-        Entries whose recorded point key no longer matches are ignored
-        (treated as untested).  A kill mid-write leaves one torn,
-        unterminated tail, which is truncated away before appending.
+        campaign (its first record is not this campaign's meta — different
+        system, seed, knobs, config, point list or journal version) or is
+        damaged anywhere but its last line: mixing outcomes across
+        campaigns, or resuming past a lost checkpoint, would silently
+        corrupt results.  Entries whose recorded point key no longer
+        matches are ignored (treated as untested).  A torn last line is
+        truncated away before appending (see :mod:`repro.durable`).
         """
         loaded: Dict[int, InjectionOutcome] = {}
         if self.path is None:
             return loaded
-        pinned = False  # a campaign-meta line was read (and matched)
-        if self.path.exists():
-            raw = self.path.read_bytes()
-            keep = 0  # byte length of the valid line prefix
-            for line in raw.split(b"\n")[:-1]:  # [-1]: the unterminated tail
-                try:
-                    record = json.loads(line) if line.strip() else {}
-                except ValueError:
-                    break
-                if not isinstance(record, dict):
-                    break
-                keep += len(line) + 1
-                kind = record.pop("type", None)
-                if kind == "campaign-meta":
-                    if record != meta:
-                        raise JournalMismatch(
-                            f"{self.path}: journal was written by a different "
-                            f"campaign (journal {record!r} != current {meta!r}); "
-                            f"delete the file to start over"
-                        )
-                    pinned = True
-                elif kind == "outcome":
-                    if not pinned:
-                        raise JournalMismatch(
-                            f"{self.path}: outcome lines without a "
-                            f"campaign-meta line — nothing pins which campaign "
-                            f"wrote them; delete the file to start over"
-                        )
-                    index = record.get("index", -1)
-                    if not 0 <= index < len(self._points):
-                        continue
-                    if record.get("key") != repr(self._points[index].key()):
-                        continue
-                    loaded[index] = InjectionOutcome.from_dict(
-                        record["data"], self._points[index]
-                    )
-            if keep < len(raw):
-                with self.path.open("r+b") as fh:
-                    fh.truncate(keep)
-        self._fh = self.path.open("a", encoding="utf-8")
-        if not pinned:
+        self._log = WriteAheadLog(self.path, fsync=False)
+        try:
+            records = self._log.replay()
+        except WalCorrupt as exc:
+            raise JournalMismatch(f"{exc}; delete it to start over") from None
+        pinned = {"type": "campaign-meta", **meta}
+        if records and records[0] != pinned:
+            raise JournalMismatch(
+                f"{self.path}: journal was written by a different campaign "
+                f"(journal {records[0]!r} != current {pinned!r}); delete the "
+                f"file to start over"
+            )
+        for record in records[1:]:
+            index = record.get("index", -1)
+            if not 0 <= index < len(self._points):
+                continue
+            if record.get("key") != repr(self._points[index].key()):
+                continue
+            loaded[index] = InjectionOutcome.from_dict(
+                record["data"], self._points[index]
+            )
+        self._log.open_append()
+        if not records:
             # also the file that existed but never got its identity line
             # (empty, or killed during the very first write)
-            self._append({"type": "campaign-meta", **meta})
+            self._log.append(pinned)
         return loaded
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        self._fh.write(json.dumps(record) + "\n")
-        self._fh.flush()
-
     def record(self, index: int, outcome: InjectionOutcome) -> None:
-        if self._fh is not None:
+        if self._log is not None:
             line = {
                 "type": "outcome",
                 "index": index,
@@ -220,14 +200,13 @@ class CampaignJournal:
             if outcome.reused_from is not None:
                 # beside the outcome, not in it: a resume restores ``data``
                 line["reused_from"] = outcome.reused_from
-            self._append(line)
+            self._log.append(line)
         if self._hook is not None:
             self._hook(index, outcome)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._log is not None:
+            self._log.close()
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,7 @@ The campaign phase is configured by one frozen
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
-import tempfile
 import time as _wallclock
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +27,7 @@ from repro.core.injection import build_baseline, run_campaign
 from repro.core.injection.campaign import _coerce_campaign
 from repro.core.injection.executor import _canonical_config
 from repro.core.profiler import ProfileResult, profile_system
+from repro.durable import atomic_write
 from repro.obs import NULL_OBS, Observability, get_obs
 from repro.systems.base import SystemUnderTest
 
@@ -168,18 +167,11 @@ def prepare(
 
 def _publish(entry: Path, payload: Tuple) -> None:
     """Atomically install one cache entry; a failure leaves none."""
-    tmp = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=entry.parent, suffix=".tmp")
-        with os.fdopen(fd, "wb") as fh:
-            pickle.dump(payload, fh, pickle.HIGHEST_PROTOCOL)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, entry)
+        atomic_write(entry, pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
     except Exception:  # noqa: BLE001 - full disk, read-only dir, ...
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        pass
 
 
 def crashtuner(

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
+from repro.durable import atomic_write
 from repro.obs.context import Observability
 from repro.obs.diagnosis import InjectionDiagnosis
 from repro.obs.tracer import SpanRecord
@@ -47,32 +48,25 @@ def write_trace_jsonl(
     if obs is not None and obs.tracer.dropped:
         # a capped tracer must never read as a complete trace
         meta.setdefault("dropped_spans", obs.tracer.dropped)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"type": "meta", **meta}) + "\n")
-        if obs is not None:
-            for span in obs.tracer.spans:
-                fh.write(json.dumps({"type": "span", **span.to_dict()}) + "\n")
-            fh.write(json.dumps({"type": "metrics", "data": obs.metrics.snapshot()}) + "\n")
-        for diagnosis in diagnoses:
-            fh.write(json.dumps({"type": "diagnosis", **diagnosis.to_dict()}) + "\n")
+    lines = [{"type": "meta", **meta}]
+    if obs is not None:
+        lines += [{"type": "span", **s.to_dict()} for s in obs.tracer.spans]
+        lines.append({"type": "metrics", "data": obs.metrics.snapshot()})
+    lines += [{"type": "diagnosis", **d.to_dict()} for d in diagnoses]
+    atomic_write(path, "".join(json.dumps(line) + "\n" for line in lines)
+                 .encode("utf-8"))
     return path
 
 
 def read_trace_jsonl(path: Union[str, Path]) -> TraceData:
     """Parse a trace file back into typed records.
 
-    A torn final line — the signature of a writer killed mid-``write`` —
-    is silently dropped, mirroring the campaign journal's torn-tail
-    truncation; malformed JSON anywhere *before* the last non-empty line
-    still raises :class:`ValueError`.
+    :func:`write_trace_jsonl` publishes a trace whole, so there is no torn
+    tail to forgive: any malformed line raises :class:`ValueError`.
     """
     trace = TraceData()
     with Path(path).open("r", encoding="utf-8") as fh:
         lines = fh.readlines()
-    last = 0
-    for lineno, line in enumerate(lines, 1):
-        if line.strip():
-            last = lineno
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -80,8 +74,6 @@ def read_trace_jsonl(path: Union[str, Path]) -> TraceData:
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
-            if lineno == last:
-                break
             raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
         kind = record.pop("type", None)
         try:

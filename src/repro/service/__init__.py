@@ -6,7 +6,7 @@ moments — this package makes the tool itself pass its own test.  One
 in forked worker processes, with every piece of state durable:
 
 * the queue is a CRC-framed, fsync'd write-ahead log
-  (:mod:`repro.service.wal`) with torn-tail truncation,
+  (:mod:`repro.durable`) with torn-tail truncation,
 * workers heartbeat per-job pid sentinels (:mod:`repro.service.sentinel`)
   and checkpoint through the campaign journal, so a restarted daemon
   reattaches to live workers and resumes dead or hung workers' jobs
@@ -23,6 +23,7 @@ uninterrupted run (wall-clock aside) — the regression suite and CI's
 daemon-smoke job hold that line.
 """
 
+from repro.durable import WalCorrupt, WriteAheadLog, atomic_write_json
 from repro.service.admin import (
     ServiceClient,
     ServiceUnavailable,
@@ -34,7 +35,6 @@ from repro.service.admin import (
 from repro.service.daemon import CampaignDaemon, DaemonAlreadyRunning
 from repro.service.jobs import JobRecord, JobSpec, JobTable, ServiceLayout
 from repro.service.sentinel import Sentinel
-from repro.service.wal import WalCorrupt, WriteAheadLog, atomic_write_json
 
 __all__ = [
     "CampaignDaemon",

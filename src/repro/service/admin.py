@@ -21,10 +21,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from repro.core.injection import CampaignConfig
+from repro.durable import atomic_write_json, read_json
 from repro.service.daemon import DRAIN_REQUEST, STOP_REQUEST
 from repro.service.jobs import JobSpec, ServiceLayout, TERMINAL
 from repro.service.sentinel import Sentinel
-from repro.service.wal import atomic_write_json, read_json
 from repro.service.worker import JOURNAL_NAME, RESULT_NAME, TRACE_NAME
 
 

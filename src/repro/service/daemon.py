@@ -34,6 +34,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.core.pipeline import source_digest
+from repro.durable import WriteAheadLog, atomic_write_json, read_json
 from repro.obs import MetricsRegistry
 from repro.service.jobs import (
     DONE,
@@ -46,7 +47,6 @@ from repro.service.jobs import (
     ServiceLayout,
 )
 from repro.service.sentinel import ALIVE, MISSING, STALE, Sentinel, pid_alive
-from repro.service.wal import WriteAheadLog, atomic_write_json, read_json
 from repro.service.worker import RESULT_NAME, SENTINEL_NAME, worker_main
 
 #: control-file names a client drops into <root>/control/

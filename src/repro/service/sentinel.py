@@ -22,7 +22,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
-from repro.service.wal import atomic_write_json, read_json
+from repro.durable import atomic_write_json, read_json
 
 #: sentinel verdicts
 ALIVE = "alive"      #: pid up, heartbeat fresh — reattach

@@ -1,189 +1,6 @@
-"""The campaign service's write-ahead log and atomic file primitives.
+"""Kept only for ``bench/probes.py``, which imports ``WriteAheadLog`` from
+here; the primitives live in :mod:`repro.durable`."""
 
-The daemon's queue is not an in-memory structure that happens to be
-saved — it *is* the log: every submission and every lifecycle transition
-is one fsync'd frame appended to ``wal.jsonl``, and the in-memory job
-table is always reconstructible by replaying the file.  A daemon killed
-with SIGKILL at any byte loses at most the frame it was mid-writing,
-which the next open truncates away (torn-tail truncation, in the style
-of the campaign journal in :mod:`repro.core.injection.executor`).
+from repro.durable import WalCorrupt, WriteAheadLog, atomic_write_json, read_json
 
-Frame format — one JSON object per line::
-
-    {"crc": 3735928559, "rec": {"type": "submit", ...}}
-
-``crc`` is the CRC-32 of the canonical (sorted-keys) JSON encoding of
-``rec``; a frame whose line parses but whose checksum disagrees is
-treated exactly like a torn tail.  Only the *last* frame may be bad —
-the WAL is single-writer (the daemon holds the service lock) and frames
-are appended with one ``write`` + ``flush`` + ``fsync`` each — so replay
-stops at the first bad frame and truncates there.
-
-Everything else the service persists (sentinels, status snapshots, spool
-submissions, results) goes through :func:`atomic_write_json`: write to a
-temp file in the same directory, fsync, rename.  Readers therefore never
-observe a torn JSON document, only the old version or the new one.
-"""
-
-from __future__ import annotations
-
-import json
-import os
-import tempfile
-import zlib
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
-
-
-def _canonical(rec: Dict[str, Any]) -> bytes:
-    return json.dumps(rec, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
-def frame_crc(rec: Dict[str, Any]) -> int:
-    """CRC-32 of a record's canonical JSON encoding."""
-    return zlib.crc32(_canonical(rec)) & 0xFFFFFFFF
-
-
-def atomic_write_json(path: Union[str, Path], data: Any,
-                      fsync: bool = True) -> None:
-    """Replace ``path`` with ``data`` as JSON, atomically (tmp + rename)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name + ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, sort_keys=True)
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def read_json(path: Union[str, Path]) -> Optional[Any]:
-    """Load a JSON document written by :func:`atomic_write_json`.
-
-    Returns ``None`` when the file is missing — thanks to the atomic
-    rename there is no torn-read case to handle.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        return None
-
-
-class WalCorrupt(ValueError):
-    """A bad frame *before* the tail: the WAL was edited or mis-written."""
-
-
-class WriteAheadLog:
-    """Append-only, CRC-framed, fsync'd JSONL log with torn-tail repair.
-
-    Usage: :meth:`replay` once (it notes where the valid prefix ends),
-    then :meth:`open_append` (it truncates anything past that point) and
-    :meth:`append` per frame.  ``fsync=False`` trades durability of the
-    last frames for speed — tests and benchmarks use it; the daemon
-    defaults to fsync'd frames.
-    """
-
-    def __init__(self, path: Union[str, Path], fsync: bool = True):
-        self.path = Path(path)
-        self.fsync = fsync
-        self._fh = None
-        self._keep_bytes: Optional[int] = None
-        #: frames dropped by the last replay's torn-tail truncation
-        self.torn_frames = 0
-
-    # ------------------------------------------------------------------
-    # replay
-    # ------------------------------------------------------------------
-    def _frames(self) -> Iterator[Tuple[int, Optional[Dict[str, Any]]]]:
-        """Yields ``(byte_offset, rec_or_None)`` per line; None = bad."""
-        raw = self.path.read_bytes()
-        offset = 0
-        for chunk in raw.split(b"\n"):
-            if not chunk.strip():
-                offset += len(chunk) + 1
-                continue
-            rec: Optional[Dict[str, Any]] = None
-            try:
-                frame = json.loads(chunk.decode("utf-8"))
-                if (isinstance(frame, dict)
-                        and frame.get("crc") == frame_crc(frame["rec"])):
-                    rec = frame["rec"]
-            except (ValueError, KeyError, TypeError, UnicodeDecodeError):
-                rec = None
-            yield offset, rec
-            offset += len(chunk) + 1
-
-    def replay(self) -> List[Dict[str, Any]]:
-        """Every valid record, in append order.
-
-        Stops at the first bad frame and remembers its offset so
-        :meth:`open_append` truncates it away.  A bad frame *followed by
-        a good one* is not a torn tail — it means something other than a
-        mid-append kill damaged the log — and raises :class:`WalCorrupt`
-        rather than silently dropping acknowledged frames.
-        """
-        self.torn_frames = 0
-        records: List[Dict[str, Any]] = []
-        if not self.path.exists():
-            self._keep_bytes = None
-            return records
-        bad_at: Optional[int] = None
-        for offset, rec in self._frames():
-            if rec is None:
-                if bad_at is None:
-                    bad_at = offset
-                self.torn_frames += 1
-            elif bad_at is not None:
-                raise WalCorrupt(
-                    f"{self.path}: valid frame at byte {offset} after bad "
-                    f"frame at byte {bad_at} — a torn tail can only be the "
-                    f"last frame; refusing to drop acknowledged frames"
-                )
-            else:
-                records.append(rec)
-        self._keep_bytes = bad_at
-        return records
-
-    # ------------------------------------------------------------------
-    # append
-    # ------------------------------------------------------------------
-    def open_append(self) -> None:
-        """Open for appending, truncating the torn tail replay found."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._keep_bytes is not None:
-            with self.path.open("r+b") as fh:
-                fh.truncate(self._keep_bytes)
-            self._keep_bytes = None
-        self._fh = self.path.open("a", encoding="utf-8")
-
-    def append(self, rec: Dict[str, Any]) -> None:
-        """Durably append one record (one frame, one fsync)."""
-        assert self._fh is not None, "WAL not opened for append"
-        frame = {"crc": frame_crc(rec), "rec": rec}
-        self._fh.write(json.dumps(frame, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-        self._fh.flush()
-        if self.fsync:
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "WriteAheadLog":
-        self.replay()
-        self.open_append()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+__all__ = ["WalCorrupt", "WriteAheadLog", "atomic_write_json", "read_json"]

@@ -21,10 +21,10 @@ from typing import Any, Dict, Optional
 from repro.bugs import matcher_for_system
 from repro.core.injection import run_campaign
 from repro.core.pipeline import prepare
+from repro.durable import atomic_write_json
 from repro.obs import NULL_OBS, Observability, Tracer, write_trace_jsonl
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel
-from repro.service.wal import atomic_write_json
 from repro.systems import get_system
 
 JOURNAL_NAME = "journal.jsonl"

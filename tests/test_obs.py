@@ -1,6 +1,7 @@
 """Unit tests for repro.obs: tracer, metrics, context, export, report CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -304,7 +305,7 @@ def test_report_cli_errors_cleanly_on_missing_and_corrupt(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# round-trip edges (empty, unicode, torn tail, forward compatibility)
+# round-trip edges (empty, unicode, killed writer, forward compatibility)
 # ----------------------------------------------------------------------
 def test_empty_trace_roundtrip(tmp_path, capsys):
     path = write_trace_jsonl(tmp_path / "empty.jsonl", diagnoses=[])
@@ -332,26 +333,29 @@ def test_unicode_survives_the_roundtrip(tmp_path):
     assert trace.diagnoses[0] == obs.diagnoses[0]
 
 
-def test_torn_final_line_is_dropped(tmp_path):
-    obs = _sample_obs()
-    path = write_trace_jsonl(tmp_path / "t.jsonl", obs=obs,
-                             meta={"system": "toy"})
-    intact = read_trace_jsonl(path)
-    whole = path.read_text()
-    # kill the writer mid-line: every prefix of the final record must
-    # still parse to the same trace minus the torn diagnosis
-    torn = whole.rstrip("\n")
-    path.write_text(torn[: len(torn) - 9])
-    trace = read_trace_jsonl(path)
-    assert trace.meta == intact.meta
-    assert len(trace.spans) == len(intact.spans)
-    assert trace.diagnoses == []
+def test_a_trace_write_killed_at_rename_leaves_the_previous_trace(
+        tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(path, meta={"system": "previous"})
+    previous = path.read_bytes()
 
-    # but corruption before the last line is still an error
-    lines = whole.splitlines()
-    lines[1] = lines[1][:10]
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="not JSON"):
+    def killed(src, dst):
+        raise OSError("killed at rename")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", killed)
+        for target in (path, tmp_path / "fresh.jsonl"):
+            with pytest.raises(OSError, match="killed at rename"):
+                write_trace_jsonl(target, obs=_sample_obs())
+    # the previous trace, whole, or no trace at all — and no temp file
+    assert path.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+
+    # a reader never meets a torn trace, so it forgives none
+    whole = write_trace_jsonl(path, obs=_sample_obs()).read_text()
+    path.write_text(whole[:-9])
+    last = whole.count("\n")
+    with pytest.raises(ValueError, match=f":{last}: not JSON"):
         read_trace_jsonl(path)
 
 

@@ -11,7 +11,6 @@ written under a different campaign identity is refused.  Plus the
 from it aborts a pooled campaign without draining the queue.
 """
 
-import json
 import os
 import warnings
 
@@ -24,6 +23,7 @@ from repro.core.injection import (
     run_campaign,
 )
 from repro.core.injection import executor as executor_mod
+from repro.durable import WriteAheadLog
 from repro.obs import Observability
 from tests.conftest import N_CHEAP, campaign, outcome_dicts
 from tests.conftest import prepared, reference, span_dicts
@@ -124,8 +124,8 @@ def test_journal_refuses_mismatched_campaign(tmp_path):
         with pytest.raises(JournalMismatch):
             _campaign(1, journal_path=str(journal), n_points=3)
     # outcome lines that lost their meta line are pinned to nothing
+    assert WriteAheadLog(journal).replay()[0]["type"] == "campaign-meta"
     lines = journal.read_text().splitlines()
-    assert json.loads(lines[0])["type"] == "campaign-meta"
     journal.write_text("\n".join(lines[1:]) + "\n")
     with pytest.raises(JournalMismatch, match="campaign-meta"):
         _campaign(1, journal_path=str(journal), n_points=4)
@@ -155,14 +155,14 @@ def test_on_outcome_contract(tmp_path, execution, workers, journaled):
         run()
         lines = journal.read_text().splitlines()
         journal.write_text("\n".join(lines[:4]) + "\n")
-        restored = {json.loads(line)["index"] for line in lines[1:4]}
+        restored = {rec["index"] for rec in WriteAheadLog(journal).replay()[1:]}
 
     calls = []
 
     def hook(index, outcome):
         assert outcome.dpoint.key() == points[index].key()
         if journaled:
-            last = json.loads(journal.read_text().splitlines()[-1])
+            last = WriteAheadLog(journal).replay()[-1]
             assert (last["type"], last["index"]) == ("outcome", index)
             assert last["data"] == outcome.to_dict()
         calls.append(index)

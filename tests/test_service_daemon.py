@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.core.injection import CampaignConfig
+from repro.durable import WriteAheadLog, encode_frame
 from repro.service import (
     CampaignDaemon,
     DaemonAlreadyRunning,
@@ -24,7 +25,6 @@ from repro.service import (
 from repro.service.cli import main as cli_main
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel, pid_alive
-from repro.service.wal import WriteAheadLog
 from repro.service.worker import JOURNAL_NAME, RESULT_NAME, SENTINEL_NAME
 from tests.conftest import PINS
 
@@ -52,29 +52,19 @@ def wait_for(predicate, timeout=60.0, interval=0.02, what="condition"):
 
 
 def journal_outcomes(path):
-    """Outcome records among the journal's *complete, valid* lines.
+    """Outcome records among the journal's acknowledged frames.
 
     The journal may be mid-append while we peek (or torn by the kill we
-    just delivered) — a partial trailing line is simply not counted,
-    matching the executor's own torn-tail truncation.
+    just delivered) — a torn last line is not counted, as a resume would
+    not count it either.
     """
-    if not path.exists():
-        return []
-    out = []
-    for line in path.read_text(errors="replace").splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if isinstance(record, dict) and record.get("type") == "outcome":
-            out.append(record)
-    return out
+    return [rec for rec in WriteAheadLog(path).replay()
+            if rec["type"] == "outcome"]
 
 
 def valid_prefix(path):
     """The journal bytes a resume is guaranteed to preserve."""
-    raw = path.read_bytes()
-    return raw[:raw.rfind(b"\n") + 1]
+    return b"".join(map(encode_frame, WriteAheadLog(path).replay()))
 
 
 def kill_and_reap(pid):

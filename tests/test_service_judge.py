@@ -15,9 +15,9 @@ import time
 
 import pytest
 
+from repro.durable import WriteAheadLog, atomic_write_json
 from repro.service import CampaignDaemon
 from repro.service.jobs import DONE, QUEUED, RUNNING, JobSpec, JobTable
-from repro.service.wal import WriteAheadLog, atomic_write_json
 from repro.service.worker import JOURNAL_NAME, RESULT_NAME, SENTINEL_NAME
 
 JOB = "job-0"

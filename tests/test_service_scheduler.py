@@ -10,9 +10,9 @@ the same log must always produce the same schedule, from any prefix.
 
 import pytest
 
+from repro.durable import WriteAheadLog
 from repro.service import CampaignDaemon
 from repro.service.jobs import DONE, QUEUED, RUNNING, JobSpec, JobTable
-from repro.service.wal import WriteAheadLog
 
 SIX = ("cassandra", "hbase", "hdfs", "kube", "yarn", "zookeeper")
 

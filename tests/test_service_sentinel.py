@@ -37,7 +37,7 @@ def test_old_heartbeat_is_stale_even_if_pid_lives(tmp_path):
     sentinel.write()
     data = sentinel.read()
     data["heartbeat_at"] = time.time() - 60.0
-    from repro.service.wal import atomic_write_json
+    from repro.durable import atomic_write_json
     atomic_write_json(sentinel.path, data)
     assert pid_alive(os.getpid())
     assert sentinel.status(5.0) == STALE
@@ -53,7 +53,7 @@ def test_dead_pid_is_stale_even_with_fresh_heartbeat(tmp_path):
     sentinel.write()
     data = sentinel.read()
     data["pid"] = proc.pid
-    from repro.service.wal import atomic_write_json
+    from repro.durable import atomic_write_json
     atomic_write_json(sentinel.path, data)
     assert sentinel.status(60.0) == STALE
 

@@ -25,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import durable
 from repro.core import pipeline
 from repro.core.injection import (
     CampaignConfig,
@@ -167,8 +168,7 @@ def published(tmp_path_factory):
 
 
 class _PublisherOs:
-    """``repro.core.pipeline``'s view of ``os``, with some calls replaced
-    (the sentinel and the journal keep the real one)."""
+    """``repro.durable``'s view of ``os``, with some calls replaced."""
 
     def __init__(self, **replaced):
         self.__dict__.update(replaced)
@@ -189,7 +189,7 @@ def _syscall_trace(monkeypatch, kill_at=None):
             return getattr(os, name)(*args)
         return call
 
-    monkeypatch.setattr(pipeline, "os", _PublisherOs(
+    monkeypatch.setattr(durable, "os", _PublisherOs(
         fsync=shim("fsync"), replace=shim("replace")))
     return trace
 
@@ -286,8 +286,12 @@ def test_failed_publish_degrades_to_building_in_place(
     cache = tmp_path / "cache"
     if failure == "enospc":
         def full(fd):
-            raise OSError(errno.ENOSPC, "No space left on device")
-        monkeypatch.setattr(pipeline, "os", _PublisherOs(fsync=full))
+            # the cache's disk is full; the job directory's is not
+            if any(os.fstat(fd).st_ino == tmp.stat().st_ino
+                   for tmp in cache.glob("*.tmp")):
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return os.fsync(fd)
+        monkeypatch.setattr(durable, "os", _PublisherOs(fsync=full))
     else:
         cache.write_text("a file where the directory should be")
     payload = run_job(_job(), tmp_path / "job", cache_dir=cache)

@@ -13,7 +13,6 @@ campaign with fewer than ``workers * 2`` pending points runs in-process.
 
 import dataclasses
 import errno
-import json
 import os
 import random
 import signal
@@ -21,6 +20,7 @@ import signal
 import pytest
 
 from repro.core.injection import CampaignConfig, outcome_digest
+from repro.durable import WriteAheadLog
 from repro.obs import Observability, get_obs
 from tests.conftest import N_CHEAP, campaign, outcome_dicts
 from tests.conftest import prepared, reference, span_dicts
@@ -327,8 +327,7 @@ def test_raising_on_outcome_aborts_after_the_checkpoints_seen(tmp_path, workers)
         _campaign(n_points=N_CHEAP, obs=obs, journal_path=str(journal),
                   execution="snapshot", workers=workers, on_outcome=abort)
     assert len(calls) == 3
-    lines = journal.read_text().splitlines()
-    assert [json.loads(line)["index"] for line in lines[1:]] == calls
+    assert [rec["index"] for rec in WriteAheadLog(journal).replay()[1:]] == calls
     _no_child_left_unreaped()
     # the journal it left is a clean checkpoint: the campaign resumes
     resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),

@@ -17,7 +17,6 @@ snapshot campaign.
 
 import functools
 import gc
-import json
 import sys
 
 import pytest
@@ -37,6 +36,7 @@ from repro.core.injection import run_one_injection
 from repro.core.injection.campaign import suffix_key
 from repro.core.injection.control_center import ControlCenter
 from repro.core.report import format_summary
+from repro.durable import WriteAheadLog
 from repro.errors import NodeCrashedError
 from repro.sim import SimLoop
 from tests.conftest import PINS, prepared, reference
@@ -169,8 +169,8 @@ def test_knobs_that_change_the_fire(name, knobs):
     assert outcome_digest(result.outcomes) == observed_digest(name, **knobs)
 
 
-def _assert_reusing_lines_name_their_source(lines, result):
-    reusing = [record for record in map(json.loads, lines)
+def _assert_reusing_lines_name_their_source(journal, result):
+    reusing = [record for record in WriteAheadLog(journal).replay()
                if "reused_from" in record]
     assert len(reusing) == result.reused == REUSED_AT_SEED_0["hdfs"]
     for record in reusing:
@@ -182,8 +182,8 @@ def _assert_reusing_lines_name_their_source(lines, result):
 def test_journal_resume_from_a_torn_tail(tmp_path):
     journal = tmp_path / "hdfs.jsonl"
     first = run("hdfs", journal_path=journal)
+    _assert_reusing_lines_name_their_source(journal, first)
     lines = journal.read_text().splitlines(keepends=True)
-    _assert_reusing_lines_name_their_source(lines, first)
     # the identity line, five outcomes, then half of the sixth
     journal.write_text("".join(lines[:6]) + lines[6][:40])
     resumed = run("hdfs", journal_path=journal)
@@ -194,8 +194,7 @@ def test_journal_resume_from_a_torn_tail(tmp_path):
 def test_a_snapshot_journal_names_the_fork_it_reused(tmp_path):
     journal = tmp_path / "hdfs.jsonl"
     result = run("hdfs", journal_path=journal, execution="snapshot")
-    _assert_reusing_lines_name_their_source(
-        journal.read_text().splitlines(), result)
+    _assert_reusing_lines_name_their_source(journal, result)
     assert outcome_digest(result.outcomes) == PINS["hdfs"][0]
 
 

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.durable import WriteAheadLog, encode_frame
 from tests.conftest import PINS
 from tests.test_campaign_kill import _alive_in_session
 
@@ -106,8 +107,8 @@ def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
     campaign = ["campaign", "cassandra"]
     journal = str(tmp_path / "capped.jsonl")
     assert _main(capsys, *campaign, "--journal", journal, "--points", "2")[0] == 0
-    # the identity lines of representative journals, verbatim: 1.14.0's
-    # plan had an audit draw, 1.17.0's did not
+    # the identity records of representative journals: 1.14.0's plan had
+    # an audit draw, 1.17.0's did not
     meta = {"type": "campaign-meta", "version": 1, "system": "cassandra",
             "seed": 0, "wait": 1.0, "random_fallback": False,
             "classify_timeouts": True, "n_points": 3, "config": "",
@@ -117,7 +118,7 @@ def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
         "1.17.0": dict(meta, classes="bad8731a77cf8c44"),
     }
     for version, line in old_journals.items():
-        (tmp_path / f"rep-{version}.jsonl").write_text(json.dumps(line) + "\n")
+        (tmp_path / f"rep-{version}.jsonl").write_bytes(encode_frame(line))
     for argv, exit_code, needle in [
         (campaign + ["--workers", "0"], 2, "workers must be >= 1"),
         (campaign + ["--journal", str(tmp_path)], 2, "is a directory"),
@@ -135,16 +136,17 @@ def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_a_1_17_0_full_journal_resumes_every_point(tmp_path, capsys):
+def test_outcomes_with_1_17_0_diagnosis_keys_resume_every_point(
+        tmp_path, capsys):
     journal = tmp_path / "full.jsonl"
     argv = ["campaign", "cassandra", "--journal", str(journal),
             "--json", str(tmp_path / "out.json")]
     assert _main(capsys, *argv)[0] == 0
-    # 1.17.0 wrote the same lines, bar two constant diagnosis keys
-    lines = [json.loads(line) for line in journal.read_text().splitlines()]
-    for line in lines[1:]:
-        line["data"]["diagnosis"].update(point_class="", propagated=False)
-    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    # 1.17.0's diagnoses carried two more keys, both constant
+    records = WriteAheadLog(journal).replay()
+    for record in records[1:]:
+        record["data"]["diagnosis"].update(point_class="", propagated=False)
+    journal.write_bytes(b"".join(map(encode_frame, records)))
     assert _main(capsys, *argv)[0] == 0
     payload = json.loads((tmp_path / "out.json").read_text())
     assert payload["resumed"] == payload["n_points"] == 3
