@@ -233,10 +233,11 @@ class InjectionOutcome:
     wall_seconds: float = 0.0
     #: the full per-injection story (repro.obs), always populated
     diagnosis: Optional[InjectionDiagnosis] = None
-    #: suffix reuse: the campaign index of the point whose run's suffix
-    #: this outcome took (``None``: it ran its own).  Not part of the
-    #: outcome: the journal line carries it beside ``data``
+    #: suffix reuse: the index of the point whose run's suffix this took
+    #: (``None``: its own) and the fire's :func:`suffix_key` (``None``: no
+    #: fire, or reuse off); beside ``data`` in the point's record
     reused_from: Optional[int] = field(default=None, compare=False)
+    suffix: Optional[Tuple] = field(default=None, compare=False)
 
     @property
     def flagged(self) -> bool:
@@ -323,9 +324,11 @@ class CampaignResult:
     snapshot_stats: Optional[Dict[str, Any]] = None
     #: the order the test phase visited points (CampaignConfig.point_order)
     point_order: str = "point"
-    #: points of this process whose run or fork stopped at its fire and
-    #: took an earlier run's suffix (DESIGN.md "Suffix reuse")
+    #: points whose run or fork stopped at its fire and took an earlier
+    #: run's suffix, restored ones included (DESIGN.md "Suffix reuse")
     reused: int = 0
+    #: realized parallelism: this process's summed run walls / wall_seconds
+    speedup: float = 0.0
 
     def first_detection(self) -> Optional[int]:
         """Index of the first tested injection that matched a bug."""
@@ -333,12 +336,6 @@ class CampaignResult:
             if outcome.matched_bugs:
                 return i
         return None
-
-    @property
-    def speedup(self) -> float:
-        """Realized parallelism: summed per-run wall time / campaign wall time."""
-        worked = sum(o.wall_seconds for o in self.outcomes)
-        return worked / self.wall_seconds if self.wall_seconds > 0 else 0.0
 
     def flagged(self) -> List[InjectionOutcome]:
         return [o for o in self.outcomes if o.flagged]
@@ -448,6 +445,14 @@ def suffix_key(
     return key + (ordinal,)
 
 
+def _file_suffix(suffixes: Optional[Dict[Tuple, Tuple[int, InjectionOutcome]]],
+                 index: int, outcome: InjectionOutcome) -> None:
+    """The one filing rule: point ``index``'s outcome under its key, if
+    reuse is on and it ran its own suffix; the first filed wins."""
+    if suffixes is not None and outcome.reused_from is None and outcome.suffix:
+        suffixes.setdefault(outcome.suffix, (index, outcome))
+
+
 class _Judge:
     """One injection's verdict over one timeline (paper Section 4.1.3).
 
@@ -550,16 +555,16 @@ class _Judge:
                    + wait + self.budget)
 
     def finish(self, report: RunReport) -> InjectionOutcome:
-        if self.source is not None:
+        if self.source is None:
+            outcome = self._verdict(report)
+        else:
             index, source = self.source
             # (both runs fired: only a fire has a key)
             outcome = _clone_for(source, self.dpoint, **_at_fire(self.trigger))
             outcome.injection = self.trigger.center.injection
             outcome.reused_from = index
-            return outcome
-        outcome = self._verdict(report)
-        if self.key is not None:
-            self.suffixes[self.key] = (self.index, outcome)
+        outcome.suffix = self.key
+        _file_suffix(self.suffixes, self.index, outcome)
         return outcome
 
     def _verdict(self, report: RunReport) -> InjectionOutcome:
@@ -804,11 +809,12 @@ def run_campaign(
                 matcher=matcher, cfg=cfg, config=config,
                 active=active, campaign_span=span, on_outcome=on_outcome,
             )
+    wall = _wallclock.perf_counter() - wall0
     return CampaignResult(
         system=system.name,
         outcomes=report.outcomes,
         baseline=baseline,
-        wall_seconds=_wallclock.perf_counter() - wall0,
+        wall_seconds=wall,
         sim_seconds=sum(o.duration for o in report.outcomes),
         metrics=active.metrics.snapshot() if active.enabled else None,
         workers=cfg.workers,
@@ -818,4 +824,5 @@ def run_campaign(
         snapshot_stats=report.snapshot_stats,
         point_order=cfg.point_order,
         reused=sum(o.reused_from is not None for o in report.outcomes),
+        speedup=report.worked / wall if wall > 0 else 0.0,
     )

@@ -4,8 +4,8 @@ The paper's test phase (Figure 4) is one loop — arm a dynamic crash
 point, run, judge — and so is this module.  Every point the journal does
 not restore runs, through two seams:
 
-* the **runner** executes them, ``run(ctx, indices, sink)``, and
-  returns ``{index: (outcome, telemetry payloads)}``.  It has two
+* the **runner** executes them, ``run(ctx, indices, sink)``, handing
+  each finished point to the sink and nowhere else.  It has two
   bodies — :class:`ReplayRunner` here, and
   :class:`~repro.core.injection.snapshot.SnapshotRunner` — that both
   index the campaign's real point list;
@@ -33,9 +33,9 @@ Finished points go to one sink, the :class:`CampaignJournal`: a
 flush-only :class:`~repro.durable.WriteAheadLog`
 (``CampaignConfig.journal_path``; no file when ``None``) whose first
 record, ``campaign-meta``, pins the campaign's identity, followed by one
-``outcome`` record per tested point.  A re-run with the
-same journal restores recorded outcomes — diagnoses included — and only
-tests the points the interrupted run never reached.
+``outcome`` record per tested point (:func:`encode_record`; a snapshot
+child ships the same).  A re-run with the same journal restores them
+whole and only tests the points the interrupted run never reached.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from repro.core.injection.campaign import (
     BugMatcherFn,
     CampaignConfig,
     InjectionOutcome,
+    _file_suffix,
     _run_injection,
 )
 from repro.core.injection.oracles import Baseline
@@ -71,10 +72,6 @@ OutcomeHook = Callable[[int, InjectionOutcome], None]
 
 #: one run's telemetry, as :func:`_telemetry` packs it
 Payload = Dict[str, Any]
-
-#: what a runner returns: per campaign index, the outcome and
-#: the payloads of the run(s) that produced it (none when telemetry is off)
-Results = Dict[int, Tuple[InjectionOutcome, List[Payload]]]
 
 
 class JournalMismatch(ValueError):
@@ -94,14 +91,36 @@ def _canonical_config(config: Optional[Dict[str, Any]]) -> str:
     return repr(items)
 
 
+def encode_record(index: int, outcome: InjectionOutcome) -> Dict[str, Any]:
+    """Point ``index`` as the one record the journal and a fork ship."""
+    return {"index": index, "key": repr(outcome.dpoint.key()),
+            "data": outcome.to_dict(), "reused_from": outcome.reused_from,
+            "suffix": outcome.suffix}
+
+
+def decode_record(record: Dict[str, Any],
+                  points: List[DynamicCrashPoint]) -> Optional[InjectionOutcome]:
+    """The outcome a point record holds, or ``None`` when the record names
+    no point of ``points`` (index out of range, or another point's key)."""
+    index = record.get("index", -1)
+    if not (0 <= index < len(points)
+            and record.get("key") == repr(points[index].key())):
+        return None
+    outcome = InjectionOutcome.from_dict(record["data"], points[index])
+    # a 1.20.0 record has ``reused_from`` only when set, and no suffix
+    outcome.reused_from = record.get("reused_from")
+    outcome.suffix = tuple(record["suffix"]) if record.get("suffix") else None
+    return outcome
+
+
 class CampaignJournal:
     """The campaign's one outcome sink: append, then notify.
 
-    Every tested point — replayed or resumed from a snapshot — passes
-    through :meth:`record` exactly once, under its *campaign* index.  Its
-    frame is appended and flushed when a ``path`` is configured, and only
-    then does the ``on_outcome`` hook fire, so a hook that observes a
-    checkpoint can rely on it being on disk.
+    Every point lands here once, under its *campaign* index: restored
+    by :meth:`open` or handed to :meth:`record`, whose frame is appended
+    and flushed when a ``path`` is configured before the ``on_outcome``
+    hook fires, so a hook that observes a checkpoint can rely on it
+    being on disk.
     """
 
     def __init__(
@@ -114,6 +133,10 @@ class CampaignJournal:
         self._points = points
         self._hook = on_outcome
         self._log: Optional[WriteAheadLog] = None
+        #: index -> outcome of every point restored or recorded
+        self.outcomes: Dict[int, InjectionOutcome] = {}
+        #: index -> payloads of each point this process recorded
+        self.payloads: Dict[int, List[Payload]] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -145,22 +168,20 @@ class CampaignJournal:
             meta["point_order"] = cfg.point_order
         return meta
 
-    def open(self, meta: Dict[str, Any]) -> Dict[int, InjectionOutcome]:
+    def open(self, meta: Dict[str, Any]) -> None:
         """Restore what the file already holds, then open it for append.
 
-        Returns the journaled outcomes keyed by point index.  Raises
-        :class:`JournalMismatch` when the journal belongs to a different
-        campaign (its first record is not this campaign's meta — different
-        system, seed, knobs, config, point list or journal version) or is
-        damaged anywhere but its last line: mixing outcomes across
+        Fills :attr:`outcomes`.  Raises :class:`JournalMismatch` when the
+        journal belongs to a different campaign (its first record is not
+        this campaign's meta — system, seed, knobs, config, point list or
+        journal version) or is damaged anywhere but its last line: mixing
         campaigns, or resuming past a lost checkpoint, would silently
-        corrupt results.  Entries whose recorded point key no longer
-        matches are ignored (treated as untested).  A torn last line is
-        truncated away before appending (see :mod:`repro.durable`).
+        corrupt results.  Records whose point key no longer matches are
+        ignored (untested).  A torn last line is truncated away before
+        appending (see :mod:`repro.durable`).
         """
-        loaded: Dict[int, InjectionOutcome] = {}
         if self.path is None:
-            return loaded
+            return
         self._log = WriteAheadLog(self.path, fsync=False)
         try:
             records = self._log.replay()
@@ -174,33 +195,21 @@ class CampaignJournal:
                 f"file to start over"
             )
         for record in records[1:]:
-            index = record.get("index", -1)
-            if not 0 <= index < len(self._points):
-                continue
-            if record.get("key") != repr(self._points[index].key()):
-                continue
-            loaded[index] = InjectionOutcome.from_dict(
-                record["data"], self._points[index]
-            )
+            outcome = decode_record(record, self._points)
+            if outcome is not None:
+                self.outcomes[record["index"]] = outcome
         self._log.open_append()
         if not records:
             # also the file that existed but never got its identity line
             # (empty, or killed during the very first write)
             self._log.append(pinned)
-        return loaded
 
-    def record(self, index: int, outcome: InjectionOutcome) -> None:
+    def record(self, index: int, outcome: InjectionOutcome,
+               payloads: List[Payload]) -> None:
+        self.outcomes[index] = outcome
+        self.payloads[index] = payloads
         if self._log is not None:
-            line = {
-                "type": "outcome",
-                "index": index,
-                "key": repr(self._points[index].key()),
-                "data": outcome.to_dict(),
-            }
-            if outcome.reused_from is not None:
-                # beside the outcome, not in it: a resume restores ``data``
-                line["reused_from"] = outcome.reused_from
-            self._log.append(line)
+            self._log.append({"type": "outcome", **encode_record(index, outcome)})
         if self._hook is not None:
             self._hook(index, outcome)
 
@@ -332,20 +341,13 @@ class ReplayRunner:
         self.workers = 1
 
     def run(self, ctx: ExecContext, indices: List[int],
-            sink: CampaignJournal) -> Results:
-        results: Results = {}
-
-        def finish(index: int, outcome: InjectionOutcome,
-                   payloads: List[Payload]) -> None:
-            sink.record(index, outcome)
-            results[index] = (outcome, payloads)
-
+            sink: CampaignJournal) -> None:
         if ctx.workers == 1 or len(indices) < ctx.workers * 2:
             # pool startup dominates rounds this small (Table 11's
             # zookeeper/cassandra rows ran *slower* pooled than in-process)
             for index in indices:
-                finish(index, *run_point(ctx, index))
-            return results
+                sink.record(index, *run_point(ctx, index))
+            return
         self.workers = ctx.workers
         pool = ProcessPoolExecutor(
             max_workers=ctx.workers,
@@ -355,12 +357,11 @@ class ReplayRunner:
         try:
             futures = [pool.submit(_pooled_point, index) for index in indices]
             for future in as_completed(futures):
-                finish(*future.result())
+                sink.record(*future.result())
         finally:
             # a raising sink (``on_outcome`` aborts the campaign) or a
             # SIGINT must not run the queued points out first
             pool.shutdown(wait=True, cancel_futures=True)
-        return results
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +379,8 @@ class ExecutionReport:
 
     outcomes: List[InjectionOutcome]
     resumed: int
+    #: summed ``wall_seconds`` of the points this process ran
+    worked: float
     workers: int
     execution: str
     snapshot_stats: Optional[Dict[str, Any]] = None
@@ -423,21 +426,21 @@ def execute_points(
     else:
         runner = ReplayRunner()
     journal = CampaignJournal(cfg.journal_path, points, on_outcome)
-    payloads: Dict[int, List[Payload]] = {}
     try:
-        #: index -> outcome of every point restored or run
-        done = journal.open(CampaignJournal.meta_for(system, points, cfg, config))
-        resumed = len(done)
-        todo = [i for i in range(len(points)) if i not in done]
+        journal.open(CampaignJournal.meta_for(system, points, cfg, config))
+        # before any runner starts: pool workers and snapshot forks
+        # inherit the suffixes the interrupted run paid for
+        for index, outcome in journal.outcomes.items():
+            _file_suffix(ctx.suffixes, index, outcome)
+        todo = [i for i in range(len(points)) if i not in journal.outcomes]
         if todo:
-            for index, (outcome, telemetry) in runner.run(ctx, todo, journal).items():
-                done[index] = outcome
-                payloads[index] = telemetry
+            runner.run(ctx, todo, journal)
     finally:
         journal.close()
     return ExecutionReport(
-        outcomes=_merge(points, done, payloads, active, campaign_span),
-        resumed=resumed,
+        outcomes=_merge(points, journal, active, campaign_span),
+        resumed=len(journal.outcomes) - len(journal.payloads),
+        worked=sum(journal.outcomes[i].wall_seconds for i in journal.payloads),
         workers=runner.workers,
         execution=execution,
         snapshot_stats=runner.stats,
@@ -446,8 +449,7 @@ def execute_points(
 
 def _merge(
     points: List[DynamicCrashPoint],
-    done: Dict[int, InjectionOutcome],
-    payloads: Dict[int, List[Payload]],
+    sink: CampaignJournal,
     active: Observability,
     campaign_span: Any,
 ) -> List[InjectionOutcome]:
@@ -465,8 +467,8 @@ def _merge(
     )
     outcomes: List[InjectionOutcome] = []
     for index in range(len(points)):
-        outcome = done[index]
-        for payload in payloads.get(index, ()):
+        outcome = sink.outcomes[index]
+        for payload in sink.payloads.get(index, ()):
             active.tracer.adopt(payload["spans"], allocated=payload["allocated"],
                                 reparent_to=reparent_to)
             active.metrics.merge_snapshot(payload["metrics"])

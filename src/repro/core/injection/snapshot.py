@@ -75,8 +75,8 @@ identical event.  Only ``wall_seconds`` differs.  Snapshot mode never
 changes *what* is computed, only *how*.
 
 To the executor this is just the other body of its runner seam
-(:class:`SnapshotRunner`): same context, same indices into the campaign's
-point list, same sink, same ``{index: (outcome, payloads)}`` back.
+(:class:`SnapshotRunner`): same context, same indices, same sink; a child
+ships its point as the journal's record (``executor.encode_record``).
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ from repro.core.injection.campaign import (
     InjectionOutcome,
     _arm,
     _clone_for,
+    _file_suffix,
     _Judge,
     _judged,
 )
@@ -101,8 +102,9 @@ from repro.core.injection.executor import (
     CampaignJournal,
     ExecContext,
     Payload,
-    Results,
     _telemetry,
+    decode_record,
+    encode_record,
     run_point,
 )
 from repro.core.injection.online_log import OnlineLogAgent
@@ -257,21 +259,17 @@ class _SnapshotWatcher:
             telemetry, last = pipe.readline(), pipe.read()
         os.waitpid(pid, 0)
         try:
-            reply = json.loads(last)
+            record = json.loads(last)
         except ValueError:
             # nothing, or torn output: the child raised or died on the way
             self.failed.append(entry)
             return
         this = self.round
-        outcome = InjectionOutcome.from_dict(reply["outcome"], entry.dpoint)
-        outcome.reused_from = reply["reused_from"]
-        if outcome.reused_from is None:
-            this.stats["resumed_points"] += 1
-            if reply["key"] is not None:
-                # every later fork inherits it; a sibling in flight does not
-                self.ctx.suffixes.setdefault(
-                    tuple(reply["key"]), (entry.index, outcome))
-        this.stats["reclassified"] += reply["extended"]
+        outcome = decode_record(record, self.ctx.points)
+        this.stats["resumed_points"] += outcome.reused_from is None
+        # every later fork inherits it; a sibling in flight does not
+        _file_suffix(self.ctx.suffixes, entry.index, outcome)
+        this.stats["reclassified"] += record["extended"]
         if telemetry != b"\n":
             this.undecoded[entry.index] = telemetry
         try:
@@ -300,12 +298,12 @@ def _at_deadline(report: Any) -> Optional[float]:
 
 
 def _resumer_result(report: Any, ctx: ExecContext) -> Dict[str, Any]:
-    """Judge the finished suffix exactly as run_one_injection would."""
+    """Judge the finished suffix exactly as run_one_injection would; the
+    point's record, plus whether its run was extended."""
     judge: _Judge = _ROLE["judge"]
     outcome = judge.finish(report)
     outcome.wall_seconds = _wallclock.perf_counter() - _ROLE["wall0"]
-    return {"outcome": outcome.to_dict(), "extended": judge.extended,
-            "reused_from": outcome.reused_from, "key": judge.key}
+    return {**encode_record(judge.index, outcome), "extended": judge.extended}
 
 
 def _ship(reply: Dict[str, Any], telemetry: Optional[Payload]) -> None:
@@ -333,16 +331,12 @@ class SnapshotRunner:
         #: snapshot_stats``): recording runs, resumed (own suffix) /
         #: never-fired / fallback point counts, how many resumes extended
         #: their run (``reclassified``)
-        self.stats: Dict[str, Any] = {
-            "recording_runs": 0,
-            "resumed_points": 0,
-            "never_fired": 0,
-            "reclassified": 0,
-            "fallback_points": 0,
-        }
+        self.stats: Dict[str, Any] = dict.fromkeys((
+            "recording_runs", "resumed_points", "never_fired", "reclassified",
+            "fallback_points"), 0)
 
     def run(self, ctx: ExecContext, indices: List[int],
-            sink: CampaignJournal) -> Results:
+            sink: CampaignJournal) -> None:
         self.workers = ctx.workers
         this = _Round(ctx, sink, self.stats)
         # one recording pass per scale group — scale changes the cluster
@@ -357,8 +351,7 @@ class SnapshotRunner:
         # the round's last fork is behind us: nobody inherits these
         while this.undecoded:
             index, telemetry = this.undecoded.popitem()
-            this.results[index][1].append(json.loads(telemetry))
-        return this.results
+            sink.payloads[index].append(json.loads(telemetry))
 
 
 class _Round:
@@ -369,7 +362,6 @@ class _Round:
         self.ctx = ctx
         self.sink = sink
         self.stats = stats
-        self.results: Results = {}
         #: the campaign's own context, which ``on_outcome`` runs under
         self.ambient = get_obs()
         #: point index -> the telemetry its child shipped, as received
@@ -377,9 +369,8 @@ class _Round:
 
     def finish(self, entry: _ArmedPoint, outcome: InjectionOutcome,
                payloads: List[Payload]) -> None:
-        self.results[entry.index] = (outcome, payloads)
         with self.ambient:  # not the recording pass's private context
-            self.sink.record(entry.index, outcome)
+            self.sink.record(entry.index, outcome, payloads)
 
     def fallback(self, entry: _ArmedPoint) -> None:
         """In-process replay of one point (any child-side failure lands here)."""
@@ -401,7 +392,7 @@ class _Round:
         if report is None:
             # the recording pass itself failed: replay what it left undone
             for entry in entries:
-                if entry.index not in self.results:
+                if entry.index not in self.sink.outcomes:
                     self.fallback(entry)
             return
         unfired = [entry for entry in entries if not entry.recorded]

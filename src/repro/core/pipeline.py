@@ -59,8 +59,8 @@ class CrashTunerResult:
         hours are dominated by real cluster runs, whose in-simulation
         equivalent is the summed simulated duration of the test runs.
         ``workers`` and ``test_speedup`` report how the test phase was
-        parallelized — speedup is the summed per-run wall time over the
-        campaign's wall time, i.e. the realized parallelism.
+        parallelized — speedup is the summed wall of this process's runs
+        over the campaign's wall time, i.e. the realized parallelism.
         ``execution`` is the mode the test phase actually ran under
         (``replay`` re-runs every prefix and, unobserved, each distinct
         suffix once; ``snapshot`` resumes each injection from a fork at

@@ -96,6 +96,15 @@ def test_journal_resume_after_partial_run(tmp_path, resume_workers):
     replay = _campaign(1, N_CHEAP, journal_path=str(journal))
     assert replay.resumed == N_CHEAP
     assert outcome_dicts(replay) == expected
+    # ``reused`` counts restored points too, and a rerun that ran
+    # nothing did no work in parallel.  Pool workers reuse in maps of
+    # their own, so a pooled resume reuses no more than one process does
+    assert replay.reused == resumed.reused
+    if resume_workers == 1:
+        assert resumed.reused == full.reused
+    else:
+        assert resumed.reused <= full.reused
+    assert replay.speedup == 0.0
 
 
 def test_journal_resume_restores_diagnoses_in_point_order(tmp_path):

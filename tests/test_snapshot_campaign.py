@@ -208,7 +208,9 @@ def test_journal_crosses_execution_modes(tmp_path):
     resumed = _campaign(n_points=N_CHEAP, journal_path=str(journal),
                         execution="snapshot")
     assert resumed.resumed == 6
-    assert (resumed.snapshot_stats["resumed_points"] + resumed.reused
+    # ``reused`` is campaign-wide: count the forks' reuse after the cut
+    forked_reused = sum(o.reused_from is not None for o in resumed.outcomes[6:])
+    assert (resumed.snapshot_stats["resumed_points"] + forked_reused
             == N_CHEAP - 6)
     assert outcome_dicts(resumed) == _replay(N_CHEAP)
 

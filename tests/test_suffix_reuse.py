@@ -12,12 +12,14 @@ cells below that change a knob run it beside the reusing campaign.
 
 ``python -m tests.test_suffix_reuse`` (CI's ``suffix-reuse`` step) runs
 the oracle live for six systems x seeds 0-7, against the replay and the
-snapshot campaign.
+snapshot campaign and the replay campaign cut at half and resumed.
 """
 
 import functools
 import gc
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 
@@ -36,7 +38,7 @@ from repro.core.injection import run_one_injection
 from repro.core.injection.campaign import suffix_key
 from repro.core.injection.control_center import ControlCenter
 from repro.core.report import format_summary
-from repro.durable import WriteAheadLog
+from repro.durable import WriteAheadLog, encode_frame
 from repro.errors import NodeCrashedError
 from repro.sim import SimLoop
 from tests.conftest import PINS, prepared, reference
@@ -51,7 +53,8 @@ HBASE_PATCHED = {"patched_bugs": frozenset(
     {"HBASE-22041", "HBASE-22017", "HBASE-21740"})}
 
 
-def run(name, seed=0, observed=False, points=None, config=None, **knobs):
+def run(name, seed=0, observed=False, points=None, config=None,
+        on_outcome=None, **knobs):
     """One campaign over ``name``'s points (phase 1 at ``seed``)."""
     _, analysis, profile, baseline = prepared(name, config, seed)
     return run_campaign(
@@ -59,7 +62,7 @@ def run(name, seed=0, observed=False, points=None, config=None, **knobs):
         profile.dynamic_points if points is None else points,
         campaign=CampaignConfig(seed=seed, **knobs), config=config,
         baseline=baseline, matcher=matcher_for_system(name),
-        obs=Observability() if observed else None)
+        obs=Observability() if observed else None, on_outcome=on_outcome)
 
 
 _OBSERVED = {}
@@ -170,12 +173,12 @@ def test_knobs_that_change_the_fire(name, knobs):
 
 
 def _assert_reusing_lines_name_their_source(journal, result):
-    reusing = [record for record in WriteAheadLog(journal).replay()
-               if "reused_from" in record]
+    reusing = [record for record in WriteAheadLog(journal).replay()[1:]
+               if record["reused_from"] is not None]
     assert len(reusing) == result.reused == REUSED_AT_SEED_0["hdfs"]
     for record in reusing:
         # beside the outcome, naming another point, one that ran its suffix
-        assert record["type"] == "outcome" and "reused_from" not in record["data"]
+        assert "reused_from" not in record["data"]
         assert result.outcomes[record["reused_from"]].reused_from is None
 
 
@@ -188,7 +191,68 @@ def test_journal_resume_from_a_torn_tail(tmp_path):
     journal.write_text("".join(lines[:6]) + lines[6][:40])
     resumed = run("hdfs", journal_path=journal)
     assert resumed.resumed == 5
+    assert resumed.reused == REUSED_AT_SEED_0["hdfs"]
     assert outcome_digest(resumed.outcomes) == PINS["hdfs"][0]
+
+
+class _Cut(Exception):
+    """What a cut campaign's ``on_outcome`` raises."""
+
+
+def cut_and_resume(name, journal, fraction, seed=0, **knobs):
+    """``name``'s campaign killed once ``fraction`` of its points are
+    journaled, then resumed from that journal."""
+    n = len(prepared(name, seed=seed)[2].dynamic_points)
+    seen = []
+
+    def cut(index, outcome):
+        seen.append(index)
+        if len(seen) == int(n * fraction):
+            raise _Cut
+
+    with pytest.raises(_Cut):
+        run(name, seed, journal_path=journal, on_outcome=cut, **knobs)
+    resumed = run(name, seed, journal_path=journal, **knobs)
+    assert resumed.resumed == int(n * fraction)
+    return resumed
+
+
+@pytest.mark.parametrize("execution", ["replay", "snapshot"])
+@pytest.mark.parametrize("name", ["yarn", "hbase"])
+def test_a_campaign_cut_at_half_reports_the_unbroken_one(tmp_path, name,
+                                                         execution):
+    resumed = cut_and_resume(name, tmp_path / "j.jsonl", 0.5,
+                             execution=execution)
+    assert resumed.reused == REUSED_AT_SEED_0[name]
+    assert outcome_digest(resumed.outcomes) == PINS[name][0]
+    if execution == "replay":
+        # restored keys are filed again: the points after the cut reuse
+        # the very suffixes the unbroken campaign's did
+        assert ([o.reused_from for o in resumed.outcomes]
+                == [o.reused_from for o in reference(name).outcomes])
+
+
+def test_a_1_20_0_journal_restores_reuse_and_files_no_key(tmp_path):
+    journal = tmp_path / "hdfs.jsonl"
+    first = run("hdfs", journal_path=journal)
+    meta, *records = WriteAheadLog(journal).replay()
+    # 1.20.0 wrote no ``suffix``, and ``reused_from`` only when set
+    old = [{k: v for k, v in record.items()
+            if k != "suffix" and not (k == "reused_from" and v is None)}
+           for record in records[:8]]
+    journal.write_bytes(b"".join(encode_frame(r) for r in [meta, *old]))
+    resumed = run("hdfs", journal_path=journal)
+    assert resumed.resumed == 8
+    assert outcome_digest(resumed.outcomes) == PINS["hdfs"][0]
+    assert ([o.reused_from for o in resumed.outcomes[:8]]
+            == [o.reused_from for o in first.outcomes[:8]])
+    assert resumed.outcomes[7].reused_from == 6
+    # no key was filed: point 8, which took point 6's suffix unbroken,
+    # runs it again
+    assert all(o.suffix is None for o in resumed.outcomes[:8])
+    assert first.outcomes[8].reused_from == 6
+    assert resumed.outcomes[8].reused_from is None
+    assert resumed.reused == REUSED_AT_SEED_0["hdfs"] - 1
 
 
 def test_a_snapshot_journal_names_the_fork_it_reused(tmp_path):
@@ -423,17 +487,25 @@ def test_the_collector_is_left_as_the_host_set_it():
 # CI's suffix-reuse step
 # ---------------------------------------------------------------------------
 def main(seeds=range(8)):
-    print("system, seed, points, reused, snapshot reused, digest equal")
+    print("system, seed, points, reused, snapshot reused, resumed reused, "
+          "equal")
     failed = False
-    for name in SYSTEMS:
-        for seed in seeds:
-            reusing = run(name, seed)
-            forked = run(name, seed, execution="snapshot")
-            same = ({outcome_digest(reusing.outcomes), outcome_digest(forked.outcomes)}
-                    == {observed_digest(name, seed)})
-            print(f"{name}, {seed}, {len(reusing.outcomes)}, {reusing.reused}, "
-                  f"{forked.reused}, {'yes' if same else 'NO'}", flush=True)
-            failed |= not same
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in SYSTEMS:
+            for seed in seeds:
+                reusing = run(name, seed)
+                forked = run(name, seed, execution="snapshot")
+                # the replay campaign cut at half its points, then resumed
+                resumed = cut_and_resume(
+                    name, Path(tmp, f"{name}-{seed}.jsonl"), 0.5, seed)
+                same = ({outcome_digest(r.outcomes)
+                         for r in (reusing, forked, resumed)}
+                        == {observed_digest(name, seed)}
+                        and resumed.reused == reusing.reused)
+                print(f"{name}, {seed}, {len(reusing.outcomes)}, "
+                      f"{reusing.reused}, {forked.reused}, {resumed.reused}, "
+                      f"{'yes' if same else 'NO'}", flush=True)
+                failed |= not same
     return int(failed)
 
 
