@@ -8,7 +8,7 @@ most a handful of large-window bugs, far fewer than CrashTuner per run.
 
 from benchmarks.conftest import PAPER_SYSTEMS, bench_scale, full_result
 from repro.bugs import matcher_for_system
-from repro.core.baselines import run_random_injection
+from repro.core.baselines import counted_bugs, discounted, run_random_injection
 from repro.core.report import format_table, hours
 from repro.systems import get_system
 
@@ -30,10 +30,10 @@ def test_table07_random_injection(benchmark, table_out):
     random_total = set()
     for name in PAPER_SYSTEMS:
         res = results[name]
-        bugs = res.detected_bugs()
+        bugs = counted_bugs(res)
         random_total.update(bugs)
-        rows.append([name, res.runs, hours(res.sim_seconds),
-                     len(res.flagged_runs()),
+        rows.append([name, len(res.outcomes), hours(res.sim_seconds),
+                     sum(o.flagged and not discounted(o) for o in res.outcomes),
                      " ".join(f"{b}({n})" for b, n in sorted(bugs.items())) or "-"])
     crashtuner_total = {
         bug for name in PAPER_SYSTEMS for bug in full_result(name).detected_bugs()

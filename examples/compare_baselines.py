@@ -12,6 +12,7 @@ import sys
 from repro.api import crashtuner, format_table, get_system
 from repro.bugs import matcher_for_system
 from repro.core.baselines import (
+    counted_bugs,
     find_io_points,
     profile_io_points,
     run_io_injection,
@@ -34,7 +35,7 @@ def main() -> None:
     random_result = run_random_injection(system, runs=random_runs,
                                          baseline=result.campaign.baseline,
                                          matcher=matcher)
-    rnd_bugs = set(random_result.detected_bugs())
+    rnd_bugs = set(counted_bugs(random_result))
 
     io_points = profile_io_points(system, find_io_points(result.analysis))
     io_result = run_io_injection(system, io_points,
@@ -48,8 +49,8 @@ def main() -> None:
     rows = [
         ["CrashTuner", ct_runs, len(ct_bugs), rate(ct_bugs, ct_runs),
          " ".join(sorted(ct_bugs)) or "-"],
-        ["Random crash", random_result.runs, len(rnd_bugs),
-         rate(rnd_bugs, random_result.runs), " ".join(sorted(rnd_bugs)) or "-"],
+        ["Random crash", random_runs, len(rnd_bugs),
+         rate(rnd_bugs, random_runs), " ".join(sorted(rnd_bugs)) or "-"],
         ["IO fault", len(io_result.outcomes), len(io_bugs),
          rate(io_bugs, len(io_result.outcomes)), " ".join(sorted(io_bugs)) or "-"],
     ]

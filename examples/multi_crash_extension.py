@@ -4,7 +4,7 @@
 Section 6 defers "deep bugs involving multiple crash events" (34 of the
 116 database bugs were out of scope for the paper).  The extension in
 ``repro.core.extensions`` chains two triggers — the second dynamic crash
-point only arms after the first fault landed — so recovery-of-recovery
+point only arms after the first has fired — so recovery-of-recovery
 paths get exercised with the same meta-info machinery.
 
     python examples/multi_crash_extension.py [system] [max_pairs]
@@ -39,11 +39,12 @@ def main() -> None:
 
     rows = []
     for outcome in result.outcomes:
+        pair = outcome.dpoint
         rows.append([
-            outcome.first.point.enclosing,
-            outcome.second.point.enclosing,
+            pair.first.point.enclosing,
+            pair.second.point.enclosing,
             "+".join(k for k, fired in
-                     (("1st", outcome.first_fired), ("2nd", outcome.second_fired))
+                     (("1st", outcome.fired), ("2nd", outcome.diagnosis.hits == 2))
                      if fired) or "-",
             ",".join(outcome.verdict.kinds()) or "-",
             ",".join(outcome.matched_bugs) or "-",

@@ -184,5 +184,6 @@ class FileInputStream(Closeable):
         while True:
             record = self.read()
             if record is None:
+                self._io_done("read_all")
                 return out
             out.append(record)

@@ -1,10 +1,6 @@
-"""The two fault-injection baselines of Section 4.2."""
+"""The two fault-injection baselines of Section 4.2, as campaign plans."""
 
-from repro.core.baselines.io_injection import (
-    IOInjectionOutcome,
-    IOInjectionResult,
-    run_io_injection,
-)
+from repro.core.baselines.io_injection import IOFault, run_io_injection
 from repro.core.baselines.io_points import (
     DynamicIOPoint,
     IOPointReport,
@@ -13,19 +9,20 @@ from repro.core.baselines.io_points import (
     profile_io_points,
 )
 from repro.core.baselines.random_injection import (
-    RandomInjectionOutcome,
-    RandomInjectionResult,
+    TimedFault,
+    counted_bugs,
+    discounted,
     run_random_injection,
 )
 
 __all__ = [
     "DynamicIOPoint",
-    "IOInjectionOutcome",
-    "IOInjectionResult",
+    "IOFault",
     "IOPointReport",
-    "RandomInjectionOutcome",
-    "RandomInjectionResult",
     "StaticIOPoint",
+    "TimedFault",
+    "counted_bugs",
+    "discounted",
     "find_io_points",
     "profile_io_points",
     "run_io_injection",

@@ -2,132 +2,107 @@
 
 For each dynamic IO point, two test runs: crash the executing node
 *before* the IO operation (the op never happens) and *after* it (the
-handler finishes the op, then the machine dies).  The same oracles and the
-same attribution as CrashTuner apply.
+handler finishes the op, then the machine dies).  The runs are plan
+entries (:class:`IOFault`) of one campaign on the executor, so the same
+oracles and the same attribution as CrashTuner apply.
 """
 
 from __future__ import annotations
 
-import time as _wallclock
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.io import IO_BUS, IOEvent
 from repro.core.baselines.io_points import DynamicIOPoint, IOPointReport
-from repro.core.injection.campaign import COOLDOWN, BugMatcherFn
-from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
+from repro.core.injection.campaign import (
+    BugMatcherFn,
+    CampaignConfig,
+    CampaignResult,
+    _coerce_campaign,
+    run_campaign,
+)
+from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.oracles import Baseline
+from repro.core.injection.trigger import DirectTrigger
 from repro.errors import NodeCrashedError
-from repro.systems.base import SystemUnderTest, run_workload
+from repro.systems.base import SystemUnderTest
 
 
-@dataclass
-class IOInjectionOutcome:
+@dataclass(frozen=True)
+class IOFault:
+    """Crash the machine executing ``dpoint`` on one side of its IO op."""
+
     dpoint: DynamicIOPoint
     phase: str  # "before" | "after"
-    fired: bool
-    target: str
-    verdict: OracleVerdict
-    matched_bugs: List[str] = field(default_factory=list)
 
     @property
-    def flagged(self) -> bool:
-        return self.verdict.flagged
+    def scale(self) -> int:
+        return self.dpoint.scale
+
+    def key(self) -> Tuple:
+        return ("io", self.dpoint.point.location, self.dpoint.stack, self.phase)
+
+    def describe(self) -> str:
+        point, frames = self.dpoint.point, " > ".join(self.dpoint.stack) or "?"
+        return (f"crash {self.phase} {point.method} at "
+                f"{point.module}:{point.lineno} [{frames}]")
+
+    def arm(self, cluster: Any, analysis: Any, cfg: CampaignConfig,
+            on_fired: Any = None) -> Tuple[None, "_IOTrigger"]:
+        return None, _IOTrigger(self, ControlCenter(cluster))
 
 
-@dataclass
-class IOInjectionResult:
-    system: str
-    outcomes: List[IOInjectionOutcome]
-    baseline: Baseline
-    wall_seconds: float
-    sim_seconds: float
+class _IOTrigger(DirectTrigger):
+    """An :class:`IOFault` armed on the IO bus."""
 
-    def flagged(self) -> List[IOInjectionOutcome]:
-        return [o for o in self.outcomes if o.flagged]
-
-    def detected_bugs(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for bug in outcome.matched_bugs:
-                out[bug] = out.get(bug, 0) + 1
-        return out
-
-
-class _IOTrigger:
-    """Arms one dynamic IO point; crashes the executing node's machine."""
-
-    def __init__(self, dpoint: DynamicIOPoint, phase: str):
-        self.dpoint = dpoint
-        self.phase = phase
-        self.fired = False
-        self.target = ""
-        self.cluster = None
+    def __init__(self, entry: IOFault, center: ControlCenter):
+        super().__init__(center)
+        self.entry = entry
+        IO_BUS.capture_stacks = True
+        IO_BUS.add_hook(self)
+        self._installed = True
 
     def __call__(self, event: IOEvent) -> None:
-        if self.fired or self.cluster is None:
+        dpoint = self.entry.dpoint
+        if (event.phase != self.entry.phase
+                or event.location != dpoint.point.location
+                or event.stack != dpoint.stack):
             return
-        if event.phase != self.phase:
-            return
-        if event.location != self.dpoint.point.location:
-            return
-        if event.stack != self.dpoint.stack:
-            return
-        self.fired = True
-        node = self.cluster.nodes.get(event.node)
-        if node is None:
-            return
-        self.target = node.host
+        self.uninstall()
+        node = self.center.cluster.nodes.get(event.node)
         # The machine dies at the IO instruction: before it executes, or
         # right after it completed ("after" events fire post-op), killing
         # the rest of the handler either way.
-        self.cluster.crash_host(node.host)
-        raise NodeCrashedError(event.node)
+        self.fire("crash", node.host if node is not None else None)
+        if node is not None:
+            raise NodeCrashedError(event.node)
+
+    def uninstall(self) -> None:
+        if self._installed:
+            IO_BUS.remove_hook(self)
+            self._installed = False
+            if not IO_BUS.enabled:
+                IO_BUS.capture_stacks = False
 
 
 def run_io_injection(
     system: SystemUnderTest,
     io_report: IOPointReport,
-    seed: int = 0,
+    campaign: Optional[CampaignConfig] = None,
     config: Optional[Dict[str, Any]] = None,
     baseline: Optional[Baseline] = None,
     matcher: Optional[BugMatcherFn] = None,
     phases: tuple = ("before", "after"),
-) -> IOInjectionResult:
-    """Exercise each dynamic IO point with before/after crashes."""
-    wall0 = _wallclock.perf_counter()
-    if baseline is None:
-        baseline = build_baseline(system, config=config)
-    outcomes: List[IOInjectionOutcome] = []
-    sim_seconds = 0.0
-    for dpoint in io_report.dynamic_points:
-        for phase in phases:
-            trigger = _IOTrigger(dpoint, phase)
+) -> CampaignResult:
+    """Exercise each dynamic IO point with before/after crashes.
 
-            def before_run(cluster, workload, _trigger=trigger):
-                _trigger.cluster = cluster
-                IO_BUS.capture_stacks = True
-                IO_BUS.add_hook(_trigger)
-
-            try:
-                report = run_workload(
-                    system, seed=seed, config=config, scale=dpoint.scale,
-                    before_run=before_run, cooldown=COOLDOWN,
-                )
-            finally:
-                IO_BUS.remove_hook(trigger)
-                if not IO_BUS.enabled:
-                    IO_BUS.capture_stacks = False
-            verdict = evaluate_run(report, baseline)
-            matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-            outcomes.append(IOInjectionOutcome(
-                dpoint=dpoint, phase=phase, fired=trigger.fired,
-                target=trigger.target, verdict=verdict, matched_bugs=matched,
-            ))
-            sim_seconds += report.duration
-    return IOInjectionResult(
-        system=system.name,
-        outcomes=outcomes,
-        baseline=baseline,
-        wall_seconds=_wallclock.perf_counter() - wall0,
-        sim_seconds=sim_seconds,
-    )
+    ``campaign`` sets the seed, workers, journal and execution as for
+    :func:`~repro.core.injection.run_campaign`; a flagged hang is judged
+    at its deadline (``classify_timeouts`` is off).
+    """
+    cfg = _coerce_campaign(campaign, "run_io_injection").replace(
+        classify_timeouts=False)
+    plan = [IOFault(dpoint, phase)
+            for dpoint in io_report.dynamic_points for phase in phases]
+    return run_campaign(system, None, plan, campaign=cfg, config=config,
+                        baseline=baseline, matcher=matcher)

@@ -2,126 +2,119 @@
 
 Each test run injects one crash (or graceful shutdown) of one randomly
 chosen cluster node at a uniformly random time within the profiled clean
-runtime, then applies the same oracles as CrashTuner.
+runtime, then applies the same oracles as CrashTuner.  The runs are plan
+entries (:class:`TimedFault`) of one campaign on the executor.
 
 One scoring rule the paper applies implicitly: killing a non-HA singleton
 master *is* expected to take the cluster down, so a run whose only symptom
-follows trivially from crashing the critical master is not a bug.  We mark
-those runs ``discounted``.
+follows trivially from crashing the critical master is not a bug.  Such
+runs are :func:`discounted`.
 """
 
 from __future__ import annotations
 
-import time as _wallclock
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.injection.campaign import COOLDOWN, BugMatcherFn
-from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
+from repro.core.injection.campaign import (
+    BugMatcherFn,
+    CampaignConfig,
+    CampaignResult,
+    InjectionOutcome,
+    _coerce_campaign,
+    run_campaign,
+)
+from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.oracles import Baseline, build_baseline
+from repro.core.injection.trigger import DirectTrigger
 from repro.sim import SimRandom
-from repro.systems.base import RunReport, SystemUnderTest, run_workload
+from repro.systems.base import SystemUnderTest
 
 
-@dataclass
-class RandomInjectionOutcome:
-    run_index: int
-    target_host: str
+@dataclass(frozen=True)
+class TimedFault:
+    """One random run: ``action`` on ``host`` at simulated time ``at``,
+    in a run of its own ``seed``."""
+
+    seed: int
+    at: float
     action: str  # "crash" | "shutdown"
-    at_time: float
-    verdict: OracleVerdict
-    matched_bugs: List[str] = field(default_factory=list)
-    discounted: bool = False  # symptom trivially explained by killing a master
+    host: str
+    #: the host runs a critical (non-HA singleton) node
+    critical: bool
+    scale: int = 1
 
-    @property
-    def counted(self) -> bool:
-        return self.verdict.flagged and not self.discounted
+    def key(self) -> Tuple:
+        return ("random", self.seed, self.at, self.action, self.host)
+
+    def describe(self) -> str:
+        return f"{self.action} {self.host} at t={self.at!r} (seed {self.seed})"
+
+    def arm(self, cluster: Any, analysis: Any, cfg: CampaignConfig,
+            on_fired: Any = None) -> Tuple[None, DirectTrigger]:
+        trigger = DirectTrigger(ControlCenter(cluster))
+        cluster.loop.schedule(
+            self.at, lambda: trigger.fire(self.action, self.host), kind="fault")
+        return None, trigger
 
 
-@dataclass
-class RandomInjectionResult:
-    system: str
-    runs: int
-    outcomes: List[RandomInjectionOutcome]
-    baseline: Baseline
-    wall_seconds: float
-    sim_seconds: float
+def discounted(outcome: InjectionOutcome) -> bool:
+    """Table 7's rule: a flagged run whose only symptoms follow from
+    killing a critical master (no uncommon exception, no timeout issue)."""
+    verdict = outcome.verdict
+    return outcome.dpoint.critical and verdict.flagged and not (
+        verdict.uncommon_exceptions or verdict.timeout_issue)
 
-    def detected_bugs(self) -> Dict[str, int]:
-        """bug id -> number of runs that triggered it (Table 7 style)."""
-        out: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            if outcome.discounted:
-                continue
+
+def counted_bugs(result: CampaignResult) -> Dict[str, int]:
+    """bug id -> number of undiscounted runs that triggered it (Table 7)."""
+    out: Dict[str, int] = {}
+    for outcome in result.outcomes:
+        if not discounted(outcome):
             for bug in outcome.matched_bugs:
                 out[bug] = out.get(bug, 0) + 1
-        return out
+    return out
 
-    def flagged_runs(self) -> List[RandomInjectionOutcome]:
-        return [o for o in self.outcomes if o.counted]
+
+def random_plan(system: SystemUnderTest, runs: int, seed: int,
+                mean_duration: float,
+                config: Optional[Dict[str, Any]] = None) -> List[TimedFault]:
+    """``runs`` timed faults: per run a time, an action, then a host, all
+    from one stream; run ``i`` has seed ``seed + i``.  The host list —
+    every non-client host, which ones are critical — is read off one
+    cluster built at ``seed``: a deployment does not vary with the seed."""
+    rng = SimRandom(seed ^ 0x5EED).stream("random-injection")
+    nodes = system.build(seed=seed, config=config).nodes.values()
+    hosts = sorted({n.host for n in nodes if n.role != "client"})
+    critical = {n.host for n in nodes if n.critical}
+    plan = []
+    for i in range(runs):
+        at = rng.uniform(0.0, mean_duration)
+        action = rng.choice(["crash", "shutdown"])
+        host = rng.choice(hosts)
+        plan.append(TimedFault(seed + i, at, action, host, host in critical))
+    return plan
 
 
 def run_random_injection(
     system: SystemUnderTest,
     runs: int = 100,
-    seed: int = 0,
+    campaign: Optional[CampaignConfig] = None,
     config: Optional[Dict[str, Any]] = None,
     baseline: Optional[Baseline] = None,
     matcher: Optional[BugMatcherFn] = None,
-) -> RandomInjectionResult:
-    """Run the random fault-injection baseline for ``runs`` test runs."""
-    wall0 = _wallclock.perf_counter()
+) -> CampaignResult:
+    """Run the random fault-injection baseline for ``runs`` test runs.
+
+    ``campaign`` sets the seed, workers, journal and execution as for
+    :func:`~repro.core.injection.run_campaign`; a flagged hang is judged
+    at its deadline (``classify_timeouts`` is off).  Table 7 folds the
+    result with :func:`discounted` / :func:`counted_bugs`.
+    """
+    cfg = _coerce_campaign(campaign, "run_random_injection").replace(
+        classify_timeouts=False)
     if baseline is None:
         baseline = build_baseline(system, config=config)
-    rng = SimRandom(seed ^ 0x5EED).stream("random-injection")
-    outcomes: List[RandomInjectionOutcome] = []
-    sim_seconds = 0.0
-    for i in range(runs):
-        at_time = rng.uniform(0.0, baseline.mean_duration)
-        action = rng.choice(["crash", "shutdown"])
-        picked: Dict[str, Any] = {}
-
-        def before_run(cluster, workload, _at=at_time, _action=action, _picked=picked):
-            hosts = sorted({
-                n.host for n in cluster.nodes.values() if n.role != "client"
-            })
-            host = rng.choice(hosts)
-            _picked["host"] = host
-            _picked["critical"] = any(
-                n.critical for n in cluster.nodes.values() if n.host == host
-            )
-
-            def inject():
-                if _action == "crash":
-                    cluster.crash_host(_picked["host"])
-                else:
-                    cluster.shutdown_host(_picked["host"])
-
-            cluster.loop.schedule(_at, inject, kind="fault")
-
-        report = run_workload(
-            system, seed=seed + i, config=config,
-            before_run=before_run, cooldown=COOLDOWN,
-        )
-        verdict = evaluate_run(report, baseline)
-        discounted = bool(picked.get("critical")) and verdict.flagged and not (
-            verdict.uncommon_exceptions or verdict.timeout_issue
-        )
-        matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-        outcomes.append(RandomInjectionOutcome(
-            run_index=i,
-            target_host=picked.get("host", "?"),
-            action=action,
-            at_time=at_time,
-            verdict=verdict,
-            matched_bugs=matched,
-            discounted=discounted,
-        ))
-        sim_seconds += report.duration
-    return RandomInjectionResult(
-        system=system.name,
-        runs=runs,
-        outcomes=outcomes,
-        baseline=baseline,
-        wall_seconds=_wallclock.perf_counter() - wall0,
-        sim_seconds=sim_seconds,
-    )
+    plan = random_plan(system, runs, cfg.seed, baseline.mean_duration, config)
+    return run_campaign(system, None, plan, campaign=cfg, config=config,
+                        baseline=baseline, matcher=matcher)

@@ -1,9 +1,9 @@
 """Extensions beyond the paper's evaluated scope (its stated future work)."""
 
 from repro.core.extensions.multi_crash import (
-    MultiCrashOutcome,
-    MultiCrashResult,
+    CrashPair,
     run_multi_crash_campaign,
+    select_pairs,
 )
 
-__all__ = ["MultiCrashOutcome", "MultiCrashResult", "run_multi_crash_campaign"]
+__all__ = ["CrashPair", "run_multi_crash_campaign", "select_pairs"]

@@ -4,141 +4,124 @@ The paper scopes itself to bugs triggered by **one** crash event and
 explicitly defers "deep bugs involving multiple crash events" (34 of the
 116 database bugs were omitted for this reason).  This extension explores
 that space with the same meta-info machinery: a test run arms an *ordered
-pair* of dynamic crash points — the second trigger only arms after the
-first fault has been injected — so recovery-of-recovery paths get
-exercised.
+pair* of dynamic crash points (:class:`CrashPair`) — the second trigger
+only arms after the first has fired — so recovery-of-recovery paths get
+exercised.  The pairs are plan entries of one campaign on the executor.
 
-Pair selection keeps the campaign quadratic-safe: by default only pairs
-whose first point is a flagged-clean ("survivable") injection and whose
-second point lives in a *different* enclosing method are tried, capped by
-``max_pairs``.
+Pair selection keeps the campaign quadratic-safe: only pairs whose
+second point lives in a *different* enclosing method than the first are
+tried, capped by ``max_pairs``.
 """
 
 from __future__ import annotations
 
-import time as _wallclock
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.analysis import AnalysisReport
-from repro.core.injection.campaign import COOLDOWN, BugMatcherFn, _arm
+from repro.core.injection.campaign import (
+    BugMatcherFn,
+    CampaignConfig,
+    CampaignResult,
+    _arm,
+    _coerce_campaign,
+    run_campaign,
+)
 from repro.core.injection.control_center import ControlCenter
-from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
+from repro.core.injection.oracles import Baseline
 from repro.core.injection.trigger import Trigger
 from repro.core.profiler import DynamicCrashPoint
-from repro.systems.base import SystemUnderTest, run_workload
+from repro.systems.base import SystemUnderTest
 
 
-class _ChainedTrigger(Trigger):
-    """A trigger that only arms once a predecessor has fired."""
+@dataclass(frozen=True)
+class CrashPair:
+    """An ordered pair of dynamic crash points, run at the larger of their
+    two profiled scales (each point needs its own to be reached)."""
 
-    def __init__(self, dpoint: DynamicCrashPoint, center: ControlCenter,
-                 predecessor: Trigger):
-        super().__init__(dpoint, center)
-        self.predecessor = predecessor
-
-    def _hook(self, event) -> None:  # type: ignore[override]
-        if not self.predecessor.fired:
-            return
-        super()._hook(event)
-
-
-@dataclass
-class MultiCrashOutcome:
     first: DynamicCrashPoint
     second: DynamicCrashPoint
-    first_fired: bool
-    second_fired: bool
-    verdict: OracleVerdict
-    matched_bugs: List[str] = field(default_factory=list)
 
     @property
-    def flagged(self) -> bool:
-        return self.verdict.flagged
+    def scale(self) -> int:
+        return max(self.first.scale, self.second.scale)
+
+    def key(self) -> Tuple:
+        return ("pair", self.first.key(), self.second.key())
+
+    def describe(self) -> str:
+        return f"{self.first.describe()} then {self.second.describe()}"
+
+    def arm(self, cluster: Any, analysis: AnalysisReport, cfg: CampaignConfig,
+            on_fired: Any = None) -> Tuple[Any, "_ArmedPair"]:
+        agent, center = _arm(cluster, analysis, cfg.wait, cfg.random_fallback)
+        first = Trigger(self.first, center)
+        # a center executes one fault per run: the second needs its own
+        second = Trigger(self.second, ControlCenter(
+            cluster, center.store, wait=cfg.wait,
+            random_fallback=cfg.random_fallback), after=first)
+        first.install()
+        second.install()
+        return agent, _ArmedPair(first, second)
 
 
-@dataclass
-class MultiCrashResult:
-    system: str
-    outcomes: List[MultiCrashOutcome]
-    baseline: Baseline
-    wall_seconds: float
+class _ArmedPair:
+    """Both triggers of a pair, as the judge reads one: fired once the
+    first point fired, ``hits`` counts the points that fired, and the
+    ``center`` is the one that delivered the last fault."""
 
-    def flagged(self) -> List[MultiCrashOutcome]:
-        return [o for o in self.outcomes if o.flagged]
+    def __init__(self, first: Trigger, second: Trigger):
+        self.first = first
+        self.second = second
 
-    def detected_bugs(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for outcome in self.outcomes:
-            for bug in outcome.matched_bugs:
-                out[bug] = out.get(bug, 0) + 1
-        return out
+    @property
+    def fired(self) -> bool:
+        return self.first.fired
+
+    @property
+    def hits(self) -> int:
+        return self.first.hits + self.second.hits
+
+    @property
+    def values(self) -> List[str]:
+        return self.first.values + self.second.values
+
+    @property
+    def center(self) -> ControlCenter:
+        return (self.second if self.second.center.injection else self.first).center
+
+    def uninstall(self) -> None:
+        self.first.uninstall()
+        self.second.uninstall()
 
 
-def select_pairs(
-    points: List[DynamicCrashPoint],
-    max_pairs: int,
-) -> List[Tuple[DynamicCrashPoint, DynamicCrashPoint]]:
+def select_pairs(points: List[DynamicCrashPoint],
+                 max_pairs: int) -> List[CrashPair]:
     """Ordered pairs across distinct enclosing methods, deterministic."""
-    pairs: List[Tuple[DynamicCrashPoint, DynamicCrashPoint]] = []
-    for first in points:
-        for second in points:
-            if first is second:
-                continue
-            if first.point.enclosing == second.point.enclosing:
-                continue
-            pairs.append((first, second))
-            if len(pairs) >= max_pairs:
-                return pairs
-    return pairs
+    return [CrashPair(first, second) for first in points for second in points
+            if first.point.enclosing != second.point.enclosing][:max_pairs]
 
 
 def run_multi_crash_campaign(
     system: SystemUnderTest,
     analysis: AnalysisReport,
     points: List[DynamicCrashPoint],
-    seed: int = 0,
+    campaign: Optional[CampaignConfig] = None,
     config: Optional[Dict[str, Any]] = None,
     baseline: Optional[Baseline] = None,
     matcher: Optional[BugMatcherFn] = None,
     max_pairs: int = 40,
-    wait: float = 1.0,
-) -> MultiCrashResult:
-    """Exercise ordered pairs of dynamic crash points, one run each."""
-    wall0 = _wallclock.perf_counter()
-    if baseline is None:
-        baseline = build_baseline(system, config=config)
-    outcomes: List[MultiCrashOutcome] = []
-    for first, second in select_pairs(points, max_pairs):
-        holder: Dict[str, Any] = {}
+) -> CampaignResult:
+    """Exercise ordered pairs of dynamic crash points, one run each.
 
-        def before_run(cluster, workload, _first=first, _second=second):
-            _, center1 = _arm(cluster, analysis, wait)
-            # a center executes one fault per run: the pair needs a second
-            center2 = ControlCenter(cluster, center1.store, wait=wait)
-            t1 = Trigger(_first, center1)
-            t2 = _ChainedTrigger(_second, center2, predecessor=t1)
-            t1.install()
-            t2.install()
-            holder["t1"], holder["t2"] = t1, t2
-
-        try:
-            report = run_workload(system, seed=seed, config=config,
-                                  before_run=before_run, cooldown=COOLDOWN)
-        finally:
-            for key in ("t1", "t2"):
-                if key in holder:
-                    holder[key].uninstall()
-        verdict = evaluate_run(report, baseline)
-        matched = matcher(report, verdict) if (matcher and verdict.flagged) else []
-        outcomes.append(MultiCrashOutcome(
-            first=first, second=second,
-            first_fired=holder["t1"].fired, second_fired=holder["t2"].fired,
-            verdict=verdict, matched_bugs=matched,
-        ))
-    return MultiCrashResult(
-        system=system.name,
-        outcomes=outcomes,
-        baseline=baseline,
-        wall_seconds=_wallclock.perf_counter() - wall0,
-    )
+    ``campaign`` sets the seed, wait, workers, journal and execution as
+    for :func:`~repro.core.injection.run_campaign`; a flagged hang is
+    judged at its deadline (``classify_timeouts`` is off).  An outcome's
+    ``fired`` is the first point's; ``diagnosis.hits == 2`` says the
+    second fired too.
+    """
+    cfg = _coerce_campaign(campaign, "run_multi_crash_campaign").replace(
+        classify_timeouts=False)
+    return run_campaign(system, analysis, select_pairs(points, max_pairs),
+                        campaign=cfg, config=config, baseline=baseline,
+                        matcher=matcher)

@@ -222,7 +222,7 @@ def _coerce_campaign(
 
 @dataclass
 class InjectionOutcome:
-    """One dynamic crash point, tested once."""
+    """One plan entry (a dynamic crash point or a side campaign's), tested once."""
 
     dpoint: DynamicCrashPoint
     fired: bool
@@ -383,7 +383,7 @@ def _arm(
     An online meta-info store, the log agent feeding it from the
     cluster's collector (attached, and caught up on anything already
     logged), and the control center that resolves targets against it.
-    The caller builds its trigger(s) on the center.
+    A plan entry's ``arm`` builds its trigger(s) on the center.
     """
     store = OnlineMetaStore(analysis.hosts)
     agent = OnlineLogAgent(analysis.index, analysis.log_result.meta_slots, store)
@@ -617,15 +617,14 @@ def _run_injection(
     judge = _Judge(system, dpoint, baseline, cfg, matcher, suffixes, index)
 
     def before_run(cluster: Cluster, workload: Any) -> None:
-        judge.agent, center = _arm(cluster, analysis, cfg.wait, cfg.random_fallback)
-        judge.trigger = Trigger(
-            dpoint, center, on_fired=judge.fired if suffixes is not None else None)
-        judge.trigger.install()
+        judge.agent, judge.trigger = dpoint.arm(
+            cluster, analysis, cfg, judge.fired if suffixes is not None else None)
 
     try:
         report = run_workload(
-            system, seed=cfg.seed, config=config, scale=dpoint.scale,
-            before_run=before_run, cooldown=COOLDOWN, extend=judge.at_deadline,
+            system, seed=getattr(dpoint, "seed", cfg.seed), config=config,
+            scale=dpoint.scale, before_run=before_run, cooldown=COOLDOWN,
+            extend=judge.at_deadline,
         )
     finally:
         if judge.trigger is not None:
@@ -664,7 +663,11 @@ def _judged(
 
 
 def _point_identity(dpoint: DynamicCrashPoint) -> Dict[str, Any]:
-    """The diagnosis fields read straight off the dynamic crash point."""
+    """The diagnosis fields read off the plan entry: a dynamic crash
+    point's own, any other entry's ``describe()``."""
+    if not isinstance(dpoint, DynamicCrashPoint):
+        return {"point": dpoint.describe(), "op": "", "field_name": "",
+                "enclosing": "", "stack": [], "scale": dpoint.scale}
     point = dpoint.point
     return {
         "point": point.describe(),
@@ -745,7 +748,7 @@ def _diagnose(
 
 def run_campaign(
     system: SystemUnderTest,
-    analysis: AnalysisReport,
+    analysis: Optional[AnalysisReport],
     dynamic_points: List[DynamicCrashPoint],
     campaign: Optional[CampaignConfig] = None,
     config: Optional[Dict[str, Any]] = None,

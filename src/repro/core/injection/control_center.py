@@ -16,7 +16,7 @@ Table 5 were exposed) and an abrupt crash for remote targets, raising
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import Cluster
 from repro.core.injection.online_log import OnlineMetaStore
@@ -55,12 +55,13 @@ class ControlCenter:
     def __init__(
         self,
         cluster: Cluster,
-        store: OnlineMetaStore,
+        store: Optional[OnlineMetaStore] = None,
         wait: float = 1.0,
         random_fallback: bool = False,
     ):
         self.cluster = cluster
-        self.store = store
+        #: ``None``: empty, for faults whose target no meta-info resolves
+        self.store = store if store is not None else OnlineMetaStore(())
         self.wait = wait
         self.random_fallback = random_fallback
         self.injection: Optional[InjectionRecord] = None
@@ -98,9 +99,12 @@ class ControlCenter:
                 return target, "", True
         return None, "", False
 
-    def _record(self, kind: str, target: str, values: List[str],
-                resolved_value: str, via_fallback: bool,
-                killed: List[str]) -> None:
+    def deliver(self, kind: str, target: str, values: Sequence[str] = (),
+                resolved_value: str = "", via_fallback: bool = False) -> List[str]:
+        """Crash (``kind="crash"``) or shut down ``target``'s machine and
+        record it as this run's fault; returns the node ids killed."""
+        killed = (self.cluster.crash_host if kind == "crash"
+                  else self.cluster.shutdown_host)(target)
         self.injection = InjectionRecord(
             kind=kind, target_host=target,
             value=values[0] if values else "", time=self.cluster.loop.now,
@@ -112,6 +116,7 @@ class ControlCenter:
             obs.metrics.counter(
                 "inject.crashes" if kind == "crash" else "inject.shutdowns"
             ).inc()
+        return killed
 
     def shutdown_rpc(self, values: List[str], executing: str) -> bool:
         """Pre-read injection: graceful shutdown of the target + wait."""
@@ -121,8 +126,7 @@ class ControlCenter:
         if target is None:
             return False
         LOG.info("CrashTuner shutting down {} (pre-read injection)", target)
-        killed = self.cluster.shutdown_host(target)
-        self._record("shutdown", target, values, resolved_value, via_fallback, killed)
+        self.deliver("shutdown", target, values, resolved_value, via_fallback)
         # The instrumented wait: the reading thread blocks while the
         # departure is handled by the rest of the cluster.
         self.cluster.loop.pump(self.wait)
@@ -142,13 +146,11 @@ class ControlCenter:
             # Self-target: delivered through the shutdown script (see the
             # module docstring); the write has already happened.
             LOG.info("CrashTuner shutting down {} (post-write self-target)", target)
-            killed = self.cluster.shutdown_host(target)
-            self._record("shutdown", target, values, resolved_value, via_fallback, killed)
+            self.deliver("shutdown", target, values, resolved_value, via_fallback)
             self.cluster.loop.pump(self.wait)
             return True
         LOG.info("CrashTuner crashing {} (post-write injection)", target)
-        killed = self.cluster.crash_host(target)
-        self._record("crash", target, values, resolved_value, via_fallback, killed)
-        if executing in killed:
+        if executing in self.deliver("crash", target, values, resolved_value,
+                                     via_fallback):
             raise NodeCrashedError(executing)
         return True

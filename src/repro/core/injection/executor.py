@@ -1,8 +1,13 @@
 """The campaign's test phase: runner -> pool, over one journal.
 
 The paper's test phase (Figure 4) is one loop — arm a dynamic crash
-point, run, judge — and so is this module.  Every point the journal does
-not restore runs, through two seams:
+point, run, judge — and so is this module, for every campaign: a point
+is a *plan entry* — ``key()``, ``describe()``, ``scale``, an optional
+run ``seed``, and ``arm(cluster, analysis, cfg, on_fired)`` -> ``(agent,
+trigger)`` — a :class:`~repro.core.profiler.DynamicCrashPoint` or a side
+campaign's (DESIGN.md "Plan entries"; only the former files or takes a
+suffix).  Every point the journal does not restore runs, through two
+seams:
 
 * the **runner** executes them, ``run(ctx, indices, sink)``, handing
   each finished point to the sink and nowhere else.  It has two
@@ -226,7 +231,7 @@ class ExecContext:
     """Everything a point needs to run, fixed for the whole campaign."""
 
     system: SystemUnderTest
-    analysis: AnalysisReport
+    analysis: Optional[AnalysisReport]
     points: List[DynamicCrashPoint]
     baseline: Baseline
     matcher: Optional[BugMatcherFn]
@@ -388,7 +393,7 @@ class ExecutionReport:
 
 def execute_points(
     system: SystemUnderTest,
-    analysis: AnalysisReport,
+    analysis: Optional[AnalysisReport],
     points: List[DynamicCrashPoint],
     baseline: Baseline,
     matcher: Optional[BugMatcherFn],

@@ -110,6 +110,7 @@ from repro.core.injection.executor import (
 from repro.core.injection.online_log import OnlineLogAgent
 from repro.core.injection.oracles import evaluate_run
 from repro.core.injection.trigger import Trigger, point_matches
+from repro.core.profiler import DynamicCrashPoint
 from repro.obs import NULL_OBS, Observability, get_obs
 from repro.systems.base import run_workload
 
@@ -345,7 +346,10 @@ class SnapshotRunner:
         groups: Dict[int, List[_ArmedPoint]] = {}
         for index in indices:
             dpoint = ctx.points[index]
-            groups.setdefault(dpoint.scale, []).append(_ArmedPoint(index, dpoint))
+            if isinstance(dpoint, DynamicCrashPoint):
+                groups.setdefault(dpoint.scale, []).append(_ArmedPoint(index, dpoint))
+            else:  # no other plan entry files a suffix (see the executor)
+                this.fallback(_ArmedPoint(index, dpoint))
         for scale, entries in groups.items():
             this.run_group(entries, scale)
         # the round's last fork is behind us: nobody inherits these
@@ -373,7 +377,8 @@ class _Round:
             self.sink.record(entry.index, outcome, payloads)
 
     def fallback(self, entry: _ArmedPoint) -> None:
-        """In-process replay of one point (any child-side failure lands here)."""
+        """In-process replay of one point: any child-side failure lands
+        here, and so does every plan entry that is not one crash point."""
         self.stats["fallback_points"] += 1
         self.finish(entry, *run_point(self.ctx, entry.index))
 

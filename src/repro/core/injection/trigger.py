@@ -47,13 +47,17 @@ class Trigger:
     event the point fired in (``SimLoop.events_processed`` at the fire)
     once the injection has returned — not when it raised
     :class:`~repro.errors.NodeCrashedError`, which cut the handler short.
+    Given ``after``, the trigger arms only once that one has fired (the
+    second point of a crash-point pair).
     """
 
     def __init__(self, dpoint: DynamicCrashPoint, center: ControlCenter,
-                 on_fired: Optional[Callable[[int], None]] = None):
+                 on_fired: Optional[Callable[[int], None]] = None,
+                 after: Optional["Trigger"] = None):
         self.dpoint = dpoint
         self.center = center
         self.on_fired = on_fired
+        self.after = after
         self.fired = False
         self.hits = 0
         #: the runtime meta-info values observed when the point fired
@@ -74,13 +78,11 @@ class Trigger:
                 BUS.capture_stacks = False
 
     # ------------------------------------------------------------------
-    def _matches(self, event: AccessEvent) -> bool:
-        return point_matches(self.dpoint, event)
-
     def _hook(self, event: AccessEvent) -> None:
-        if self.fired or not self._matches(event):
+        if self.fired or not point_matches(self.dpoint, event):
             return
-        self.fire(event)
+        if self.after is None or self.after.fired:
+            self.fire(event)
 
     def fire(self, event: AccessEvent) -> None:
         """Perform the injection for a matching access event.
@@ -114,3 +116,23 @@ class Trigger:
                 self.center.crash_rpc(values, event.node)
         if self.on_fired is not None:
             self.on_fired(ordinal)
+
+
+class DirectTrigger:
+    """A baseline entry's trigger: whoever owns its hook calls :meth:`fire`
+    with a target of its own choosing; no meta-info value is read."""
+
+    def __init__(self, center: ControlCenter):
+        self.center = center
+        self.fired = False
+        self.hits = 0
+        self.values: List[str] = []
+
+    def fire(self, kind: str, host: Optional[str]) -> None:
+        self.fired = True
+        self.hits = 1
+        if host is not None:
+            self.center.deliver(kind, host)
+
+    def uninstall(self) -> None:
+        pass

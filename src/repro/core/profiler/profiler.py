@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.state import BUS, AccessEvent
 from repro.core.analysis import AnalysisReport
@@ -33,6 +33,19 @@ class DynamicCrashPoint:
     def describe(self) -> str:
         frames = " > ".join(self.stack) if self.stack else "?"
         return f"{self.point.describe()} [{frames}]"
+
+    def arm(self, cluster: Any, analysis: AnalysisReport, cfg: Any,
+            on_fired: Optional[Callable[[int], None]] = None) -> Tuple[Any, Any]:
+        """Install this point's trigger for one run (the plan-entry
+        protocol, see :mod:`repro.core.injection.executor`)."""
+        # imported lazily: the injection package imports this module
+        from repro.core.injection.campaign import _arm
+        from repro.core.injection.trigger import Trigger
+
+        agent, center = _arm(cluster, analysis, cfg.wait, cfg.random_fallback)
+        trigger = Trigger(self, center, on_fired=on_fired)
+        trigger.install()
+        return agent, trigger
 
 
 class PointIndex:

@@ -79,3 +79,12 @@ def test_find_yarn_bugs_runs_end_to_end():
     assert proc.returncode == 0, proc.stderr
     assert "14 detected / 14 seeded" in proc.stdout
     assert "prunes" in proc.stdout
+
+
+@pytest.mark.slow
+def test_compare_baselines_runs():
+    proc = run_example("compare_baselines.py", "cassandra", "6")
+    assert proc.returncode == 0, proc.stderr
+    assert "CA-15131" in proc.stdout
+    for approach in ("CrashTuner", "Random crash", "IO fault"):
+        assert approach in proc.stdout

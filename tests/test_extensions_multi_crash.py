@@ -10,9 +10,9 @@ def test_select_pairs_is_ordered_cross_method_and_capped():
     _, _, profile, _ = prepared("hdfs")
     pairs = select_pairs(profile.dynamic_points, max_pairs=7)
     assert 0 < len(pairs) <= 7
-    for first, second in pairs:
-        assert first is not second
-        assert first.point.enclosing != second.point.enclosing
+    for pair in pairs:
+        assert pair.first is not pair.second
+        assert pair.first.point.enclosing != pair.second.point.enclosing
 
 
 def test_multi_crash_campaign_runs_and_chains():
@@ -24,8 +24,8 @@ def test_multi_crash_campaign_runs_and_chains():
     assert result.outcomes
     for outcome in result.outcomes:
         # the second trigger can only have fired after the first
-        if outcome.second_fired:
-            assert outcome.first_fired
+        if outcome.diagnosis.hits == 2:
+            assert outcome.fired
 
 
 def test_multi_crash_finds_at_least_single_crash_bugs():

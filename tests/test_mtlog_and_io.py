@@ -229,6 +229,24 @@ def test_io_bus_emits_events_with_locations():
     assert all(e.cls.endswith("FileOutputStream") for e in events)
 
 
+def test_read_all_emits_its_own_after_event():
+    disk = SimDisk()
+    FileOutputStream(disk, "/f").write("x")
+    FileOutputStream(disk, "/empty").close()
+    IO_BUS.reset()
+    events = []
+    IO_BUS.add_hook(events.append)
+    try:
+        assert FileInputStream(disk, "/f").read_all() == ["x"]
+        assert FileInputStream(disk, "/empty").read_all() == []
+    finally:
+        IO_BUS.reset()
+    # an IO fault "after" read_all needs the op's own post-op event, even
+    # for a file with nothing in it
+    calls = [e.phase for e in events if e.method == "read_all"]
+    assert calls == ["before", "after", "before", "after"]
+
+
 def test_io_bus_disabled_is_silent():
     IO_BUS.reset()
     disk = SimDisk()

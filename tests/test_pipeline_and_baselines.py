@@ -5,6 +5,8 @@ import pytest
 from repro import CampaignConfig, crashtuner, get_system
 from repro.bugs import matcher_for_system
 from repro.core.baselines import (
+    counted_bugs,
+    discounted,
     find_io_points,
     profile_io_points,
     run_io_injection,
@@ -52,29 +54,30 @@ def test_pipeline_max_points_caps_campaign():
 def test_random_injection_runs_and_scores():
     result = run_random_injection(get_system("zookeeper"), runs=6,
                                   matcher=matcher_for_system("zookeeper"))
-    assert result.runs == 6
     assert len(result.outcomes) == 6
     for outcome in result.outcomes:
-        assert outcome.action in ("crash", "shutdown")
-        assert outcome.target_host
+        assert outcome.dpoint.action in ("crash", "shutdown")
+        assert outcome.dpoint.host
     # ZooKeeper tolerates single faults: no bugs attributed
     assert result.detected_bugs() == {}
+    assert counted_bugs(result) == {}
 
 
 def test_random_injection_discounts_killed_masters():
     result = run_random_injection(get_system("hdfs"), runs=10,
                                   matcher=matcher_for_system("hdfs"))
     for outcome in result.outcomes:
-        if outcome.target_host == "nn" and outcome.verdict.flagged:
+        if outcome.dpoint.host == "nn" and outcome.verdict.flagged:
             if not outcome.verdict.uncommon_exceptions:
-                assert outcome.discounted
+                assert discounted(outcome)
 
 
 def test_random_injection_deterministic_per_seed():
-    a = run_random_injection(get_system("zookeeper"), runs=4, seed=9)
-    b = run_random_injection(get_system("zookeeper"), runs=4, seed=9)
-    assert [(o.target_host, o.action) for o in a.outcomes] == \
-        [(o.target_host, o.action) for o in b.outcomes]
+    seed9 = CampaignConfig(seed=9)
+    a = run_random_injection(get_system("zookeeper"), runs=4, campaign=seed9)
+    b = run_random_injection(get_system("zookeeper"), runs=4, campaign=seed9)
+    assert [o.dpoint for o in a.outcomes] == [o.dpoint for o in b.outcomes]
+    assert [o.dpoint.seed for o in a.outcomes] == [9, 10, 11, 12]
 
 
 # ---------------------------------------------------------------------------
