@@ -17,13 +17,16 @@ which gives exactly the same two observation channels:
   types and find access sites, just as WALA reads JVM types and getField /
   putField instructions;
 * the **dynamic** channel — every access emits an :class:`AccessEvent` on
-  the global :class:`AccessBus` (when enabled), carrying the access site's
-  source location, a bounded call stack, the executing node, and the
-  stringified runtime values involved.  Pre-read hooks run *before* the
-  value is (re-)read; post-write hooks run *after* the store.
+  the global :class:`AccessBus` (when a hook wants it), carrying the access
+  site's source location, a bounded call stack, the executing node, and
+  the stringified runtime values involved.  Pre-read hooks run *before*
+  the value is (re-)read; post-write hooks run *after* the store.
 
 The bus is off by default; a plain workload run pays one boolean check per
-access.  The profiler and the injection trigger enable it.
+access.  The profiler installs the one wildcard hook and so pays for an
+event per access.  An injection trigger keys its hook to its point's
+``(field, op)``: an armed run pays one set lookup per access and builds
+events only on that pair (DESIGN.md "Access bus dispatch").
 
 Important honesty note: tracking a field does **not** make it meta-info.
 The systems also track plenty of non-meta-info state (metrics, queues of
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import runtime
 
@@ -175,9 +178,26 @@ class AccessEvent:
 
 Hook = Callable[[AccessEvent], None]
 
+#: what a keyed hook can act on: one tracked field, read or written
+BusKey = Tuple[FieldKey, str]
+
 
 class AccessBus:
-    """Global dispatch point for tracked-state access events."""
+    """Global dispatch point for tracked-state access events.
+
+    A hook is either *keyed* — installed with the ``(field, op)`` pairs it
+    can act on, and handed only events on those pairs — or a *wildcard*
+    (``keys=None``), handed every event.  An access pays for building an
+    event (the frame walk, the values' ``str()``, the :class:`AccessEvent`)
+    only when some installed hook is keyed to its pair or is a wildcard;
+    otherwise :meth:`emit` returns after one set lookup.
+
+    Accesses made while the bus builds an event (the ``str()`` of a value
+    whose ``__str__`` reads tracked state) emit nothing, so what a keyed
+    hook receives never depends on which other pairs happen to be built.
+    Accesses made while a hook runs (a firing trigger pumping the loop)
+    emit as usual.
+    """
 
     #: paper Section 3.1.3: call strings are bounded to depth 5
     STACK_DEPTH = 5
@@ -185,38 +205,65 @@ class AccessBus:
     def __init__(self) -> None:
         self.enabled = False
         self.capture_stacks = False
-        self._hooks: List[Hook] = []
+        #: installed hooks in installation order, each with its keys
+        #: (``None`` for a wildcard)
+        self._hooks: List[Tuple[Hook, Optional[FrozenSet[BusKey]]]] = []
+        self._wildcard = False
+        #: every keyed hook's pairs
+        self._watched: FrozenSet[BusKey] = frozenset()
+        self._building = False
 
-    def add_hook(self, hook: Hook) -> None:
-        self._hooks.append(hook)
-        self.enabled = True
+    def add_hook(self, hook: Hook, keys: Optional[Iterable[BusKey]] = None) -> None:
+        """Install ``hook`` for the ``(field, op)`` pairs in ``keys``, or
+        for every access when ``keys`` is None."""
+        self._hooks.append((hook, None if keys is None else frozenset(keys)))
+        self._refresh()
 
     def remove_hook(self, hook: Hook) -> None:
-        self._hooks.remove(hook)
-        if not self._hooks:
-            self.enabled = False
+        for i, (installed, _) in enumerate(self._hooks):
+            if installed == hook:
+                del self._hooks[i]
+                break
+        else:
+            raise ValueError(f"{hook!r} is not installed")
+        self._refresh()
 
     def reset(self) -> None:
         self._hooks.clear()
-        self.enabled = False
+        self._refresh()
         self.capture_stacks = False
+
+    def _refresh(self) -> None:
+        self.enabled = bool(self._hooks)
+        self._wildcard = any(keys is None for _, keys in self._hooks)
+        self._watched = frozenset().union(
+            *(keys for _, keys in self._hooks if keys is not None))
 
     # ------------------------------------------------------------------
     def emit(self, key: FieldKey, op: str, method: str, values: Iterable[Any]) -> None:
-        """Build an event from the caller's frame and run all hooks."""
-        location, stack = self._caller_info()
-        event = AccessEvent(
-            field=key,
-            op=op,
-            method=method,
-            values=tuple(str(v) for v in values if v is not None),
-            location=location,
-            node=runtime.current_node() or "",
-            time=runtime.current_time(),
-            stack=stack,
-        )
-        for hook in list(self._hooks):
-            hook(event)
+        """Build an event from the caller's frame and run the hooks that
+        want it; return at once when none does."""
+        pair = (key, op)
+        if self._building or not (self._wildcard or pair in self._watched):
+            return
+        self._building = True
+        try:
+            location, stack = self._caller_info()
+            event = AccessEvent(
+                field=key,
+                op=op,
+                method=method,
+                values=tuple(str(v) for v in values if v is not None),
+                location=location,
+                node=runtime.current_node() or "",
+                time=runtime.current_time(),
+                stack=stack,
+            )
+        finally:
+            self._building = False
+        for hook, keys in list(self._hooks):
+            if keys is None or pair in keys:
+                hook(event)
 
     def _caller_info(self) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
         """Locate the access site: first frame outside this module."""
@@ -483,6 +530,7 @@ __all__ = [
     "AccessBus",
     "AccessEvent",
     "BUS",
+    "BusKey",
     "FieldKey",
     "TrackedDict",
     "TrackedList",

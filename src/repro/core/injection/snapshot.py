@@ -109,7 +109,7 @@ from repro.core.injection.executor import (
 )
 from repro.core.injection.online_log import OnlineLogAgent
 from repro.core.injection.oracles import evaluate_run
-from repro.core.injection.trigger import Trigger, point_matches
+from repro.core.injection.trigger import Trigger, point_key, point_matches
 from repro.core.profiler import DynamicCrashPoint
 from repro.obs import NULL_OBS, Observability, get_obs
 from repro.systems.base import run_workload
@@ -141,9 +141,11 @@ class _SnapshotWatcher:
     event it forks that point's child, then lets the recording run
     continue unperturbed.  Matching reuses the trigger's own
     :func:`point_matches`, so "the event the recording pass forked on" is
-    exactly "the event the replay trigger would fire on".  Every matching
-    point gets its own fork, even at one event: whether its suffix is a
-    known one is for the child to learn from its own fire.
+    exactly "the event the replay trigger would fire on", and the hook is
+    keyed to the union of the pending points' ``(field, op)`` pairs, as
+    each trigger is to its own.  Every matching point gets its own fork,
+    even at one event: whether its suffix is a known one is for the child
+    to learn from its own fire.
     """
 
     def __init__(self, entries: List[_ArmedPoint], this: "_Round"):
@@ -169,7 +171,8 @@ class _SnapshotWatcher:
         for entry in self.entries:
             entry.trigger = Trigger(entry.dpoint, center)
         BUS.capture_stacks = True
-        BUS.add_hook(self._hook)
+        BUS.add_hook(self._hook,
+                     keys={point_key(entry.dpoint) for entry in self.entries})
         self._installed = True
 
     def uninstall(self) -> None:

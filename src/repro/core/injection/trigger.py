@@ -6,15 +6,25 @@ the trigger is an access-bus hook armed for one
 :class:`~repro.core.profiler.DynamicCrashPoint`: when a runtime access
 event matches the point's location, operation, field, *and* bounded call
 stack, the control center is invoked with the accessed meta-info values.
+The hook is keyed to the point's ``(field, op)`` (:func:`point_key`), the
+first two things :func:`point_matches` checks, so the bus builds events
+for that one pair only and the rest of the world's accesses cost a set
+lookup each.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional
 
-from repro.cluster.state import BUS, AccessEvent
+from repro.cluster.state import BUS, AccessEvent, BusKey, FieldKey
 from repro.core.injection.control_center import ControlCenter
 from repro.core.profiler import DynamicCrashPoint
+
+
+def point_key(dpoint: DynamicCrashPoint) -> BusKey:
+    """The one ``(field, op)`` pair an event must be on to match ``dpoint``."""
+    point = dpoint.point
+    return FieldKey(point.field_cls, point.field_name), point.op
 
 
 def point_matches(dpoint: DynamicCrashPoint, event: AccessEvent) -> bool:
@@ -67,7 +77,7 @@ class Trigger:
     # ------------------------------------------------------------------
     def install(self) -> None:
         BUS.capture_stacks = True
-        BUS.add_hook(self._hook)
+        BUS.add_hook(self._hook, keys=[point_key(self.dpoint)])
         self._installed = True
 
     def uninstall(self) -> None:

@@ -1,7 +1,7 @@
 """Event objects for the discrete-event simulation kernel.
 
-An :class:`Event` is a callback scheduled at a simulated time.  Events are
-totally ordered by ``(time, seq)`` where ``seq`` is a monotonically
+An :class:`Event` is a callback scheduled at a simulated time.  The loop
+orders events by ``(time, seq)`` where ``seq`` is a monotonically
 increasing tie-breaker, which makes every simulation run deterministic for
 a fixed seed and schedule order.
 """
@@ -65,12 +65,6 @@ class Event:
     @property
     def cancelled(self) -> bool:
         return self._cancelled
-
-    def sort_key(self) -> tuple:
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
         state = "cancelled" if self._cancelled else "pending"

@@ -19,8 +19,7 @@ Two driving modes exist:
 Queue layout (see DESIGN.md "Scale kernel"): pending events live in one
 binary heap of ``(time, seq, event)`` triples, so every sift compares
 plain tuples at C speed — ``seq`` is globally unique, so the comparison
-never reaches the event — instead of calling ``Event.__lt__`` in the
-interpreter millions of times per heavy-traffic run.  The drivers pop the
+never reaches the event (which defines no ordering of its own).  The drivers pop the
 head once it is due (:meth:`SimLoop._pop_due`); a handler that schedules,
 cancels or pumps therefore always sees the whole pending set in the one
 structure.
