@@ -37,7 +37,7 @@ from repro.api import (
 )
 from repro import api
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 
 def __getattr__(name: str):

@@ -2,15 +2,20 @@
 
 The paper's strongest baseline (Section 4.2.2) injects crashes around *IO
 points*: call sites to ``read``/``write``/``flush``/``close`` methods of
-classes implementing ``java.io.Closeable``.  For that comparison to be
-meaningful here, the systems under test must actually perform their
-persistence and transfer through stream classes with that shape — so this
-module provides them, backed by an in-memory simulated disk per node.
+classes implementing ``java.io.Closeable``.  The systems under test do
+their persistence and transfer through the stream classes here, backed by
+an in-memory simulated disk per node.
 
-Every public method of a :class:`Closeable` subclass named with one of the
-four keywords is an IO point; calls emit on :data:`IO_BUS` (when enabled)
-so the baseline can count dynamic IO points and arm injections, exactly
-parallel to the meta-info :class:`~repro.cluster.state.AccessBus`.
+Every public method of a :class:`Closeable` subclass whose name starts
+with one of :data:`IO_METHOD_PREFIXES` is an IO method.  A call to one
+emits two events on the access bus (:data:`~repro.cluster.state.BUS`),
+keyed ``(FieldKey(<stream class>, <method>), phase)``: ``"before"`` just
+before the operation and ``"after"`` once it has completed, so fault
+injection can crash the machine on either side of the IO *instruction*.
+A call that raises, or a ``read`` at EOF, has no ``"after"`` event.  The
+bus skips this module's frames, so an event's location is the system's
+call site, also for the ``read`` calls ``read_all`` makes on its behalf;
+:func:`io_keys` names the pairs a hook can key to.
 
 IO faults: reading a corrupt/truncated stream raises
 :class:`CorruptStreamError`, which the systems handle the way the real ones
@@ -21,83 +26,16 @@ IO faults are usually tolerated; Section 4.2.2 discusses the HDFS
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Type
 
-from repro import runtime
+from repro.cluster.state import BUS, BusKey, FieldKey
 
-_THIS_MODULE = __name__
+#: name prefixes that make a stream method an IO method
+IO_METHOD_PREFIXES = ("read", "write", "flush", "close")
 
 
 class CorruptStreamError(Exception):
     """A stream was cut short by a crash; readers must handle this."""
-
-
-@dataclass(frozen=True)
-class IOEvent:
-    """One runtime call to an IO method.
-
-    Two events fire per call: ``phase="before"`` just before the operation
-    and ``phase="after"`` just after it, so fault injection can crash the
-    machine on either side of the IO *instruction* (Section 4.2.2).
-    """
-
-    cls: str
-    method: str
-    path: str
-    location: Tuple[str, int]
-    node: str
-    time: float
-    stack: Tuple[str, ...] = ()
-    phase: str = "before"
-
-
-class IOBus:
-    """Global dispatch for IO events (off by default)."""
-
-    STACK_DEPTH = 5
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.capture_stacks = False
-        self._hooks: List[Callable[[IOEvent], None]] = []
-
-    def add_hook(self, hook: Callable[[IOEvent], None]) -> None:
-        self._hooks.append(hook)
-        self.enabled = True
-
-    def remove_hook(self, hook: Callable[[IOEvent], None]) -> None:
-        self._hooks.remove(hook)
-        if not self._hooks:
-            self.enabled = False
-
-    def reset(self) -> None:
-        self._hooks.clear()
-        self.enabled = False
-        self.capture_stacks = False
-
-    def emit(self, cls: str, method: str, path: str, phase: str = "before") -> None:
-        from repro.cluster.state import capture_caller
-
-        location, stack = capture_caller(
-            _THIS_MODULE, self.capture_stacks, self.STACK_DEPTH, skip=2
-        )
-        event = IOEvent(
-            cls=cls,
-            method=method,
-            path=path,
-            location=location,
-            node=runtime.current_node() or "",
-            time=runtime.current_time(),
-            stack=stack,
-            phase=phase,
-        )
-        for hook in list(self._hooks):
-            hook(event)
-
-
-IO_BUS = IOBus()
 
 
 class SimDisk:
@@ -116,25 +54,52 @@ class SimDisk:
 class Closeable:
     """Base for IO streams, the analogue of ``java.io.Closeable``."""
 
+    #: this class's IO methods' bus fields, by method name
+    _io_keys: Dict[str, FieldKey]
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._io_keys = _method_keys(cls)
+
     def __init__(self, disk: SimDisk, path: str):
         self._disk = disk
         self.path = path
         self.closed = False
 
     def _io(self, method: str) -> None:
-        if IO_BUS.enabled:
-            IO_BUS.emit(f"{type(self).__module__}.{type(self).__qualname__}",
-                        method, self.path, phase="before")
+        if BUS.enabled:
+            BUS.emit(self._io_keys[method], "before", method, (self.path,))
 
     def _io_done(self, method: str) -> None:
-        if IO_BUS.enabled:
-            IO_BUS.emit(f"{type(self).__module__}.{type(self).__qualname__}",
-                        method, self.path, phase="after")
+        if BUS.enabled:
+            BUS.emit(self._io_keys[method], "after", method, (self.path,))
 
     def close(self) -> None:
         self._io("close")
         self.closed = True
         self._io_done("close")
+
+
+def _method_keys(cls: type) -> Dict[str, FieldKey]:
+    name = f"{cls.__module__}.{cls.__qualname__}"
+    return {method: FieldKey(name, method) for method in dir(cls)
+            if method.startswith(IO_METHOD_PREFIXES)}
+
+
+Closeable._io_keys = _method_keys(Closeable)
+
+
+def io_keys(phase: str, method: Optional[str] = None) -> FrozenSet[BusKey]:
+    """The bus pairs of ``phase`` events of IO method ``method`` (of every
+    IO method when None) on every stream class."""
+    keys: Set[FieldKey] = set()
+    classes: List[Type[Closeable]] = [Closeable]
+    while classes:
+        cls = classes.pop()
+        classes.extend(cls.__subclasses__())
+        keys.update(key for name, key in cls._io_keys.items()
+                    if method in (None, name))
+    return frozenset((key, phase) for key in keys)
 
 
 class FileOutputStream(Closeable):

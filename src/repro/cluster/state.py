@@ -22,11 +22,18 @@ which gives exactly the same two observation channels:
   the stringified runtime values involved.  Pre-read hooks run *before*
   the value is (re-)read; post-write hooks run *after* the store.
 
-The bus is off by default; a plain workload run pays one boolean check per
-access.  The profiler installs the one wildcard hook and so pays for an
-event per access.  An injection trigger keys its hook to its point's
-``(field, op)``: an armed run pays one set lookup per access and builds
-events only on that pair (DESIGN.md "Access bus dispatch").
+The bus is the one instrumentation agent: the IO streams of
+:mod:`repro.cluster.io` emit on it too, keyed by stream class and IO
+method, with ``op`` the side of the call.  Invariants (DESIGN.md "Access
+bus dispatch"):
+
+* with no hook installed an access or IO call costs one boolean check;
+* every hook in ``src/`` is keyed to the ``(field, op)`` pairs it can act
+  on, and an access on any other pair costs one set lookup and builds no
+  event;
+* a keyed hook receives exactly the wildcard stream filtered to its pairs
+  (a ``keys=None`` wildcard exists as the tests' reference);
+* every event carries its location and its bounded call stack.
 
 Important honesty note: tracking a field does **not** make it meta-info.
 The systems also track plenty of non-meta-info state (metrics, queues of
@@ -37,12 +44,13 @@ by the log-based + type-based analysis.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro import runtime
 
-_THIS_MODULE = __name__
+#: modules whose frames emit bus events on a caller's behalf
+_INSTRUMENTATION_MODULES = frozenset({__name__, "repro.cluster.io"})
 
 #: module prefixes whose frames are substrate machinery, not system code
 _SUBSTRATE_PREFIXES = (
@@ -88,22 +96,20 @@ def _frame_module(frame: Any) -> str:
     return module
 
 
-def capture_caller(
-    emitting_module: str,
-    capture_stack: bool,
-    depth: int,
-    skip: int = 1,
-) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
-    """Locate the access site and (optionally) its bounded call string.
+def capture_caller(depth: int) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
+    """Locate the access site and its bounded call string.
 
-    The call string contains system-under-test frames only — substrate
-    dispatch frames (node._enter, the event loop) are as meaningless to a
-    tester as JVM-internal frames were to the paper's tool.  Each entry is
+    Frames of the instrumentation itself (this module's containers and the
+    IO library's streams) are skipped, so the site is the system code that
+    made the access or the IO call.  The call string contains
+    system-under-test frames only — substrate dispatch frames
+    (node._enter, the event loop) are as meaningless to a tester as
+    JVM-internal frames were to the paper's tool.  Each entry is
     ``module.qualname:line``; for caller frames the line is the call site,
     which is what lets promoted crash points match their call sites.
     """
-    frame = sys._getframe(skip + 1)
-    while frame is not None and _frame_module(frame) == emitting_module:
+    frame = sys._getframe(2)  # the emitter's caller
+    while frame is not None and _frame_module(frame) in _INSTRUMENTATION_MODULES:
         frame = frame.f_back
     if frame is None:  # pragma: no cover - defensive
         return ("?", 0), ()
@@ -111,8 +117,6 @@ def capture_caller(
     location = _SITE_CACHE.get(site)
     if location is None:
         location = _SITE_CACHE[site] = (_frame_module(frame), frame.f_lineno)
-    if not capture_stack:
-        return location, ()
     stack: List[str] = []
     f: Any = frame
     while f is not None and len(stack) < depth:
@@ -149,21 +153,24 @@ class FieldKey:
 
 @dataclass(frozen=True)
 class AccessEvent:
-    """One runtime access to a tracked field or container.
+    """One runtime access to a tracked field or container, or one side of
+    an IO call (:mod:`repro.cluster.io`).
 
     Attributes:
-        field: which field was accessed.
-        op: ``"read"`` or ``"write"``.
+        field: which field was accessed; for an IO call, the stream class
+            and the IO method (``FieldKey(<stream class>, "read_all")``).
+        op: ``"read"`` or ``"write"``; for an IO call, ``"before"`` or
+            ``"after"`` the operation.
         method: the concrete operation: ``getfield``/``putfield`` for
-            scalar refs, or the collection method name (``get``, ``put``,
-            ``remove``, ...) for containers.
-        values: stringified runtime values involved (keys and values), used
-            by the online analysis to find the target node.
+            scalar refs, the collection method name (``get``, ``put``,
+            ``remove``, ...) for containers, the IO method for a stream.
+        values: stringified runtime values involved (keys and values, or
+            a stream's path), used by the online analysis to find the
+            target node.
         location: ``(module, lineno)`` of the *access site* (the caller).
         node: name of the node executing the access ("" outside a handler).
         time: simulated time.
-        stack: bounded call-string (outermost last), captured only when the
-            bus has ``capture_stacks`` set.
+        stack: bounded call-string (innermost first), system frames only.
     """
 
     field: FieldKey
@@ -178,7 +185,8 @@ class AccessEvent:
 
 Hook = Callable[[AccessEvent], None]
 
-#: what a keyed hook can act on: one tracked field, read or written
+#: what a keyed hook can act on: one tracked field, read or written, or
+#: one stream class's IO method, before or after the operation
 BusKey = Tuple[FieldKey, str]
 
 
@@ -204,7 +212,6 @@ class AccessBus:
 
     def __init__(self) -> None:
         self.enabled = False
-        self.capture_stacks = False
         #: installed hooks in installation order, each with its keys
         #: (``None`` for a wildcard)
         self._hooks: List[Tuple[Hook, Optional[FrozenSet[BusKey]]]] = []
@@ -231,7 +238,6 @@ class AccessBus:
     def reset(self) -> None:
         self._hooks.clear()
         self._refresh()
-        self.capture_stacks = False
 
     def _refresh(self) -> None:
         self.enabled = bool(self._hooks)
@@ -248,7 +254,7 @@ class AccessBus:
             return
         self._building = True
         try:
-            location, stack = self._caller_info()
+            location, stack = capture_caller(self.STACK_DEPTH)
             event = AccessEvent(
                 field=key,
                 op=op,
@@ -264,10 +270,6 @@ class AccessBus:
         for hook, keys in list(self._hooks):
             if keys is None or pair in keys:
                 hook(event)
-
-    def _caller_info(self) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
-        """Locate the access site: first frame outside this module."""
-        return capture_caller(_THIS_MODULE, self.capture_stacks, self.STACK_DEPTH, skip=2)
 
 
 #: The process-global bus, mirroring the single instrumentation agent.

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.io import IO_BUS, IOEvent
+from repro.cluster.io import io_keys
+from repro.cluster.state import BUS, AccessEvent
 from repro.core.baselines.io_points import DynamicIOPoint, IOPointReport
 from repro.core.injection.campaign import (
     BugMatcherFn,
@@ -53,20 +54,21 @@ class IOFault:
 
 
 class _IOTrigger(DirectTrigger):
-    """An :class:`IOFault` armed on the IO bus."""
+    """An :class:`IOFault` armed on the access bus, keyed to its phase of
+    its point's IO method.  The call site names the method, not the
+    stream's class, so the keys span every stream class with that method;
+    an event of another method at the same site (the ``read`` calls a
+    ``read_all`` makes there) is on another pair."""
 
     def __init__(self, entry: IOFault, center: ControlCenter):
         super().__init__(center)
         self.entry = entry
-        IO_BUS.capture_stacks = True
-        IO_BUS.add_hook(self)
+        BUS.add_hook(self, keys=io_keys(entry.phase, entry.dpoint.point.method))
         self._installed = True
 
-    def __call__(self, event: IOEvent) -> None:
+    def __call__(self, event: AccessEvent) -> None:
         dpoint = self.entry.dpoint
-        if (event.phase != self.entry.phase
-                or event.location != dpoint.point.location
-                or event.stack != dpoint.stack):
+        if event.location != dpoint.point.location or event.stack != dpoint.stack:
             return
         self.uninstall()
         node = self.center.cluster.nodes.get(event.node)
@@ -79,10 +81,8 @@ class _IOTrigger(DirectTrigger):
 
     def uninstall(self) -> None:
         if self._installed:
-            IO_BUS.remove_hook(self)
+            BUS.remove_hook(self)
             self._installed = False
-            if not IO_BUS.enabled:
-                IO_BUS.capture_stacks = False
 
 
 def run_io_injection(

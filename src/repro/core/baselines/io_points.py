@@ -1,11 +1,16 @@
 """IO point identification (paper Section 4.2.2, Table 8).
 
-IO classes are classes implementing ``Closeable`` (the substrate's
-equivalent of ``java.io.Closeable``); IO methods are their public methods
-whose names start with ``read``/``write``/``flush``/``close``; static IO
-points are call sites to IO methods; dynamic IO points are executed static
-IO points with calling context — all found by the same machinery the
-meta-info analysis uses, so the comparison is apples-to-apples.
+* IO classes are ``Closeable`` (the substrate's ``java.io.Closeable``)
+  and its subtypes; IO methods are their public methods whose names start
+  with one of :data:`~repro.cluster.io.IO_METHOD_PREFIXES`.
+* Static IO points are call sites to IO methods outside the IO library,
+  found on the same type model the meta-info analysis builds.
+* Dynamic IO points are executed static IO points with their bounded call
+  stack, recorded by the crash profiler's own doubling loop
+  (:func:`~repro.core.profiler.double_to_fixpoint`) from the access bus's
+  ``"before"`` IO events.  An event's location is the call site and its
+  stack is the one a meta-info access there would carry, so the two
+  baselines are counted the same way.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.cluster.io import IO_BUS, IOEvent
+from repro.cluster.io import IO_METHOD_PREFIXES, io_keys
+from repro.cluster.state import AccessEvent
 from repro.core.analysis import AnalysisReport
 from repro.core.analysis.types import TypeModel
-from repro.systems.base import SystemUnderTest, run_workload
-
-IO_METHOD_PREFIXES = ("read", "write", "flush", "close")
+from repro.core.profiler import double_to_fixpoint
+from repro.systems.base import SystemUnderTest
 
 
 @dataclass(frozen=True)
@@ -123,39 +128,21 @@ def profile_io_points(
     config: Optional[Dict[str, Any]] = None,
     max_iterations: int = 3,
 ) -> IOPointReport:
-    """Fill in dynamic IO points with the profiler's doubling strategy."""
+    """Fill in dynamic IO points with the profiler's doubling loop, keyed
+    to the ``"before"`` event of every IO method."""
     by_location: Dict[Tuple[str, int], StaticIOPoint] = {
         p.location: p for p in report.static_points
     }
     found: Dict[Tuple, DynamicIOPoint] = {}
-    scale = 1
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        before = len(found)
 
-        def hook(event: IOEvent, _scale: int = scale) -> None:
-            if event.phase != "before":
-                return
-            point = by_location.get(event.location)
-            if point is None:
-                return
-            key = (point.location, event.stack)
-            found.setdefault(key, DynamicIOPoint(point=point, stack=event.stack,
-                                                 scale=_scale))
+    def record(event: AccessEvent, scale: int) -> None:
+        point = by_location.get(event.location)
+        if point is not None:
+            found.setdefault((point.location, event.stack),
+                             DynamicIOPoint(point=point, stack=event.stack, scale=scale))
 
-        IO_BUS.capture_stacks = True
-        IO_BUS.add_hook(hook)
-        try:
-            run_workload(system, seed=seed, config=config, scale=scale,
-                         keep_cluster=False)
-        finally:
-            IO_BUS.remove_hook(hook)
-            if not IO_BUS.enabled:
-                IO_BUS.capture_stacks = False
-        if len(found) == before:
-            break
-        scale *= 2
+    double_to_fixpoint(system, record, io_keys("before"), found, seed=seed,
+                       config=config, max_iterations=max_iterations)
     report.dynamic_points = sorted(
         found.values(), key=lambda d: (d.point.location, d.stack)
     )

@@ -170,7 +170,6 @@ class _SnapshotWatcher:
             cluster, self.ctx.analysis, cfg.wait, cfg.random_fallback)
         for entry in self.entries:
             entry.trigger = Trigger(entry.dpoint, center)
-        BUS.capture_stacks = True
         BUS.add_hook(self._hook,
                      keys={point_key(entry.dpoint) for entry in self.entries})
         self._installed = True
@@ -179,8 +178,6 @@ class _SnapshotWatcher:
         if self._installed:
             BUS.remove_hook(self._hook)
             self._installed = False
-            if not BUS.enabled:
-                BUS.capture_stacks = False
 
     # ------------------------------------------------------------------
     def _hook(self, event: AccessEvent) -> None:

@@ -76,7 +76,6 @@ class Trigger:
 
     # ------------------------------------------------------------------
     def install(self) -> None:
-        BUS.capture_stacks = True
         BUS.add_hook(self._hook, keys=[point_key(self.dpoint)])
         self._installed = True
 
@@ -84,8 +83,6 @@ class Trigger:
         if self._installed:
             BUS.remove_hook(self._hook)
             self._installed = False
-            if not BUS.enabled:
-                BUS.capture_stacks = False
 
     # ------------------------------------------------------------------
     def _hook(self, event: AccessEvent) -> None:

@@ -9,7 +9,9 @@ from repro.core.profiler.profiler import (
     DynamicCrashPoint,
     PointIndex,
     ProfileResult,
+    double_to_fixpoint,
     profile_system,
 )
 
-__all__ = ["DynamicCrashPoint", "PointIndex", "ProfileResult", "profile_system"]
+__all__ = ["DynamicCrashPoint", "PointIndex", "ProfileResult",
+           "double_to_fixpoint", "profile_system"]

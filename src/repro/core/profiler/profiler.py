@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sized, Tuple
 
-from repro.cluster.state import BUS, AccessEvent
+from repro.cluster.state import BUS, AccessEvent, BusKey, FieldKey
 from repro.core.analysis import AnalysisReport
 from repro.core.analysis.static_points import AccessPoint
 from repro.systems.base import SystemUnderTest, run_workload
@@ -88,6 +89,38 @@ class ProfileResult:
     unexecuted: List[AccessPoint] = field(default_factory=list)
 
 
+def double_to_fixpoint(
+    system: SystemUnderTest,
+    hook: Callable[[AccessEvent, int], None],
+    keys: Iterable[BusKey],
+    found: Sized,
+    seed: int = 0,
+    config: Optional[Dict[str, Any]] = None,
+    max_iterations: int = 3,
+) -> Tuple[int, int]:
+    """Run the workload at scale 1, 2, 4, ... with ``hook(event, scale)``
+    on the bus for ``keys``, until a run adds nothing to ``found`` or
+    ``max_iterations`` runs are done.  Returns the iteration count and the
+    final scale."""
+    keys = frozenset(keys)
+    scale = 1
+    iterations = 0
+    while iterations < max_iterations:
+        iterations += 1
+        before = len(found)
+        at_scale = partial(hook, scale=scale)
+        BUS.add_hook(at_scale, keys=keys)
+        try:
+            run_workload(system, seed=seed, config=config, scale=scale,
+                         keep_cluster=False)
+        finally:
+            BUS.remove_hook(at_scale)
+        if len(found) == before:
+            break  # fixpoint: doubling added nothing new
+        scale *= 2
+    return iterations, scale
+
+
 def profile_system(
     system: SystemUnderTest,
     analysis: AnalysisReport,
@@ -95,47 +128,35 @@ def profile_system(
     config: Optional[Dict[str, Any]] = None,
     max_iterations: int = 3,
 ) -> ProfileResult:
-    """Record dynamic crash points, doubling the workload to fixpoint."""
-    index = PointIndex(analysis.crash.crash_points)
+    """Record dynamic crash points, doubling the workload to fixpoint.
+
+    The hook is keyed to the static points' ``(field, op)`` pairs, the only
+    pairs :meth:`PointIndex.match` accepts.
+    """
+    points = analysis.crash.crash_points
+    index = PointIndex(points)
     found: Dict[Tuple, DynamicCrashPoint] = {}
     hit_static: set = set()
     t0 = _wallclock.perf_counter()
-    scale = 1
-    iterations = 0
-    while iterations < max_iterations:
-        iterations += 1
-        before = len(found)
 
-        def hook(event: AccessEvent, _scale: int = scale) -> None:
-            if not event.node:
-                # Deployment-time accesses (object construction before any
-                # process runs) are not injectable: there is no running
-                # node to crash yet.
-                return
-            point = index.match(event)
-            if point is None:
-                return
-            hit_static.add(point.location + (point.op,))
-            dpoint = DynamicCrashPoint(point=point, stack=event.stack, scale=_scale)
-            found.setdefault(dpoint.key(), dpoint)
+    def record(event: AccessEvent, scale: int) -> None:
+        if not event.node:
+            # Deployment-time accesses (object construction before any
+            # process runs) are not injectable: there is no running
+            # node to crash yet.
+            return
+        point = index.match(event)
+        if point is None:
+            return
+        hit_static.add(point.location + (point.op,))
+        dpoint = DynamicCrashPoint(point=point, stack=event.stack, scale=scale)
+        found.setdefault(dpoint.key(), dpoint)
 
-        BUS.capture_stacks = True
-        BUS.add_hook(hook)
-        try:
-            run_workload(system, seed=seed, config=config, scale=scale,
-                         keep_cluster=False)
-        finally:
-            BUS.remove_hook(hook)
-            if not BUS.enabled:
-                BUS.capture_stacks = False
-        if len(found) == before:
-            break  # fixpoint: doubling added nothing new
-        scale *= 2
-
-    unexecuted = [
-        p for p in analysis.crash.crash_points
-        if p.location + (p.op,) not in hit_static
-    ]
+    keys = {(FieldKey(p.field_cls, p.field_name), p.op) for p in points}
+    iterations, scale = double_to_fixpoint(
+        system, record, keys, found, seed=seed, config=config,
+        max_iterations=max_iterations)
+    unexecuted = [p for p in points if p.location + (p.op,) not in hit_static]
     return ProfileResult(
         system=system.name,
         dynamic_points=sorted(found.values(), key=lambda d: d.key()),

@@ -1,7 +1,8 @@
 """Keyed access-bus dispatch against the wildcard reference.
 
-An injection trigger keys its hook to one ``(field, op)`` pair, and the bus
-then builds events for that pair only.  That is sound only if a keyed hook
+An injection trigger keys its hook to one ``(field, op)`` pair — a tracked
+field read or written, or a stream's IO method before or after the call —
+and the bus then builds events for that pair only.  That is sound only if a keyed hook
 receives exactly what a wildcard hook would have handed it on that pair:
 the same events, field for field, in the same order.  These tests hold the
 bus to that on every system's clean seed-0 run, across a hook that pumps
@@ -25,13 +26,11 @@ SYSTEMS = ("cassandra", "hbase", "hdfs", "kube", "yarn", "zookeeper")
 def _record(system: Any, keys: Optional[List[BusKey]]) -> List[AccessEvent]:
     """One clean seed-0 run with a single recorder, keyed or wildcard."""
     events: List[AccessEvent] = []
-    BUS.capture_stacks = True
     BUS.add_hook(events.append, keys=keys)
     try:
         run_workload(system, seed=0, keep_cluster=False)
     finally:
         BUS.remove_hook(events.append)
-        BUS.capture_stacks = False
     return events
 
 
@@ -43,6 +42,9 @@ def test_keyed_stream_is_the_wildcard_stream_filtered(name):
     for event in reference:
         by_key.setdefault((event.field, event.op), []).append(event)
     assert len(by_key) > 1
+    # every system but kube does IO: its streams' pairs are held here too
+    io_phases = {op for _, op in by_key if op in ("before", "after")}
+    assert io_phases == (set() if name == "kube" else {"before", "after"})
     for key, expected in by_key.items():
         # alone on the bus, so nothing but this pair is ever built
         assert _record(system, [key]) == expected, f"{name}: {key[0]} {key[1]}"

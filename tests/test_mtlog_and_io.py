@@ -4,12 +4,15 @@ import pytest
 
 from repro.cluster import Cluster, Node
 from repro.cluster.io import (
-    IO_BUS,
     CorruptStreamError,
     FileInputStream,
     FileOutputStream,
     SimDisk,
+    io_keys,
 )
+from repro.cluster.state import BUS, FieldKey
+from repro.core.baselines.io_injection import IOFault, _IOTrigger
+from repro.core.baselines.io_points import DynamicIOPoint, StaticIOPoint
 from repro.mtlog import LogCollector, LogRecord, get_logger, level_rank, render
 
 LOG = get_logger("tests.mtlog")
@@ -210,9 +213,8 @@ def test_missing_file_read_raises():
 
 
 def test_io_bus_emits_events_with_locations():
-    IO_BUS.reset()
     events = []
-    IO_BUS.add_hook(events.append)
+    BUS.add_hook(events.append)
     try:
         disk = SimDisk()
         out = FileOutputStream(disk, "/f")
@@ -220,36 +222,91 @@ def test_io_bus_emits_events_with_locations():
         out.flush()
         out.close()
     finally:
-        IO_BUS.reset()
-    before = [e.method for e in events if e.phase == "before"]
-    after = [e.method for e in events if e.phase == "after"]
+        BUS.remove_hook(events.append)
+    before = [e.method for e in events if e.op == "before"]
+    after = [e.method for e in events if e.op == "after"]
     assert before == ["write", "flush", "close"]
     assert after == ["write", "flush", "close"]  # each op also emits post-op
     assert all(e.location[0] == __name__ for e in events)
-    assert all(e.cls.endswith("FileOutputStream") for e in events)
+    assert all(e.field == FieldKey("repro.cluster.io.FileOutputStream", e.method)
+               for e in events)
+    assert all(e.values == ("/f",) and e.stack for e in events)
 
 
 def test_read_all_emits_its_own_after_event():
     disk = SimDisk()
     FileOutputStream(disk, "/f").write("x")
     FileOutputStream(disk, "/empty").close()
-    IO_BUS.reset()
     events = []
-    IO_BUS.add_hook(events.append)
+    BUS.add_hook(events.append)
     try:
         assert FileInputStream(disk, "/f").read_all() == ["x"]
         assert FileInputStream(disk, "/empty").read_all() == []
     finally:
-        IO_BUS.reset()
+        BUS.remove_hook(events.append)
     # an IO fault "after" read_all needs the op's own post-op event, even
     # for a file with nothing in it
-    calls = [e.phase for e in events if e.method == "read_all"]
+    calls = [e.op for e in events if e.method == "read_all"]
     assert calls == ["before", "after", "before", "after"]
 
 
-def test_io_bus_disabled_is_silent():
-    IO_BUS.reset()
+class _NoNodes:
+    """A control center whose cluster has no nodes: a fire delivers nothing."""
+
+    class cluster:
+        nodes = {}
+
+
+def _read_all(disk):
+    return FileInputStream(disk, "/f").read_all()
+
+
+def test_after_fault_on_read_all_fires_once_read_all_has_returned():
     disk = SimDisk()
     out = FileOutputStream(disk, "/f")
-    out.write("x")  # no hooks: nothing should happen
-    assert not IO_BUS.enabled
+    out.write("a")
+    out.write("b")
+    sites, log, trigger = [], [], None
+
+    def site(event):
+        sites.append((event.location, event.stack))
+
+    def observe(event):
+        log.append((event.method, event.op, trigger.fired))
+
+    for armed in (False, True):  # one call site: profiled, then armed
+        if armed:
+            (location, stack), = sites
+            point = StaticIOPoint(location[0], location[1], "read_all", "_read_all")
+            trigger = _IOTrigger(IOFault(DynamicIOPoint(point, stack), "after"),
+                                 _NoNodes())
+            BUS.add_hook(observe)
+        else:
+            BUS.add_hook(site, keys=io_keys("before", "read_all"))
+        try:
+            assert _read_all(disk) == ["a", "b"]
+        finally:
+            BUS.remove_hook(observe if armed else site)
+            if armed:
+                trigger.uninstall()  # a no-op once it has fired
+    # the inner reads' events carry read_all's site and stack, and their
+    # "after" events come first: the fault waits for read_all's own
+    assert log == [
+        ("read_all", "before", False),
+        ("read", "before", False), ("read", "after", False),
+        ("read", "before", False), ("read", "after", False),
+        ("read", "before", False),
+        ("read_all", "after", True),
+    ]
+
+
+def test_io_bus_disabled_is_silent(monkeypatch):
+    def boom(*args):
+        raise AssertionError("an IO call emitted with no hook installed")
+
+    monkeypatch.setattr(BUS, "emit", boom)
+    disk = SimDisk()
+    out = FileOutputStream(disk, "/f")
+    out.write("x")  # no hooks: one enabled check, nothing more
+    assert FileInputStream(disk, "/f").read_all() == ["x"]
+    assert not BUS.enabled

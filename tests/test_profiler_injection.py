@@ -176,7 +176,7 @@ def test_trigger_fires_exactly_once_per_run():
     assert outcome.fired
     assert outcome.injection is not None
     # exactly one fault injected even though registration happens 3 times
-    cluster_faults = len(outcome.dpoint.stack) >= 0  # structural smoke
+    assert outcome.diagnosis.hits == 1
     assert outcome.injection.kind in ("crash", "shutdown")
 
 
@@ -202,5 +202,5 @@ def test_fired_trigger_stops_listening():
     assert trigger.fired and trigger.hits == 1
     # nobody called uninstall(): the hook came off the bus at the fire,
     # so the rest of the run emitted no access events
-    assert not BUS.enabled and not BUS.capture_stacks
+    assert not BUS.enabled
     trigger.uninstall()  # still safe — multi-crash's finally relies on it

@@ -257,17 +257,9 @@ def test_bus_hook_removal_disables():
     assert not BUS.enabled
 
 
-def test_stack_capture_off_by_default():
-    h = Holder()
-    events = capture()
-    h.name = "v"
-    assert events[-1].stack == ()
-
-
 def test_stack_capture_bounded_and_innermost_first():
     h = Holder()
     events = capture()
-    BUS.capture_stacks = True
 
     def inner():
         h.name = "deep"
