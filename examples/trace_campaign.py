@@ -4,9 +4,9 @@
 Runs the fault-injection campaign with tracing + metrics enabled, writes
 the run's telemetry as a JSONL trace (spans over simulated time, a
 metrics snapshot, and one diagnosis record per dynamic crash point), and
-prints the summary that ``python -m repro.obs.report`` produces from the
+prints the summary that ``python -m repro report`` produces from the
 file.  With ``--analytics`` it also runs the failure-mode analytics pass
-(``python -m repro.obs.analytics``) over the trace and prints the mode
+(``python -m repro analytics``) over the trace and prints the mode
 and canonical-detection tables; ``--rank`` adds the anomaly ranking.
 With ``--diff-fallback`` it runs the campaign a second time with the
 random-node fallback enabled (the A1 ablation's knob) and prints the

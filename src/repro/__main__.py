@@ -8,7 +8,7 @@ shows the report CLI's real help, not a summary of it::
     python -m repro daemon start /var/run/ct      the campaign service
     python -m repro report trace.jsonl            trace inspection
     python -m repro analytics modes trace.jsonl   failure-mode analytics
-    python -m repro analysis yarn                 static-analysis report
+    python -m repro analysis report yarn          static-analysis report
 
 The older module entry points (``python -m repro.obs.analytics`` etc.)
 were removed in 1.5.0 after one release as deprecated aliases; they now

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time as _wallclock
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, List, Optional, Set
+from typing import Any, Dict, List, Optional
 
 from repro.core.analysis.engine import AnalysisEngine, EngineResult
 from repro.core.analysis.log_analysis import LogAnalysisResult, analyze_logs
@@ -77,7 +77,7 @@ class AnalysisReport:
     extraction: ExtractionResult
     crash: CrashPointResult
     hosts: List[str]
-    #: the interprocedural engine's run: summaries, provenance, cache stats
+    #: the interprocedural engine's run: summaries, provenance, stats
     engine: EngineResult
     #: wall-clock seconds: {"run": .., "log_analysis": .., "static": ..}
     timings: Dict[str, float] = field(default_factory=dict)
@@ -95,18 +95,6 @@ class AnalysisReport:
         }
 
 
-#: process-wide default engines, so repeated analyses of the same system
-#: (same patched switchboard) hit the incremental cache
-_DEFAULT_ENGINES: Dict[str, AnalysisEngine] = {}
-
-
-def default_engine(system_name: str) -> AnalysisEngine:
-    """The shared per-system engine instance (created on first use)."""
-    if system_name not in _DEFAULT_ENGINES:
-        _DEFAULT_ENGINES[system_name] = AnalysisEngine()
-    return _DEFAULT_ENGINES[system_name]
-
-
 def analyze_system(
     system: SystemUnderTest,
     seed: int = 0,
@@ -117,10 +105,10 @@ def analyze_system(
     """Run phase 1's analyses (Figure 4, top) for one system.
 
     The static stage runs on an interprocedural :class:`AnalysisEngine`
-    (provenance, incremental caching): the shared per-system instance by
-    default, or the ``engine`` instance passed.  Its output is a strict
-    superset of the original single-shot intraprocedural pipeline's; the
-    extras carry ``lane == "inter"``.
+    (the ``engine`` passed, else a fresh one; it keeps no state, so the
+    two agree).  Its output is a strict superset of the original
+    single-shot intraprocedural pipeline's; the extras carry
+    ``lane == "inter"``.
     """
     t0 = _wallclock.perf_counter()
     report = run_workload(system, seed=seed, config=config, scale=scale)
@@ -141,8 +129,9 @@ def analyze_system(
         if (config or {}).get("patched_bugs") != "all"
         else ("all",)
     )
-    driver = engine if engine is not None else default_engine(system.name)
-    engine_result = driver.analyze(sources, statements, log_result, patched=patched)
+    engine_result = (engine or AnalysisEngine()).analyze(
+        sources, statements, log_result, patched=patched
+    )
     t_static = _wallclock.perf_counter() - t0
 
     return AnalysisReport(
@@ -188,7 +177,6 @@ __all__ = [
     "collection_op_kind",
     "compute_crash_points",
     "compute_summaries",
-    "default_engine",
     "extract_access_points",
     "find_logging_statements",
     "host_in_value",

@@ -1,4 +1,4 @@
-"""The analysis report CLI: ``python -m repro.core.analysis report``.
+"""The analysis report CLI: ``python -m repro analysis report``.
 
 Runs phase 1 over one or more bundled systems and renders the static
 crash points, the Table-12-style pruning statistics, and (on request) the

@@ -1,18 +1,18 @@
-"""The interprocedural analysis engine (tentpole of the analysis PR).
+"""The interprocedural analysis engine: phase 1's static stage.
 
-Wraps the paper-faithful single-shot analysis in three capabilities:
+Wraps the paper-faithful single-shot analysis in two capabilities:
 
-1. **Interprocedural typing** — a call graph with receiver-type dispatch
-   plus a method-summary fixpoint (return inference bottom-up, argument
+1. **Interprocedural typing** — a method-summary fixpoint with
+   receiver-type dispatch (return inference bottom-up, argument
    propagation top-down, element typing for loop targets).  The summaries
    feed :class:`~repro.core.analysis.types.ExprTyper` so field accesses in
    unannotated helper code become visible.
 2. **Provenance** — every meta-info conclusion and crash point records why
    it holds, as a graph whose roots are seed logging statements; rendered
-   by ``python -m repro.core.analysis report``.
-3. **Incremental caching** — per-module extraction results keyed on the
-   sha256 of the module source; re-analysis after editing one module only
-   re-extracts that module plus its call-graph dependents.
+   by ``python -m repro analysis report``.
+
+:meth:`AnalysisEngine.analyze` is a function of its arguments: it keeps no
+state between calls, so a fresh engine and a reused one agree.
 
 Superset guarantee
 ------------------
@@ -29,11 +29,9 @@ is a strict superset of engine-off output.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
 
-from repro.core.analysis.callgraph import CallGraph
 from repro.core.analysis.log_analysis import LogAnalysisResult
 from repro.core.analysis.logging_statements import LogStatement, ModuleSource
 from repro.core.analysis.provenance import Provenance, point_key
@@ -42,20 +40,13 @@ from repro.core.analysis.static_points import (
     CrashPointResult,
     ExtractionResult,
     MetaInfoTypes,
-    ModuleExtraction,
     compute_crash_points,
-    extract_module_points,
+    extract_access_points,
     infer_meta_info,
-    merge_extractions,
 )
 from repro.core.analysis.summaries import SummaryTable, compute_summaries
 from repro.core.analysis.types import TypeModel
 from repro.obs import get_obs
-
-
-def module_hash(src: ModuleSource) -> str:
-    """Cache key of one module: the content hash of its source."""
-    return hashlib.sha256(src.source.encode("utf-8")).hexdigest()
 
 
 @dataclass
@@ -72,8 +63,7 @@ class EngineResult:
     crash: CrashPointResult
     provenance: Provenance
     summaries: SummaryTable
-    callgraph: CallGraph
-    #: plain-dict metrics (modules_reextracted, fixpoint_iterations, ...)
+    #: plain-dict metrics (fixpoint_iterations, inter_crash_points, ...)
     stats: Dict[str, Any] = field(default_factory=dict)
 
     @property
@@ -82,22 +72,8 @@ class EngineResult:
 
 
 class AnalysisEngine:
-    """Stateful analysis driver with a per-module extraction cache.
+    """The static-stage driver: both lanes, merged, with provenance."""
 
-    One engine instance is meant to live as long as its system's sources
-    may be re-analysed; :meth:`analyze` is idempotent and cheap when
-    nothing changed.  The cache is keyed on the ``patched`` switchboard —
-    a different patched set flushes it (usage flags depend on it).
-    """
-
-    def __init__(self) -> None:
-        self._patched: Optional[FrozenSet[str]] = None
-        #: module name -> (source hash, baseline extraction)
-        self._baseline: Dict[str, Tuple[str, ModuleExtraction]] = {}
-        #: module name -> (source hash, summary-augmented extraction)
-        self._augmented: Dict[str, Tuple[str, ModuleExtraction]] = {}
-
-    # ------------------------------------------------------------------
     def analyze(
         self,
         sources: Sequence[ModuleSource],
@@ -107,50 +83,14 @@ class AnalysisEngine:
     ) -> EngineResult:
         obs = get_obs()
         with obs.tracer.span("analysis.engine", modules=len(sources)):
-            if patched != self._patched:
-                self._baseline.clear()
-                self._augmented.clear()
-                self._patched = patched
-
             with obs.tracer.span("analysis.engine.model"):
                 model = TypeModel.build(sources)
             with obs.tracer.span("analysis.engine.fixpoint"):
                 summaries, iterations = compute_summaries(model)
-            with obs.tracer.span("analysis.engine.callgraph"):
-                graph = CallGraph.build(model, summaries=summaries)
-
-            hashes = {src.name: module_hash(src) for src in sources}
-            for name in list(self._baseline):
-                if name not in hashes:
-                    del self._baseline[name]
-                    self._augmented.pop(name, None)
-            changed = {
-                name for name, digest in hashes.items()
-                if self._baseline.get(name, ("", None))[0] != digest
-            }
-            stale = graph.module_dependents(changed) & set(hashes)
-
-            reextracted = 0
-            baseline_parts: List[ModuleExtraction] = []
-            augmented_parts: List[ModuleExtraction] = []
-            with obs.tracer.span("analysis.engine.extract",
-                                 changed=len(changed), stale=len(stale)):
-                for src in sources:
-                    if src.name in stale:
-                        self._baseline[src.name] = (
-                            hashes[src.name],
-                            extract_module_points(model, src, patched),
-                        )
-                        self._augmented[src.name] = (
-                            hashes[src.name],
-                            extract_module_points(model, src, patched,
-                                                  summaries=summaries),
-                        )
-                        reextracted += 1
-                    baseline_parts.append(self._baseline[src.name][1])
-                    augmented_parts.append(self._augmented[src.name][1])
-            base_ext = merge_extractions(baseline_parts)
-            aug_ext = merge_extractions(augmented_parts)
+            with obs.tracer.span("analysis.engine.extract"):
+                base_ext = extract_access_points(model, sources, patched)
+                aug_ext = extract_access_points(model, sources, patched,
+                                                summaries=summaries)
 
             provenance = Provenance()
             with obs.tracer.span("analysis.engine.infer"):
@@ -165,31 +105,23 @@ class AnalysisEngine:
                 )
                 aug_crash = compute_crash_points(model, aug_ext, aug_meta)
 
-            crash, extraction = _merge(base_ext, base_crash, aug_crash)
+            crash, extraction = _merge(base_ext, aug_ext, base_crash, aug_crash)
             _record_point_provenance(
-                provenance, crash.crash_points, summaries, augmented_parts
+                provenance, crash.crash_points, summaries, aug_ext.used_facts
             )
 
             returns, params = summaries.counts()
             stats: Dict[str, Any] = {
                 "modules_total": len(sources),
-                "modules_changed": len(changed),
-                "modules_reextracted": reextracted,
-                "modules_cached": len(sources) - reextracted,
                 "fixpoint_iterations": iterations,
                 "summary_returns": returns,
                 "summary_params": params,
-                **{f"callgraph_{k}": v for k, v in graph.stats().items()},
                 "baseline_crash_points": len(base_crash.crash_points),
                 "inter_crash_points": sum(
                     1 for p in crash.crash_points if p.lane == "inter"
                 ),
             }
             obs.metrics.counter("analysis.engine.runs").inc()
-            obs.metrics.counter("analysis.engine.modules_reextracted").inc(reextracted)
-            obs.metrics.counter("analysis.engine.modules_cached").inc(
-                len(sources) - reextracted
-            )
             obs.metrics.counter("analysis.engine.inter_points").inc(
                 stats["inter_crash_points"]
             )
@@ -201,13 +133,13 @@ class AnalysisEngine:
             crash=crash,
             provenance=provenance,
             summaries=summaries,
-            callgraph=graph,
             stats=stats,
         )
 
 
 def _merge(
     base_ext: ExtractionResult,
+    aug_ext: ExtractionResult,
     base_crash: CrashPointResult,
     aug_crash: CrashPointResult,
 ) -> Tuple[CrashPointResult, ExtractionResult]:
@@ -235,6 +167,7 @@ def _merge(
         points=base_ext.points + meta_extras,
         call_sites=base_ext.call_sites,
         external_writes=base_ext.external_writes,
+        used_facts=aug_ext.used_facts,
     )
     return crash, extraction
 
@@ -243,15 +176,10 @@ def _record_point_provenance(
     provenance: Provenance,
     crash_points: Sequence[AccessPoint],
     summaries: SummaryTable,
-    augmented_parts: Sequence[ModuleExtraction],
+    used_facts: Dict[Tuple[str, str], FrozenSet],
 ) -> None:
     """Hang every crash point off its meta-info field (and, for inter
     points, off the summary facts that made the receiver typeable)."""
-    used_facts: Dict[Tuple[str, str], FrozenSet] = {}
-    for part in augmented_parts:
-        for enclosing, facts in part.used_facts.items():
-            used_facts[(part.module, enclosing)] = facts
-
     for point in crash_points:
         pkey = provenance.node(
             point_key(point), f"crash point: {point.describe()}"

@@ -396,79 +396,17 @@ class ExtractionResult:
     promoted points at their destination.  ``external_writes`` holds
     ``(field_cls, field_name)`` pairs written outside their owning class,
     which disqualifies the field from the constructor-only rule.
+    ``used_facts`` maps ``(module, "Class.method")`` to the summary facts
+    consulted while typing that method; it is filled only when
+    extraction runs with summaries, and feeds the provenance of
+    inter-lane crash points.
     """
 
     points: List[AccessPoint]
     call_sites: Dict[Tuple[str, str], List[Tuple[str, int, str, Tuple[bool, bool, bool]]]]
     external_writes: Set[Tuple[str, str]]
-
-
-@dataclass
-class ModuleExtraction:
-    """Extraction output for one module — the unit the engine caches."""
-
-    module: str
-    points: List[AccessPoint]
-    call_sites: Dict[Tuple[str, str], List[Tuple[str, int, str, Tuple[bool, bool, bool]]]]
-    #: summary facts consulted while typing each method of this module
-    #: ("Class.method" -> facts), populated only under the engine's
-    #: augmented pass; feeds the provenance of inter-lane crash points
-    used_facts: Dict[str, FrozenSet[Tuple[str, str, str, str]]] = field(default_factory=dict)
-
-
-def extract_module_points(
-    model: TypeModel,
-    src: ModuleSource,
-    patched: FrozenSet[str] = frozenset(),
-    summaries: Optional[Any] = None,
-) -> ModuleExtraction:
-    """Access points, call sites, and used summary facts for one module."""
-    points: List[AccessPoint] = []
-    call_sites: Dict[Tuple[str, str], List[Tuple[str, int, str, Tuple[bool, bool, bool]]]] = {}
-    used_facts: Dict[str, FrozenSet[Tuple[str, str, str, str]]] = {}
-    for cls_info in model.classes.values():
-        if cls_info.module != src.name:
-            continue
-        for method in cls_info.methods.values():
-            if summaries is not None:
-                summaries.record_uses = True
-                summaries.drain_uses()
-            extractor = _MethodExtractor(
-                model, src.name, cls_info, method, patched, summaries=summaries
-            )
-            extractor.run()
-            if summaries is not None:
-                facts = frozenset(summaries.drain_uses())
-                summaries.record_uses = False
-                if facts:
-                    used_facts[f"{cls_info.name}.{method.name}"] = facts
-            points.extend(extractor.points)
-            for callee, recv_type, call, flags in extractor.calls:
-                if recv_type is None:
-                    continue
-                call_sites.setdefault((recv_type, callee), []).append(
-                    (src.name, call.lineno, f"{cls_info.name}.{method.name}", flags)
-                )
-    return ModuleExtraction(module=src.name, points=points, call_sites=call_sites,
-                            used_facts=used_facts)
-
-
-def merge_extractions(parts: Sequence[ModuleExtraction]) -> ExtractionResult:
-    """Combine per-module extractions; external writes are a whole-system
-    property, so they are recomputed over the merged point list."""
-    points: List[AccessPoint] = []
-    call_sites: Dict[Tuple[str, str], List[Tuple[str, int, str, Tuple[bool, bool, bool]]]] = {}
-    for part in parts:
-        points.extend(part.points)
-        for key, sites in part.call_sites.items():
-            call_sites.setdefault(key, []).extend(sites)
-    external_writes = {
-        (p.field_cls, p.field_name)
-        for p in points
-        if p.op == "write" and not p.enclosing.startswith(p.field_cls.rsplit(".", 1)[-1] + ".")
-    }
-    return ExtractionResult(points=points, call_sites=call_sites,
-                            external_writes=external_writes)
+    used_facts: Dict[Tuple[str, str], FrozenSet[Tuple[str, str, str, str]]] = field(
+        default_factory=dict)
 
 
 def extract_access_points(
@@ -477,14 +415,42 @@ def extract_access_points(
     patched: FrozenSet[str] = frozenset(),
     summaries: Optional[Any] = None,
 ) -> ExtractionResult:
-    """All access points in the system, with usage flags.
-
-    The single-shot path; the engine calls :func:`extract_module_points`
-    per module instead so unchanged modules can come from its cache.
-    """
-    return merge_extractions(
-        [extract_module_points(model, src, patched, summaries) for src in sources]
-    )
+    """All access points in the system, with usage flags."""
+    points: List[AccessPoint] = []
+    call_sites: Dict[Tuple[str, str], List[Tuple[str, int, str, Tuple[bool, bool, bool]]]] = {}
+    used_facts: Dict[Tuple[str, str], FrozenSet[Tuple[str, str, str, str]]] = {}
+    for src in sources:
+        for cls_info in model.classes.values():
+            if cls_info.module != src.name:
+                continue
+            for method in cls_info.methods.values():
+                enclosing = f"{cls_info.name}.{method.name}"
+                if summaries is not None:
+                    summaries.record_uses = True
+                    summaries.drain_uses()
+                extractor = _MethodExtractor(
+                    model, src.name, cls_info, method, patched, summaries=summaries
+                )
+                extractor.run()
+                if summaries is not None:
+                    facts = frozenset(summaries.drain_uses())
+                    summaries.record_uses = False
+                    if facts:
+                        used_facts[(src.name, enclosing)] = facts
+                points.extend(extractor.points)
+                for callee, recv_type, call, flags in extractor.calls:
+                    if recv_type is None:
+                        continue
+                    call_sites.setdefault((recv_type, callee), []).append(
+                        (src.name, call.lineno, enclosing, flags)
+                    )
+    external_writes = {
+        (p.field_cls, p.field_name)
+        for p in points
+        if p.op == "write" and not p.enclosing.startswith(p.field_cls.rsplit(".", 1)[-1] + ".")
+    }
+    return ExtractionResult(points=points, call_sites=call_sites,
+                            external_writes=external_writes, used_facts=used_facts)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,10 @@ The subsystem the campaign pipeline threads through every layer:
 * :class:`MetricsRegistry` — counters/gauges/histograms with snapshots,
 * :class:`InjectionDiagnosis` — one record per dynamic crash point tested,
 * :func:`write_trace_jsonl` / :func:`read_trace_jsonl` — the JSONL trace
-  format consumed by ``python -m repro.obs.report``,
+  format consumed by ``python -m repro report``,
 * :class:`AnalyticsReport` / :func:`analyze_trace` — post-hoc failure-mode
   analytics (clustering, detection dedup, anomaly ranking, novelty
-  scheduling), the ``python -m repro.obs.analytics`` CLI's engine.
+  scheduling), the ``python -m repro analytics`` CLI's engine.
 """
 
 from repro.obs.context import NULL_OBS, Observability, get_obs

@@ -26,9 +26,9 @@ Analytics* (arXiv:2010.00331) applied to our JSONL exports:
 Everything is dependency-free and deterministic: same trace in, byte
 identical ``modes --json`` out.  The CLI mirrors the analysis report CLI::
 
-    python -m repro.obs.analytics modes trace.jsonl [--json -] [--diff PREV]
-    python -m repro.obs.analytics dedup trace.jsonl [--json -]
-    python -m repro.obs.analytics rank  trace.jsonl [--json -] [--top N]
+    python -m repro analytics modes trace.jsonl [--json -] [--diff PREV]
+    python -m repro analytics dedup trace.jsonl [--json -]
+    python -m repro analytics rank  trace.jsonl [--json -] [--top N]
 """
 
 from __future__ import annotations

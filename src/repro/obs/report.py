@@ -2,9 +2,9 @@
 
 Usage::
 
-    python -m repro.obs.report summarize trace.jsonl       # one run
-    python -m repro.obs.report summarize trace.jsonl --json -
-    python -m repro.obs.report diff a.jsonl b.jsonl        # what changed
+    python -m repro report summarize trace.jsonl       # one run
+    python -m repro report summarize trace.jsonl --json -
+    python -m repro report diff a.jsonl b.jsonl        # what changed
 
 The bare legacy forms (``report trace.jsonl`` and ``report a b``) keep
 working and mean ``summarize`` / ``diff`` respectively.
@@ -14,7 +14,7 @@ optimization off against the default run) and reports metric deltas, so
 "what changed when I turned X off" is one command instead of an
 eyeballing session over two log directories.  ``--json`` emits the same
 summary machine-readably (the payload :func:`diff` itself consumes),
-mirroring ``python -m repro.core.analysis report --json``.
+mirroring ``python -m repro analysis report --json``.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
 """Tests for the interprocedural analysis engine: summaries, provenance,
-superset equivalence with the single-shot path, and incremental caching."""
+superset equivalence with the single-shot path, and statelessness."""
 
 import ast
 import textwrap
@@ -10,7 +10,6 @@ import pytest
 
 from repro.core.analysis import (
     AnalysisEngine,
-    analyze_system,
     compute_crash_points,
     compute_summaries,
     infer_meta_info,
@@ -20,7 +19,6 @@ from repro.core.analysis import (
 from repro.core.analysis.logging_statements import ModuleSource
 from repro.core.analysis.static_points import MetaInfoTypes, extract_access_points
 from repro.core.analysis.types import ExprTyper, TypeModel, TypeRef
-from repro.systems import get_system
 from tests.conftest import prepared
 
 
@@ -36,7 +34,12 @@ EMPTY_LOGS = SimpleNamespace(meta_slots=set())
 # ---------------------------------------------------------------------------
 # superset equivalence: engine-on ⊇ engine-off, identical Table 12
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("system_name", ["yarn", "hbase"])
+#: inter-lane crash points per system: what the augmented pass adds
+INTER_POINTS = {"yarn": 5, "hdfs": 0, "hbase": 1, "zookeeper": 0,
+                "cassandra": 0, "kube": 2}
+
+
+@pytest.mark.parametrize("system_name", list(INTER_POINTS))
 def test_engine_is_strict_superset_of_single_shot(system_name):
     _, on, _, _ = prepared(system_name)
     # the single-shot oracle: the original intraprocedural pipeline, run
@@ -60,9 +63,9 @@ def test_engine_is_strict_superset_of_single_shot(system_name):
     assert on.crash.pruned_sanity == off.pruned_sanity
     assert on.crash.promoted == off.promoted
 
-    # at least one interprocedurally discovered crash point per system,
-    # with a complete provenance chain back to a seed logging statement
-    assert inter, f"no interprocedural crash points found in {system_name}"
+    # the augmented pass's extras, each with a complete provenance chain
+    # back to a seed logging statement
+    assert len(inter) == INTER_POINTS[system_name]
     for point in inter:
         key = point_key(point)
         assert on.engine.provenance.reaches_seed(key)
@@ -170,86 +173,51 @@ def test_summary_use_recording_drains_facts(summary_model):
 
 
 # ---------------------------------------------------------------------------
-# incremental cache
+# statelessness: a reused engine answers as a fresh one
 # ---------------------------------------------------------------------------
-MOD_A = """
-    class Alpha:
+MOD_X_V1 = """
+    class Foo:
         def __init__(self):
-            self.beta = Beta()
-
-        def run(self):
-            return self.beta.ping()
+            self.tag = "x"
 """
-MOD_B = """
-    class Beta:
-        def __init__(self):
-            self.count = 0
+MOD_X_V2 = """
+    from repro.cluster.ids import NodeId
 
-        def ping(self):
-            return self.count
+    class Foo:
+        def __init__(self, owner: NodeId):
+            self.tag = "x"
+            self.owner = owner
 """
-MOD_C = """
-    class Gamma:
-        def __init__(self):
-            self.tag = "g"
+# Bar.f is typed only by its __init__ parameter's annotation: mod_y has
+# no call edge into mod_x and no base class there
+MOD_Y = """\
+    from mod_x import Foo
 
-        def label(self):
-            return self.tag
+    class Bar:
+        def __init__(self, f: Foo):
+            self.f = f
+
+        def peek(self):
+            return self.f.owner
 """
 
 
-def _cache_sources(touch=()):
-    out = []
-    for name, code in (("mod_a", MOD_A), ("mod_b", MOD_B), ("mod_c", MOD_C)):
-        code = textwrap.dedent(code)
-        if name in touch:
-            code = code + "\n# touched\n"
-        out.append(make_source(name, code))
-    return out
+def _extracted(result):
+    return sorted((p.module, p.lineno, p.field_cls, p.field_name, p.op)
+                  for p in result.extraction.points)
 
 
-def test_incremental_cache_reextracts_only_dependents():
+def test_reused_engine_sees_a_field_added_in_another_module():
+    def sources(mod_x):
+        return [make_source("mod_x", mod_x), make_source("mod_y", MOD_Y)]
+
     engine = AnalysisEngine()
-    r1 = engine.analyze(_cache_sources(), [], EMPTY_LOGS)
-    assert r1.stats["modules_reextracted"] == 3
-    assert r1.stats["modules_cached"] == 0
+    engine.analyze(sources(MOD_X_V1), [], EMPTY_LOGS)
+    reused = engine.analyze(sources(MOD_X_V2), [], EMPTY_LOGS)
+    fresh = AnalysisEngine().analyze(sources(MOD_X_V2), [], EMPTY_LOGS)
 
-    # identical sources: everything comes from the cache
-    r2 = engine.analyze(_cache_sources(), [], EMPTY_LOGS)
-    assert r2.stats["modules_changed"] == 0
-    assert r2.stats["modules_reextracted"] == 0
-    assert r2.stats["modules_cached"] == 3
-
-    # mod_c shares no call edges: touching it re-extracts only mod_c
-    r3 = engine.analyze(_cache_sources(touch={"mod_c"}), [], EMPTY_LOGS)
-    assert r3.stats["modules_changed"] == 1
-    assert r3.stats["modules_reextracted"] == 1
-
-    # mod_b is called from mod_a (Alpha -> Beta), so touching mod_b
-    # invalidates both; mod_c (unchanged since r3) stays cached
-    r4 = engine.analyze(_cache_sources(touch={"mod_c", "mod_b"}), [], EMPTY_LOGS)
-    assert r4.stats["modules_changed"] == 1
-    assert r4.stats["modules_reextracted"] == 2
-    assert r4.stats["modules_cached"] == 1
-
-
-def test_patched_switchboard_change_flushes_cache():
-    engine = AnalysisEngine()
-    engine.analyze(_cache_sources(), [], EMPTY_LOGS)
-    r = engine.analyze(_cache_sources(), [], EMPTY_LOGS,
-                       patched=frozenset({"BUG-1"}))
-    assert r.stats["modules_reextracted"] == 3
-
-
-def test_cached_run_equals_cold_run_on_real_system():
-    system = get_system("yarn")
-    cold = analyze_system(system, engine=AnalysisEngine())
-    engine = AnalysisEngine()
-    engine.analyze(cold.sources, cold.statements, cold.log_result)
-    warm = analyze_system(system, engine=engine)
-    assert warm.engine.stats["modules_reextracted"] == 0
-    assert ([point_key(p) for p in warm.crash.crash_points]
-            == [point_key(p) for p in cold.crash.crash_points])
+    assert ("mod_y", 8, "mod_x.Foo", "owner", "read") in _extracted(fresh)
+    assert _extracted(reused) == _extracted(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,48 @@ def test_front_door_advertises_a_real_analytics_subcommand(capsys):
     assert "journal" not in front.COMMANDS["analytics"][1]
 
 
+def test_front_door_advertises_a_real_analysis_command(capsys):
+    import repro.__main__ as front
+    from repro.core.analysis.__main__ import main
+
+    example = next(line for line in front.__doc__.splitlines()
+                   if "python -m repro analysis" in line)
+    args = example.split("repro analysis")[1].split()[:2]
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--help"])
+    assert exit_.value.code == 0
+    assert "--diff" in capsys.readouterr().out
+
+
+def test_analysis_report_dumps_and_diffs_crash_points(tmp_path):
+    dump = tmp_path / "kube.json"
+    proc = run_module("repro", "analysis", "report", "kube",
+                      "--provenance", "0", "--json", str(dump))
+    assert proc.returncode == 0, proc.stderr
+    (entry,) = json.loads(dump.read_text())["systems"]
+    points = entry["crash_points"]
+    assert entry["system"] == "kube" and len(points) == 22
+    inter = [p for p in points if p["lane"] == "inter"]
+    assert len(inter) == 2 and all(p["provenance"] for p in inter)
+
+    same = run_module("repro", "analysis", "report", "kube",
+                      "--provenance", "0", "--diff", str(dump))
+    assert same.returncode == 0, same.stderr
+    assert "kube: +0 / -0 crash points" in same.stdout
+
+    gone = inter[0]
+    entry["crash_points"].remove(gone)
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps({"systems": [entry]}))
+    diff = run_module("repro", "analysis", "report", "kube",
+                      "--provenance", "0", "--diff", str(older))
+    assert diff.returncode == 0, diff.stderr
+    assert "kube: +1 / -0 crash points" in diff.stdout
+    assert (f"  + {gone['op']} {gone['field_cls']}.{gone['field_name']} "
+            f"via {gone['via']} at {gone['module']}:{gone['lineno']} [inter]"
+            in diff.stdout)
+
+
 @pytest.mark.parametrize("module", LEGACY)
 def test_legacy_entry_point_is_removed(module):
     proc = run_module(module, "--help")
