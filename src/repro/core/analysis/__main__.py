@@ -20,9 +20,7 @@ from typing import Any, Dict, List
 
 from repro.core.analysis import AnalysisReport, analyze_system, point_key
 from repro.core.report import format_kv, format_table, write_json
-from repro.systems import get_system
-
-DEFAULT_SYSTEMS = ("yarn", "hdfs", "hbase", "zookeeper", "cassandra")
+from repro.systems import bundled_systems, get_system
 
 
 def _point_json(report: AnalysisReport, point: Any) -> Dict[str, Any]:
@@ -131,7 +129,7 @@ def main(argv: List[str] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     rep = sub.add_parser("report", help="analyse systems and print crash points")
     rep.add_argument("systems", nargs="*", default=None,
-                     help=f"systems to analyse (default: {' '.join(DEFAULT_SYSTEMS)})")
+                     help="systems to analyse (default: every bundled system)")
     rep.add_argument("--seed", type=int, default=0, help="workload seed")
     rep.add_argument("--json", metavar="PATH",
                      help="write a machine-readable report to PATH ('-' for stdout)")
@@ -142,7 +140,7 @@ def main(argv: List[str] = None) -> int:
                           "(0 disables; interprocedural points come first)")
     args = parser.parse_args(argv)
 
-    names = args.systems or list(DEFAULT_SYSTEMS)
+    names = args.systems or [system.name for system in bundled_systems()]
     entries: List[Dict[str, Any]] = []
     try:
         for name in names:

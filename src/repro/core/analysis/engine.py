@@ -30,7 +30,7 @@ is a strict superset of engine-off output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, FrozenSet, List, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Sequence, Tuple
 
 from repro.core.analysis.log_analysis import LogAnalysisResult
 from repro.core.analysis.logging_statements import LogStatement, ModuleSource
@@ -65,10 +65,6 @@ class EngineResult:
     summaries: SummaryTable
     #: plain-dict metrics (fixpoint_iterations, inter_crash_points, ...)
     stats: Dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def inter_points(self) -> List[AccessPoint]:
-        return [p for p in self.crash.crash_points if p.lane == "inter"]
 
 
 class AnalysisEngine:
@@ -121,6 +117,7 @@ class AnalysisEngine:
                     1 for p in crash.crash_points if p.lane == "inter"
                 ),
             }
+            model.release_bodies()  # one index per body per analysis
             obs.metrics.counter("analysis.engine.runs").inc()
             obs.metrics.counter("analysis.engine.inter_points").inc(
                 stats["inter_crash_points"]

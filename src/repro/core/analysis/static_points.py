@@ -34,9 +34,9 @@ from repro.core.analysis.types import (
     BASE_TYPE_NAMES,
     ClassInfo,
     ExprTyper,
+    FieldInfo,
     MethodInfo,
     TypeModel,
-    TypeRef,
 )
 from repro.mtlog.records import LEVELS
 
@@ -113,32 +113,18 @@ class AccessPoint:
                 f"via {self.via} at {self.module}:{self.lineno}{tag}")
 
 
-class _ParentMap:
-    def __init__(self, root: ast.AST):
-        self.parent: Dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(root):
-            for child in ast.iter_child_nodes(parent):
-                self.parent[child] = parent
-
-    def chain(self, node: ast.AST):
-        while node in self.parent:
-            node = self.parent[node]
-            yield node
+#: the usage flags of a write (only reads are classified)
+_NO_FLAGS = (False, False, False)
 
 
-def _is_patched_guard_ids(test: ast.AST) -> List[str]:
-    """Bug ids of ``is_patched("X")`` calls appearing in an if-test."""
-    ids = []
-    for sub in ast.walk(test):
-        if (
-            isinstance(sub, ast.Call)
-            and isinstance(sub.func, ast.Attribute)
-            and sub.func.attr == "is_patched"
-            and sub.args
-            and isinstance(sub.args[0], ast.Constant)
-        ):
-            ids.append(sub.args[0].value)
-    return ids
+def _is_patched_guard(call: ast.Call) -> bool:
+    """Is this an ``is_patched("X")`` call (a switchboard guard)?"""
+    return (
+        isinstance(call.func, ast.Attribute)
+        and call.func.attr == "is_patched"
+        and bool(call.args)
+        and isinstance(call.args[0], ast.Constant)
+    )
 
 
 class _MethodExtractor:
@@ -155,17 +141,15 @@ class _MethodExtractor:
     ):
         self.model = model
         self.module = module
-        self.cls = cls
-        self.method = method
+        self.enclosing = f"{cls.name if cls else '?'}.{method.name}"
         self.patched = patched
         self.typer = ExprTyper(model, cls, method, summaries=summaries)
-        self.parents = _ParentMap(method.node)
+        self.body = model.body(method)
+        self.guards = [c for c in self.body.of(ast.Call) if _is_patched_guard(c)]
         self.points: List[AccessPoint] = []
         #: method-call sites inside this body, for promotion pass 2:
         #: (callee name, receiver type name, call node, usage flags)
         self.calls: List[Tuple[str, Optional[str], ast.Call, Tuple[bool, bool, bool]]] = []
-        #: lazy name -> Load-context uses index (one walk per method)
-        self._loads_index: Optional[Dict[str, List[ast.Name]]] = None
 
     # -- field resolution ------------------------------------------------
     def _field_of(self, node: ast.Attribute):
@@ -177,11 +161,10 @@ class _MethodExtractor:
     # -- main walk ---------------------------------------------------------
     def run(self) -> None:
         consumed: Set[int] = set()
-        for node in ast.walk(self.method.node):
-            if isinstance(node, ast.Call):
-                self._handle_call(node, consumed)
-        for node in ast.walk(self.method.node):
-            if isinstance(node, ast.Attribute) and id(node) not in consumed:
+        for node in self.body.of(ast.Call):
+            self._handle_call(node, consumed)
+        for node in self.body.of(ast.Attribute):
+            if id(node) not in consumed:
                 self._handle_attribute(node)
 
     def _handle_call(self, node: ast.Call, consumed: Set[int]) -> None:
@@ -191,12 +174,7 @@ class _MethodExtractor:
         receiver_type = self.typer.type_of(func.value)
         # classify how the call's result is used, so promoted crash points
         # can be pruned at their call sites like any other read
-        probe = self._classify_read(
-            AccessPoint(module=self.module, lineno=node.lineno, field_cls="", field_name="",
-                        op="read", via="call", enclosing=""),
-            node,
-        )
-        flags = (probe.unused, probe.sanity_checked, probe.return_only)
+        flags = self._classify_read(node)
         self.calls.append((func.attr, receiver_type.name if receiver_type else None, node, flags))
         # collection op on a field?
         if not isinstance(func.value, ast.Attribute):
@@ -204,73 +182,52 @@ class _MethodExtractor:
         field_info = self._field_of(func.value)
         if field_info is None:
             return
-        is_collection = field_info.kind == "collection" or (
-            field_info.type is not None and field_info.type.is_collection
-        )
-        if not is_collection:
+        if not field_info.is_collection:
             return
         kind = collection_op_kind(func.attr)
         consumed.add(id(func.value))  # the bare attribute is not a point
         if kind is None:
             return
-        owner = self.model.classes.get(field_info.owner)
-        field_cls = f"{owner.module}.{owner.name}" if owner else field_info.owner
-        point = AccessPoint(
-            module=self.module, lineno=node.lineno,
-            field_cls=field_cls, field_name=field_info.name,
-            op=kind, via=func.attr,
-            enclosing=f"{self.cls.name if self.cls else '?'}.{self.method.name}",
-        )
-        if kind == "read":
-            point = self._classify_read(point, node)
-        self.points.append(point)
+        self._emit(node, field_info, kind, func.attr,
+                   flags if kind == "read" else _NO_FLAGS)
 
     def _handle_attribute(self, node: ast.Attribute) -> None:
-        parent = self.parents.parent.get(node)
+        parent = self.body.parent.get(node)
         if isinstance(parent, ast.Call) and parent.func is node:
             return  # method reference, not a field access
         field_info = self._field_of(node)
         if field_info is None:
             return
-        if field_info.kind == "collection" or (
-            field_info.type is not None and field_info.type.is_collection
-        ):
+        if field_info.is_collection:
             return  # collection fields are accessed through their ops
-        owner = self.model.classes.get(field_info.owner)
-        field_cls = f"{owner.module}.{owner.name}" if owner else field_info.owner
         if isinstance(parent, ast.AugAssign) and parent.target is node:
             # `self.count += 1` both reads and writes the field: emit a
             # classified read alongside the putfield
-            read = AccessPoint(
-                module=self.module, lineno=node.lineno,
-                field_cls=field_cls, field_name=field_info.name,
-                op="read", via="getfield",
-                enclosing=f"{self.cls.name if self.cls else '?'}.{self.method.name}",
-            )
-            self.points.append(self._classify_read(read, node))
-            op, via = "write", "putfield"
+            self._emit(node, field_info, "read", "getfield", self._classify_read(node))
+            self._emit(node, field_info, "write", "putfield", _NO_FLAGS)
         elif isinstance(node.ctx, ast.Store):
-            op, via = "write", "putfield"
+            self._emit(node, field_info, "write", "putfield", _NO_FLAGS)
         elif isinstance(node.ctx, ast.Load):
-            op, via = "read", "getfield"
-        else:
-            return
-        point = AccessPoint(
+            self._emit(node, field_info, "read", "getfield", self._classify_read(node))
+
+    def _emit(self, node: ast.AST, field_info: FieldInfo, op: str, via: str,
+              flags: Tuple[bool, bool, bool]) -> None:
+        owner = self.model.classes.get(field_info.owner)
+        unused, sanity, return_only = flags
+        self.points.append(AccessPoint(
             module=self.module, lineno=node.lineno,
-            field_cls=field_cls, field_name=field_info.name,
-            op=op, via=via,
-            enclosing=f"{self.cls.name if self.cls else '?'}.{self.method.name}",
-        )
-        if op == "read":
-            point = self._classify_read(point, node)
-        self.points.append(point)
+            field_cls=f"{owner.module}.{owner.name}" if owner else field_info.owner,
+            field_name=field_info.name, op=op, via=via, enclosing=self.enclosing,
+            unused=unused, sanity_checked=sanity, return_only=return_only,
+        ))
 
     # -- usage classification (Section 3.1.2 optimizations) ---------------
-    def _classify_read(self, point: AccessPoint, value_node: ast.AST) -> AccessPoint:
+    def _classify_read(self, value_node: ast.AST) -> Tuple[bool, bool, bool]:
+        """``(unused, sanity_checked, return_only)`` for a read's value."""
         unused = False
         sanity = False
         return_only = False
-        parent = self.parents.parent.get(value_node)
+        parent = self.body.parent.get(value_node)
         # climb through trivial wrappers (str(x), f-strings)
         while isinstance(parent, (ast.FormattedValue, ast.JoinedStr)) or (
             isinstance(parent, ast.Call)
@@ -278,7 +235,7 @@ class _MethodExtractor:
             and parent.func.id in ("str", "repr", "hash")
         ):
             value_node = parent
-            parent = self.parents.parent.get(value_node)
+            parent = self.body.parent.get(value_node)
 
         if isinstance(parent, ast.Expr):
             unused = True
@@ -292,10 +249,10 @@ class _MethodExtractor:
             parent.targets[0], ast.Name
         ):
             unused, sanity, return_only = self._classify_local(parent.targets[0].id, parent)
-        return replace(point, unused=unused, sanity_checked=sanity, return_only=return_only)
+        return unused, sanity, return_only
 
     def _inside_logging_call(self, node: ast.AST) -> bool:
-        for ancestor in self.parents.chain(node):
+        for ancestor in self.body.ancestors(node):
             if (
                 isinstance(ancestor, ast.Call)
                 and isinstance(ancestor.func, ast.Attribute)
@@ -306,12 +263,13 @@ class _MethodExtractor:
                 return False
         return False
 
-    def _inside_if_test(self, node: ast.AST) -> bool:
+    def _inside_if_test(self, node: ast.AST, stop: Any = ast.stmt) -> bool:
+        """Is ``node`` inside an if/while test, below any ``stop`` node?"""
         child = node
-        for ancestor in self.parents.chain(node):
+        for ancestor in self.body.ancestors(node):
             if isinstance(ancestor, (ast.If, ast.While)) and ancestor.test is child:
                 return True
-            if isinstance(ancestor, ast.stmt):
+            if isinstance(ancestor, stop):
                 return False
             child = ancestor
         return False
@@ -319,39 +277,31 @@ class _MethodExtractor:
     def _check_counts(self, node: ast.AST) -> bool:
         """Does the enclosing if-test count as a sanity check under the
         analysed configuration (the is_patched switchboard rule)?"""
-        for ancestor in self.parents.chain(node):
+        for ancestor in self.body.ancestors(node):
             if isinstance(ancestor, ast.If):
-                guard_ids = _is_patched_guard_ids(ancestor.test)
+                test = ancestor.test
+                guard_ids = [g.args[0].value for g in self.guards
+                             if g is test or test in self.body.ancestors(g)]
                 if guard_ids and not all(g in self.patched for g in guard_ids):
                     return False
         return True
 
-    def _name_loads(self) -> Dict[str, List[ast.Name]]:
-        """Load-context ``Name`` uses indexed by identifier, built once per
-        method (classifying each local used to re-walk the whole body)."""
-        if self._loads_index is None:
-            index: Dict[str, List[ast.Name]] = {}
-            for sub in ast.walk(self.method.node):
-                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    index.setdefault(sub.id, []).append(sub)
-            self._loads_index = index
-        return self._loads_index
-
     def _classify_local(self, name: str, assign: ast.stmt) -> Tuple[bool, bool, bool]:
         """Classify uses of a local holding the read value."""
-        uses = self._name_loads().get(name, [])
+        uses = self.body.loads.get(name, [])
         real_uses = 0
         checked = False
         returns = 0
         for use in uses:
             if self._inside_logging_call(use):
                 continue
-            parent = self.parents.parent.get(use)
-            if self._is_direct_check(use):
+            # the value itself is tested (x is None / not x / bare x), as
+            # opposed to dereferenced (x.attr)
+            if self._inside_if_test(use, stop=(ast.stmt, ast.Attribute)):
                 if self._check_counts(use):
                     checked = True
                 continue
-            if isinstance(parent, ast.Return):
+            if isinstance(self.body.parent.get(use), ast.Return):
                 returns += 1
                 continue
             real_uses += 1
@@ -362,23 +312,6 @@ class _MethodExtractor:
         if real_uses == 0 and returns > 0:
             return False, False, True
         return False, False, False
-
-    def _is_direct_check(self, use: ast.Name) -> bool:
-        """True if the value itself is tested (x is None / not x / bare x),
-        as opposed to being dereferenced (x.attr)."""
-        parent = self.parents.parent.get(use)
-        if isinstance(parent, ast.Attribute):
-            return False
-        child: ast.AST = use
-        for ancestor in self.parents.chain(use):
-            if isinstance(ancestor, (ast.If, ast.While)) and ancestor.test is child:
-                return True
-            if isinstance(ancestor, ast.Attribute):
-                return False
-            if isinstance(ancestor, ast.stmt):
-                return False
-            child = ancestor
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +357,6 @@ def extract_access_points(
             if cls_info.module != src.name:
                 continue
             for method in cls_info.methods.values():
-                enclosing = f"{cls_info.name}.{method.name}"
                 if summaries is not None:
                     summaries.record_uses = True
                     summaries.drain_uses()
@@ -436,13 +368,13 @@ def extract_access_points(
                     facts = frozenset(summaries.drain_uses())
                     summaries.record_uses = False
                     if facts:
-                        used_facts[(src.name, enclosing)] = facts
+                        used_facts[(src.name, extractor.enclosing)] = facts
                 points.extend(extractor.points)
                 for callee, recv_type, call, flags in extractor.calls:
                     if recv_type is None:
                         continue
                     call_sites.setdefault((recv_type, callee), []).append(
-                        (src.name, call.lineno, enclosing, flags)
+                        (src.name, call.lineno, extractor.enclosing, flags)
                     )
     external_writes = {
         (p.field_cls, p.field_name)
@@ -484,7 +416,7 @@ def infer_meta_info(
     by_key = {s.key(): s for s in statements}
     logged_types: Set[str] = set()
     logged_base_fields: Set[Tuple[str, str]] = set()
-    prov = provenance
+    prov = provenance if provenance is not None else Provenance()
 
     # 1. seed from logged meta-info variables
     for (key, slot) in sorted(log_result.meta_slots):
@@ -504,10 +436,9 @@ def infer_meta_info(
         for leaf in tref.leaves():
             if not leaf.is_base:
                 logged_types.add(leaf.name)
-                if prov is not None:
-                    prov.node(stmt_key, describe_stmt(stmt, slot))
-                    tkey = prov.node(("type", leaf.name), f"meta-info type {leaf.name}")
-                    prov.edge(tkey, stmt_key, "logged value is node-related (seed)")
+                prov.node(stmt_key, describe_stmt(stmt, slot))
+                tkey = prov.node(("type", leaf.name), f"meta-info type {leaf.name}")
+                prov.edge(tkey, stmt_key, "logged value is node-related (seed)")
                 continue
             # base-typed logged value: if it is a field read, the field is
             # meta-info and its containing class becomes a meta-info type
@@ -516,14 +447,13 @@ def infer_meta_info(
                 if receiver is not None and receiver.name in model.classes:
                     logged_base_fields.add((receiver.name, expr.attr))
                     logged_types.add(receiver.name)
-                    if prov is not None:
-                        prov.node(stmt_key, describe_stmt(stmt, slot))
-                        fkey = prov.node(("field", receiver.name, expr.attr),
-                                         f"meta-info field {receiver.name}.{expr.attr}")
-                        tkey = prov.node(("type", receiver.name),
-                                         f"meta-info type {receiver.name}")
-                        prov.edge(fkey, stmt_key, "logged base-typed field (seed)")
-                        prov.edge(tkey, fkey, "contains a logged base-typed field")
+                    prov.node(stmt_key, describe_stmt(stmt, slot))
+                    fkey = prov.node(("field", receiver.name, expr.attr),
+                                     f"meta-info field {receiver.name}.{expr.attr}")
+                    tkey = prov.node(("type", receiver.name),
+                                     f"meta-info type {receiver.name}")
+                    prov.edge(fkey, stmt_key, "logged base-typed field (seed)")
+                    prov.edge(tkey, fkey, "contains a logged base-typed field")
 
     # 2. the Definition 2 closure
     meta_types = set(logged_types) - BASE_TYPE_NAMES
@@ -536,10 +466,9 @@ def infer_meta_info(
                 if sub not in meta_types:
                     meta_types.add(sub)
                     changed = True
-                    if prov is not None:
-                        skey = prov.node(("type", sub), f"meta-info type {sub}")
-                        prov.edge(skey, ("type", name),
-                                  "subtype of a meta-info type (Definition 2)")
+                    skey = prov.node(("type", sub), f"meta-info type {sub}")
+                    prov.edge(skey, ("type", name),
+                              "subtype of a meta-info type (Definition 2)")
         # containing classes: C.f of meta type, f only set in constructors
         for cls_info in model.classes.values():
             if cls_info.name in meta_types:
@@ -555,15 +484,14 @@ def infer_meta_info(
                 if leaf_names & meta_types and not leaf_names & BASE_TYPE_NAMES:
                     meta_types.add(cls_info.name)
                     changed = True
-                    if prov is not None:
-                        witness = sorted(leaf_names & meta_types)[0]
-                        ckey = prov.node(("type", cls_info.name),
-                                         f"meta-info type {cls_info.name}")
-                        prov.edge(
-                            ckey, ("type", witness),
-                            f"constructor-only field '{field_info.name}' holds a "
-                            "meta-info type (Definition 2)",
-                        )
+                    witness = sorted(leaf_names & meta_types)[0]
+                    ckey = prov.node(("type", cls_info.name),
+                                     f"meta-info type {cls_info.name}")
+                    prov.edge(
+                        ckey, ("type", witness),
+                        f"constructor-only field '{field_info.name}' holds a "
+                        "meta-info type (Definition 2)",
+                    )
                     break
 
     # 3. meta-info fields: declared type mentions a meta type (collection
@@ -576,12 +504,11 @@ def infer_meta_info(
             leaf_names = {l.name for l in field_info.type.leaves()}
             if leaf_names & meta_types:
                 meta_fields.add((cls_info.name, field_info.name))
-                if prov is not None:
-                    witness = sorted(leaf_names & meta_types)[0]
-                    fkey = prov.node(("field", cls_info.name, field_info.name),
-                                     f"meta-info field {cls_info.name}.{field_info.name}")
-                    prov.edge(fkey, ("type", witness),
-                              "declared type mentions a meta-info type")
+                witness = sorted(leaf_names & meta_types)[0]
+                fkey = prov.node(("field", cls_info.name, field_info.name),
+                                 f"meta-info field {cls_info.name}.{field_info.name}")
+                prov.edge(fkey, ("type", witness),
+                          "declared type mentions a meta-info type")
 
     return MetaInfoTypes(
         logged_types={t for t in logged_types if t in model.classes},

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.analysis.types import (
+    BodyIndex,
     ClassInfo,
     ExprTyper,
     MethodInfo,
@@ -104,9 +105,6 @@ class SummaryTable:
         self._used: Set[Fact] = set()
 
     # ------------------------------------------------------------------
-    def get(self, owner: str, method: str) -> Optional[MethodSummary]:
-        return self._summaries.get((owner, method))
-
     def _ensure(self, owner: str, method: str) -> MethodSummary:
         key = (owner, method)
         if key not in self._summaries:
@@ -235,7 +233,7 @@ def _infer_return(
         return False
     joined: Optional[TypeRef] = None
     witness: Optional[Tuple[str, int]] = None
-    for ret in _own_returns(method.node):
+    for ret in _own_returns(model.body(method), method.node):
         if ret.value is None:
             continue
         ref = typer.type_of(ret.value)
@@ -254,16 +252,13 @@ def _infer_return(
     return True
 
 
-def _own_returns(node: ast.AST):
-    """``return`` statements of this function, excluding nested defs."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        sub = stack.pop()
-        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(sub, ast.Return):
-            yield sub
-        stack.extend(ast.iter_child_nodes(sub))
+def _own_returns(body: BodyIndex, root: ast.AST) -> List[ast.Return]:
+    """``return`` statements of this function, excluding nested defs,
+    last in the source first (so the witness is the last typed one)."""
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    own = [ret for ret in body.of(ast.Return)
+           if not any(isinstance(a, nested) for a in body.ancestors(ret) if a is not root)]
+    return sorted(own, key=lambda ret: (ret.lineno, ret.col_offset), reverse=True)
 
 
 def _propagate_arguments(
@@ -274,8 +269,8 @@ def _propagate_arguments(
     table: SummaryTable,
 ) -> bool:
     changed = False
-    for sub in ast.walk(method.node):
-        if not (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute)):
+    for sub in model.body(method).of(ast.Call):
+        if not isinstance(sub.func, ast.Attribute):
             continue
         receiver = typer.type_of(sub.func.value)
         if receiver is None or receiver.name not in model.classes:

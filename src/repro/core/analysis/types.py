@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.core.analysis.logging_statements import ModuleSource
 
@@ -84,6 +84,10 @@ class FieldInfo:
     def constructor_only(self) -> bool:
         return self.assigned_in <= {"__init__", "<class>"}
 
+    @property
+    def is_collection(self) -> bool:
+        return self.kind == "collection" or (self.type is not None and self.type.is_collection)
+
 
 @dataclass
 class MethodInfo:
@@ -143,6 +147,53 @@ def _annotation_to_typeref(node: Optional[ast.AST]) -> Optional[TypeRef]:
     return None
 
 
+class BodyIndex:
+    """One function body, walked once.
+
+    ``nodes`` is the body in :func:`ast.walk`'s breadth-first order (the
+    typer's prepass depends on it: the first assignment wins),
+    ``parent`` maps each node to its parent, and ``loads`` maps an
+    identifier to its Load-context ``Name`` uses, in walk order.
+    """
+
+    __slots__ = ("nodes", "parent", "loads", "_kinds")
+
+    def __init__(self, root: ast.AST) -> None:
+        nodes: List[ast.AST] = [root]
+        parent: Dict[ast.AST, ast.AST] = {}
+        loads: Dict[str, List[ast.Name]] = {}
+        for node in nodes:  # grows while iterated: breadth-first
+            for name in node._fields:
+                value = getattr(node, name, None)
+                if isinstance(value, ast.AST):
+                    nodes.append(value)
+                    parent[value] = node
+                elif isinstance(value, list):
+                    for item in value:
+                        if isinstance(item, ast.AST):
+                            nodes.append(item)
+                            parent[item] = node
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id, []).append(node)
+        self.nodes = nodes
+        self.parent = parent
+        self.loads = loads
+        self._kinds: Dict[Tuple[type, ...], List[Any]] = {}
+
+    def of(self, *kinds: type) -> List[Any]:
+        """The nodes that are instances of ``kinds``, in walk order."""
+        if kinds not in self._kinds:
+            self._kinds[kinds] = [n for n in self.nodes if isinstance(n, kinds)]
+        return self._kinds[kinds]
+
+    def ancestors(self, node: ast.AST) -> Iterator[ast.AST]:
+        """The parent chain of ``node``, innermost first."""
+        parent = self.parent
+        while node in parent:
+            node = parent[node]
+            yield node
+
+
 #: declaration kinds recognized in class bodies
 _TRACKED_DECLS = {
     "tracked_ref": "ref",
@@ -157,7 +208,26 @@ class TypeModel:
 
     def __init__(self) -> None:
         self.classes: Dict[str, ClassInfo] = {}
-        self._modules: List[str] = []
+        #: method node -> its body index, built on first use; the engine
+        #: releases them when its analysis ends and pickling drops them,
+        #: so a later reader (or a setup-cache hit) rebuilds on demand
+        self._bodies: Dict[ast.AST, BodyIndex] = {}
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "_bodies"}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state, _bodies={})
+
+    def body(self, method: MethodInfo) -> BodyIndex:
+        """The body index of ``method``, built on first use."""
+        if method.node not in self._bodies:
+            self._bodies[method.node] = BodyIndex(method.node)
+        return self._bodies[method.node]
+
+    def release_bodies(self) -> None:
+        """Drop the body indexes; a later reader rebuilds them."""
+        self._bodies.clear()
 
     # ------------------------------------------------------------------
     # construction
@@ -166,7 +236,6 @@ class TypeModel:
     def build(cls, sources: List[ModuleSource]) -> "TypeModel":
         model = cls()
         for src in sources:
-            model._modules.append(src.name)
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.ClassDef):
                     model._add_class(src.name, node)
@@ -215,7 +284,7 @@ class TypeModel:
                 return params[value.id]
             return _literal_type(value)
         # record field assignments (`self.x = ...` / `self.x: T = ...`)
-        for sub in ast.walk(node):
+        for sub in self.body(method).of(ast.Assign, ast.AnnAssign):
             target: Optional[ast.AST] = None
             annotation: Optional[ast.AST] = None
             value: Optional[ast.AST] = None
@@ -355,7 +424,9 @@ class ExprTyper:
         if method is not None:
             self._locals.update(method.params)
             # one prepass over local assignments (flow-insensitive)
-            for sub in ast.walk(method.node):
+            bindings = model.body(method).of(
+                ast.Assign, ast.AnnAssign, ast.For, ast.comprehension)
+            for sub in bindings:
                 if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
                     tgt = sub.targets[0]
                     if isinstance(tgt, ast.Name) and tgt.id not in self._locals:

@@ -101,9 +101,7 @@ def find_io_points(analysis: AnalysisReport) -> IOPointReport:
             if cls_info.module != src.name:
                 continue
             for method in cls_info.methods.values():
-                for node in ast.walk(method.node):
-                    if not isinstance(node, ast.Call):
-                        continue
+                for node in model.body(method).of(ast.Call):
                     func = node.func
                     if not isinstance(func, ast.Attribute):
                         continue

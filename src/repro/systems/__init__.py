@@ -25,6 +25,13 @@ def all_systems():
     ]
 
 
+def bundled_systems():
+    """Every bundled system: Table 4's five, then Kubernetes."""
+    from repro.systems.kube.system import KubeSystem
+
+    return all_systems() + [KubeSystem()]
+
+
 def get_system(name: str, world_scale: int = 1) -> SystemUnderTest:
     """Look one system up by its short name ("yarn", "hdfs", ...).
 
@@ -32,9 +39,7 @@ def get_system(name: str, world_scale: int = 1) -> SystemUnderTest:
     kernel"): more nodes, quadratically more jobs/rows.  Supported by
     yarn and hbase; other systems reject a scale above 1.
     """
-    from repro.systems.kube.system import KubeSystem
-
-    for system in all_systems() + [KubeSystem()]:
+    for system in bundled_systems():
         if system.name == name:
             if world_scale == 1:
                 return system
@@ -53,6 +58,7 @@ __all__ = [
     "SystemUnderTest",
     "Workload",
     "all_systems",
+    "bundled_systems",
     "get_system",
     "run_workload",
 ]

@@ -83,7 +83,7 @@ class CassandraNode(Node):
             if now - seen > self.convict_after and self.endpoints.contains(ep):
                 LOG.warn("InetAddress {} is now DOWN; removing from ring", ep)
                 self.endpoints.remove(ep)
-
+                self.cluster.last_recovery = now  # a guard trip (pinned line numbers: no blank)
     def on_gossip_heartbeat(self, src: str, endpoint: InetAddressAndPort) -> None:
         self._last_seen[endpoint] = self.cluster.loop.now
         if not self.endpoints.contains(endpoint):

@@ -316,9 +316,9 @@ class HMaster(Node):
                          region, int(now - since))
                 if region == META_REGION:
                     # Meta bootstrap is the startup thread's own retry loop
-                    # (Figure 9); the chore never rescues it — which is
-                    # exactly why HBASE-22041 hangs forever.
+                    # (Figure 9), never rescued here: HBASE-22041 hangs.
                     continue
+                self.cluster.last_recovery = now  # a guard trip
                 self._transition_since.pop(region, None)
                 if self.transitions.contains(region):
                     self.transitions.remove(region)

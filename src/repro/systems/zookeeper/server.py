@@ -92,8 +92,8 @@ class ZKServer(Node):
         dead = [s for s, t in self._last_peer_seen.items() if now - t > self.peer_expiry]
         for sid in dead:
             del self._last_peer_seen[sid]
-        # Re-run the election every tick: it is idempotent, and a newly
-        # visible smaller sid must depose a self-elected bootstrap leader.
+            self.cluster.last_recovery = now  # a guard trip
+        # Re-run the (idempotent) election: a smaller sid deposes a bootstrap leader.
         self._elect()
 
     def on_peer_ping(self, src: str, sid: int) -> None:

@@ -403,6 +403,66 @@ def test_monitor_stamps_recovery_when_armed_and_tripped_not_when_pinged():
     assert cluster.last_recovery == 20.0
 
 
+def test_a_peer_ping_that_drops_a_dead_peer_stamps_recovery():
+    from repro.systems.zookeeper.server import ZKServer
+
+    cluster = Cluster("zk-stamps")
+    server = ZKServer(cluster, "zk1", sid=1, peers=[])
+    server._last_peer_seen.update({2: 0.0, 3: 0.9})
+    cluster.run(until=1.0)
+    server._peer_ping()  # both peers are inside the 1.5 s expiry
+    assert cluster.last_recovery == 0.0 and set(server._last_peer_seen) == {2, 3}
+    cluster.run(until=2.0)
+    server._peer_ping()
+    assert cluster.last_recovery == 2.0 and set(server._last_peer_seen) == {3}
+
+
+def test_a_gossip_round_that_convicts_stamps_recovery():
+    from repro.cluster.ids import InetAddressAndPort
+    from repro.systems.cassandra.node import CassandraNode
+
+    cluster = Cluster("cassandra-stamps")
+    node = CassandraNode(cluster, "ca1", peers=[])
+    silent = InetAddressAndPort("ca2", 7000)
+    node.endpoints.put(silent, "NORMAL")
+    node._last_seen[silent] = 0.0
+    cluster.run(until=1.5)
+    node._gossip()  # inside the 2 s conviction window
+    assert cluster.last_recovery == 0.0 and node.endpoints.contains(silent)
+    cluster.run(until=2.5)
+    node._gossip()
+    assert cluster.last_recovery == 2.5 and not node.endpoints.contains(silent)
+
+
+def test_a_chore_that_force_reassigns_stamps_recovery(monkeypatch):
+    # hbase seed 1: with RegionServer.metrics' putfield crashed, the
+    # assignment chore force-reassigns a stuck region every 610 s; each
+    # reassign is a trip, so the horizon follows it to the completion
+    from repro.systems.hbase.master import META_REGION, HMaster
+
+    system, analysis, profile, baseline = prepared("hbase", seed=1)
+    (dpoint,) = [d for d in profile.dynamic_points
+                 if d.point.field_name == "metrics" and d.point.op == "write"]
+    trips = []
+    chore = HMaster._assignment_chore
+
+    def observed_chore(self):
+        now = self.cluster.loop.now
+        tripped = any(now - since > self.assign_timeout and region != META_REGION
+                      for region, since in self._transition_since.items())
+        chore(self)
+        if tripped:
+            trips.append((now, self.cluster.last_recovery))
+
+    monkeypatch.setattr(HMaster, "_assignment_chore", observed_chore)
+    outcome = run_one_injection(system, analysis, dpoint, baseline,
+                                campaign=CampaignConfig(seed=1),
+                                matcher=matcher_for_system("hbase"))
+    assert trips == [(610.0, 610.0), (1220.0, 1220.0), (1830.0, 1830.0)]
+    assert outcome.verdict.timeout_issue and "TO-HBASE-1" in outcome.matched_bugs
+    assert round(outcome.duration, 1) == 1830.9
+
+
 # ---------------------------------------------------------------------------
 # the seam, as the judge answers it
 # ---------------------------------------------------------------------------

@@ -296,6 +296,18 @@ def test_analysis_report_dumps_and_diffs_crash_points(tmp_path):
             in diff.stdout)
 
 
+def test_analysis_report_defaults_to_every_bundled_system(tmp_path, capsys):
+    from repro.core.analysis.__main__ import main
+
+    dump = tmp_path / "all.json"
+    assert main(["report", "--provenance", "0", "--json", str(dump)]) == 0
+    systems = json.loads(dump.read_text())["systems"]
+    inter = {entry["system"]: sum(p["lane"] == "inter" for p in entry["crash_points"])
+             for entry in systems}
+    assert inter == {"yarn": 5, "hdfs": 0, "hbase": 1, "zookeeper": 0,
+                     "cassandra": 0, "kube": 2}
+
+
 @pytest.mark.parametrize("module", LEGACY)
 def test_legacy_entry_point_is_removed(module):
     proc = run_module(module, "--help")
