@@ -46,9 +46,9 @@ def _run_campaign_cmd(argv: List[str]) -> int:
 
     from repro.api import matcher_for_system, prepare, run_campaign
     from repro.core.injection import JournalMismatch
-    from repro.systems import all_systems, get_system
+    from repro.systems import bundled_systems, get_system
 
-    known = sorted(s.name for s in all_systems())
+    known = sorted(s.name for s in bundled_systems())
     if args.system not in known:
         print(f"error: unknown system {args.system!r} — pick one of {known}",
               file=sys.stderr)

@@ -11,13 +11,16 @@ still be analysed.
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import inspect
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import ModuleType
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from repro.errors import AnalysisError
 from repro.mtlog.records import LEVELS
 
 
@@ -36,29 +39,68 @@ class LogStatement:
         return (self.module, self.lineno)
 
 
-@dataclass
 class ModuleSource:
-    """Parsed source of one system module, shared by all analyses."""
+    """Source of one system module, shared by all analyses.
 
-    module: ModuleType
-    name: str
-    source: str
-    tree: ast.AST
+    Pickled, it is its ``name`` and ``digest`` (a sha256 of ``source``)
+    and nothing else: a loaded copy imports ``module``, reads ``source``
+    and parses ``tree`` on first access, and raises
+    :class:`~repro.errors.AnalysisError` if the source on disk no longer
+    has that digest (DESIGN.md "Setup artefact").
+    """
+
+    def __init__(self, module: ModuleType, name: str, source: str,
+                 tree: Optional[ast.AST] = None) -> None:
+        self.name = name
+        self.digest = _sha256(source)
+        self.module = module
+        self.source = source
+        if tree is not None:
+            self.tree = tree
 
     @classmethod
     def load(cls, module: ModuleType) -> "ModuleSource":
-        source = textwrap.dedent(inspect.getsource(module))
-        return cls(module=module, name=module.__name__, source=source,
-                   tree=ast.parse(source))
+        return cls(module, module.__name__,
+                   textwrap.dedent(inspect.getsource(module)))
 
     def __reduce__(self):
-        # neither a module nor its AST pickles usefully: round-trip by
-        # name and re-parse (the setup cache keys on the source digest)
-        return _load_named, (self.name,)
+        return _saved_source, (self.name, self.digest)
+
+    @cached_property
+    def module(self) -> ModuleType:
+        return importlib.import_module(self.name)
+
+    @cached_property
+    def source(self) -> str:
+        source = textwrap.dedent(inspect.getsource(self.module))
+        if _sha256(source) != self.digest:
+            raise AnalysisError(
+                f"{self.name}: the source on disk is not the source that "
+                f"was analysed (sha256 {self.digest[:16]}...)")
+        return source
+
+    @cached_property
+    def tree(self) -> ast.AST:
+        return ast.parse(self.source)
+
+    def function_at(self, lineno: int) -> ast.FunctionDef:
+        """The function whose ``def`` is on line ``lineno``."""
+        return self._functions[lineno]
+
+    @cached_property
+    def _functions(self) -> Dict[int, ast.FunctionDef]:
+        return {node.lineno: node for node in ast.walk(self.tree)
+                if isinstance(node, ast.FunctionDef)}
 
 
-def _load_named(name: str) -> ModuleSource:
-    return ModuleSource.load(importlib.import_module(name))
+def _sha256(source: str) -> str:
+    return hashlib.sha256(source.encode()).hexdigest()
+
+
+def _saved_source(name: str, digest: str) -> ModuleSource:
+    src = ModuleSource.__new__(ModuleSource)
+    src.name, src.digest = name, digest
+    return src
 
 
 def load_sources(modules: List[ModuleType]) -> List[ModuleSource]:

@@ -91,7 +91,11 @@ class FieldInfo:
 
 @dataclass
 class MethodInfo:
-    """One method: annotations plus its AST for the expression typer."""
+    """One method: annotations plus its AST for the expression typer.
+
+    Pickling drops ``node``; a loaded method re-finds it in its
+    ``source``'s tree on first read.
+    """
 
     name: str
     owner: str
@@ -100,6 +104,17 @@ class MethodInfo:
     node: ast.FunctionDef
     lineno: int
     end_lineno: int
+    source: ModuleSource = field(repr=False, compare=False)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != "node"}
+
+    def __getattr__(self, name: str) -> Any:
+        # reached only for an attribute not set: ``node`` after a load
+        if name != "node":
+            raise AttributeError(name)
+        self.node = self.source.function_at(self.lineno)
+        return self.node
 
 
 @dataclass
@@ -238,10 +253,10 @@ class TypeModel:
         for src in sources:
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.ClassDef):
-                    model._add_class(src.name, node)
+                    model._add_class(src, node)
         return model
 
-    def _add_class(self, module: str, node: ast.ClassDef) -> None:
+    def _add_class(self, src: ModuleSource, node: ast.ClassDef) -> None:
         bases = []
         for base in node.bases:
             if isinstance(base, ast.Name):
@@ -249,7 +264,7 @@ class TypeModel:
             elif isinstance(base, ast.Attribute):
                 bases.append(base.attr)
         info = ClassInfo(
-            name=node.name, module=module, bases=bases,
+            name=node.name, module=src.name, bases=bases,
             lineno=node.lineno, end_lineno=node.end_lineno or node.lineno,
         )
         for stmt in node.body:
@@ -263,10 +278,11 @@ class TypeModel:
                     kind=kind, assigned_in={"<class>"},
                 )
             elif isinstance(stmt, ast.FunctionDef):
-                self._add_method(info, stmt)
+                self._add_method(info, stmt, src)
         self.classes[node.name] = info
 
-    def _add_method(self, cls_info: ClassInfo, node: ast.FunctionDef) -> None:
+    def _add_method(self, cls_info: ClassInfo, node: ast.FunctionDef,
+                    src: ModuleSource) -> None:
         params: Dict[str, Optional[TypeRef]] = {}
         for arg in node.args.args + node.args.kwonlyargs:
             params[arg.arg] = _annotation_to_typeref(arg.annotation)
@@ -274,6 +290,7 @@ class TypeModel:
             name=node.name, owner=cls_info.name, params=params,
             returns=_annotation_to_typeref(node.returns), node=node,
             lineno=node.lineno, end_lineno=node.end_lineno or node.lineno,
+            source=src,
         )
         cls_info.methods[node.name] = method
 

@@ -22,7 +22,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.injection import CampaignConfig
 from repro.durable import atomic_write_json, read_json
-from repro.service.daemon import DRAIN_REQUEST, STOP_REQUEST
+from repro.service.daemon import DRAIN_REQUEST, HEARTBEAT_TIMEOUT, STOP_REQUEST
 from repro.service.jobs import JobSpec, ServiceLayout, TERMINAL
 from repro.service.sentinel import Sentinel
 from repro.service.worker import JOURNAL_NAME, RESULT_NAME, TRACE_NAME
@@ -44,12 +44,14 @@ def _load_status(service_dir: Union[str, Path]) -> Dict[str, Any]:
 
 
 def service_status(service_dir: Union[str, Path],
-                   heartbeat_timeout: float = 30.0) -> Dict[str, Any]:
+                   heartbeat_timeout: float = HEARTBEAT_TIMEOUT) -> Dict[str, Any]:
     """The ``status`` admin view: daemon liveness + job counts.
 
     The liveness verdict comes from the daemon's *lock sentinel*, probed
     right now — not from the snapshot's age — so a SIGKILL'd daemon
-    reads ``daemon_alive: false`` immediately.
+    reads ``daemon_alive: false`` immediately.  The lock is beaten once
+    a quarter of ``HEARTBEAT_TIMEOUT``: a ``heartbeat_timeout`` below
+    that can read a live daemon as stale.
     """
     layout = ServiceLayout(service_dir)
     payload = _load_status(service_dir)
@@ -110,9 +112,9 @@ class ServiceClient:
         renamed into ``spool/``, so the daemon (running now or started
         later) sees either nothing or one complete submission.
         """
-        from repro.systems import all_systems  # late: big import chain
+        from repro.systems import bundled_systems  # late: big import chain
 
-        known = sorted(s.name for s in all_systems())
+        known = sorted(s.name for s in bundled_systems())
         if system not in known:
             raise ValueError(
                 f"unknown system {system!r} — pick one of {known}"
@@ -132,7 +134,7 @@ class ServiceClient:
     # ------------------------------------------------------------------
     # observe
     # ------------------------------------------------------------------
-    def status(self, heartbeat_timeout: float = 30.0) -> Dict[str, Any]:
+    def status(self, heartbeat_timeout: float = HEARTBEAT_TIMEOUT) -> Dict[str, Any]:
         return service_status(self.layout.root, heartbeat_timeout)
 
     def queue(self) -> Dict[str, Any]:

@@ -28,6 +28,7 @@ from typing import List, Optional
 from repro.core.report import add_campaign_knobs, campaign_from_knobs
 from repro.core.report import format_kv, format_summary, format_table, write_json
 from repro.service.admin import ServiceUnavailable
+from repro.service.daemon import HEARTBEAT_TIMEOUT
 
 
 def _cmd_start(args: argparse.Namespace) -> int:
@@ -186,7 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
     start.add_argument("--workers", type=int, default=2)
     start.add_argument("--poll", type=float, default=0.2,
                        help="seconds between scheduling ticks")
-    start.add_argument("--heartbeat-timeout", type=float, default=30.0)
+    start.add_argument("--heartbeat-timeout", type=float,
+                       default=HEARTBEAT_TIMEOUT)
     start.add_argument("--max-attempts", type=int, default=3)
     start.add_argument("--no-fsync", action="store_true",
                        help="skip the per-frame WAL fsync (tests only)")

@@ -20,12 +20,17 @@ processes that outlive the daemon, and startup is a recovery pass:
 
 The daemon then loops: ingest spool submissions, honor drain/stop
 requests, judge running jobs, dispatch queued ones while fewer than
-``workers`` run, beat its own lock sentinel, and atomically rewrite
-``status.json`` for the admin APIs in :mod:`repro.service.admin`.
+``workers`` run, beat its own lock sentinel once a quarter of
+:data:`HEARTBEAT_TIMEOUT` has passed since the last beat, and atomically
+rewrite ``status.json`` for the admin APIs in
+:mod:`repro.service.admin` when its content has changed — a tick that
+changes nothing writes nothing.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import multiprocessing
 import os
 import signal
@@ -53,6 +58,10 @@ from repro.service.worker import RESULT_NAME, SENTINEL_NAME, worker_main
 DRAIN_REQUEST = "drain.json"
 STOP_REQUEST = "stop.json"
 
+#: the timeout every reader judges the daemon's lock under (a successor
+#: daemon, ``status``), and the default ``heartbeat_timeout``
+HEARTBEAT_TIMEOUT = 30.0
+
 
 class DaemonAlreadyRunning(RuntimeError):
     """Another daemon holds a fresh lock on this service directory."""
@@ -65,10 +74,11 @@ class CampaignDaemon:
         service_dir: the service root (created if missing).
         workers: campaigns running concurrently.
         heartbeat_timeout: seconds without a heartbeat after which a
-            worker — inherited or forked by this daemon — or a previous
-            daemon is presumed dead or hung, and killed; must exceed the
-            longest gap between a worker's beats (one injection run,
-            one analysis pass).
+            worker — inherited or forked by this daemon — is presumed
+            dead or hung, and killed; must exceed the longest gap
+            between a worker's beats (one injection run, one analysis
+            pass).  A previous daemon's lock is judged under
+            :data:`HEARTBEAT_TIMEOUT`, not under this.
         poll_interval: sleep between scheduling ticks in :meth:`run`.
         max_attempts: dispatches per job before it is failed for good.
         fsync: fsync every WAL frame (the durable default; tests that
@@ -79,7 +89,7 @@ class CampaignDaemon:
         self,
         service_dir: Union[str, Path],
         workers: int = 2,
-        heartbeat_timeout: float = 30.0,
+        heartbeat_timeout: float = HEARTBEAT_TIMEOUT,
         poll_interval: float = 0.2,
         max_attempts: int = 3,
         fsync: bool = True,
@@ -104,6 +114,11 @@ class CampaignDaemon:
         self._stopping = False
         self._started = False
         self.started_at = 0.0
+        #: monotonic time of the lock's last beat
+        self._beat_at = 0.0
+        #: sha256 of the last ``status.json`` written, without its
+        #: ``updated_at``
+        self._status_digest = b""
 
     @property
     def scheduler(self) -> JobTable:
@@ -137,7 +152,7 @@ class CampaignDaemon:
         self._write_status()
 
     def _acquire_lock(self) -> None:
-        status = self._lock.status(self.heartbeat_timeout)
+        status = self._lock.status(HEARTBEAT_TIMEOUT)
         if status == ALIVE:
             holder = self._lock.read() or {}
             raise DaemonAlreadyRunning(
@@ -163,6 +178,7 @@ class CampaignDaemon:
                 f"{self.layout.lock}: another daemon won the startup race"
             ) from None
         self._lock.write(daemon_id=self.daemon_id, workers=self.workers)
+        self._beat_at = time.monotonic()
 
     def _recover(self, wal_frames: int) -> None:
         report: Dict[str, Any] = {
@@ -362,7 +378,10 @@ class CampaignDaemon:
             self._judge(job)
         if not self._stopping:
             self._dispatch()
-        self._lock.beat()
+        now = time.monotonic()
+        if now - self._beat_at >= HEARTBEAT_TIMEOUT / 4:
+            self._lock.beat()
+            self._beat_at = now
         self._write_status()
         return bool(self.table.in_state(QUEUED, RUNNING))
 
@@ -397,6 +416,7 @@ class CampaignDaemon:
     # status snapshot (the admin APIs' data source)
     # ------------------------------------------------------------------
     def status_payload(self) -> Dict[str, Any]:
+        """``status.json``'s content, apart from its ``updated_at``."""
         return {
             "daemon": {
                 "daemon_id": self.daemon_id,
@@ -413,11 +433,17 @@ class CampaignDaemon:
             "queue": self.table.queue(),
             "recovery": self._recovery,
             "metrics": self.metrics.snapshot(),
-            "updated_at": time.time(),
         }
 
     def _write_status(self, final: bool = False) -> None:
-        payload = self.status_payload()
+        """Rewrite ``status.json`` if anything but the time has changed."""
+        content = self.status_payload()
         if final:
-            payload["daemon"]["exited"] = True
-        atomic_write_json(self.layout.status, payload, fsync=False)
+            content["daemon"]["exited"] = True
+        digest = hashlib.sha256(
+            json.dumps(content, sort_keys=True).encode("utf-8")).digest()
+        if digest == self._status_digest:
+            return
+        self._status_digest = digest
+        atomic_write_json(self.layout.status,
+                          {**content, "updated_at": time.time()}, fsync=False)

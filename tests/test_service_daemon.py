@@ -12,11 +12,14 @@ import json
 import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.injection import CampaignConfig
-from repro.durable import WriteAheadLog, encode_frame
+from repro.durable import WriteAheadLog, encode_frame, read_json
+from repro.service import daemon as daemon_module
+from repro.service import sentinel as sentinel_module
 from repro.service import (
     CampaignDaemon,
     DaemonAlreadyRunning,
@@ -200,6 +203,137 @@ def test_a_wal_submit_this_version_cannot_parse_fails_alone(tmp_path):
 def test_submit_rejects_unknown_system(tmp_path):
     with pytest.raises(ValueError, match="unknown system"):
         ServiceClient(tmp_path).submit("hadoop-classic")
+
+
+def test_submit_accepts_kube_and_the_job_reaches_its_pin(tmp_path):
+    # kube is bundled beside Table 4's five; its campaign is pinned too
+    client = ServiceClient(tmp_path)
+    job_id = client.submit("kube", CampaignConfig())
+    drain_in_process(tmp_path, workers=1, poll_interval=0.01, fsync=False)
+    result = client.result(job_id)
+    assert result["state"] == "done", result.get("error")
+    assert result["fingerprint"] == PINS["kube"][0]
+
+
+# ----------------------------------------------------------------------
+# the quiet tick: an idle step writes nothing, a change is written at once
+# ----------------------------------------------------------------------
+def _atomic_writes(monkeypatch):
+    """Paths the daemon and its lock sentinel write from now on, in order."""
+    writes = []
+    real = daemon_module.atomic_write_json
+
+    def spy(path, payload, **kwargs):
+        writes.append(Path(path))
+        return real(path, payload, **kwargs)
+
+    monkeypatch.setattr(daemon_module, "atomic_write_json", spy)
+    monkeypatch.setattr(sentinel_module, "atomic_write_json", spy)
+    return writes
+
+
+def test_an_idle_daemon_writes_status_at_most_once_in_50_steps(
+        tmp_path, monkeypatch):
+    daemon = CampaignDaemon(tmp_path, workers=1, fsync=False)
+    daemon.start()
+    try:
+        writes = _atomic_writes(monkeypatch)
+        for _ in range(50):
+            assert daemon.step() is False
+        assert writes.count(daemon.layout.status) <= 1, writes
+        # and no lock beat falls due in 50 fast steps
+        assert daemon.layout.lock not in writes, writes
+    finally:
+        daemon.close()
+
+
+def test_every_transition_is_in_status_after_the_step_that_made_it(tmp_path):
+    client = ServiceClient(tmp_path)
+    job_id = client.submit("cassandra", CampaignConfig())
+    daemon = CampaignDaemon(tmp_path, workers=1, fsync=False)
+    daemon.start()
+    seen = [read_json(daemon.layout.status)["jobs"][job_id]["state"]]
+    try:
+        while True:
+            busy = daemon.step()
+            on_disk = read_json(daemon.layout.status)
+            assert on_disk.pop("updated_at") > 0
+            # the file is the daemon's state, whatever the step changed
+            assert on_disk == daemon.status_payload()
+            state = on_disk["jobs"][job_id]["state"]
+            if seen[-1] != state:
+                seen.append(state)
+            if not busy:
+                break
+            time.sleep(0.01)
+    finally:
+        daemon.close()
+    assert seen == ["queued", "running", "done"]
+    assert read_json(daemon.layout.status)["daemon"]["exited"] is True
+
+
+class FakeClock:
+    """``time`` for the daemon and sentinel modules, advanced by hand."""
+
+    def __init__(self):
+        self.now = 1_000_000.0
+
+    def time(self):
+        return self.now
+
+    monotonic = time
+
+
+def _fake_clock(monkeypatch):
+    clock = FakeClock()
+    monkeypatch.setattr(daemon_module, "time", clock)
+    monkeypatch.setattr(sentinel_module, "time", clock)
+    return clock
+
+
+def test_a_lock_beaten_once_per_quarter_timeout_never_goes_stale(
+        tmp_path, monkeypatch):
+    clock = _fake_clock(monkeypatch)
+    start = clock.now
+    # a short worker timeout does not shorten the lock's: every reader
+    # judges the lock under HEARTBEAT_TIMEOUT
+    daemon = CampaignDaemon(tmp_path, workers=1, heartbeat_timeout=0.5,
+                            fsync=False)
+    daemon.start()
+    lock = Sentinel(daemon.layout.lock)
+    beats = [lock.read()["heartbeat_at"]]
+    try:
+        # a step every 10 ms for two lock timeouts and a bit
+        for i in range(1, 6101):
+            clock.now = start + i * 0.01
+            daemon.step()
+            assert lock.status(daemon_module.HEARTBEAT_TIMEOUT) == "alive", i
+            if lock.read()["heartbeat_at"] != beats[-1]:
+                beats.append(lock.read()["heartbeat_at"])
+    finally:
+        daemon.close()
+    # a beat at the first step a quarter timeout after the last, no other
+    quarter = daemon_module.HEARTBEAT_TIMEOUT / 4
+    assert len(beats) == 9, beats
+    assert all(quarter <= b - a < quarter + 0.01 + 1e-6
+               for a, b in zip(beats, beats[1:])), beats
+
+
+def test_a_short_timeout_newcomer_is_refused_between_beats(
+        tmp_path, monkeypatch):
+    clock = _fake_clock(monkeypatch)
+    first = CampaignDaemon(tmp_path, workers=1, fsync=False)
+    first.start()
+    try:
+        # past the newcomer's 1 s, before the first daemon's next beat
+        clock.now += daemon_module.HEARTBEAT_TIMEOUT / 4 - 0.5
+        first.step()
+        with pytest.raises(DaemonAlreadyRunning):
+            CampaignDaemon(tmp_path, workers=1, heartbeat_timeout=1.0).start()
+        assert Sentinel(first.layout.lock).read()["daemon_id"] == \
+            first.daemon_id
+    finally:
+        first.close()
 
 
 # ----------------------------------------------------------------------

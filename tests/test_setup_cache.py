@@ -1,9 +1,12 @@
 """The setup artefact: ``prepare()`` and its content-addressed cache.
 
-Three properties hold the design together, and each gets its own block:
+Four properties hold the design together, and each gets its own block:
 
 * **hit == miss** — a campaign run over an unpickled triple is
   outcome-identical to one run over a freshly built triple;
+* **an entry holds facts, not syntax** — a campaign over a hit parses
+  nothing, and syntax read later is re-derived equal to a fresh
+  analysis's, or refused when the source on disk has changed;
 * **the key is the identity** — anything the triple is a function of
   changes the key (and the journal's idea of "the same campaign" agrees);
 * **the cache only ever saves time** — the publish protocol (tmp, write,
@@ -14,12 +17,15 @@ Three properties hold the design together, and each gets its own block:
   entry and a ``done`` job.
 """
 
+import ast
 import errno
+import importlib
 import json
 import multiprocessing
 import os
 import pickle
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,19 +33,23 @@ import pytest
 import repro
 from repro import durable
 from repro.core import pipeline
+from repro.core.analysis import ModuleSource
+from repro.core.baselines import find_io_points
 from repro.core.injection import (
     CampaignConfig,
     CampaignJournal,
     JournalMismatch,
+    outcome_digest,
     run_campaign,
 )
 from repro.core.pipeline import prepare, setup_key, source_digest
+from repro.errors import AnalysisError
 from repro.obs import read_trace_jsonl
 from repro.service import CampaignDaemon, ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.sentinel import Sentinel
 from repro.service.worker import SENTINEL_NAME, TRACE_NAME, run_job
-from repro.systems import get_system
+from repro.systems import bundled_systems, get_system
 from tests.conftest import PINS, campaign, outcome_dicts, prepared, reference
 
 FAST = "cassandra"  # 3 points, ~0.1 s per job: the protocol tests' subject
@@ -83,6 +93,110 @@ def test_no_cache_dir_touches_no_disk(tmp_path, monkeypatch):
     prepare(get_system(FAST), info=info)
     assert info["cache"] == "off" and info["key"] == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# an entry holds phase 1's facts, not its syntax
+# ----------------------------------------------------------------------
+SIX = [system.name for system in bundled_systems()]
+
+
+def _publish_prepared(system_name, cache_dir):
+    """Publish this session's ``prepared(system_name)`` as the entry a
+    ``prepare`` miss would have published (without rebuilding it)."""
+    key = setup_key(get_system(system_name), 0, None)
+    pipeline._publish(Path(cache_dir) / f"{key}.pkl",
+                      (key, *prepared(system_name)[1:]))
+
+
+def _count_syntax_reads(monkeypatch):
+    """Counts of module parses and method-node re-finds from now on."""
+    counts = {"parses": 0, "nodes": 0}
+    real_parse, real_find = ast.parse, ModuleSource.function_at
+
+    def parse(*args, **kwargs):
+        counts["parses"] += 1
+        return real_parse(*args, **kwargs)
+
+    def function_at(self, lineno):
+        counts["nodes"] += 1
+        return real_find(self, lineno)
+
+    monkeypatch.setattr(ast, "parse", parse)
+    monkeypatch.setattr(ModuleSource, "function_at", function_at)
+    return counts
+
+
+def _methods(analysis):
+    return [method for info in analysis.model.classes.values()
+            for method in info.methods.values()]
+
+
+@pytest.mark.parametrize(
+    "system_name", ["yarn", "hdfs", "hbase", "zookeeper", "cassandra"])
+def test_a_whole_campaign_over_a_hit_reads_no_syntax(
+        tmp_path, monkeypatch, system_name):
+    _publish_prepared(system_name, tmp_path)
+    counts = _count_syntax_reads(monkeypatch)
+    loaded, info = _prepare(system_name, tmp_path)
+    assert info["cache"] == "hit"
+    result = campaign(system_name, setup=loaded)
+    assert outcome_digest(result.outcomes) == PINS[system_name][0]
+    assert counts == {"parses": 0, "nodes": 0}
+    # the counter is live: a first read of one method node parses once
+    _methods(loaded[0])[0].node
+    assert counts == {"parses": 1, "nodes": 1}
+
+
+@pytest.mark.parametrize("system_name", SIX)
+def test_loaded_syntax_equals_a_fresh_analysis(tmp_path, system_name):
+    fresh = prepared(system_name)[1]
+    _publish_prepared(system_name, tmp_path)
+    (loaded, _, _), info = _prepare(system_name, tmp_path)
+    assert info["cache"] == "hit"
+    assert [s.name for s in loaded.sources] == [s.name for s in fresh.sources]
+    for ours, theirs in zip(loaded.sources, fresh.sources):
+        assert ast.dump(ours.tree, include_attributes=True) == \
+            ast.dump(theirs.tree, include_attributes=True)
+    ours, theirs = _methods(loaded), _methods(fresh)
+    assert [(m.owner, m.name) for m in ours] == \
+        [(m.owner, m.name) for m in theirs]
+    for method, reference in zip(ours, theirs):
+        assert ast.dump(method.node, include_attributes=True) == \
+            ast.dump(reference.node, include_attributes=True)
+        # re-found in the loaded module's own tree, not parsed apart
+        assert any(node is method.node
+                   for node in ast.walk(method.source.tree))
+    assert {id(m.source) for m in ours} <= {id(s) for s in loaded.sources}
+
+
+@pytest.mark.parametrize("system_name", ["yarn", "hdfs"])
+def test_find_io_points_agrees_on_a_loaded_analysis(tmp_path, system_name):
+    fresh = prepared(system_name)[1]
+    _publish_prepared(system_name, tmp_path)
+    loaded = _prepare(system_name, tmp_path)[0][0]
+    report = find_io_points(loaded)
+    assert report.static_points, "a vacuous comparison"
+    assert report == find_io_points(fresh)
+
+
+def test_a_module_edited_between_load_and_first_read_raises(
+        tmp_path, monkeypatch):
+    path = tmp_path / "edited_after_load.py"
+    path.write_text("class A:\n    def f(self):\n        return 1\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    module = importlib.import_module(path.stem)
+    monkeypatch.setitem(sys.modules, path.stem, module)
+    saved = pickle.dumps(ModuleSource.load(module))
+    intact = pickle.loads(saved)
+    assert ast.dump(intact.tree) == ast.dump(ast.parse(path.read_text()))
+
+    loaded = pickle.loads(saved)
+    path.write_text(path.read_text() + "# edited\n")
+    for _ in range(2):  # a failed read leaves nothing behind to return
+        with pytest.raises(AnalysisError, match=path.stem):
+            loaded.tree
+    assert "tree" not in vars(loaded) and "source" not in vars(loaded)
 
 
 # ----------------------------------------------------------------------

@@ -103,6 +103,13 @@ def _main(capsys, *argv):
     return (code, *capsys.readouterr())
 
 
+def test_campaign_subcommand_runs_kube_to_its_pin(capsys):
+    # kube is bundled beside Table 4's five; its campaign is pinned too
+    code, out, err = _main(capsys, "campaign", "kube")
+    assert (code, err) == (0, ""), err
+    assert out.rstrip().splitlines()[-1].split()[-1] == PINS["kube"][0]
+
+
 def test_campaign_answers_bad_knobs_and_journals_in_one_line(tmp_path, capsys):
     campaign = ["campaign", "cassandra"]
     journal = str(tmp_path / "capped.jsonl")
