@@ -43,9 +43,11 @@ by the log-based + type-based analysis.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from types import CodeType, FunctionType, ModuleType
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro import runtime
 
@@ -96,6 +98,68 @@ def _frame_module(frame: Any) -> str:
     return module
 
 
+#: comprehension scopes: code nested in one is named ``<listcomp>.x``,
+#: not ``<listcomp>.<locals>.x`` (a class body does the same)
+_COMPREHENSIONS = frozenset({"<listcomp>", "<setcomp>", "<dictcomp>", "<genexpr>"})
+#: module name -> its qualname_index, built at the module's first frame
+_QUALNAME_INDEX: Dict[str, Dict[CodeType, str]] = {}
+
+
+def qualname_index(module: Optional[ModuleType]) -> Dict[CodeType, str]:
+    """Code object -> qualname for every function ``module``'s source defines.
+
+    Built from the module's classes and functions; the code nested in a
+    function (inner defs and classes, lambdas, comprehensions) is named
+    from its parent the way the compiler names it.  This is
+    ``co_qualname`` for interpreters without it (before 3.11).  Code
+    compiled elsewhere (a dataclass's generated ``__init__``) is left out.
+    """
+    index: Dict[CodeType, str] = {}
+    classes: Set[type] = set()
+    name = getattr(module, "__name__", None)
+    path = getattr(module, "__file__", None)
+
+    def add_code(code: CodeType, qualname: str) -> None:
+        if code in index:
+            return
+        index[code] = qualname
+        local = (code.co_flags & inspect.CO_NEWLOCALS
+                 and code.co_name not in _COMPREHENSIONS)
+        prefix = qualname + (".<locals>." if local else ".")
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                add_code(const, prefix + const.co_name)
+
+    def add_namespace(namespace: Any) -> None:
+        for value in list(vars(namespace).values()):
+            if isinstance(value, type):
+                if value.__module__ == name and value not in classes:
+                    classes.add(value)
+                    add_namespace(value)
+                continue
+            if isinstance(value, (staticmethod, classmethod)):
+                value = value.__func__
+            accessors = ((value.fget, value.fset, value.fdel)
+                         if isinstance(value, property) else (value,))
+            for func in accessors:
+                if isinstance(func, FunctionType) and func.__code__.co_filename == path:
+                    add_code(func.__code__, func.__qualname__)
+
+    if module is not None:
+        add_namespace(module)
+    return index
+
+
+def _qualname(code: CodeType, module: str) -> str:
+    qualname = getattr(code, "co_qualname", None)
+    if qualname is None:  # before 3.11
+        index = _QUALNAME_INDEX.get(module)
+        if index is None:
+            index = _QUALNAME_INDEX[module] = qualname_index(sys.modules.get(module))
+        qualname = index.get(code, code.co_name)
+    return qualname
+
+
 def capture_caller(depth: int) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
     """Locate the access site and its bounded call string.
 
@@ -129,9 +193,8 @@ def capture_caller(depth: int) -> Tuple[Tuple[str, int], Tuple[str, ...]]:
         site = (f.f_code, f.f_lasti)
         entry = _STACK_ENTRY_CACHE.get(site)
         if entry is None:
-            code = f.f_code
-            qualname = getattr(code, "co_qualname", code.co_name)
-            entry = _STACK_ENTRY_CACHE[site] = f"{module}.{qualname}:{f.f_lineno}"
+            entry = _STACK_ENTRY_CACHE[site] = (
+                f"{module}.{_qualname(f.f_code, module)}:{f.f_lineno}")
         stack.append(entry)
         f = f.f_back
     return location, tuple(stack)

@@ -81,6 +81,7 @@ ships its point as the journal's record (``executor.encode_record``).
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import select
@@ -218,6 +219,10 @@ class _SnapshotWatcher:
             self.failed.append(entry)
             return False
         if pid == 0:
+            # the child's collections leave the inherited heap alone: a
+            # full one would write every inherited object's GC header and
+            # so copy every page of the snapshot
+            gc.freeze()
             # the read ends are the campaign's; keeping a sibling's would
             # hold its pipe open after the campaign process is gone
             for fd in (result_r, *self.inflight):

@@ -14,6 +14,12 @@ from typing import Any, Callable, Optional
 _SEQ = itertools.count()
 
 
+def next_seq() -> int:
+    """A seq no event holds: every event made before it is lower, every
+    later one higher."""
+    return next(_SEQ)
+
+
 class Event:
     """A scheduled callback.
 
@@ -49,8 +55,7 @@ class Event:
         # your queue" without the loop scanning for it.  `_in_loop` is
         # True only while the event sits in the loop's heap awaiting
         # dispatch (cleared on pop), so cancelling an already-fired timer
-        # never skews the count, and the per-owner cancel index can tell
-        # pending entries from fired ones.
+        # never skews the count.
         self._loop = None
         self._in_loop = False
 
@@ -64,8 +69,10 @@ class Event:
 
     @property
     def cancelled(self) -> bool:
-        return self._cancelled
+        """True once the event can no longer fire: cancelled itself, or
+        swept with its owner while queued (a fired event never is)."""
+        return self._cancelled or (self._in_loop and self._loop._swept(self))
 
     def __repr__(self) -> str:
-        state = "cancelled" if self._cancelled else "pending"
+        state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} seq={self.seq} kind={self.kind} owner={self.owner} {state}>"

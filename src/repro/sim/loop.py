@@ -32,12 +32,11 @@ pending events, so a long run that cancels millions of timers keeps pop
 cost flat without re-heapifying on every cancel.
 
 Bulk cancellation (:meth:`SimLoop.cancel_owned_by`, fired on every node
-crash or shutdown) is driven by a per-owner index instead of a full queue
-scan: ``_owned`` maps each owner to the events it scheduled, appended at
-enqueue time and pruned of already-fired entries amortised-O(1) as the
-list regrows.  A 100x world tears down tens of thousands of short-lived
-ApplicationMaster nodes; scanning the whole heap for each would be
-quadratic in practice.
+crash, shutdown or abort) is a watermark: event ``seq`` only grows, so
+"everything the owner has queued now" is exactly "the owner's events with
+a ``seq`` below the next one".  The sweep records that floor and costs
+O(1); a floor-dead event is skipped where it surfaces, like a tombstone,
+and dropped by the next compaction.
 
 Exception policy: callbacks that raise :class:`NodeCrashedError` are
 treated as expected teardown (the handler's node was crashed mid-flight by
@@ -54,7 +53,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NodeCrashedError, SimulationError
 from repro.obs.context import NULL_OBS, Observability
-from repro.sim.events import Event
+from repro.sim.events import Event, next_seq
 
 # Type of the hook invoked when a callback raises a non-crash exception.
 # Receives (event, exception); returns True if the exception was consumed.
@@ -72,16 +71,11 @@ class SimLoop:
     #: order is trivially byte-identical to the pre-compaction kernel
     COMPACT_MIN = 512
 
-    #: owner-index list length at which fired entries are pruned; a fresh
-    #: prune threshold doubles with the surviving count, so maintenance
-    #: stays amortised O(1) per schedule
-    OWNED_PRUNE_MIN = 32
-
     def __init__(self) -> None:
         # heap of (time, seq, event): tuple comparison stays in C
         self._queue: List[Tuple[float, int, Event]] = []
-        self._owned: Dict[str, List[Event]] = {}
-        self._owned_limit: Dict[str, int] = {}
+        # owner -> seq floor: its events below it were swept while queued
+        self._floor: Dict[str, int] = {}
         self._tombstones = 0
         self._now = 0.0
         self._events_processed = 0
@@ -143,52 +137,20 @@ class SimLoop:
     def _enqueue(self, event: Event) -> Event:
         event._loop = self
         event._in_loop = True
-        if event.owner is not None:
-            self._note_owned(event)
         heapq.heappush(self._queue, (event.time, event.seq, event))
         return event
 
-    def _note_owned(self, event: Event) -> None:
-        """Register an owned event for :meth:`cancel_owned_by`.
+    def cancel_owned_by(self, owner: str) -> None:
+        """Cancel every event ``owner`` has queued now; later ones live."""
+        self._floor[owner] = next_seq()
 
-        Fired events linger in the owner's list until the list regrows
-        past its prune threshold; the threshold doubles with the surviving
-        count, so the occasional O(len) sweep amortises to O(1) per
-        schedule and the list never exceeds ~2x the owner's live events.
-        """
-        owner = event.owner
-        lst = self._owned.get(owner)
-        if lst is None:
-            self._owned[owner] = [event]
-            return
-        lst.append(event)
-        if len(lst) >= self._owned_limit.get(owner, self.OWNED_PRUNE_MIN):
-            live = [e for e in lst if e._in_loop]
-            self._owned[owner] = live
-            self._owned_limit[owner] = max(self.OWNED_PRUNE_MIN, 2 * len(live))
-
-    def cancel_owned_by(self, owner: str) -> int:
-        """Cancel every pending event whose owner matches.  Returns count."""
-        cancelled = 0
-        events = self._owned.pop(owner, None)
-        self._owned_limit.pop(owner, None)
-        if events:
-            for event in events:
-                # the index holds everything the owner ever scheduled;
-                # skip already-fired entries and mark the rest directly
-                # (not event.cancel()) so one compaction check runs after
-                # the sweep instead of per event
-                if event._cancelled or not event._in_loop:
-                    continue
-                event._cancelled = True
-                self._tombstones += 1
-                cancelled += 1
-        self._maybe_compact()
-        return cancelled
+    def _swept(self, event: Event) -> bool:
+        """Whether ``event`` was queued when its owner was swept."""
+        return event.seq < self._floor.get(event.owner, -1)
 
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, e in self._queue if not e._cancelled)
+        """Number of live (neither cancelled nor swept) events still queued."""
+        return sum(1 for _, _, e in self._queue if not e.cancelled)
 
     def stop(self) -> None:
         """Cut the run after the current event, for good.
@@ -207,19 +169,18 @@ class SimLoop:
     def _note_cancelled(self) -> None:
         """Called by :meth:`Event.cancel` while the event sits queued."""
         self._tombstones += 1
-        self._maybe_compact()
-
-    def _maybe_compact(self) -> None:
         t = self._tombstones
         if t >= self.COMPACT_MIN and 2 * t >= len(self._queue):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop every tombstone from the heap in one pass."""
+        """Drop every tombstone and floor-dead event from the heap in one pass."""
         live: List[Tuple[float, int, Event]] = []
         for entry in self._queue:
-            if entry[2]._cancelled:
-                entry[2]._in_loop = False
+            event = entry[2]
+            if event.cancelled:
+                event._cancelled = True
+                event._in_loop = False
             else:
                 live.append(entry)
         heapq.heapify(live)
@@ -232,16 +193,23 @@ class SimLoop:
     def _pop_due(self, deadline: Optional[float]) -> Optional[Event]:
         """Pop the earliest live event, unless it lies beyond ``deadline``.
 
-        Purges the tombstones that surface above it; returns None when
-        nothing live is due (the queue is empty, or its head is later).
+        Purges the tombstones and floor-dead events that surface above it;
+        returns None when nothing live is due (the queue is empty, or its
+        head is later).
         """
         queue = self._queue
+        floor = self._floor
         while queue:
             event = queue[0][2]
             if event._cancelled:
                 heapq.heappop(queue)
                 event._in_loop = False
                 self._tombstones -= 1
+                continue
+            if event.seq < floor.get(event.owner, -1):
+                heapq.heappop(queue)
+                event._in_loop = False
+                event._cancelled = True  # stays cancelled once it surfaced
                 continue
             if deadline is not None and event.time > deadline:
                 return None

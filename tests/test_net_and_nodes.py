@@ -72,6 +72,47 @@ def test_messages_to_dead_node_dropped():
         assert ("b", "ping") in c.network.dropped
 
 
+def test_crash_boundary_queued_deliveries_die_later_ones_drop():
+    # a crash kills what its target has queued: a delivery to b sent
+    # before b.crash() is never dispatched (no drop, no event), one sent
+    # after it is dispatched and dropped
+    c = make_cluster()
+    with c:
+        a = Echo(c, "a")
+        b = Echo(c, "b")
+        c.start_all()
+        c.run()
+        base = c.loop.events_processed
+        a.send("b", "ping", tag="before")
+        b.crash()
+        c.run()
+        assert c.network.dropped == []
+        assert c.loop.events_processed == base
+        a.send("b", "ping", tag="after")
+        c.run()
+        assert c.network.dropped == [("b", "ping")]
+        assert c.loop.events_processed == base + 1
+        assert b.received == []
+
+
+def test_timer_set_in_on_shutdown_dies_at_finish_shutdown():
+    class Lingering(Echo):
+        def on_shutdown(self):
+            self.set_timer(1.0, lambda: self.received.append("late"))
+
+    c = make_cluster()
+    with c:
+        a = Lingering(c, "a")
+        a.start()
+        c.run()
+        base = c.loop.events_processed
+        a.begin_shutdown()
+        c.run()
+        assert a.state is NodeState.STOPPED
+        assert a.received == []
+        assert c.loop.events_processed == base + 1  # _finish_shutdown only
+
+
 def test_in_flight_message_from_crashed_sender_still_delivered():
     c = make_cluster()
     with c:

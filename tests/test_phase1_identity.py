@@ -5,7 +5,8 @@ over everything the static stage decides: the crash points (with lane
 and ``promoted_from``) and their provenance chains, the extraction's
 points and call sites, Table 12's pruning counts, the meta-info types and
 fields, and the engine's stats.  A change that means to move phase 1
-regenerates the file with ``python -m tests.test_phase1_identity``.
+regenerates the file with ``python -m tests.test_phase1_identity``
+(``python -m tests.pins`` checks it, with the outcome pins, without pytest).
 
 Every pass of the static stage reads a method body through its
 :class:`~repro.core.analysis.types.BodyIndex`; the tests below hold the
@@ -13,50 +14,26 @@ index to :func:`ast.walk` and to "one build per body per analysis".
 """
 
 import ast
-import hashlib
 import json
 import pickle
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from repro.core.analysis import analysis_modules, analyze_system, point_key
+from repro.core.analysis import analysis_modules, analyze_system
 from repro.core.analysis import types as analysis_types
 from repro.core.analysis.summaries import _own_returns
 from repro.core.analysis.types import BodyIndex, TypeModel
 from repro.systems import bundled_systems, get_system
 from tests.conftest import prepared
+from tests.pins import phase1_digest
 
 PIN_FILE = Path(__file__).parent / "data" / "phase1_digests.json"
 SYSTEMS = tuple(system.name for system in bundled_systems())
 SEEDS = (0, 1)
 #: node classes the parser shares between parents (Load(), Add(), ...)
 SHARED = (ast.expr_context, ast.operator, ast.unaryop, ast.cmpop, ast.boolop)
-
-
-def phase1_digest(analysis) -> str:
-    """sha256[:16] over what the static stage decided for one system."""
-    crash = analysis.crash
-    provenance = analysis.engine.provenance
-    payload = {
-        "crash_points": sorted(
-            (asdict(p) for p in crash.crash_points),
-            key=lambda d: json.dumps(d, sort_keys=True)),
-        "chains": sorted(provenance.chain_for(point_key(p))
-                         for p in crash.crash_points),
-        "points": [asdict(p) for p in analysis.extraction.points],
-        "call_sites": sorted([list(key), sites] for key, sites
-                             in analysis.extraction.call_sites.items()),
-        "pruning": [crash.pruned_constructor, crash.pruned_unused,
-                    crash.pruned_sanity, crash.promoted],
-        "meta_types": sorted(analysis.meta.types),
-        "meta_fields": sorted(analysis.meta.fields),
-        "engine": analysis.engine.stats,
-    }
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

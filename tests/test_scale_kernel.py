@@ -126,15 +126,24 @@ def test_tombstones_are_compacted_past_the_threshold():
 
 def test_cancel_owned_by_compacts_and_counts_once():
     loop = SimLoop()
+    fired = []
     n = 4 * SimLoop.COMPACT_MIN
     for i in range(n):
-        loop.schedule_at(5.0 + i, lambda: None, owner="doomed")
-    survivor = loop.schedule_at(1.0, lambda: None, owner="fine")
-    assert loop.cancel_owned_by("doomed") == n
-    assert loop.cancel_owned_by("doomed") == 0  # idempotent
+        loop.schedule_at(5.0 + i, lambda: fired.append("doomed"), owner="doomed")
+    survivor = loop.schedule_at(1.0, lambda: fired.append("fine"), owner="fine")
+    loop.cancel_owned_by("doomed")
     assert loop.pending() == 1
-    assert len(loop._queue) == 1
+    loop.cancel_owned_by("doomed")  # idempotent
+    assert loop.pending() == 1
+    # swept entries are no tombstones; the next compaction drops them all
+    assert loop._tombstones == 0
+    extra = [loop.schedule_at(2.0, lambda: None) for _ in range(n + 1)]
+    for event in extra:
+        event.cancel()  # the last cancel reaches the trigger
+    assert len(loop._queue) == 1 and loop._tombstones == 0
     assert not survivor.cancelled
+    loop.run()
+    assert fired == ["fine"]
 
 
 def test_cancel_after_fire_does_not_skew_tombstone_count():

@@ -81,10 +81,32 @@ def test_cancel_owned_by_cancels_only_that_owner():
     fired = []
     loop.schedule(1.0, lambda: fired.append("a"), owner="node-a")
     loop.schedule(1.0, lambda: fired.append("b"), owner="node-b")
-    cancelled = loop.cancel_owned_by("node-a")
+    assert loop.pending() == 2
+    loop.cancel_owned_by("node-a")
+    assert loop.pending() == 1
     loop.run()
-    assert cancelled == 1
     assert fired == ["b"]
+
+
+def test_cancelled_reads_true_for_swept_events_only():
+    loop = SimLoop()
+    fired = loop.schedule_at(1.0, lambda: None, owner="x")
+    loop.run()
+    queued = [loop.schedule_at(2.0 + i, lambda: None, owner="x")
+              for i in range(3)]
+    other = loop.schedule_at(2.0, lambda: None, owner="y")
+    loop.cancel_owned_by("x")
+    later = loop.schedule_at(2.5, lambda: None, owner="x")
+    assert [e.cancelled for e in queued] == [True, True, True]
+    assert not fired.cancelled and not other.cancelled and not later.cancelled
+    assert all("cancelled" in repr(e) for e in queued)
+    loop.run(until=2.0)  # the first swept event surfaces and is purged
+    assert queued[0].cancelled and not queued[0]._in_loop
+    loop._compact()  # the rest are dropped without surfacing
+    assert len(loop._queue) == 1 and all(e.cancelled for e in queued)
+    loop.run()
+    assert loop.events_processed == 3  # fired, other, later
+    assert not fired.cancelled and not other.cancelled and not later.cancelled
 
 
 def test_run_until_deadline_advances_clock():

@@ -2,11 +2,12 @@
 
 The reference keeps pending events in one sorted list and removes a
 cancelled event on the spot — no heap, no tombstones, no compaction, no
-owner index.  A hypothesis state machine drives both loops through the
+seq floor.  A hypothesis state machine drives both loops through the
 same random interleaving of schedules, cancels, owner sweeps, runs to a
 deadline and reentrant pumps — including all of those issued from inside
 a firing handler — and requires the identical fire order, clock,
-processed count and pending count after every step.
+processed count, pending count and ``cancelled`` flag of every handle
+after every step.
 """
 
 import bisect
@@ -21,7 +22,9 @@ from repro.sim.loop import SimLoop
 
 
 class ReferenceLoop:
-    """Sorted list of ``(time, seq, owner, callback)``, eager cancellation."""
+    """Sorted list of ``(time, seq, owner, callback, handle)``, eager
+    cancellation; a handle reads cancelled once ``cancel()`` ran or a sweep
+    dropped it."""
 
     def __init__(self):
         self.now = 0.0
@@ -33,24 +36,26 @@ class ReferenceLoop:
         return self.schedule_at(self.now + delay, callback, owner=owner)
 
     def schedule_at(self, time, callback, owner=None):
-        entry = (time, next(self._seq), owner, callback)
+        handle = SimpleNamespace(cancelled=False)
+        entry = (time, next(self._seq), owner, callback, handle)
         bisect.insort(self.queue, entry)  # seq is unique: ties stop there
-        return SimpleNamespace(cancel=lambda: self._drop([entry]))
+        handle.cancel = lambda: self._drop([entry])
+        return handle
 
     def _drop(self, entries):
+        for entry in entries:
+            entry[4].cancelled = True
         self.queue = [e for e in self.queue if e not in entries]
 
     def cancel_owned_by(self, owner):
-        owned = [e for e in self.queue if e[2] == owner]
-        self._drop(owned)
-        return len(owned)
+        self._drop([e for e in self.queue if e[2] == owner])
 
     def pending(self):
         return len(self.queue)
 
     def run(self, until=None):
         while self.queue and (until is None or self.queue[0][0] <= until):
-            self.now, _, _, callback = self.queue.pop(0)
+            self.now, _, _, callback, _ = self.queue.pop(0)
             self.events_processed += 1
             callback()
         if until is not None and self.now < until:
@@ -102,7 +107,8 @@ class Driver:
                 if self.handles:
                     self.handles[args[0] % len(self.handles)].cancel()
             elif op == "cancel_owned_by":
-                self.log.append(("swept", args[0], loop.cancel_owned_by(args[0])))
+                loop.cancel_owned_by(args[0])
+                self.log.append(("swept", args[0]))
             else:
                 assert op == "pump"
                 if self._pumps < self.MAX_PUMP_NESTING:
@@ -138,14 +144,12 @@ _programs = st.recursive(
 
 
 class LoopAgainstReference(RuleBasedStateMachine):
-    @initialize(compact_min=st.sampled_from([1, SimLoop.COMPACT_MIN]),
-                prune_min=st.sampled_from([2, SimLoop.OWNED_PRUNE_MIN]))
-    def build(self, compact_min, prune_min):
+    @initialize(compact_min=st.sampled_from([1, SimLoop.COMPACT_MIN]))
+    def build(self, compact_min):
         loop = SimLoop()
-        # instance attributes shadow the class thresholds: compaction and
-        # owner-index pruning engage on queues of a handful of events
+        # an instance attribute shadows the class threshold: compaction
+        # engages on queues of a handful of events
         loop.COMPACT_MIN = compact_min
-        loop.OWNED_PRUNE_MIN = prune_min
         self.real = Driver(loop)
         self.ref = Driver(ReferenceLoop())
 
@@ -173,9 +177,12 @@ class LoopAgainstReference(RuleBasedStateMachine):
         assert real.now == ref.now
         assert real.events_processed == ref.events_processed
         assert real.pending() == ref.pending()
-        # the tombstone tally is exactly the dead entries still queued
+        assert ([h.cancelled for h in self.real.handles]
+                == [h.cancelled for h in self.ref.handles])
+        # the tombstone tally is exactly the individually cancelled
+        # entries still queued; a swept one is dead by its seq floor alone
         assert real._tombstones == sum(
-            1 for _, _, e in real._queue if e.cancelled)
+            1 for _, _, e in real._queue if e._cancelled)
 
 
 LoopAgainstReference.TestCase.settings = settings(

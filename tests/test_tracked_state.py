@@ -1,8 +1,16 @@
 """Unit tests for tracked heap state and the access bus."""
 
+import importlib
+import inspect
+import pkgutil
+import sys
+import types
+from types import CodeType
 from typing import Dict, List, Optional, Set
 
 import pytest
+
+import repro.systems
 
 from repro.cluster import (
     BUS,
@@ -14,6 +22,7 @@ from repro.cluster import (
     tracked_set,
 )
 from repro.cluster.ids import NodeId
+from repro.cluster.state import qualname_index
 
 
 class Holder:
@@ -273,6 +282,66 @@ def test_stack_capture_bounded_and_innermost_first():
     assert "inner" in stack[0]
     assert "outer" in stack[1]
     assert all(":" in frame for frame in stack)  # every frame carries a line
+
+
+def _functions_in(code):
+    """Every function, lambda and comprehension code object nested in
+    ``code``, as the compiler builds it (class bodies are not functions)."""
+    pending = [code]
+    while pending:
+        code = pending.pop()
+        for const in code.co_consts:
+            if isinstance(const, CodeType):
+                pending.append(const)
+                if const.co_flags & inspect.CO_NEWLOCALS:
+                    yield const
+
+
+def _assert_index_is_co_qualname(module, code):
+    index = qualname_index(module)
+    assert all(c.co_qualname == q for c, q in index.items()), module.__name__
+    compiled = sorted((c.co_firstlineno, c.co_qualname) for c in _functions_in(code))
+    indexed = sorted((c.co_firstlineno, q) for c, q in index.items()
+                     if c.co_flags & inspect.CO_NEWLOCALS)
+    assert indexed == compiled, module.__name__
+    return [q for _, q in compiled]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
+def test_pre_311_qualname_index_is_co_qualname_under_repro_systems():
+    # the call string's qualname on 3.9/3.10 comes from this index; it
+    # must be the compiler's co_qualname for every system function
+    names = set()
+    for info in pkgutil.walk_packages(repro.systems.__path__, "repro.systems."):
+        module = importlib.import_module(info.name)
+        code = compile(inspect.getsource(module), module.__file__, "exec")
+        names.update(q.rpartition(".")[2]
+                     for q in _assert_index_is_co_qualname(module, code))
+    assert {"<listcomp>", "<genexpr>", "<lambda>"} <= names
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
+def test_pre_311_qualname_index_names_code_nested_in_comprehensions_and_classes():
+    # shapes no system module has: scopes nested in a comprehension or in
+    # a class defined inside a function
+    source = (
+        "def f():\n"
+        "    return [lambda: i for i in range(2)]\n"
+        "class C:\n"
+        "    @staticmethod\n"
+        "    def m():\n"
+        "        class D:\n"
+        "            def n(self):\n"
+        "                return {k: (lambda: k) for k in ()}\n"
+        "        return D\n"
+        "    @property\n"
+        "    def p(self):\n"
+        "        return (x for x in ())\n")
+    module = types.ModuleType("qualname_probe")
+    module.__file__ = "<qualname-probe>"
+    code = compile(source, module.__file__, "exec")
+    exec(code, module.__dict__)
+    assert "C.m.<locals>.D.n" in _assert_index_is_co_qualname(module, code)
 
 
 def test_node_attribution_inside_cluster():
