@@ -20,9 +20,9 @@ from repro.core.injection.campaign import (
     CampaignConfig,
     CampaignResult,
     _coerce_campaign,
-    run_campaign,
 )
 from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.executor import run_campaign
 from repro.core.injection.oracles import Baseline
 from repro.core.injection.trigger import DirectTrigger
 from repro.errors import NodeCrashedError

@@ -22,9 +22,9 @@ from repro.core.injection.campaign import (
     CampaignResult,
     InjectionOutcome,
     _coerce_campaign,
-    run_campaign,
 )
 from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.executor import run_campaign
 from repro.core.injection.oracles import Baseline, build_baseline
 from repro.core.injection.trigger import DirectTrigger
 from repro.sim import SimRandom

@@ -25,9 +25,9 @@ from repro.core.injection.campaign import (
     CampaignResult,
     _arm,
     _coerce_campaign,
-    run_campaign,
 )
 from repro.core.injection.control_center import ControlCenter
+from repro.core.injection.executor import run_campaign
 from repro.core.injection.oracles import Baseline
 from repro.core.injection.trigger import Trigger
 from repro.core.profiler import DynamicCrashPoint

@@ -5,14 +5,13 @@ from repro.core.injection.campaign import (
     CampaignResult,
     InjectionOutcome,
     outcome_digest,
-    run_campaign,
     run_one_injection,
 )
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.executor import (
     CampaignJournal,
-    ExecutionReport,
     JournalMismatch,
+    run_campaign,
 )
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
 from repro.core.injection.oracles import (
@@ -29,7 +28,6 @@ __all__ = [
     "CampaignJournal",
     "CampaignResult",
     "ControlCenter",
-    "ExecutionReport",
     "JournalMismatch",
     "InjectionOutcome",
     "InjectionRecord",

@@ -7,13 +7,11 @@ hang is optionally driven on — the same run — until the system has
 outlived the timeouts it configured, to separate the paper's "timeout
 issues" (Section 4.1.3) from true hangs.
 
-How a campaign runs is described by one frozen :class:`CampaignConfig`
-(the stable public knobs, see :mod:`repro.api`); because every injection
-is an isolated, seed-deterministic simulation, ``workers > 1`` fans the
-runs out over a process pool (:mod:`repro.core.injection.executor`) with
-outcomes, diagnoses, metrics, and spans merged back in deterministic
-point order — a parallel campaign is report-identical to a sequential
-one, only ``wall_seconds`` differs.
+This module is one injection: its config (:class:`CampaignConfig`, the
+stable public knobs, see :mod:`repro.api`), its outcome, digest and
+result types, and :func:`run_one_injection`.  The campaign that runs
+every point, :func:`~repro.core.injection.executor.run_campaign`, lives
+in :mod:`repro.core.injection.executor`.
 """
 
 from __future__ import annotations
@@ -29,10 +27,10 @@ from repro.cluster import Cluster
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.control_center import ControlCenter, InjectionRecord
 from repro.core.injection.online_log import OnlineLogAgent, OnlineMetaStore
-from repro.core.injection.oracles import Baseline, OracleVerdict, build_baseline, evaluate_run
+from repro.core.injection.oracles import Baseline, OracleVerdict, evaluate_run
 from repro.core.injection.trigger import Trigger
 from repro.core.profiler import DynamicCrashPoint
-from repro.obs import InjectionDiagnosis, Observability, get_obs
+from repro.obs import InjectionDiagnosis, get_obs
 from repro.obs.features import point_tokens
 from repro.systems.base import RunReport, SystemUnderTest, run_workload
 
@@ -68,10 +66,10 @@ class CampaignConfig:
         workers: worker processes for the injection phase; ``1`` runs
             in-process, ``N > 1`` fans points out over a pool (replay) or
             lets that many snapshot children run at once (snapshot) and
-            merges results in deterministic point order.  A replay round
-            with fewer than ``workers * 2`` points to run is too small to
-            amortize pool startup and runs in-process (the realized
-            choice is recorded on :class:`CampaignResult`).
+            merges results in deterministic point order.  A replay
+            campaign with fewer than ``workers * 2`` points left to run is
+            too small to amortize pool startup and runs in-process (the
+            realized choice is recorded on :class:`CampaignResult`).
         journal_path: when set, a JSONL checkpoint journal of per-point
             outcomes; an interrupted campaign re-run with the same
             journal resumes at the first untested point.
@@ -745,87 +743,3 @@ def _diagnose(
         ),
     )
 
-
-def run_campaign(
-    system: SystemUnderTest,
-    analysis: Optional[AnalysisReport],
-    dynamic_points: List[DynamicCrashPoint],
-    campaign: Optional[CampaignConfig] = None,
-    config: Optional[Dict[str, Any]] = None,
-    baseline: Optional[Baseline] = None,
-    matcher: Optional[BugMatcherFn] = None,
-    obs: Optional[Observability] = None,
-    on_outcome: Optional[Callable[[int, InjectionOutcome], None]] = None,
-) -> CampaignResult:
-    """Exercise every dynamic crash point, one run each (Figure 4).
-
-    Args:
-        campaign: the :class:`CampaignConfig` for this campaign —
-            ``workers > 1`` runs points on a worker pool,
-            ``journal_path`` checkpoints per-point outcomes for resume,
-            ``max_points`` caps the points tested.
-        baseline: clean-run baseline; built (and traced) here exactly
-            once when ``None``.
-        obs: observability context for the campaign.  When given it is
-            installed as the ambient context for the campaign's duration;
-            otherwise the already-ambient context (if any) is used.  The
-            result carries the context's metrics snapshot, and one
-            :class:`~repro.obs.InjectionDiagnosis` per point lands both on
-            the outcomes and on ``obs.diagnoses`` — identically whether
-            the campaign ran sequentially or on a worker pool.
-        on_outcome: checkpoint hook, called as ``on_outcome(index,
-            outcome)`` — ``index`` into the campaign's point list — each
-            time a point is tested in this process.  It fires right after
-            the point's journal line, when a journal is configured, in
-            completion order, which under a worker pool may differ from
-            point order.
-            Restored (journal-resumed) points do not call it.  The
-            campaign service uses this to beat each job's heartbeat
-            sentinel at every checkpoint; exceptions propagate and abort
-            the campaign without running the points still queued.  A
-            snapshot campaign calls it while its recording pass is
-            suspended at a fork, so it must not start a simulation.
-    """
-    # imported lazily: the executor module imports this one
-    from repro.core.injection.executor import execute_points
-
-    cfg = _coerce_campaign(campaign, "run_campaign")
-    wall0 = _wallclock.perf_counter()
-    active = obs if obs is not None else get_obs()
-    points = list(dynamic_points)
-    if cfg.point_order == "novelty":
-        # imported lazily: analytics is a post-hoc layer over this module's
-        # output; only the scheduler hook reaches forward into it
-        from repro.obs.analytics import order_points
-
-        points = order_points(points)
-    if cfg.max_points is not None:
-        points = points[:cfg.max_points]
-    with active:
-        with active.tracer.span("campaign", system=system.name,
-                                points=len(points), workers=cfg.workers) as span:
-            if baseline is None:
-                with active.tracer.span("baseline", system=system.name):
-                    baseline = build_baseline(system, config=config)
-            report = execute_points(
-                system, analysis, points, baseline,
-                matcher=matcher, cfg=cfg, config=config,
-                active=active, campaign_span=span, on_outcome=on_outcome,
-            )
-    wall = _wallclock.perf_counter() - wall0
-    return CampaignResult(
-        system=system.name,
-        outcomes=report.outcomes,
-        baseline=baseline,
-        wall_seconds=wall,
-        sim_seconds=sum(o.duration for o in report.outcomes),
-        metrics=active.metrics.snapshot() if active.enabled else None,
-        workers=cfg.workers,
-        resumed=report.resumed,
-        execution=report.execution,
-        workers_realized=report.workers,
-        snapshot_stats=report.snapshot_stats,
-        point_order=cfg.point_order,
-        reused=sum(o.reused_from is not None for o in report.outcomes),
-        speedup=report.worked / wall if wall > 0 else 0.0,
-    )

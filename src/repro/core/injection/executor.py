@@ -1,4 +1,4 @@
-"""The campaign's test phase: runner -> pool, over one journal.
+"""The campaign's test phase: :func:`run_campaign`, over one journal.
 
 The paper's test phase (Figure 4) is one loop — arm a dynamic crash
 point, run, judge — and so is this module, for every campaign: a point
@@ -6,23 +6,17 @@ is a *plan entry* — ``key()``, ``describe()``, ``scale``, an optional
 run ``seed``, and ``arm(cluster, analysis, cfg, on_fired)`` -> ``(agent,
 trigger)`` — a :class:`~repro.core.profiler.DynamicCrashPoint` or a side
 campaign's (DESIGN.md "Plan entries"; only the former files or takes a
-suffix).  Every point the journal does not restore runs, through two
-seams:
+suffix).  Every point the journal does not restore runs in one of two
+bodies — :func:`_replay`, in this process or over ``fork``-ed pool
+workers, or :func:`~repro.core.injection.snapshot.run_snapshot`, off one
+recording pass per scale group — which both index the campaign's real
+point list and hand each finished point to the journal and nowhere else.
 
-* the **runner** executes them, ``run(ctx, indices, sink)``, handing
-  each finished point to the sink and nowhere else.  It has two
-  bodies — :class:`ReplayRunner` here, and
-  :class:`~repro.core.injection.snapshot.SnapshotRunner` — that both
-  index the campaign's real point list;
-* the **pool** is how the replay runner spends its indices: in this
-  process, or fanned out over ``fork``-ed workers.  Either way a point is
-  run by :func:`run_point`.
-
-Every injection is an isolated, seed-deterministic simulation, so how
-the indices are spent never shows in the result: :func:`_merge` emits
-outcomes, diagnoses, metrics and spans **in point order**, with span ids
-remapped to exactly the ids a single traced run would have allocated (see
-:meth:`~repro.obs.tracer.Tracer.adopt` and
+Every injection is an isolated, seed-deterministic simulation, so which
+body ran a point, and where, never shows in the result: :func:`_merge`
+emits outcomes, diagnoses, metrics and spans **in point order**, with
+span ids remapped to exactly the ids a single traced run would have
+allocated (see :meth:`~repro.obs.tracer.Tracer.adopt` and
 :meth:`~repro.obs.metrics.MetricsRegistry.merge_snapshot`).  Only
 wall-clock differs between replay, snapshot, pooled and resumed
 campaigns.
@@ -47,8 +41,10 @@ from __future__ import annotations
 
 import gc
 import multiprocessing
+import os
 import signal
 import sys
+import time as _wallclock
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -60,14 +56,16 @@ from repro.core.analysis import AnalysisReport
 from repro.core.injection.campaign import (
     BugMatcherFn,
     CampaignConfig,
+    CampaignResult,
     InjectionOutcome,
+    _coerce_campaign,
     _file_suffix,
     _run_injection,
 )
-from repro.core.injection.oracles import Baseline
+from repro.core.injection.oracles import Baseline, build_baseline
 from repro.core.profiler import DynamicCrashPoint
 from repro.durable import WalCorrupt, WriteAheadLog
-from repro.obs import NULL_OBS, Observability
+from repro.obs import NULL_OBS, Observability, get_obs
 from repro.systems.base import SystemUnderTest
 
 JOURNAL_VERSION = 2
@@ -140,8 +138,8 @@ class CampaignJournal:
         self._log: Optional[WriteAheadLog] = None
         #: index -> outcome of every point restored or recorded
         self.outcomes: Dict[int, InjectionOutcome] = {}
-        #: index -> payloads of each point this process recorded
-        self.payloads: Dict[int, List[Payload]] = {}
+        #: index -> the one payload of each point this process recorded
+        self.payloads: Dict[int, Optional[Payload]] = {}
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -210,9 +208,9 @@ class CampaignJournal:
             self._log.append(pinned)
 
     def record(self, index: int, outcome: InjectionOutcome,
-               payloads: List[Payload]) -> None:
+               payload: Optional[Payload]) -> None:
         self.outcomes[index] = outcome
-        self.payloads[index] = payloads
+        self.payloads[index] = payload
         if self._log is not None:
             self._log.append({"type": "outcome", **encode_record(index, outcome)})
         if self._hook is not None:
@@ -282,7 +280,7 @@ def _world_freed_on_return() -> Iterator[None]:
         gc.collect(0)
 
 
-def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, List[Payload]]:
+def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, Optional[Payload]]:
     """Replay one point in this process; returns its outcome + telemetry.
 
     When the campaign is observed the run gets a fresh private context —
@@ -297,18 +295,18 @@ def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, List[Payl
             ctx.system, ctx.analysis, ctx.points[index], ctx.baseline,
             ctx.cfg, ctx.config, ctx.matcher, ctx.suffixes, index,
         )
-    return outcome, [_telemetry(private)] if ctx.observed else []
+    return outcome, _telemetry(private) if ctx.observed else None
 
 
 # ---------------------------------------------------------------------------
-# the pool: a round's indices, in this process or over forked workers
+# the replay body: in this process, or over a pool of forked workers
 # ---------------------------------------------------------------------------
 #: set in pool workers only, by the pool's initializer: the context comes
 #: through fork inside the worker's process object, never pickled
 _inherited_ctx: Optional[ExecContext] = None
 
 
-def _inherit(ctx: ExecContext) -> None:
+def _inherit(ctx: ExecContext, parent: int) -> None:
     global _inherited_ctx
     _inherited_ctx = ctx
     # Ctrl-C reaches the whole process group; the campaign process answers
@@ -319,136 +317,156 @@ def _inherit(ctx: ExecContext) -> None:
         import ctypes
 
         ctypes.CDLL(None).prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG
+        if os.getppid() != parent:
+            os._exit(0)  # the parent died before the kernel could be told
 
 
-def _pooled_point(index: int) -> Tuple[int, InjectionOutcome, List[Payload]]:
+def _pooled_point(index: int) -> Tuple[int, InjectionOutcome, Optional[Payload]]:
     assert _inherited_ctx is not None, "pool worker started without a context"
     return (index,) + run_point(_inherited_ctx, index)
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods()
-
-
-class ReplayRunner:
-    """The replay body of the runner seam: every index re-runs from t=0.
+def _replay(ctx: ExecContext, indices: List[int], sink: CampaignJournal) -> int:
+    """Re-run every index from t=0; returns the pool width it used.
 
     Up to its fire, that is: a run whose fire repeats one this process
     already ran past (``ExecContext.suffixes``) stops there and takes
     that run's judged suffix (DESIGN.md "Suffix reuse").
     """
-
-    #: replay keeps no engine statistics (see ``SnapshotRunner.stats``)
-    stats: Optional[Dict[str, Any]] = None
-
-    def __init__(self) -> None:
-        #: pool width realized: 1 until some round is big enough to fork
-        self.workers = 1
-
-    def run(self, ctx: ExecContext, indices: List[int],
-            sink: CampaignJournal) -> None:
-        if ctx.workers == 1 or len(indices) < ctx.workers * 2:
-            # pool startup dominates rounds this small (Table 11's
-            # zookeeper/cassandra rows ran *slower* pooled than in-process)
-            for index in indices:
-                sink.record(index, *run_point(ctx, index))
-            return
-        self.workers = ctx.workers
-        pool = ProcessPoolExecutor(
-            max_workers=ctx.workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_inherit, initargs=(ctx,),
-        )
-        try:
-            futures = [pool.submit(_pooled_point, index) for index in indices]
-            for future in as_completed(futures):
-                sink.record(*future.result())
-        finally:
-            # a raising sink (``on_outcome`` aborts the campaign) or a
-            # SIGINT must not run the queued points out first
-            pool.shutdown(wait=True, cancel_futures=True)
+    if ctx.workers == 1 or len(indices) < ctx.workers * 2:
+        # pool startup dominates campaigns this small (Table 11's
+        # zookeeper/cassandra rows ran *slower* pooled than in-process)
+        for index in indices:
+            sink.record(index, *run_point(ctx, index))
+        return 1
+    pool = ProcessPoolExecutor(
+        max_workers=ctx.workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_inherit, initargs=(ctx, os.getpid()),
+    )
+    try:
+        futures = [pool.submit(_pooled_point, index) for index in indices]
+        for future in as_completed(futures):
+            sink.record(*future.result())
+    finally:
+        # a raising sink (``on_outcome`` aborts the campaign) or a
+        # SIGINT must not run the queued points out first
+        pool.shutdown(wait=True, cancel_futures=True)
+    return ctx.workers
 
 
 # ---------------------------------------------------------------------------
-# the campaign parent: run what the journal lacks, merge
+# the campaign: run what the journal lacks, merge
 # ---------------------------------------------------------------------------
-@dataclass
-class ExecutionReport:
-    """What the test phase actually did, alongside its ordered outcomes.
-
-    ``workers``/``execution`` are the *realized* choices — after the
-    platform fallback (no ``fork``) and the small-campaign degrade rule —
-    which :func:`~repro.core.injection.campaign.run_campaign` records on
-    the :class:`~repro.core.injection.campaign.CampaignResult`.
-    """
-
-    outcomes: List[InjectionOutcome]
-    resumed: int
-    #: summed ``wall_seconds`` of the points this process ran
-    worked: float
-    workers: int
-    execution: str
-    snapshot_stats: Optional[Dict[str, Any]] = None
-
-
-def execute_points(
+def run_campaign(
     system: SystemUnderTest,
     analysis: Optional[AnalysisReport],
-    points: List[DynamicCrashPoint],
-    baseline: Baseline,
-    matcher: Optional[BugMatcherFn],
-    cfg: CampaignConfig,
-    config: Optional[Dict[str, Any]],
-    active: Observability,
-    campaign_span: Any = None,
+    dynamic_points: List[DynamicCrashPoint],
+    campaign: Optional[CampaignConfig] = None,
+    config: Optional[Dict[str, Any]] = None,
+    baseline: Optional[Baseline] = None,
+    matcher: Optional[BugMatcherFn] = None,
+    obs: Optional[Observability] = None,
     on_outcome: Optional[OutcomeHook] = None,
-) -> ExecutionReport:
-    """Run (or restore) every point; returns an :class:`ExecutionReport`.
+) -> CampaignResult:
+    """Exercise every dynamic crash point, one run each (Figure 4).
 
-    The ambient ``active`` context is already installed by
-    :func:`~repro.core.injection.campaign.run_campaign`, with the
-    campaign span open.  ``on_outcome`` (when given) fires per newly
-    tested point, after its journal line is written — see
-    :func:`~repro.core.injection.campaign.run_campaign`.
+    Args:
+        campaign: the :class:`CampaignConfig` for this campaign —
+            ``workers > 1`` runs points on a worker pool,
+            ``journal_path`` checkpoints per-point outcomes for resume,
+            ``max_points`` caps the points tested.
+        baseline: clean-run baseline; built (and traced) here exactly
+            once when ``None``.
+        obs: observability context for the campaign.  When given it is
+            installed as the ambient context for the campaign's duration;
+            otherwise the already-ambient context (if any) is used.  The
+            result carries the context's metrics snapshot, and one
+            :class:`~repro.obs.InjectionDiagnosis` per point lands both on
+            the outcomes and on ``obs.diagnoses`` — identically whether
+            the campaign ran sequentially or on a worker pool.
+        on_outcome: checkpoint hook, called as ``on_outcome(index,
+            outcome)`` — ``index`` into the campaign's point list — each
+            time a point is tested in this process.  It fires right after
+            the point's journal line, when a journal is configured, in
+            completion order, which under a worker pool may differ from
+            point order.
+            Restored (journal-resumed) points do not call it.  The
+            campaign service uses this to beat each job's heartbeat
+            sentinel at every checkpoint; exceptions propagate and abort
+            the campaign without running the points still queued.  A
+            snapshot campaign calls it while its recording pass is
+            suspended at a fork, so it must not start a simulation.
     """
+    cfg = _coerce_campaign(campaign, "run_campaign")
+    wall0 = _wallclock.perf_counter()
+    active = obs if obs is not None else get_obs()
+    points = list(dynamic_points)
+    if cfg.point_order == "novelty":
+        # imported lazily: analytics is a post-hoc layer over this module's
+        # output; only the scheduler hook reaches forward into it
+        from repro.obs.analytics import order_points
+
+        points = order_points(points)
+    if cfg.max_points is not None:
+        points = points[:cfg.max_points]
     workers, execution = cfg.workers, cfg.execution
-    if (workers > 1 or execution == "snapshot") and not _fork_available():
+    if ((workers > 1 or execution == "snapshot")
+            and "fork" not in multiprocessing.get_all_start_methods()):
         warnings.warn(
             "parallel and snapshot campaigns need the 'fork' start method, "
             "which this platform lacks; replaying sequentially",
             RuntimeWarning,
         )
         workers, execution = 1, "replay"
-    ctx = ExecContext(
-        system=system, analysis=analysis, points=points, baseline=baseline,
-        matcher=matcher, cfg=cfg, config=config, observed=active.enabled,
-        workers=workers, suffixes=None if active.enabled else {},
-    )
-    if execution == "snapshot":
-        from repro.core.injection.snapshot import SnapshotRunner
+    with active:
+        with active.tracer.span("campaign", system=system.name,
+                                points=len(points), workers=cfg.workers) as span:
+            if baseline is None:
+                with active.tracer.span("baseline", system=system.name):
+                    baseline = build_baseline(system, config=config)
+            ctx = ExecContext(
+                system=system, analysis=analysis, points=points,
+                baseline=baseline, matcher=matcher, cfg=cfg, config=config,
+                observed=active.enabled, workers=workers,
+                suffixes=None if active.enabled else {},
+            )
+            journal = CampaignJournal(cfg.journal_path, points, on_outcome)
+            try:
+                journal.open(CampaignJournal.meta_for(system, points, cfg, config))
+                # before either body starts: pool workers and snapshot forks
+                # inherit the suffixes the interrupted run paid for
+                for index, outcome in journal.outcomes.items():
+                    _file_suffix(ctx.suffixes, index, outcome)
+                todo = [i for i in range(len(points)) if i not in journal.outcomes]
+                if execution == "snapshot":
+                    # imported lazily: the snapshot module imports this one
+                    from repro.core.injection.snapshot import run_snapshot
 
-        runner = SnapshotRunner()
-    else:
-        runner = ReplayRunner()
-    journal = CampaignJournal(cfg.journal_path, points, on_outcome)
-    try:
-        journal.open(CampaignJournal.meta_for(system, points, cfg, config))
-        # before any runner starts: pool workers and snapshot forks
-        # inherit the suffixes the interrupted run paid for
-        for index, outcome in journal.outcomes.items():
-            _file_suffix(ctx.suffixes, index, outcome)
-        todo = [i for i in range(len(points)) if i not in journal.outcomes]
-        if todo:
-            runner.run(ctx, todo, journal)
-    finally:
-        journal.close()
-    return ExecutionReport(
-        outcomes=_merge(points, journal, active, campaign_span),
+                    stats = run_snapshot(ctx, todo, journal)
+                    realized = workers if todo else 1
+                else:
+                    stats, realized = None, _replay(ctx, todo, journal)
+            finally:
+                journal.close()
+            outcomes = _merge(points, journal, active, span)
+    wall = _wallclock.perf_counter() - wall0
+    worked = sum(journal.outcomes[i].wall_seconds for i in journal.payloads)
+    return CampaignResult(
+        system=system.name,
+        outcomes=outcomes,
+        baseline=baseline,
+        wall_seconds=wall,
+        sim_seconds=sum(o.duration for o in outcomes),
+        metrics=active.metrics.snapshot() if active.enabled else None,
+        workers=cfg.workers,
         resumed=len(journal.outcomes) - len(journal.payloads),
-        worked=sum(journal.outcomes[i].wall_seconds for i in journal.payloads),
-        workers=runner.workers,
         execution=execution,
-        snapshot_stats=runner.stats,
+        workers_realized=realized,
+        snapshot_stats=stats,
+        point_order=cfg.point_order,
+        reused=sum(o.reused_from is not None for o in outcomes),
+        speedup=worked / wall if wall > 0 else 0.0,
     )
 
 
@@ -473,7 +491,8 @@ def _merge(
     outcomes: List[InjectionOutcome] = []
     for index in range(len(points)):
         outcome = sink.outcomes[index]
-        for payload in sink.payloads.get(index, ()):
+        payload = sink.payloads.get(index)
+        if payload is not None:
             active.tracer.adopt(payload["spans"], allocated=payload["allocated"],
                                 reparent_to=reparent_to)
             active.metrics.merge_snapshot(payload["metrics"])

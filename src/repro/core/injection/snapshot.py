@@ -62,9 +62,9 @@ the watcher's own bus hook.  Likewise an exception out of the sink
 and is re-raised once the pass is over.  (2) A child never returns into
 the campaign's stack: every path out of the recording pass ends in
 ``os._exit`` there, so inherited journal and stdio buffers are never
-flushed twice.  (3) A child's telemetry stays undecoded bytes until the
-round's last fork — what the campaign process's heap holds, every later
-child inherits and, touching it, copies.
+flushed twice.  (3) A child's telemetry stays undecoded bytes until
+:func:`run_snapshot`'s last fork — what the campaign process's heap
+holds, every later child inherits and, touching it, copies.
 
 Equivalence (asserted end-to-end by ``tests/test_snapshot_campaign.py``):
 outcomes, verdicts, matched bugs, diagnoses, merged metrics, and
@@ -74,9 +74,10 @@ child executes the identical firing code (:meth:`Trigger.fire`) at the
 identical event.  Only ``wall_seconds`` differs.  Snapshot mode never
 changes *what* is computed, only *how*.
 
-To the executor this is just the other body of its runner seam
-(:class:`SnapshotRunner`): same context, same indices, same sink; a child
-ships its point as the journal's record (``executor.encode_record``).
+To :func:`~repro.core.injection.executor.run_campaign` this is the
+other body beside replay (:func:`run_snapshot`): same context, same
+indices, same journal; a child ships its point as the journal's record
+(``executor.encode_record``).
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ class _SnapshotWatcher:
         if telemetry != b"\n":
             this.undecoded[entry.index] = telemetry
         try:
-            this.finish(entry, outcome, [])
+            this.finish(entry, outcome, None)
         except Exception as exc:  # noqa: BLE001 - re-raised after the pass
             self.held = exc
             self.abandon()
@@ -327,59 +328,50 @@ def _ship(reply: Dict[str, Any], telemetry: Optional[Payload]) -> None:
 # ---------------------------------------------------------------------------
 # the campaign process
 # ---------------------------------------------------------------------------
-class SnapshotRunner:
-    """The snapshot-resume body of the executor's runner seam."""
-
-    def __init__(self) -> None:
-        #: snapshots resumed concurrently, once a round has run
-        self.workers = 1
-        #: the engine's work across all rounds (``CampaignResult.
-        #: snapshot_stats``): recording runs, resumed (own suffix) /
-        #: never-fired / fallback point counts, how many resumes extended
-        #: their run (``reclassified``)
-        self.stats: Dict[str, Any] = dict.fromkeys((
-            "recording_runs", "resumed_points", "never_fired", "reclassified",
-            "fallback_points"), 0)
-
-    def run(self, ctx: ExecContext, indices: List[int],
-            sink: CampaignJournal) -> None:
-        self.workers = ctx.workers
-        this = _Round(ctx, sink, self.stats)
-        # one recording pass per scale group — scale changes the cluster
-        # size, so points of different scales cannot share a prefix; points
-        # of the same scale all fork off the single shared timeline
-        groups: Dict[int, List[_ArmedPoint]] = {}
-        for index in indices:
-            dpoint = ctx.points[index]
-            if isinstance(dpoint, DynamicCrashPoint):
-                groups.setdefault(dpoint.scale, []).append(_ArmedPoint(index, dpoint))
-            else:  # no other plan entry files a suffix (see the executor)
-                this.fallback(_ArmedPoint(index, dpoint))
-        for scale, entries in groups.items():
-            this.run_group(entries, scale)
-        # the round's last fork is behind us: nobody inherits these
-        while this.undecoded:
-            index, telemetry = this.undecoded.popitem()
-            sink.payloads[index].append(json.loads(telemetry))
+def run_snapshot(ctx: ExecContext, indices: List[int],
+                 sink: CampaignJournal) -> Dict[str, int]:
+    """Run ``indices`` off one recording pass per scale group; returns
+    what the engine did (``CampaignResult.snapshot_stats``)."""
+    this = _Round(ctx, sink)
+    # one recording pass per scale group — scale changes the cluster
+    # size, so points of different scales cannot share a prefix; points
+    # of the same scale all fork off the single shared timeline
+    groups: Dict[int, List[_ArmedPoint]] = {}
+    for index in indices:
+        dpoint = ctx.points[index]
+        if isinstance(dpoint, DynamicCrashPoint):
+            groups.setdefault(dpoint.scale, []).append(_ArmedPoint(index, dpoint))
+        else:  # no other plan entry files a suffix (see the executor)
+            this.fallback(_ArmedPoint(index, dpoint))
+    for scale, entries in groups.items():
+        this.run_group(entries, scale)
+    # the last fork is behind us: nobody inherits these
+    while this.undecoded:
+        index, telemetry = this.undecoded.popitem()
+        sink.payloads[index] = json.loads(telemetry)
+    return this.stats
 
 
 class _Round:
-    """One :meth:`SnapshotRunner.run` call: where its finished points land."""
+    """One :func:`run_snapshot` call: where its finished points land."""
 
-    def __init__(self, ctx: ExecContext, sink: CampaignJournal,
-                 stats: Dict[str, Any]):
+    def __init__(self, ctx: ExecContext, sink: CampaignJournal):
         self.ctx = ctx
         self.sink = sink
-        self.stats = stats
+        #: recording runs, resumed (own suffix) / never-fired / fallback
+        #: point counts, and how many resumes extended their run
+        self.stats: Dict[str, int] = dict.fromkeys((
+            "recording_runs", "resumed_points", "never_fired", "reclassified",
+            "fallback_points"), 0)
         #: the campaign's own context, which ``on_outcome`` runs under
         self.ambient = get_obs()
         #: point index -> the telemetry its child shipped, as received
         self.undecoded: Dict[int, bytes] = {}
 
     def finish(self, entry: _ArmedPoint, outcome: InjectionOutcome,
-               payloads: List[Payload]) -> None:
+               payload: Optional[Payload]) -> None:
         with self.ambient:  # not the recording pass's private context
-            self.sink.record(entry.index, outcome, payloads)
+            self.sink.record(entry.index, outcome, payload)
 
     def fallback(self, entry: _ArmedPoint) -> None:
         """In-process replay of one point: any child-side failure lands
@@ -417,10 +409,10 @@ class _Round:
                 basis = _judged(
                     ctx.system, unfired[0].dpoint, unfired[0].trigger,
                     evaluate_run(report, ctx.baseline), ctx.matcher, report)
-            shared = [_telemetry(private)] if ctx.observed else []
+            shared = _telemetry(private) if ctx.observed else None
             for entry in unfired:
                 stats["never_fired"] += 1
-                self.finish(entry, _clone_for(basis, entry.dpoint), list(shared))
+                self.finish(entry, _clone_for(basis, entry.dpoint), shared)
         for entry in watcher.failed:
             self.fallback(entry)
 

@@ -29,7 +29,7 @@ import sys
 from typing import Dict, Optional, Tuple
 
 from repro import runtime
-from repro.mtlog.records import LEVELS, LogRecord, render
+from repro.mtlog.records import LEVELS, LogRecord, render, render_exc
 
 _REGISTRY: Dict[str, "Logger"] = {}
 
@@ -63,7 +63,7 @@ class Logger:
             template=template,
             args=tuple(str(a) for a in args),
             location=location,
-            exc=f"{type(exc).__name__}: {exc}" if exc is not None else None,
+            exc=render_exc(exc) if exc is not None else None,
         )
         cluster.log_collector.collect(record)
 

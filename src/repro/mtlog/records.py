@@ -35,6 +35,20 @@ def render(template: str, args: tuple) -> str:
     return "".join(out)
 
 
+#: clauses some interpreters append to a built-in exception's message and
+#: others do not (3.13: an ``AttributeError`` on an object without __dict__)
+_INTERPRETER_CLAUSES = (" and no __dict__ for setting new attributes",)
+
+
+def render_exc(exc: BaseException) -> str:
+    """``Type: message``, without the clauses only some interpreters add."""
+    text = f"{type(exc).__name__}: {exc}"
+    for clause in _INTERPRETER_CLAUSES:
+        if text.endswith(clause):
+            text = text[:-len(clause)]
+    return text
+
+
 class LogRecord:
     """One runtime log instance.
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.cluster import Cluster
 from repro.mtlog import LogCollector
+from repro.mtlog.records import render_exc
 from repro.obs.context import get_obs
 
 
@@ -216,9 +217,9 @@ def _run_workload(
             deadline=deadline,
             wall_seconds=_wallclock.perf_counter() - wall_start,
             failures=list(workload.failures(cluster)),
-            aborts=[f"{n}:{type(e).__name__}: {e}" for (_, n, e) in cluster.aborts],
+            aborts=[f"{n}:{render_exc(e)}" for (_, n, e) in cluster.aborts],
             critical_aborts=[
-                f"{n}:{type(e).__name__}: {e}" for (_, n, e) in cluster.critical_aborts()
+                f"{n}:{render_exc(e)}" for (_, n, e) in cluster.critical_aborts()
             ],
             crashed_nodes=[n for (_, n) in cluster.crashes],
             shutdown_nodes=[n for (_, n) in cluster.shutdowns],

@@ -14,6 +14,7 @@ from repro.cluster.state import BUS, FieldKey
 from repro.core.baselines.io_injection import IOFault, _IOTrigger
 from repro.core.baselines.io_points import DynamicIOPoint, StaticIOPoint
 from repro.mtlog import LogCollector, LogRecord, get_logger, level_rank, render
+from repro.mtlog.records import render_exc
 
 LOG = get_logger("tests.mtlog")
 
@@ -35,6 +36,16 @@ def test_render_extra_placeholder_left_visible():
 
 def test_render_extra_args_appended():
     assert render("x {}", ("1", "2")) == "x 1 2"
+
+
+def test_render_exc_drops_clauses_only_some_interpreters_append():
+    # 3.13 appends the clause to an AttributeError on an object without a
+    # __dict__ (kube's control-plane abort); 3.9-3.12 do not
+    bare = "'NoneType' object has no attribute 'phase'"
+    clause = " and no __dict__ for setting new attributes"
+    assert render_exc(AttributeError(bare)) == f"AttributeError: {bare}"
+    assert render_exc(AttributeError(bare + clause)) == f"AttributeError: {bare}"
+    assert render_exc(KeyError("x")) == "KeyError: 'x'"
 
 
 def test_level_rank_ordering():

@@ -107,6 +107,33 @@ def test_journal_resume_after_partial_run(tmp_path, resume_workers):
     assert replay.speedup == 0.0
 
 
+@pytest.mark.parametrize("execution", ["snapshot", "replay"])
+def test_campaign_whose_journal_holds_every_point_runs_nothing(
+        tmp_path, monkeypatch, execution):
+    from repro.core.injection import campaign as campaign_mod
+    from repro.core.injection import snapshot as snapshot_mod
+
+    journal = str(tmp_path / "campaign.jsonl")
+    full = _campaign(1, 4, journal_path=journal)
+    runs = []
+    for module in (campaign_mod, snapshot_mod):
+        def counted(*args, _real=module.run_workload, **kwargs):
+            runs.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "run_workload", counted)
+
+    rerun = _campaign(2, 4, journal_path=journal, execution=execution)
+    assert rerun.resumed == 4 and rerun.execution == execution
+    # nothing ran, so nothing ran in parallel and the engine did nothing
+    assert rerun.workers_realized == 1
+    assert rerun.snapshot_stats == (dict.fromkeys((
+        "recording_runs", "resumed_points", "never_fired", "reclassified",
+        "fallback_points"), 0) if execution == "snapshot" else None)
+    assert runs == []
+    assert outcome_dicts(rerun) == outcome_dicts(full)
+
+
 def test_journal_resume_restores_diagnoses_in_point_order(tmp_path):
     journal = tmp_path / "campaign.jsonl"
     _campaign(1, N_CHEAP, journal_path=str(journal))
