@@ -111,7 +111,8 @@ def qualname_index(module: Optional[ModuleType]) -> Dict[CodeType, str]:
     Built from the module's classes and functions; the code nested in a
     function (inner defs and classes, lambdas, comprehensions) is named
     from its parent the way the compiler names it.  This is
-    ``co_qualname`` for interpreters without it (before 3.11).  Code
+    ``co_qualname`` for interpreters without it (before 3.11).  A
+    decorated function is found through its ``__wrapped__`` chain.  Code
     compiled elsewhere (a dataclass's generated ``__init__``) is left out.
     """
     index: Dict[CodeType, str] = {}
@@ -142,6 +143,8 @@ def qualname_index(module: Optional[ModuleType]) -> Dict[CodeType, str]:
             accessors = ((value.fget, value.fset, value.fdel)
                          if isinstance(value, property) else (value,))
             for func in accessors:
+                # a wrapper has the qualname, not the code, it decorates
+                func = inspect.unwrap(func) if callable(func) else func
                 if isinstance(func, FunctionType) and func.__code__.co_filename == path:
                     add_code(func.__code__, func.__qualname__)
 

@@ -43,7 +43,7 @@ from repro.core.analysis.static_points import (
 )
 from repro.core.analysis.summaries import SummaryTable, compute_summaries
 from repro.core.analysis.types import TypeModel, TypeRef
-from repro.systems.base import RunReport, SystemUnderTest, run_workload
+from repro.systems.base import RunReport, SystemUnderTest, run_workload, world_scope
 
 
 def analysis_modules(system: SystemUnderTest) -> List[ModuleSource]:
@@ -110,18 +110,20 @@ def analyze_system(
     single-shot intraprocedural pipeline's; the extras carry
     ``lane == "inter"``.
     """
-    t0 = _wallclock.perf_counter()
-    report = run_workload(system, seed=seed, config=config, scale=scale)
-    t_run = _wallclock.perf_counter() - t0
+    with world_scope():  # only world-free values leave it
+        t0 = _wallclock.perf_counter()
+        report = run_workload(system, seed=seed, config=config, scale=scale)
+        t_run = _wallclock.perf_counter() - t0
 
-    t0 = _wallclock.perf_counter()
-    sources = analysis_modules(system)
-    statements = find_logging_statements(sources)
-    index = PatternIndex.from_statements(statements)
-    hosts = cluster_hosts(report)
-    assert report.log is not None
-    log_result = analyze_logs(report.log.records, index, hosts)
-    t_log = _wallclock.perf_counter() - t0
+        t0 = _wallclock.perf_counter()
+        sources = analysis_modules(system)
+        statements = find_logging_statements(sources)
+        index = PatternIndex.from_statements(statements)
+        hosts = cluster_hosts(report)
+        assert report.log is not None
+        log_result = analyze_logs(report.log.records, index, hosts)
+        del report
+        t_log = _wallclock.perf_counter() - t0
 
     t0 = _wallclock.perf_counter()
     patched = frozenset(

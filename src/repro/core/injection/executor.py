@@ -39,7 +39,6 @@ whole and only tests the points the interrupted run never reached.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import signal
@@ -47,10 +46,9 @@ import sys
 import time as _wallclock
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.analysis import AnalysisReport
 from repro.core.injection.campaign import (
@@ -66,7 +64,7 @@ from repro.core.injection.oracles import Baseline, build_baseline
 from repro.core.profiler import DynamicCrashPoint
 from repro.durable import WalCorrupt, WriteAheadLog
 from repro.obs import NULL_OBS, Observability, get_obs
-from repro.systems.base import SystemUnderTest
+from repro.systems.base import SystemUnderTest, world_scope
 
 JOURNAL_VERSION = 2
 
@@ -255,31 +253,6 @@ def _telemetry(obs: Observability) -> Payload:
     }
 
 
-@contextmanager
-def _world_freed_on_return() -> Iterator[None]:
-    """Free a run's simulated world when the run returns.
-
-    A world is one web of reference cycles (nodes, handlers, state
-    machines, log records), so only the cycle collector frees it.  Left
-    to its thresholds, the collector promotes a run's objects to the
-    oldest generation while the run is live and frees them in one full
-    pass some later point pays for: ~0.25 s on the 10x yarn world, which
-    also walks every long-lived object (analysis, profile, baseline) and
-    lands on a 20 ms reused point as readily as on a full run.  Paused
-    for the run and pointed at the youngest generation once it returns,
-    the collector frees exactly that run's objects, on that run's clock.
-    """
-    if not gc.isenabled():  # the host manages collection itself
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-        gc.collect(0)
-
-
 def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, Optional[Payload]]:
     """Replay one point in this process; returns its outcome + telemetry.
 
@@ -290,7 +263,7 @@ def run_point(ctx: ExecContext, index: int) -> Tuple[InjectionOutcome, Optional[
     """
     # entering NULL_OBS is a no-op: the (disabled) ambient context stays
     private = Observability() if ctx.observed else NULL_OBS
-    with private, _world_freed_on_return():
+    with private, world_scope():
         outcome = _run_injection(
             ctx.system, ctx.analysis, ctx.points[index], ctx.baseline,
             ctx.cfg, ctx.config, ctx.matcher, ctx.suffixes, index,

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.context import get_obs
-from repro.systems.base import RunReport, SystemUnderTest, run_workload
+from repro.systems.base import RunReport, SystemUnderTest, run_workload, world_scope
 
 Signature = Tuple[str, str, str, Optional[str]]
 
@@ -46,13 +46,14 @@ def build_baseline(
     signatures: Set[Signature] = set()
     total = 0.0
     for seed in seeds:
-        report = run_workload(system, seed=seed, config=config, scale=scale,
-                              cooldown=10.0)
-        assert report.log is not None
-        for record in report.log.records:
-            if record.is_error:
-                signatures.add(record.signature())
-        total += report.duration
+        with world_scope():  # only world-free values leave it
+            report = run_workload(system, seed=seed, config=config,
+                                  scale=scale, cooldown=10.0)
+            assert report.log is not None
+            signatures.update(r.signature() for r in report.log.records
+                              if r.is_error)
+            total += report.duration
+            del report
     return Baseline(
         system=system.name,
         signatures=signatures,

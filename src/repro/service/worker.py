@@ -12,6 +12,7 @@ from (no completed injection past the last checkpoint re-executes).
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import traceback
@@ -102,6 +103,9 @@ def run_job(spec: JobSpec, job_dir: Path, attempts: int = 1,
 def worker_main(spec_dict: Dict[str, Any], job_dir: str, attempts: int,
                 cache_dir: Optional[str] = None) -> None:
     """Entry point of a forked worker process."""
+    # as in a snapshot child: the job's collections leave the inherited
+    # heap alone, not writing its GC headers and so copying its pages
+    gc.freeze()
     spec = JobSpec.from_dict(spec_dict)
     payload = run_job(spec, Path(job_dir), attempts=attempts,
                       cache_dir=cache_dir)

@@ -16,9 +16,10 @@ from __future__ import annotations
 import abc
 import gc
 import time as _wallclock
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import ModuleType
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.cluster import Cluster
 from repro.mtlog import LogCollector
@@ -166,26 +167,37 @@ def run_workload(
     """
     if deadline is None:
         deadline = system.base_runtime() * deadline_factor * max(1, scale)
-    # Cycle GC is paused for the run (DESIGN.md "Scale kernel"): automatic
-    # collections rescan every live log record and pending event on each
-    # threshold crossing — at 100x the largest per-event cost.  The
-    # kernel's churn (events, messages, records) is acyclic and freed by
-    # refcounting, so nothing observable changes; collection resumes as
-    # soon as the run returns.  What is cyclic is the world itself: the
-    # previous run's cluster, by now unreferenced and still in the young
-    # generations, is swept here instead of piling up across runs.
-    pause_gc = gc.isenabled()
-    if pause_gc:
-        gc.collect(1)
-        gc.disable()
-    try:
+    # bare callers get a paused run; pipeline callers read the report
+    # inside their own scope, which frees the world it keeps
+    with world_scope():
         return _run_workload(
             system, seed, config, scale, deadline, before_run, keep_cluster,
             cooldown, extend,
         )
+
+
+@contextmanager
+def world_scope() -> Iterator[None]:
+    """Pause the cycle collector; on exit, free the world the scope built.
+
+    A world is a web of reference cycles (nodes, handlers, log records)
+    only the collector frees; a run's churn is acyclic.  Collections in a
+    run would rescan every live record and event, and one that finds a
+    world still referenced promotes it beyond all but a full pass.  So a
+    pipeline run reads its report in one scope, and only world-free
+    values leave it (DESIGN.md "A run's world is freed when that run
+    returns"): the exit's young-generation pass frees that world, on that
+    run's clock.  A no-op if the collector is off (host or outer scope).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
     finally:
-        if pause_gc:
-            gc.enable()
+        gc.enable()
+        gc.collect(0)
 
 
 def _run_workload(

@@ -26,10 +26,12 @@ import pytest
 from repro.api import (
     CampaignConfig,
     Observability,
+    analyze_system,
     build_baseline,
     get_system,
     matcher_for_system,
     outcome_digest,
+    profile_system,
     run_campaign,
 )
 from repro.cluster import Cluster
@@ -41,6 +43,7 @@ from repro.core.report import format_summary
 from repro.durable import WriteAheadLog, encode_frame
 from repro.errors import NodeCrashedError
 from repro.sim import SimLoop
+from repro.systems import base as systems_base
 from tests.conftest import PINS, prepared, reference
 
 SYSTEMS = ("yarn", "hbase", "hdfs", "kube", "cassandra", "zookeeper")
@@ -481,6 +484,46 @@ def test_the_collector_is_left_as_the_host_set_it():
     finally:
         gc.enable()
     assert outcome_digest(result.outcomes) == PINS["cassandra"][0]
+
+
+@pytest.mark.parametrize("name", ["hdfs", "yarn"])
+def test_no_run_of_the_pipeline_starts_beside_a_stale_world(monkeypatch, name):
+    # every run -- phase 1's, the profiler's, the baseline's, the
+    # campaign's -- frees its world before the next one is built: none
+    # may wait, promoted, for a full collection that no run pays for
+    gc.collect()
+    before = _live_clusters()
+    seen = []
+    drive = systems_base._run_workload
+
+    def counted(*args, **kwargs):
+        seen.append(_live_clusters())
+        return drive(*args, **kwargs)
+
+    monkeypatch.setattr(systems_base, "_run_workload", counted)
+    system = get_system(name)
+    analysis = analyze_system(system)
+    profile = profile_system(system, analysis)
+    result = run_campaign(
+        system, analysis, profile.dynamic_points,
+        baseline=build_baseline(system), matcher=matcher_for_system(name))
+    assert outcome_digest(result.outcomes) == PINS[name][0]
+    assert len(seen) > len(profile.dynamic_points) + 5
+    assert seen == [before] * len(seen)
+
+
+def test_phase_1_and_the_baseline_leave_the_collector_as_the_host_set_it():
+    system, analysis, _, baseline = prepared("cassandra")
+    gc.disable()
+    try:
+        assert analyze_system(system).totals() == analysis.totals()
+        assert not gc.isenabled()
+        assert build_baseline(system) == baseline
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert build_baseline(system) == baseline
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,35 @@ def test_pre_311_qualname_index_names_code_nested_in_comprehensions_and_classes(
     assert "C.m.<locals>.D.n" in _assert_index_is_co_qualname(module, code)
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="needs co_qualname")
+def test_pre_311_qualname_index_looks_through_decorators():
+    # the module's name for a decorated function is its wrapper, whose
+    # code is contextlib's or the decorator's own
+    source = (
+        "import contextlib, functools\n"
+        "def traced(f):\n"
+        "    @functools.wraps(f)\n"
+        "    def wrapper(*args):\n"
+        "        return f(*args)\n"
+        "    return wrapper\n"
+        "class C:\n"
+        "    @traced\n"
+        "    def m(self):\n"
+        "        return [x for x in ()]\n"
+        "@traced\n"
+        "def g():\n"
+        "    return 1\n"
+        "@contextlib.contextmanager\n"
+        "def scope():\n"
+        "    yield\n")
+    module = types.ModuleType("decorated_probe")
+    module.__file__ = "<decorated-probe>"
+    code = compile(source, module.__file__, "exec")
+    exec(code, module.__dict__)
+    names = _assert_index_is_co_qualname(module, code)
+    assert {"traced.<locals>.wrapper", "C.m", "g", "scope"} <= set(names)
+
+
 def test_node_attribution_inside_cluster():
     class StatefulNode(Node):
         role = "w"
