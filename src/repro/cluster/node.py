@@ -179,10 +179,12 @@ class Node:
         """
 
         def fire() -> None:
-            if self.is_dead():
+            if self.state in _DEAD:
                 return
             self._enter(fn, *args)
-            if periodic is not None and not self.is_dead():
+            if periodic is not None and self.state not in _DEAD:
+                # a fresh closure each period: one that rescheduled itself
+                # would be a cycle, left to pile up while a run pauses gc
                 self.set_timer(periodic, fn, *args, periodic=periodic)
 
         return self.cluster.loop.schedule(delay, fire, owner=self.name, kind="timer")
@@ -191,9 +193,11 @@ class Node:
     # execution context + exception policy
     # ------------------------------------------------------------------
     def _enter(self, fn: Callable[..., None], *args: Any, **kwargs: Any) -> None:
-        if self.is_dead():
+        if self.state in _DEAD:
             return
-        runtime.push_node(self.name)
+        # runtime.push_node / pop_node, inlined: this brackets every handler
+        stack = runtime._node_stack
+        stack.append(self.name)
         try:
             fn(*args, **kwargs)
         except NodeCrashedError as crash:
@@ -202,7 +206,8 @@ class Node:
         except Exception as exc:  # noqa: BLE001 - policy applied below
             self._handle_handler_exception(exc)
         finally:
-            runtime.pop_node()
+            if stack:
+                stack.pop()
 
     def _handle_handler_exception(self, exc: BaseException) -> None:
         if self.exception_policy == "abort":

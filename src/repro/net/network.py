@@ -14,8 +14,10 @@ Delivery rules (chosen to match what fault injection needs to observe):
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Any, List, Optional, Tuple
 
+from repro.cluster.node import _ACCEPTING
 from repro.net.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,39 +44,35 @@ class Network:
         # channel never reorder, while different channels race freely.
         self._last_delivery: dict = {}
 
-    def latency(self) -> float:
-        return self._rng.uniform(self.min_latency, self.max_latency)
-
     def send(self, src: str, dst: str, method: str, **payload: Any) -> Message:
         """Queue a message for delivery after a latency delay."""
-        msg = Message(
-            src=src,
-            dst=dst,
-            method=method,
-            payload=payload,
-            send_time=self.cluster.loop.now,
-        )
+        loop = self.cluster.loop
+        now = loop._now
+        msg = Message(src=src, dst=dst, method=method, payload=payload,
+                      send_time=now)
         if self._obs.enabled:
             self._obs.metrics.counter("net.rpcs_sent").inc()
-        now = self.cluster.loop.now
-        deliver_at = now + self.latency()
+        # what random.uniform computes, without its call
+        lo = self.min_latency
+        deliver_at = now + (lo + (self.max_latency - lo) * self._rng.random())
         channel = (src, dst)
         floor = self._last_delivery.get(channel, 0.0)
         if deliver_at <= floor:
             deliver_at = floor + 1e-9
         self._last_delivery[channel] = deliver_at
-        self.cluster.loop.schedule_at(
-            deliver_at,
-            lambda: self._deliver(msg),
-            owner=dst,
-            kind="message",
-        )
+        loop.schedule_at(deliver_at, partial(self._deliver, msg),
+                         owner=dst, kind="message")
         return msg
+
+    def in_flight(self, src: str, dst: str) -> bool:
+        """Whether a message ``src`` sent to ``dst`` is undelivered (read
+        between events: the channel's FIFO floor is its last delivery)."""
+        return self._last_delivery.get((src, dst), 0.0) > self.cluster.loop.now
 
     def _deliver(self, msg: Message) -> None:
         obs = self._obs
         node = self.cluster.nodes.get(msg.dst)
-        if node is None or not node.accepting_messages():
+        if node is None or node.state not in _ACCEPTING:
             self.dropped.append((msg.dst, msg.method))
             if obs.enabled:
                 obs.metrics.counter("net.rpcs_dropped").inc()

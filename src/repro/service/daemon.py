@@ -29,6 +29,7 @@ changes nothing writes nothing.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import multiprocessing
@@ -53,6 +54,7 @@ from repro.service.jobs import (
 )
 from repro.service.sentinel import ALIVE, MISSING, STALE, Sentinel, pid_alive
 from repro.service.worker import RESULT_NAME, SENTINEL_NAME, worker_main
+from repro.systems import get_system
 
 #: control-file names a client drops into <root>/control/
 DRAIN_REQUEST = "drain.json"
@@ -355,6 +357,10 @@ class CampaignDaemon:
             # between recovers as "running, no sentinel, no result" and
             # simply requeues — never two workers on one journal
             self._append(JobTable.transition_record(job_id, RUNNING))
+            # imported once here, not by every forked worker (an unknown
+            # system fails in the worker, which says why)
+            with contextlib.suppress(KeyError):
+                get_system(job.spec.system)
             context = multiprocessing.get_context("fork")
             proc = context.Process(
                 target=worker_main,

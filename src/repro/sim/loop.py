@@ -120,7 +120,11 @@ class SimLoop:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._enqueue(Event(self._now + delay, callback, owner=owner, kind=kind))
+        event = Event(self._now + delay, callback, owner, kind)
+        event._loop = self
+        event._in_loop = True
+        heapq.heappush(self._queue, (event.time, event.seq, event))
+        return event
 
     def schedule_at(
         self,
@@ -132,9 +136,7 @@ class SimLoop:
         """Schedule ``callback`` at an absolute simulated time."""
         if time < self._now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self._now}")
-        return self._enqueue(Event(time, callback, owner=owner, kind=kind))
-
-    def _enqueue(self, event: Event) -> Event:
+        event = Event(time, callback, owner, kind)
         event._loop = self
         event._in_loop = True
         heapq.heappush(self._queue, (event.time, event.seq, event))

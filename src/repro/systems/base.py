@@ -14,6 +14,7 @@ workload, run to completion or deadline, return a :class:`RunReport`.
 from __future__ import annotations
 
 import abc
+import functools
 import gc
 import time as _wallclock
 from contextlib import contextmanager
@@ -39,6 +40,12 @@ class Workload(abc.ABC):
     @abc.abstractmethod
     def finished(self, cluster: Cluster) -> bool:
         """True once the workload reached a terminal state (pass or fail)."""
+
+    def doomed(self, cluster: Cluster) -> bool:
+        """True only if no event the run can still process can make
+        :meth:`finished` true (nodes never restart); a doomed hang is not
+        driven past its deadline."""
+        return False
 
     @abc.abstractmethod
     def succeeded(self, cluster: Cluster) -> bool:
@@ -156,7 +163,7 @@ def run_workload(
         keep_cluster: attach the cluster/logs to the report (disable for
             bulk campaigns that only need verdicts).
         extend: the continuation seam, consulted each time a deadline
-            passes with the workload unfinished, until it returns
+            passes with the workload unfinished, not doomed, until it returns
             ``None``: given the report as it stands at that deadline it
             returns a later absolute deadline — the *same* cluster is
             then driven on to it — or ``None`` to stop there.  A return
@@ -215,8 +222,7 @@ def _run_workload(
     cluster = system.build(seed=seed, config=config)
     workload = system.create_workload(scale)
 
-    def finished() -> bool:
-        return workload.finished(cluster)
+    finished = functools.partial(workload.finished, cluster)
 
     def report(deadline: float, completed: bool, succeeded: bool,
                finish_time: float) -> RunReport:
@@ -251,6 +257,10 @@ def _run_workload(
             cluster.run(until=deadline, stop_when=finished)
             budget, consults = deadline, 0
             while extend is not None and not finished():
+                if workload.doomed(cluster):
+                    # it cannot finish: judged at its deadline, as a true hang
+                    span.set(doomed=True)
+                    break
                 consults += 1
                 later = extend(report(deadline, False, False, deadline))
                 if later is None or later <= deadline:

@@ -213,3 +213,11 @@ class PEWorkload(Workload):
         if not out and self._client.phase != 2:
             out.append("rolling-restart re-verification never completed")
         return out
+
+    def doomed(self, cluster: Cluster) -> bool:
+        # rows are created only from a region map, which only the master
+        # sends; once rows exist, their retries can still end the run
+        client = cluster.nodes["client"]
+        return (client.status_rows == 0
+                and cluster.nodes[client.master].is_dead()
+                and not cluster.network.in_flight(client.master, client.name))

@@ -67,8 +67,11 @@ class HBaseSystem(SystemUnderTest):
         # master's guards are chores: stuck transitions are reassigned
         # after assign_timeout by a 10 s chore, and — patched only — the
         # meta bootstrap gives up on a server after meta_retry_limit
-        # checks.  The PE client retries a stuck row every 4 s (2 s to
-        # re-put, 2 s to notice the stall) until client_retries run out.
+        # checks.  The PE client retries a stuck row within 4 s of the
+        # last try (2 s to re-put, 2 s to notice the stall) until
+        # client_retries run out — often sooner, as op errors and stale
+        # stall checks retry too: at seed 14 a row spent its 1 500 by
+        # ~2 005 s.  So this is an upper bound, and the 400x cap binds.
         assign = config.get("hbase.assign_timeout", 600.0) + 10.0
         meta = ((config.get("hbase.meta_retry_limit", 10) + 1)
                 * config.get("hbase.meta_retry_interval", 1.0))

@@ -134,3 +134,10 @@ class WordCountWorkload(Workload):
             elif status != "SUCCEEDED":
                 out.append(f"{app_id}: {status}")
         return out
+
+    def doomed(self, cluster: Cluster) -> bool:
+        # only the RM accepts an application and reports its result (the
+        # client by name: a read of self._client would be a crash point)
+        client = cluster.nodes["client"]
+        return (cluster.nodes[client.rm].is_dead()
+                and not cluster.network.in_flight(client.rm, client.name))

@@ -9,8 +9,13 @@ to it — at seeds 1-3 through the pins, which are its digests.  What the
 flat run completes, the horizon must complete — so a wait left out of a
 declaration shows up as a ``timeout`` turned ``hang``.
 
+The flat run also judges no run doomed (``Workload.doomed``): a run the
+shipped campaign stops at its deadline because it can no longer finish
+must not complete by the cap either, or the digests part.
+
 ``python -m tests.test_hang_horizon`` (CI's ``hang-horizon`` step) prints
-the same comparison for six systems x seeds 0-7.
+the same comparison for six systems x seeds 0-7, yarn and hbase (the
+workloads that declare ``doomed``) on to seed 15, and yarn's 10x world.
 """
 
 import ast
@@ -29,6 +34,7 @@ from hypothesis import strategies as st
 from repro.api import (
     CampaignConfig,
     Observability,
+    build_baseline,
     get_system,
     matcher_for_system,
     outcome_digest,
@@ -40,9 +46,12 @@ from repro.core.injection import run_one_injection
 from repro.core.injection.campaign import EXTENDED_FACTOR, _Judge
 from repro.mtlog import LogCollector
 from repro.systems.base import SystemUnderTest, Workload
+from repro.systems.hbase.client import PEWorkload
 from tests.conftest import PINS, prepared, reference
 
 SYSTEMS = ("yarn", "hbase", "hdfs", "kube", "cassandra", "zookeeper")
+#: the systems whose workload declares when its run can no longer finish
+DOOMABLE = ("yarn", "hbase")
 
 
 @contextlib.contextmanager
@@ -53,7 +62,28 @@ def flat_horizon():
             stack.enter_context(mock.patch.object(
                 type(get_system(name)), "recovery_horizon",
                 lambda self, config: math.inf))
+        for name in DOOMABLE:
+            stack.enter_context(mock.patch.object(
+                type(get_system(name).create_workload()), "doomed",
+                Workload.doomed))
         yield
+
+
+@contextlib.contextmanager
+def counting_stops(name):
+    """Yield a list that gets the simulated time of every run ``name``'s
+    ``doomed`` stops (the flat run's: none)."""
+    workload = type(get_system(name).create_workload())
+    doomed, stops = workload.doomed, []
+
+    def counted(self, cluster):
+        answer = doomed(self, cluster)
+        if answer:
+            stops.append(cluster.loop.now)
+        return answer
+
+    with mock.patch.object(workload, "doomed", counted):
+        yield stops
 
 
 @pytest.fixture
@@ -67,20 +97,27 @@ def _setup(name, seed):
     return prepared(name, seed=seed)[1:]
 
 
-def run(name, seed=0, config=None, points=None, observed=False):
+def run(name, seed=0, config=None, points=None, observed=False,
+        world_scale=1):
     """One campaign's row: what the two arms of a cell are compared on, and
-    (observed, for the extension's length) what the CI sweep prints."""
+    (observed, for the extension's length) what the CI sweep prints.  A
+    ``world_scale`` world is injected at the seed world's points."""
     analysis, profile, baseline = _setup(name, seed)
-    result = run_campaign(
-        get_system(name), analysis,
-        profile.dynamic_points if points is None else points,
-        campaign=CampaignConfig(seed=seed), config=config, baseline=baseline,
-        matcher=matcher_for_system(name),
-        obs=Observability() if observed else None)
+    system = get_system(name, world_scale=world_scale)
+    if world_scale > 1:
+        baseline = build_baseline(system, config=config)
+    with counting_stops(name) as stops:
+        result = run_campaign(
+            system, analysis,
+            profile.dynamic_points if points is None else points,
+            campaign=CampaignConfig(seed=seed), config=config,
+            baseline=baseline, matcher=matcher_for_system(name),
+            obs=Observability() if observed else None)
     row = {
         "digest": outcome_digest(result.outcomes),
         "hangs": sum(o.verdict.hang for o in result.outcomes),
         "timeouts": sum(o.verdict.timeout_issue for o in result.outcomes),
+        "stopped": len(stops),
     }
     if observed:
         row["extension_sim_s"] = result.metrics["counters"].get(
@@ -99,7 +136,7 @@ def assert_same_as_flat(name, seed=0, config=None, points=None):
     shipped = run(name, seed, config, points)
     with flat_horizon():
         oracle = run(name, seed, config, points)
-    assert shipped == oracle
+    assert dict(shipped, stopped=0) == oracle
     return shipped
 
 
@@ -493,23 +530,110 @@ def test_judge_unsubscribes_the_log_agent_on_the_first_consultation_only(
 
 
 # ---------------------------------------------------------------------------
+# a run that can no longer finish stops at its deadline
+# ---------------------------------------------------------------------------
+def test_a_dead_senders_message_in_flight_keeps_the_run_undoomed():
+    # the network still delivers what a node sent before it died, so the
+    # RM's last word to the client can still finish the job
+    system = get_system("yarn")
+    cluster = system.build()
+    workload = system.create_workload()
+    workload.install(cluster)
+    cluster.start_all()
+    cluster.run(until=2.0)
+    rm, network = cluster.node("rm"), cluster.network
+    assert not network.in_flight("rm", "client")
+    rm.send("client", "web_response", apps=[], nodes=0)
+    rm.crash()
+    assert rm.is_dead() and network.in_flight("rm", "client")
+    assert not workload.doomed(cluster)
+    answered = cluster.node("client").web_responses
+    cluster.run(until=2.1)
+    assert cluster.node("client").web_responses == answered + 1
+    assert workload.doomed(cluster)
+
+
+def test_a_master_dead_after_the_rows_exist_does_not_doom_the_run(
+        monkeypatch):
+    # hbase, seed 14: the master aborts at this read once the client holds
+    # its 8 rows; a row's retries run out at ~2 005 s and the run completes
+    # as a job failure.  So "master dead" alone would be unsound.
+    system, analysis, profile, baseline = prepared("hbase")
+    (dpoint,) = [d for d in profile.dynamic_points
+                 if d.point.describe().endswith("hbase.master:295")]
+    seen = []
+    doomed = PEWorkload.doomed
+
+    def observed_doomed(self, cluster):
+        seen.append((cluster.loop.now, cluster.node("hmaster").is_dead(),
+                     cluster.node("client").status_rows,
+                     doomed(self, cluster)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(PEWorkload, "doomed", observed_doomed)
+    outcome = run_one_injection(system, analysis, dpoint, baseline,
+                                campaign=CampaignConfig(seed=14),
+                                matcher=matcher_for_system("hbase"))
+    assert seen == [(24.0, True, 8, False)]
+    assert outcome.verdict.timeout_issue and outcome.verdict.job_failure
+    assert round(outcome.duration) == 2005
+
+
+# ---------------------------------------------------------------------------
 # CI's hang-horizon step
 # ---------------------------------------------------------------------------
-def main(seeds=range(8)):
+def stopped_points(name, seed):
+    """The points whose seed-world run the shipped rule stops."""
+    analysis, profile, baseline = _setup(name, seed)
+    points = []
+
+    def note(index, outcome):
+        if len(stops) > len(points):
+            points.append(profile.dynamic_points[index])
+
+    with counting_stops(name) as stops:
+        run_campaign(get_system(name), analysis, profile.dynamic_points,
+                     campaign=CampaignConfig(seed=seed), baseline=baseline,
+                     matcher=matcher_for_system(name), on_outcome=note)
+    return points
+
+
+#: the sweep: (system, world_scale, seeds, points: None for all, N for the
+#: first N, "stopped" for those stopped_points names)
+SWEEP = ([(name, 1, range(16 if name in DOOMABLE else 8), None)
+          for name in SYSTEMS]
+         + [("yarn", 10, range(2), 12), ("yarn", 10, range(1), "stopped")])
+
+
+def main(sweep=SWEEP):
     print("system, seed, hangs, timeouts, extension sim-s flat -> horizon, "
-          "digest equal")
-    failed = False
-    for name in SYSTEMS:
+          "stopped early, digest equal")
+    failed, stopped = False, {}
+    for name, scale, seeds, select in sweep:
+        label = name if scale == 1 else f"{name}-{scale}x"
+        if select is not None:
+            label += f" ({select})" if select == "stopped" else f" (first {select})"
+        # the 10x flat run's trace would take a gigabyte: unobserved
+        observed = scale == 1
         for seed in seeds:
-            shipped = run(name, seed, observed=True)
+            points = (None if select is None
+                      else stopped_points(name, seed) if select == "stopped"
+                      else _setup(name, seed)[1].dynamic_points[:select])
+            shipped = run(name, seed, points=points, observed=observed,
+                          world_scale=scale)
             with flat_horizon():
-                oracle = run(name, seed, observed=True)
+                oracle = run(name, seed, points=points, observed=observed,
+                             world_scale=scale)
             same = shipped["digest"] == oracle["digest"]
-            print(f"{name}, {seed}, {oracle['hangs']}, {oracle['timeouts']}, "
-                  f"{oracle['extension_sim_s']} -> "
-                  f"{shipped['extension_sim_s']}, "
+            stopped[label] = stopped.get(label, 0) + shipped["stopped"]
+            extension = (f"{oracle['extension_sim_s']} -> "
+                         f"{shipped['extension_sim_s']}" if observed else "-")
+            print(f"{label}, {seed}, {oracle['hangs']}, {oracle['timeouts']}, "
+                  f"{extension}, {shipped['stopped']}, "
                   f"{'yes' if same else 'NO'}", flush=True)
             failed |= not same
+    print("stopped early: " + ", ".join(
+        f"{label} {count}" for label, count in stopped.items()))
     return int(failed)
 
 

@@ -122,12 +122,23 @@ def test_hang_extensions_say_how_far_they_ran_and_why_they_stopped():
 
 def test_hbase_true_hangs_still_run_to_the_cap():
     # its client's retry budget (1 501 x 4 s) is a configured wait longer
-    # than 400x one run, so the cap decides
+    # than 400x one run, so the cap decides — but not for a doomed run:
+    # HBASE-22017's master is dead before the client holds a row, and is
+    # judged at its deadline without an extension
     result, obs = reference("hbase", traced=True)
     extended, _, spans = _extensions(result, obs)
     hangs = [s for s in spans if not s["completed"]]
-    assert extended == 7 and len(hangs) == 4
+    assert extended == 6 and len(hangs) == 3
     assert all(s["extended_until"] == 6.0 * 400 for s in hangs)
+    (root,) = obs.tracer.named("campaign")
+    runs = [s for s in obs.tracer.named("workload")
+            if s.parent_id == root.span_id]
+    assert len(runs) == len(result.outcomes)
+    (doomed,) = [(o, s) for o, s in zip(result.outcomes, runs)
+                 if s.attrs.get("doomed")]
+    outcome, span = doomed
+    assert outcome.verdict.hang and "HBASE-22017" in outcome.matched_bugs
+    assert "extended_until" not in span.attrs
 
 
 def test_campaign_trace_spans_cover_workload_rpc_recovery_injection():

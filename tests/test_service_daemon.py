@@ -11,6 +11,9 @@ systems cover the control paths.
 import json
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -625,3 +628,38 @@ def test_failed_job_settles_and_wait_fails_fast(tmp_path):
     (tmp_path / "jobs" / "ghost" / RESULT_NAME).unlink()
     with pytest.raises(RuntimeError, match="ghost"):
         client.wait("ghost", timeout=5.0)
+
+
+_DISPATCH_ONE = textwrap.dedent("""
+    import json, sys
+    from repro.service import CampaignDaemon
+    from repro.service.jobs import JobSpec
+
+    daemon = CampaignDaemon(sys.argv[1], workers=1, poll_interval=0.01,
+                            fsync=False)
+    spec = JobSpec(job_id="spooled-hdfs", system="hdfs")
+    (daemon.layout.spool / "spooled-hdfs.json").write_text(
+        json.dumps(spec.to_dict()))
+    before = "repro.systems.hdfs.system" in sys.modules
+    daemon.start()
+    try:
+        while not daemon._procs:
+            daemon.step()
+        after = "repro.systems.hdfs.system" in sys.modules
+    finally:
+        for proc in daemon._procs.values():
+            proc.kill()
+            proc.join()
+        daemon.close()
+    print(json.dumps([before, after]))
+""")
+
+
+def test_the_daemon_imports_a_jobs_system_before_forking_its_worker(
+        tmp_path):
+    # a fresh process that never imported the systems (a spooled file, not
+    # ServiceClient.submit): the forked worker inherits the import
+    done = subprocess.run([sys.executable, "-c", _DISPATCH_ONE, str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [False, True]
